@@ -12,18 +12,16 @@ import argparse
 import os
 import sys
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from . import distributed, examples, flow, prox
+from . import __version__, distributed, examples, flow, prox
 from .diagnostics import fit_exponential_rate
 from .linops import BlockOperator, LinearOperator
 from .problem import (AssumptionError, NonsmoothBlock, SaddleProblem,
                       SmoothBlock, check_assumption4, check_assumption5,
                       ges_certificate, kkt_residual)
-
-__version__ = "0.1.0"
 
 
 class ConfigError(ValueError):
@@ -86,6 +84,18 @@ def _get(keys, name, cast, default=None, required=False):
         raise ConfigError(f"key '{name}' has invalid value {keys[name]!r}")
 
 
+def _vector(mats, name, n):
+    """Matrix section ``name`` given as one row or one column of ``n``
+    entries, as a flat vector; zeros when the section is absent."""
+    if name not in mats:
+        return np.zeros(n)
+    v = mats[name]
+    if min(v.shape) != 1 or v.size != n:
+        raise ConfigError(f"matrix '{name}' must be a row or a column of {n} "
+                          f"entries, got shape {v.shape}")
+    return v.ravel()
+
+
 def build_problem(keys: Dict[str, str], mats: Dict[str, np.ndarray]):
     """Return ``(problem, s0, reference, extras)`` from a parsed config."""
     kind = _get(keys, "problem", str, required=True)
@@ -122,13 +132,10 @@ def build_problem(keys: Dict[str, str], mats: Dict[str, np.ndarray]):
             raise ConfigError("custom problems need [matrix H] and [matrix E]")
         H = mats["H"]
         E = mats["E"]
-        c = mats.get("c", np.zeros((H.shape[0], 1)))[:, 0] if "c" in mats else np.zeros(H.shape[0])
-        smooth = [SmoothBlock.quadratic(H, c)]
+        smooth = [SmoothBlock.quadratic(H, _vector(mats, "c", H.shape[0]))]
         Eb = BlockOperator([LinearOperator.from_matrix(E)])
         p = E.shape[0]
-        q = mats["q"][:, 0] if "q" in mats else np.zeros(p)
-        if q.size != p:
-            raise ConfigError("key 'q' must match the row count of E")
+        q = _vector(mats, "q", p)
         if "F" in mats:
             F = mats["F"]
             w = _get(keys, "l1_weight", float, 1.0)
@@ -216,7 +223,7 @@ def cmd_solve(args) -> int:
             keys["seed"] = str(args.seed)
         prob, s0, ref, extras = build_problem(keys, mats)
         cfg = integrator_from(keys, args)
-    except ConfigError as e:
+    except ValueError as e:     # ConfigError, or a constructor rejecting the data
         print(f"config error: {e}", file=sys.stderr)
         return 1
 
@@ -275,7 +282,7 @@ def cmd_certify(args) -> int:
         if args.mu is not None:
             keys["mu"] = str(args.mu)
         prob, _, _, _ = build_problem(keys, mats)
-    except ConfigError as e:
+    except ValueError as e:     # ConfigError, or a constructor rejecting the data
         print(f"config error: {e}", file=sys.stderr)
         return 1
 
@@ -383,8 +390,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="palflow")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required)
+    def common(p):
+        p.add_argument("--config", required=True)
         p.add_argument("--out")
         p.add_argument("--seed", type=int)
         p.add_argument("--alpha", type=float)

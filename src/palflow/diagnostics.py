@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .flow import pal_gradient, pal_value, vector_field
-from .linops import LinearOperator, vec
+from .linops import LinearOperator, null_projection, vec
 from .problem import PrimalDualState, SaddleProblem
 
 
@@ -194,13 +194,8 @@ def distance_to_solution(prob: SaddleProblem, s: PrimalDualState,
     in the orthogonal complement moves between equally valid multipliers)."""
     r = ref.state
     lam_diff = s.lam - r.lam
-    EF = LinearOperator.from_matrix(prob._EF_dense())
-    A = EF.dense()
-    if A.size and np.any(A):
-        U, sv, _ = np.linalg.svd(A, full_matrices=False)
-        rk = int(np.sum(sv > 1e-9 * sv[0]))
-        Ur = U[:, :rk]
-        lam_diff = Ur @ (Ur.T @ lam_diff)
+    lam_diff = lam_diff - null_projection(LinearOperator.from_matrix(prob._EF_dense()),
+                                          lam_diff)
     return float(np.sqrt(_diff_sq(s.x, r.x) + _diff_sq(s.z, r.z)
                          + _diff_sq(s.y, r.y) + np.sum(lam_diff ** 2)))
 

@@ -4,8 +4,8 @@ discretization, and a synchronous message-passing simulator."""
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -190,36 +190,18 @@ class DivergenceError(RuntimeError):
 
 def run_discrete(net: Network, init: Sequence[AgentState], eta: float,
                  alpha: float, mu: float, T_iters: int) -> List[List[AgentState]]:
-    """Synchronous discrete algorithm: each round broadcasts ``x`` to
-    neighbors, steps the multipliers and ``y``, then steps ``z`` and ``x``
-    consuming the just-computed dual increments."""
+    """Synchronous discrete algorithm: forward Euler with step ``eta`` on the
+    decentralized field, so each round broadcasts ``x`` to neighbors once."""
     if eta <= 0:
         raise ValueError("step size must be positive")
-    adj = net.neighbors()
     cur = [s.copy() for s in init]
-    history = [[s.copy() for s in cur]]
+    history = [cur]
     for t in range(T_iters):
-        nxt = []
-        for i, (a, st) in enumerate(zip(net.agents, cur)):
-            lam1_new = st.lam1 + eta * alpha * (
-                len(adj[i]) * st.x - sum(cur[j].x for j in adj[i]))
-            Cx = vec(a.C.apply(st.x.reshape(a.C.in_shape, order="F")))
-            lam2_new = st.lam2 + eta * alpha * (Cx - st.z)
-            prox_out = vec(a.g.prox(mu, st.z + mu * st.y))
-            y_new = st.y + eta * alpha * (st.z - prox_out)
-            z_new = (st.z - eta * (st.y - st.lam2)
-                     - ((y_new - st.y) - (lam2_new - st.lam2)) / (alpha * mu))
-            Ct = lambda v: vec(a.C.adjoint(v.reshape(a.C.out_shape, order="F")))
-            x_new = (st.x - eta * vec(a.f.grad(st.x.reshape(a.f.shape, order="F")))
-                     - eta * (st.lam1 + Ct(st.lam2))
-                     - ((lam1_new - st.lam1) + Ct(lam2_new - st.lam2)) / (alpha * mu))
-            nxt.append(AgentState(x_new, z_new, y_new, lam1_new, lam2_new))
-        cur = nxt
-        norm = np.sqrt(sum(np.sum(s.x ** 2) + np.sum(s.z ** 2) + np.sum(s.y ** 2)
-                           + np.sum(s.lam1 ** 2) + np.sum(s.lam2 ** 2) for s in cur))
-        if norm > 1e12:
+        flat = pack_agents(cur) + eta * pack_agents(decentralized_field(net, cur, alpha, mu))
+        if np.linalg.norm(flat) > 1e12:
             raise DivergenceError(t)
-        history.append([s.copy() for s in cur])
+        cur = unpack_agents(net, flat)      # fresh copies; never mutated
+        history.append(cur)
     return history
 
 

@@ -18,11 +18,11 @@ from scipy.linalg import solve_lyapunov
 from . import flow, prox
 from .diagnostics import ReferenceSolution
 from .distributed import AgentData, Network
-from .linops import (BlockOperator, LinearOperator, flatten_output,
-                     lyapunov_operator, masked_congruence, vec, vstack)
+from .linops import (BlockOperator, LinearOperator, lyapunov_operator,
+                     masked_congruence, vec, vstack)
 from .problem import (NonsmoothBlock, PrimalDualState, SaddleProblem,
                       SmoothBlock)
-from .prox import GroupPartition, ProximableFunction
+from .prox import GroupPartition
 
 
 def make_rng(seed: int) -> np.random.Generator:

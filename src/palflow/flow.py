@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .linops import vec
 from .problem import PrimalDualState, SaddleProblem, kkt_residual
 from .prox import moreau_value
 
@@ -76,41 +75,16 @@ def blockwise_field(prob: SaddleProblem, s: PrimalDualState,
 
 
 class FlowField:
-    """Flat-state ODE right-hand side for a problem, with a one-entry cache
-    of the last evaluated state so diagnostics can reuse the constraint
-    residual and prox output. Single-threaded by design."""
+    """Flat-state ODE right-hand side of the flow; counts its evaluations."""
 
     def __init__(self, prob: SaddleProblem, alpha: Optional[float] = None):
         self.prob = prob
         self.alpha = prob.alpha if alpha is None else alpha
-        self._cache_key: Optional[np.ndarray] = None
-        self._cache_val: Optional[Tuple[np.ndarray, list]] = None
         self.n_evals = 0
-
-    def residual_and_prox(self, flat: np.ndarray):
-        if self._cache_key is not None and np.array_equal(flat, self._cache_key):
-            return self._cache_val
-        s = self.prob.unpack(flat)
-        r = self.prob.constraint_residual(s.x, s.z)
-        prox_out = self.prob.prox_g(
-            [zj + self.prob.mu * yj for zj, yj in zip(s.z, s.y)])
-        self._cache_key = flat.copy()
-        self._cache_val = (r, prox_out)
-        return self._cache_val
 
     def __call__(self, t: float, flat: np.ndarray) -> np.ndarray:
         self.n_evals += 1
-        prob, a, mu = self.prob, self.alpha, self.prob.mu
-        s = prob.unpack(flat)
-        r, prox_out = self.residual_and_prox(flat)
-        shift = s.lam + r / mu
-        Et = prob.E.adjoint(shift)
-        Ft = prob.F.adjoint(shift)
-        x_dot = [-g - e for g, e in zip(prob.f_grad(s.x), Et)]
-        z_dot = [-(zj + mu * yj - pj) / mu - f
-                 for zj, yj, pj, f in zip(s.z, s.y, prox_out, Ft)]
-        y_dot = [a * (zj - pj) for zj, pj in zip(s.z, prox_out)]
-        return prob.pack(PrimalDualState(x_dot, z_dot, y_dot, a * r))
+        return self.prob.pack(vector_field(self.prob, self.prob.unpack(flat), self.alpha))
 
 
 @dataclass
@@ -121,7 +95,7 @@ class IntegratorConfig:
     abs_tol: float = 1e-12
     t_end: float = 10.0
     stop_kkt: Optional[float] = None
-    max_steps: int = 10_000_000
+    max_steps: int = 10_000_000    # fixed-step methods only
     record_stride: int = 1
 
     def __post_init__(self):
@@ -184,8 +158,14 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
     Returns ``(times, states, termination, t_events)``. The adaptive method
     is Dormand-Prince 4(5) with error-controlled step rejection and dense
     event location; fixed-step methods are forward Euler and classic RK4.
+    Every ``record_stride``-th step and the last one are kept. Events stop
+    the run where they reach zero or below (``"event"``); one that is there
+    at ``t0`` already stops it before the first step, with one sample. Only
+    the fixed-step methods obey ``max_steps`` (``"max_steps"``).
     """
     y0 = np.asarray(y0, dtype=float)
+    if events and any(ev(t0, y0) <= 0 for ev in events):
+        return np.array([t0]), y0[None, :].copy(), "event", None
     if cfg.method == "rk45":
         sol = solve_ivp(fun, (t0, cfg.t_end), y0, method="RK45",
                         rtol=cfg.rel_tol, atol=cfg.abs_tol, events=events,
@@ -195,17 +175,22 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
         if not np.all(np.isfinite(sol.y)):
             raise FlowError("non-finite state encountered")
         term = "event" if sol.status == 1 else "t_end"
-        return sol.t, sol.y.T, term, (sol.t_events if events else None)
+        times, states = sol.t, sol.y.T
+        if cfg.record_stride > 1:
+            keep = np.unique(np.r_[np.arange(0, len(times), cfg.record_stride),
+                                   len(times) - 1])
+            times, states = times[keep], states[keep]
+        return times, states, term, (sol.t_events if events else None)
 
     h = cfg.h
     n_steps = int(np.ceil((cfg.t_end - t0) / h))
+    term = "t_end"
     if n_steps > cfg.max_steps:
-        n_steps = cfg.max_steps
+        n_steps, term = cfg.max_steps, "max_steps"
     times = [t0]
     states = [y0.copy()]
     y = y0.copy()
     t = t0
-    term = "t_end"
     for k in range(n_steps):
         if cfg.method == "euler":
             y = y + h * fun(t, y)
@@ -233,12 +218,12 @@ def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig,
               alpha: Optional[float] = None) -> Trajectory:
     """Integrate the primal-dual flow from ``s0``.
 
-    Termination on ``t_end``, on ``stop_kkt`` (residual event located by the
-    adaptive integrator), or on ``max_steps``; the reason is recorded.
+    Terminates on ``t_end``; on ``stop_kkt``, once the KKT residual is at or
+    below it (located by the adaptive integrator's event search; a start
+    already there returns at once); or, for the fixed-step methods only, on
+    ``max_steps``. The reason is recorded.
     """
     ff = FlowField(prob, alpha)
-    y0 = prob.pack(s0)
-
     events = None
     if cfg.stop_kkt is not None:
         def kkt_event(t, y):
@@ -247,22 +232,9 @@ def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig,
         kkt_event.direction = -1
         events = [kkt_event]
 
-    if cfg.method == "rk45":
-        times, states, term, _ = integrate_ode(ff, y0, cfg, events=events)
-        if term == "event":
-            term = "stop_kkt"
-        if cfg.record_stride > 1:
-            keep = np.unique(np.r_[np.arange(0, len(times), cfg.record_stride),
-                                   len(times) - 1])
-            times, states = times[keep], states[keep]
-    else:
-        ev = None
-        if cfg.stop_kkt is not None:
-            ev = [lambda t, y: kkt_residual(prob, prob.unpack(y)) - cfg.stop_kkt]
-        times, states, term, _ = integrate_ode(ff, y0, cfg, events=ev)
-        if term == "event":
-            term = "stop_kkt"
-
+    times, states, term, _ = integrate_ode(ff, prob.pack(s0), cfg, events=events)
+    if term == "event":
+        term = "stop_kkt"
     diag = _diagnostics(prob, ff, times, states)
     return Trajectory(times=np.asarray(times), states=np.asarray(states),
                       diagnostics=diag, termination=term, problem=prob,

@@ -8,7 +8,6 @@ always taken with respect to ``<U, V> = tr(U^T V)``.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -60,7 +59,6 @@ class LinearOperator:
         self._apply = apply
         self._adjoint = adjoint
         self._dense = None if dense is None else np.asarray(dense, dtype=float)
-        self._dense_lock = threading.Lock()
 
     @property
     def in_dim(self) -> int:
@@ -85,19 +83,16 @@ class LinearOperator:
     def dense(self) -> np.ndarray:
         """Materialize the operator as a matrix acting on vec'd inputs.
 
-        Computed once from canonical basis vectors and cached; callers may
-        race but always observe the same result.
+        Computed once from canonical basis vectors and cached.
         """
         if self._dense is None:
-            with self._dense_lock:
-                if self._dense is None:
-                    cols = np.empty((self.out_dim, self.in_dim))
-                    e = np.zeros(self.in_dim)
-                    for j in range(self.in_dim):
-                        e[j] = 1.0
-                        cols[:, j] = vec(self.apply(unvec(e, self.in_shape)))
-                        e[j] = 0.0
-                    self._dense = cols
+            cols = np.empty((self.out_dim, self.in_dim))
+            e = np.zeros(self.in_dim)
+            for j in range(self.in_dim):
+                e[j] = 1.0
+                cols[:, j] = vec(self.apply(unvec(e, self.in_shape)))
+                e[j] = 0.0
+            self._dense = cols
         return self._dense
 
     @classmethod
@@ -216,9 +211,6 @@ class BlockOperator:
         if not self.blocks:
             return np.zeros((self.p, 0))
         return np.hstack([b.dense() for b in self.blocks])
-
-    def as_operator(self) -> LinearOperator:
-        return LinearOperator.from_matrix(self.dense())
 
 
 def singular_extremes(op: LinearOperator, tol_rank: float = TOL_RANK) -> SingularExtremes:

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .linops import (BlockOperator, LinearOperator, TOL_RANK,
                      singular_extremes, range_contained, vec, unvec)
-from .prox import ProximableFunction, separable_moreau_value
+from .prox import ProximableFunction
 
 
 class AssumptionError(RuntimeError):
@@ -39,6 +39,9 @@ class SmoothBlock:
     def quadratic(cls, H: np.ndarray, c: Optional[np.ndarray] = None) -> "SmoothBlock":
         """``(1/2) x^T H x + c^T x`` for symmetric PSD ``H``."""
         H = np.asarray(H, dtype=float)
+        if (H.ndim != 2 or H.shape[0] != H.shape[1]
+                or np.max(np.abs(H - H.T)) > 1e-12 * np.max(np.abs(H))):
+            raise ValueError("H must be a symmetric square matrix")
         c = np.zeros(H.shape[0]) if c is None else np.asarray(c, dtype=float)
         eigs = np.linalg.eigvalsh(H)
         return cls(shape=(H.shape[0],),
@@ -236,19 +239,12 @@ def kkt_residual(prob: SaddleProblem, s: PrimalDualState) -> float:
     form of ``y in dg(z)``, and primal feasibility; zero exactly on the
     saddle set.
     """
-    r = kkt_residual_parts(prob, s)
-    return float(np.sqrt(sum(np.sum(a ** 2) for a in r)))
-
-
-def kkt_residual_parts(prob: SaddleProblem, s: PrimalDualState) -> List[np.ndarray]:
-    Et_lam = prob.E.adjoint(s.lam)
-    Ft_lam = prob.F.adjoint(s.lam)
-    r1 = [g + e for g, e in zip(prob.f_grad(s.x), Et_lam)]
-    r2 = [yj + f for yj, f in zip(s.y, Ft_lam)]
     prox_out = prob.prox_g([zj + prob.mu * yj for zj, yj in zip(s.z, s.y)])
-    r3 = [zj - pj for zj, pj in zip(s.z, prox_out)]
-    r4 = [prob.constraint_residual(s.x, s.z)]
-    return [vec(a) for a in r1 + r2 + r3 + r4]
+    r = [g + e for g, e in zip(prob.f_grad(s.x), prob.E.adjoint(s.lam))]
+    r += [yj + f for yj, f in zip(s.y, prob.F.adjoint(s.lam))]
+    r += [zj - pj for zj, pj in zip(s.z, prox_out)]
+    r.append(prob.constraint_residual(s.x, s.z))
+    return float(np.sqrt(sum(np.sum(vec(a) ** 2) for a in r)))
 
 
 # ---------------------------------------------------------------------------

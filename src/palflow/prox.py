@@ -9,7 +9,7 @@ the prox, so indicator functions need no subgradient machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List
 
 import numpy as np
 
@@ -34,6 +34,7 @@ class GroupPartition:
             raise ValueError("one weight per group required")
         if np.any(self.weights <= 0):
             raise ValueError("group weights must be positive")
+        self.validate_cover(self.n)
 
     @property
     def n(self) -> int:
@@ -84,7 +85,8 @@ def prox_group_lasso(mu: float, part: GroupPartition, v: np.ndarray) -> np.ndarr
     """Soft threshold by ``eta * mu`` (when ``eta > 0``) followed by per-group
     block shrinkage by ``weight * mu``. Zero blocks map to zero."""
     v = np.asarray(v, dtype=float)
-    part.validate_cover(v.size)
+    if v.size != part.n:
+        raise ValueError(f"expected {part.n} entries for the partition, got {v.size}")
     z = prox_l1(part.eta * mu, v) if part.eta > 0 else v.copy()
     out = np.empty_like(z)
     for idx, w in zip(part.groups, part.weights):
@@ -217,17 +219,3 @@ def moreau_grad(g: ProximableFunction, mu: float, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     return (v - g.prox(mu, v)) / mu
 
-
-def separable_prox(gs: Sequence[ProximableFunction], mu: float,
-                   blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Blockwise prox of a separable sum; one function per block."""
-    if len(gs) != len(blocks):
-        raise ValueError("need exactly one function per block")
-    return [g.prox(mu, b) for g, b in zip(gs, blocks)]
-
-
-def separable_moreau_value(gs: Sequence[ProximableFunction], mu: float,
-                           blocks: Sequence[np.ndarray]) -> float:
-    if len(gs) != len(blocks):
-        raise ValueError("need exactly one function per block")
-    return sum(moreau_value(g, mu, b) for g, b in zip(gs, blocks))

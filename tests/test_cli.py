@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+import palflow
 from palflow.cli import (ConfigError, build_problem, main, parse_config,
                          svg_line_plot)
 
@@ -126,6 +127,54 @@ stop_kkt = 1e-9
     assert lines[0].startswith("t,kkt_residual,field_norm")
     last = [float(v) for v in lines[-1].split(",")]
     assert last[1] < 1e-8      # stopped on the residual threshold
+
+
+VECTOR_CFG = """
+problem = custom
+t_end = 2
+[matrix H]
+2 0
+0 1
+[matrix E]
+1 0
+1 1
+{c}{q}"""
+
+
+def test_solve_custom_row_and_column_vectors_agree(tmp_path):
+    rows = {"c": "[matrix c]\n1 2\n", "q": "[matrix q]\n1 -1\n"}
+    cols = {"c": "[matrix c]\n1\n2\n", "q": "[matrix q]\n1\n-1\n"}
+    for name, vecs in (("row", rows), ("col", cols)):
+        cfg = write(tmp_path, VECTOR_CFG.format(**vecs), name=f"{name}.cfg")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+    row = (tmp_path / "row" / "trajectory.csv").read_text()
+    assert row == (tmp_path / "col" / "trajectory.csv").read_text()
+    keys, mats = parse_config(str(tmp_path / "row.cfg"))
+    prob = build_problem(keys, mats)[0]
+    assert np.allclose(prob.f_grad([np.zeros(2)])[0], [1.0, 2.0])
+    assert np.allclose(prob.q, [1.0, -1.0])
+
+
+def test_solve_custom_wrong_length_vector_exit_1(tmp_path, capsys):
+    for bad in ("[matrix c]\n1 2 3\n", "[matrix c]\n1 2\n3 4\n",
+                "[matrix q]\n1\n"):
+        cfg = write(tmp_path, VECTOR_CFG.format(c=bad, q=""))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "must be a row or a column" in capsys.readouterr().err
+
+
+def test_solve_custom_nonsymmetric_hessian_exit_1(tmp_path, capsys):
+    cfg = write(tmp_path, "problem = custom\n[matrix H]\n1 2\n0 1\n"
+                          "[matrix E]\n1 1\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "symmetric" in capsys.readouterr().err
+
+
+def test_manifest_records_package_version(tmp_path):
+    cfg = write(tmp_path, VECTOR_CFG.format(c="", q=""))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    manifest = (tmp_path / "o" / "manifest.txt").read_text().splitlines()
+    assert f"palflow_version = {palflow.__version__}" in manifest
 
 
 def test_solve_lasso_reaches_oracle(tmp_path):

@@ -171,6 +171,28 @@ def test_integrate_stop_kkt(rng):
     assert traj.times[-1] < 500.0
 
 
+@pytest.mark.parametrize("method,h", [("rk45", None), ("euler", 0.01)])
+def test_integrate_stop_kkt_at_start(rng, method, h):
+    prob, _ = quadratic_equality_instance(rng)
+    s0 = prob.random_state(rng)
+    kkt0 = kkt_residual(prob, s0)
+    cfg = IntegratorConfig(method=method, h=h, t_end=50.0, stop_kkt=10 * kkt0)
+    traj = integrate(prob, s0, cfg)
+    assert traj.termination == "stop_kkt"
+    assert traj.times.tolist() == [0.0]
+    assert np.array_equal(traj.states[0], prob.pack(s0))
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_fixed_step_max_steps_termination(method):
+    cfg = IntegratorConfig(method=method, h=0.1, t_end=10.0, max_steps=5)
+    times, _, term, _ = integrate_ode(lambda t, y: -y, np.array([1.0]), cfg)
+    assert term == "max_steps"
+    assert times[-1] == pytest.approx(0.5)
+    cfg = IntegratorConfig(method=method, h=0.1, t_end=0.5, max_steps=5)
+    assert integrate_ode(lambda t, y: -y, np.array([1.0]), cfg)[2] == "t_end"
+
+
 def test_integrate_records_diagnostics(rng):
     prob = composite_instance(rng)
     traj = integrate(prob, prob.zero_state(), IntegratorConfig(t_end=1.0))

@@ -167,6 +167,18 @@ def test_declared_constant_helpers():
     assert ls.strong_convexity == pytest.approx(s[-1] ** 2)
 
 
+def test_quadratic_rejects_nonsymmetric_hessian(rng):
+    # the gradient H x + c is only right for symmetric H
+    with pytest.raises(ValueError, match="symmetric"):
+        SmoothBlock.quadratic(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="symmetric"):
+        SmoothBlock.quadratic(np.ones((2, 3)))
+    A = rng.standard_normal((7, 4))
+    blk = SmoothBlock.quadratic(A.T @ A, np.ones(4))   # symmetric to rounding
+    x = rng.standard_normal(4)
+    assert np.allclose(blk.grad(x), A.T @ (A @ x) + 1.0)
+
+
 def test_lipschitz_xz_formula(rng):
     prob = composite_instance(rng)
     smax = np.linalg.svd(prob._EF_dense(), compute_uv=False)[0]

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from palflow import prox
 from palflow.prox import (GroupPartition, moreau_grad, moreau_value,
                           prox_frobenius_ball_masked, prox_group_lasso,
-                          prox_indicator_orthant, prox_l1, prox_nuclear,
-                          separable_moreau_value, separable_prox)
+                          prox_indicator_orthant, prox_l1, prox_nuclear)
 
 
 # -- soft threshold ----------------------------------------------------------
@@ -75,9 +74,16 @@ def test_group_partition_validation():
         GroupPartition([np.arange(2)], [1.0, 2.0])
     with pytest.raises(ValueError):
         GroupPartition([np.arange(2)], [-1.0])
-    part = GroupPartition([np.array([0, 1]), np.array([1, 2])], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        part.validate_cover(3)
+    with pytest.raises(ValueError, match="partition"):
+        GroupPartition([np.array([0, 1]), np.array([1, 2])], [1.0, 1.0])
+    with pytest.raises(ValueError, match="partition"):
+        GroupPartition([np.array([0, 2])], [1.0])
+
+
+def test_group_lasso_rejects_wrong_length():
+    part = GroupPartition([np.arange(2), np.arange(2, 4)], [1.0, 1.0])
+    with pytest.raises(ValueError, match="4 entries"):
+        prox_group_lasso(1.0, part, np.ones(3))
 
 
 # -- singular value shrinkage ------------------------------------------------
@@ -184,38 +190,6 @@ def test_moreau_grad_is_lipschitz(seed, mu):
     u, v = rng.standard_normal(5), rng.standard_normal(5)
     lhs = np.linalg.norm(moreau_grad(g, mu, u) - moreau_grad(g, mu, v))
     assert lhs <= np.linalg.norm(u - v) / mu * (1 + 1e-10)
-
-
-# -- separable sums ----------------------------------------------------------
-
-def test_separable_matches_concatenated_l1():
-    rng = np.random.default_rng(2)
-    v = rng.standard_normal(6)
-    out = separable_prox([prox.l1(1.0), prox.l1(1.0)], 0.7, [v[:3], v[3:]])
-    assert np.allclose(np.concatenate(out), prox_l1(0.7, v))
-
-
-def test_separable_empty():
-    assert separable_prox([], 1.0, []) == []
-    assert separable_moreau_value([], 1.0, []) == 0
-
-
-def test_separable_mixed_blocks():
-    rng = np.random.default_rng(3)
-    v1 = rng.standard_normal(4)
-    V2 = rng.standard_normal((3, 3))
-    gs = [prox.l1(0.5), prox.nuclear(1.0)]
-    out = separable_prox(gs, 1.2, [v1, V2])
-    assert np.allclose(out[0], gs[0].prox(1.2, v1))
-    assert np.allclose(out[1], gs[1].prox(1.2, V2))
-    total = separable_moreau_value(gs, 1.2, [v1, V2])
-    assert total == pytest.approx(moreau_value(gs[0], 1.2, v1)
-                                  + moreau_value(gs[1], 1.2, V2))
-
-
-def test_separable_count_mismatch():
-    with pytest.raises(ValueError):
-        separable_prox([prox.l1()], 1.0, [])
 
 
 @settings(max_examples=100, deadline=None)
