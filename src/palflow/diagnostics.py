@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .flow import pal_gradient, pal_value, vector_field
-from .linops import LinearOperator, null_projection, vec
+from .linops import vec
 from .problem import PrimalDualState, SaddleProblem
 
 
@@ -103,62 +103,57 @@ def dual_function(prob: SaddleProblem, y: Sequence[np.ndarray], lam: np.ndarray,
     when the iteration cap is hit or the value drops below ``-1e12`` (dual
     function unbounded below at this point).
     """
-    y = [np.asarray(a, dtype=float) for a in y]
-    lam = np.asarray(lam, dtype=float)
     L = prob.lipschitz_xz()
     if L <= 0:
         L = 1.0
     step = 1.0 / L
+    kernel = prob.kernel
+    k = prob.m + prob.n
+    # flat state with the dual part fixed; the iterates are its (x, z) slice
+    u = prob.pack(PrimalDualState(
+        [np.zeros(sh) for sh in prob.x_shapes] if x0 is None else list(x0),
+        [np.zeros(sh) for sh in prob.z_shapes] if z0 is None else list(z0),
+        list(y), lam))
 
-    def make_state(x, z):
-        return PrimalDualState(list(x), list(z), y, lam)
+    def at(xz):
+        u[:k] = xz
+        return u
 
-    def value_grad(x, z):
-        s = make_state(x, z)
-        gx, gz, _, _ = pal_gradient(prob, s)
-        return pal_value(prob, s), gx, gz
-
-    x = [np.zeros(sh) for sh in prob.x_shapes] if x0 is None else [np.array(a, dtype=float) for a in x0]
-    z = [np.zeros(sh) for sh in prob.z_shapes] if z0 is None else [np.array(a, dtype=float) for a in z0]
-    vx = [a.copy() for a in x]
-    vz = [a.copy() for a in z]
+    xz = u[:k].copy()
+    v = xz.copy()
     theta = 1.0
     f_prev = np.inf
     gnorm = np.inf
     it = 0
     for it in range(1, max_iters + 1):
-        fv, gx, gz = value_grad(vx, vz)
-        gnorm = float(np.sqrt(sum(np.sum(np.asarray(g) ** 2) for g in gx + gz)))
+        g = kernel.gradient(at(v))[:k]
+        gnorm = float(np.linalg.norm(g))
         if gnorm <= inner_tol:
-            x, z = vx, vz
+            xz = v
             break
-        x_new = [v - step * g for v, g in zip(vx, gx)]
-        z_new = [v - step * g for v, g in zip(vz, gz)]
-        f_new, _, _ = value_grad(x_new, z_new)
+        xz_new = v - step * g
+        f_new = kernel.value(at(xz_new))
         if f_new < -1e12:
             raise DualSolveError("dual function unbounded below at this dual point")
         if f_new > f_prev:
             # function restart: drop momentum and retake a plain step
             theta = 1.0
-            vx = [a.copy() for a in x]
-            vz = [a.copy() for a in z]
+            v = xz.copy()
             f_prev = np.inf
             continue
         theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
         beta = (theta - 1.0) / theta_new
-        vx = [xn + beta * (xn - xo) for xn, xo in zip(x_new, x)]
-        vz = [zn + beta * (zn - zo) for zn, zo in zip(z_new, z)]
-        x, z, theta, f_prev = x_new, z_new, theta_new, f_new
+        v = xz_new + beta * (xz_new - xz)
+        xz, theta, f_prev = xz_new, theta_new, f_new
     else:
         raise DualSolveError(
             f"inner solve failed: gradient norm {gnorm:.3g} above {inner_tol:.3g} "
             f"after {max_iters} iterations")
 
-    s = make_state(x, z)
-    val = pal_value(prob, s)
-    _, _, gy, glam = pal_gradient(prob, s)
-    return DualEval(value=val, x=x, z=z, grad_y=gy, grad_lam=glam,
-                    iterations=it, grad_norm_inner=gnorm)
+    u = at(xz).copy()
+    s, g = prob.unpack(u), prob.unpack(kernel.gradient(u))
+    return DualEval(value=float(kernel.value(u)), x=s.x, z=s.z, grad_y=g.y,
+                    grad_lam=g.lam, iterations=it, grad_norm_inner=gnorm)
 
 
 @dataclass
@@ -193,9 +188,8 @@ def distance_to_solution(prob: SaddleProblem, s: PrimalDualState,
     difference projected onto the range of the constraint map (the component
     in the orthogonal complement moves between equally valid multipliers)."""
     r = ref.state
-    lam_diff = s.lam - r.lam
-    lam_diff = lam_diff - null_projection(LinearOperator.from_matrix(prob._EF_dense()),
-                                          lam_diff)
+    U = prob.kernel.range_basis
+    lam_diff = U @ (U.T @ (s.lam - r.lam))
     return float(np.sqrt(_diff_sq(s.x, r.x) + _diff_sq(s.z, r.z)
                          + _diff_sq(s.y, r.y) + np.sum(lam_diff ** 2)))
 

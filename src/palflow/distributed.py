@@ -246,7 +246,7 @@ def simulate(net: Network, init: Sequence[AgentState], cfg: flow.IntegratorConfi
         return pack_agents(d)
 
     y0 = pack_agents(init)
-    times, states, term, _ = flow.integrate_ode(fun, y0, cfg)
+    times, states, term = flow.integrate_ode(fun, y0, cfg)
     fieldnorm = np.array([float(np.linalg.norm(fun(0.0, s))) for s in states])
     messages = 2 * len(net.edges) * counter["evals"]
     return flow.Trajectory(times=times, states=states,

@@ -4,57 +4,34 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .problem import PrimalDualState, SaddleProblem, kkt_residual
-from .prox import moreau_value
+from .problem import PrimalDualState, SaddleProblem
 
 
 class FlowError(RuntimeError):
     pass
 
 
-def _sumsq(blocks: Sequence[np.ndarray]) -> float:
-    return float(sum(np.sum(np.asarray(b) ** 2) for b in blocks))
-
-
 def pal_value(prob: SaddleProblem, s: PrimalDualState) -> float:
     """Value of the proximal augmented Lagrangian at the state."""
-    mu = prob.mu
-    shifted = [zj + mu * yj for zj, yj in zip(s.z, s.y)]
-    envelope = sum(moreau_value(b.g, mu, v) for b, v in zip(prob.nonsmooth_blocks, shifted))
-    r = prob.constraint_residual(s.x, s.z)
-    return (prob.f_value(s.x) + envelope
-            + np.sum((r + mu * s.lam) ** 2) / (2.0 * mu)
-            - 0.5 * mu * _sumsq(s.y) - 0.5 * mu * float(np.sum(s.lam ** 2)))
+    return float(prob.kernel.value(prob.pack(s)))
 
 
 def pal_gradient(prob: SaddleProblem, s: PrimalDualState):
     """Partial gradients ``(gx, gz, gy, glam)`` of the proximal augmented
     Lagrangian; ``gx``, ``gz``, ``gy`` are block lists, ``glam`` is flat."""
-    mu = prob.mu
-    r = prob.constraint_residual(s.x, s.z)
-    shift = s.lam + r / mu
-    Et = prob.E.adjoint(shift)
-    Ft = prob.F.adjoint(shift)
-    prox_out = prob.prox_g([zj + mu * yj for zj, yj in zip(s.z, s.y)])
-    gx = [g + e for g, e in zip(prob.f_grad(s.x), Et)]
-    gz = [(zj + mu * yj - pj) / mu + f
-          for zj, yj, pj, f in zip(s.z, s.y, prox_out, Ft)]
-    gy = [zj - pj for zj, pj in zip(s.z, prox_out)]
-    return gx, gz, gy, r
+    g = prob.unpack(prob.kernel.gradient(prob.pack(s)))
+    return g.x, g.z, g.y, g.lam
 
 
 def vector_field(prob: SaddleProblem, s: PrimalDualState,
                  alpha: Optional[float] = None) -> PrimalDualState:
     """Primal-descent dual-ascent field ``(-gx, -gz, a*gy, a*glam)``."""
-    a = prob.alpha if alpha is None else alpha
-    gx, gz, gy, glam = pal_gradient(prob, s)
-    return PrimalDualState([-g for g in gx], [-g for g in gz],
-                           [a * g for g in gy], a * glam)
+    return prob.unpack(prob.kernel.field(prob.pack(s), alpha))
 
 
 def blockwise_field(prob: SaddleProblem, s: PrimalDualState,
@@ -84,7 +61,7 @@ class FlowField:
 
     def __call__(self, t: float, flat: np.ndarray) -> np.ndarray:
         self.n_evals += 1
-        return self.prob.pack(vector_field(self.prob, self.prob.unpack(flat), self.alpha))
+        return self.prob.kernel.field(flat, self.alpha)
 
 
 @dataclass
@@ -142,20 +119,18 @@ class Trajectory:
             fh.write(np.ascontiguousarray(self.states, dtype="<f8").tobytes())
 
 
-def _diagnostics(prob: SaddleProblem, ff: FlowField, times, states):
-    kkt = np.empty(len(times))
-    fieldnorm = np.empty(len(times))
-    for i, flat in enumerate(states):
-        kkt[i] = kkt_residual(prob, prob.unpack(flat))
-        fieldnorm[i] = float(np.linalg.norm(ff(0.0, flat)))
-    return {"kkt_residual": kkt, "field_norm": fieldnorm}
+def _diagnostics(prob: SaddleProblem, alpha: float, states):
+    kernel = prob.kernel
+    return {"kkt_residual": np.array([kernel.kkt(u) for u in states]),
+            "field_norm": np.array([np.linalg.norm(kernel.field(u, alpha))
+                                    for u in states])}
 
 
 def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
                   events: Optional[list] = None, t0: float = 0.0):
     """Integrate a generic flat ODE with the configured method.
 
-    Returns ``(times, states, termination, t_events)``. The adaptive method
+    Returns ``(times, states, termination)``. The adaptive method
     is Dormand-Prince 4(5) with error-controlled step rejection and dense
     event location; fixed-step methods are forward Euler and classic RK4.
     Every ``record_stride``-th step and the last one are kept. Events stop
@@ -165,7 +140,7 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
     """
     y0 = np.asarray(y0, dtype=float)
     if events and any(ev(t0, y0) <= 0 for ev in events):
-        return np.array([t0]), y0[None, :].copy(), "event", None
+        return np.array([t0]), y0[None, :].copy(), "event"
     if cfg.method == "rk45":
         sol = solve_ivp(fun, (t0, cfg.t_end), y0, method="RK45",
                         rtol=cfg.rel_tol, atol=cfg.abs_tol, events=events,
@@ -180,7 +155,7 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
             keep = np.unique(np.r_[np.arange(0, len(times), cfg.record_stride),
                                    len(times) - 1])
             times, states = times[keep], states[keep]
-        return times, states, term, (sol.t_events if events else None)
+        return times, states, term
 
     h = cfg.h
     n_steps = int(np.ceil((cfg.t_end - t0) / h))
@@ -211,7 +186,7 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
             if any(hit):
                 term = "event"
                 break
-    return np.asarray(times), np.asarray(states), term, None
+    return np.asarray(times), np.asarray(states), term
 
 
 def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig,
@@ -227,15 +202,15 @@ def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig,
     events = None
     if cfg.stop_kkt is not None:
         def kkt_event(t, y):
-            return kkt_residual(prob, prob.unpack(y)) - cfg.stop_kkt
+            return prob.kernel.kkt(y) - cfg.stop_kkt
         kkt_event.terminal = True
         kkt_event.direction = -1
         events = [kkt_event]
 
-    times, states, term, _ = integrate_ode(ff, prob.pack(s0), cfg, events=events)
+    times, states, term = integrate_ode(ff, prob.pack(s0), cfg, events=events)
     if term == "event":
         term = "stop_kkt"
-    diag = _diagnostics(prob, ff, times, states)
+    diag = _diagnostics(prob, ff.alpha, states)
     return Trajectory(times=np.asarray(times), states=np.asarray(states),
                       diagnostics=diag, termination=term, problem=prob,
                       meta={"method": cfg.method, "alpha": ff.alpha,

@@ -8,9 +8,11 @@ always taken with respect to ``<U, V> = tr(U^T V)``.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 # Relative threshold under which singular values count as zero.  Matches the
 # integrator's relative tolerance so rank decisions are not finer than
@@ -50,15 +52,20 @@ class LinearOperator:
     dense : ndarray, optional
         Materialized matrix acting on vectorized inputs. Built lazily from
         basis vectors when not supplied.
+    matrix : callable, optional
+        Zero-argument function returning the CSR matrix that defines the
+        operator on vectorized inputs (see :attr:`matrix`); ``None`` for
+        matrix-free operators.
     """
 
     def __init__(self, in_shape, out_shape, apply: Callable, adjoint: Callable,
-                 dense: Optional[np.ndarray] = None):
+                 dense: Optional[np.ndarray] = None, matrix=None):
         self.in_shape = tuple(in_shape)
         self.out_shape = tuple(out_shape)
         self._apply = apply
         self._adjoint = adjoint
         self._dense = None if dense is None else np.asarray(dense, dtype=float)
+        self._matrix = matrix
 
     @property
     def in_dim(self) -> int:
@@ -67,6 +74,12 @@ class LinearOperator:
     @property
     def out_dim(self) -> int:
         return int(np.prod(self.out_shape, dtype=int))
+
+    @property
+    def matrix(self):
+        """The defining CSR matrix, or ``None`` for a matrix-free operator.
+        Built when asked for, so that constructing an operator stays cheap."""
+        return None if self._matrix is None else self._matrix()
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -97,20 +110,30 @@ class LinearOperator:
 
     @classmethod
     def from_matrix(cls, A: np.ndarray) -> "LinearOperator":
+        """The operator of the matrix ``A``, applied through the CSR forms of
+        ``A`` and ``A^T``."""
         A = np.atleast_2d(np.asarray(A, dtype=float))
-        return cls((A.shape[1],), (A.shape[0],),
-                   lambda u: A @ u, lambda v: A.T @ v, dense=A)
+
+        @cache
+        def csr(transpose: bool):
+            return sp.csr_matrix(A.T if transpose else A)
+
+        return cls((A.shape[1],), (A.shape[0],), lambda u: csr(False) @ u,
+                   lambda v: csr(True) @ v, dense=A, matrix=lambda: csr(False))
 
     @classmethod
     def identity(cls, shape) -> "LinearOperator":
         shape = tuple(np.atleast_1d(shape))
-        return cls(shape, shape, lambda u: u, lambda v: v)
+        return cls(shape, shape, lambda u: u, lambda v: v,
+                   matrix=lambda: sp.identity(int(np.prod(shape, dtype=int)), format="csr"))
 
     @classmethod
     def zero(cls, in_shape, out_shape) -> "LinearOperator":
         in_shape, out_shape = tuple(np.atleast_1d(in_shape)), tuple(np.atleast_1d(out_shape))
         return cls(in_shape, out_shape,
-                   lambda u: np.zeros(out_shape), lambda v: np.zeros(in_shape))
+                   lambda u: np.zeros(out_shape), lambda v: np.zeros(in_shape),
+                   matrix=lambda: sp.csr_matrix((int(np.prod(out_shape, dtype=int)),
+                                                 int(np.prod(in_shape, dtype=int)))))
 
 
 def lyapunov_operator(A: np.ndarray) -> LinearOperator:
@@ -142,7 +165,7 @@ def flatten_output(op: LinearOperator) -> LinearOperator:
     return LinearOperator(op.in_shape, (op.out_dim,),
                           lambda u: vec(op.apply(u)),
                           lambda v: op.adjoint(unvec(v, op.out_shape)),
-                          dense=op._dense)
+                          dense=op._dense, matrix=op._matrix)
 
 
 def vstack(ops: Sequence[LinearOperator]) -> LinearOperator:
@@ -164,7 +187,10 @@ def vstack(ops: Sequence[LinearOperator]) -> LinearOperator:
             out = out + op.adjoint(v[a:b])
         return out
 
-    return LinearOperator(in_shape, (p,), apply, adjoint)
+    explicit = all(op._matrix is not None for op in ops)
+    return LinearOperator(in_shape, (p,), apply, adjoint,
+                          matrix=(lambda: sp.vstack([op.matrix for op in ops], format="csr"))
+                          if explicit else None)
 
 
 class BlockOperator:
@@ -231,6 +257,17 @@ def singular_extremes(op: LinearOperator, tol_rank: float = TOL_RANK) -> Singula
     return SingularExtremes(smax, float(nz[-1]))
 
 
+def range_basis(A: np.ndarray, tol_rank: float = TOL_RANK) -> np.ndarray:
+    """Orthonormal basis of the range of the matrix ``A``, one column per
+    singular value above ``tol_rank * sigma_max``; no columns when ``A`` is
+    empty or all zero."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    if A.size == 0 or not np.any(A):
+        return np.zeros((A.shape[0], 0))
+    U, s, _ = np.linalg.svd(A, full_matrices=False)
+    return U[:, :int(np.sum(s > tol_rank * s[0]))]
+
+
 def range_contained(F: LinearOperator, E: LinearOperator, tol: float = TOL_RANK) -> bool:
     """Whether ``R(F)`` is contained in ``R(E)``.
 
@@ -242,12 +279,9 @@ def range_contained(F: LinearOperator, E: LinearOperator, tol: float = TOL_RANK)
         raise ValueError("operators must share the codomain dimension")
     if Fd.size == 0 or not np.any(Fd):
         return True
-    # Orthonormal basis of R(E) via SVD.
-    if Ed.size == 0 or not np.any(Ed):
+    Ur = range_basis(Ed)
+    if Ur.shape[1] == 0:
         return False
-    U, s, _ = np.linalg.svd(Ed, full_matrices=False)
-    r = int(np.sum(s > TOL_RANK * s[0]))
-    Ur = U[:, :r]
     for j in range(Fd.shape[1]):
         col = Fd[:, j]
         nrm = np.linalg.norm(col)
@@ -266,9 +300,5 @@ def null_projection(op: LinearOperator, v: np.ndarray, tol_rank: float = TOL_RAN
     v = np.asarray(v, dtype=float)
     if v.shape != (A.shape[0],):
         raise ValueError(f"expected a vector of dimension {A.shape[0]}, got shape {v.shape}")
-    if A.size == 0 or not np.any(A):
-        return v.copy()
-    U, s, _ = np.linalg.svd(A, full_matrices=False)
-    r = int(np.sum(s > tol_rank * s[0]))
-    Ur = U[:, :r]
+    Ur = range_basis(A, tol_rank)
     return v - Ur @ (Ur.T @ v)

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
-from .linops import (BlockOperator, LinearOperator, TOL_RANK,
+from .linops import (BlockOperator, LinearOperator, TOL_RANK, range_basis,
                      singular_extremes, range_contained, vec, unvec)
-from .prox import ProximableFunction
+from .prox import ProximableFunction, moreau_value
 
 
 class AssumptionError(RuntimeError):
@@ -170,7 +172,7 @@ class SaddleProblem:
     def lipschitz_xz(self) -> float:
         """Upper bound on the Lipschitz constant of the primal gradient of the
         proximal augmented Lagrangian: ``L_f + (1/mu)(1 + sigma_max^2([E F]))``."""
-        smax2 = singular_extremes(LinearOperator.from_matrix(self._EF_dense())).sigma_max ** 2
+        smax2 = singular_extremes(self._EF_dense()).sigma_max ** 2
         return self.L_f + (1.0 + smax2) / self.mu
 
     # -- evaluation -------------------------------------------------------
@@ -200,20 +202,16 @@ class SaddleProblem:
 
     def unpack(self, flat: np.ndarray) -> PrimalDualState:
         flat = np.asarray(flat, dtype=float)
-        off = 0
+        b = [unvec(flat[sl], sh) for sl, sh in self._layout]
+        k, j = len(self.smooth_blocks), len(self.nonsmooth_blocks)
+        return PrimalDualState(b[:k], b[k:k + j], b[k + j:-1], b[-1])
 
-        def take(shape):
-            nonlocal off
-            d = int(np.prod(shape, dtype=int))
-            out = unvec(flat[off:off + d], shape)
-            off += d
-            return out
-
-        x = [take(sh) for sh in self.x_shapes]
-        z = [take(sh) for sh in self.z_shapes]
-        y = [take(sh) for sh in self.z_shapes]
-        lam = flat[off:off + self.p]
-        return PrimalDualState(x, z, y, lam)
+    @cached_property
+    def _layout(self):
+        """``(slice, shape)`` of each x, z and y block and of lam in the flat
+        state."""
+        shapes = self.x_shapes + 2 * self.z_shapes + [(self.p,)]
+        return list(zip(_slices(shapes), shapes))
 
     def zero_state(self) -> PrimalDualState:
         return PrimalDualState([np.zeros(sh) for sh in self.x_shapes],
@@ -231,6 +229,130 @@ class SaddleProblem:
     def _EF_dense(self) -> np.ndarray:
         return np.hstack([self.E.dense(), self.F.dense()])
 
+    @cached_property
+    def kernel(self) -> "FieldKernel":
+        """The problem compiled for the flat state; built on first use."""
+        return FieldKernel(self)
+
+
+def _slices(shapes) -> List[slice]:
+    """Consecutive slices of a flat array holding blocks of these shapes."""
+    offs = np.cumsum([0] + [int(np.prod(sh, dtype=int)) for sh in shapes])
+    return [slice(a, b) for a, b in zip(offs[:-1], offs[1:])]
+
+
+class FieldKernel:
+    """The proximal augmented Lagrangian, its gradient, the flow field and
+    the KKT residual, evaluated on the flat state of a :class:`SaddleProblem`
+    (packing order: x blocks, z blocks, y blocks, lam).
+
+    The column blocks of ``[E F]`` with an explicit matrix are stacked into
+    two CSR matrices over the contiguous ``(x, z)`` slice: their block
+    diagonal, whose one product gives every block's ``E_i x_i`` (the
+    residual then sums them in block order, exactly as ``BlockOperator``
+    does, so the two agree to the last bit even where ``Ex`` and ``q``
+    cancel), and the transpose of ``[E F]``, whose one product gives both
+    adjoints. Blocks with no explicit matrix act on their own slice. Smooth
+    gradients and proxes are called on reshaped views of their slices.
+    ``mu`` and ``alpha`` are read from the problem at each call.
+    """
+
+    def __init__(self, prob: SaddleProblem):
+        self.prob = prob
+        self.m, self.n, self.p = prob.m, prob.n, prob.p
+        cols = prob.E.blocks + prob.F.blocks
+        self.n_E = len(prob.E.blocks)
+        offs = np.cumsum([0] + [op.in_dim for op in cols])
+        mats = [op.matrix for op in cols]
+        self.free = [(i, slice(offs[i], offs[i + 1]), op)
+                     for i, (op, M) in enumerate(zip(cols, mats)) if M is None]
+        mats = [sp.csr_matrix((self.p, op.in_dim)) if M is None else M
+                for op, M in zip(cols, mats)] or [sp.csr_matrix((self.p, 0))]
+        self.blocks = sp.block_diag(mats, format="csr")
+        self.n_blocks = len(mats)
+        self.EFt = sp.hstack(mats, format="csr").T.tocsr()
+        self.x_blocks = list(zip(_slices(prob.x_shapes), prob.smooth_blocks))
+        self.z_blocks = list(zip(_slices(prob.z_shapes), prob.nonsmooth_blocks))
+
+    def _residual(self, xz: np.ndarray) -> np.ndarray:
+        """``E x + F z - q``."""
+        parts = (self.blocks @ xz).reshape(self.n_blocks, self.p)
+        for i, sl, op in self.free:
+            parts[i] = op.apply(unvec(xz[sl], op.in_shape))
+        return parts[:self.n_E].sum(axis=0) + parts[self.n_E:].sum(axis=0) - self.prob.q
+
+    def _adjoint(self, v: np.ndarray) -> np.ndarray:
+        """``[E F]^T v`` on the ``(x, z)`` slice."""
+        out = self.EFt @ v
+        for _, sl, op in self.free:
+            out[sl] += vec(op.adjoint(v))
+        return out
+
+    def _f_grad(self, x: np.ndarray) -> np.ndarray:
+        out = np.empty(self.m)
+        for sl, b in self.x_blocks:
+            out[sl] = np.ravel(b.grad(x[sl].reshape(b.shape, order="F")), order="F")
+        return out
+
+    def _prox(self, v: np.ndarray) -> np.ndarray:
+        mu = self.prob.mu
+        out = np.empty(self.n)
+        for sl, b in self.z_blocks:
+            out[sl] = np.ravel(b.g.prox(mu, v[sl].reshape(b.shape, order="F")), order="F")
+        return out
+
+    def value(self, u: np.ndarray) -> float:
+        """Value of the proximal augmented Lagrangian."""
+        m, n, mu = self.m, self.n, self.prob.mu
+        x, z, y, lam = u[:m], u[m:m + n], u[m + n:m + 2 * n], u[m + 2 * n:]
+        v = z + mu * y
+        f = sum(b.value(x[sl].reshape(b.shape, order="F")) for sl, b in self.x_blocks)
+        envelope = sum(moreau_value(b.g, mu, v[sl].reshape(b.shape, order="F"))
+                       for sl, b in self.z_blocks)
+        r = self._residual(u[:m + n])
+        return (f + envelope + np.sum((r + mu * lam) ** 2) / (2.0 * mu)
+                - 0.5 * mu * np.sum(y ** 2) - 0.5 * mu * np.sum(lam ** 2))
+
+    def gradient(self, u: np.ndarray) -> np.ndarray:
+        """Flat partial gradients ``(gx, gz, gy, glam)``."""
+        m, n, mu = self.m, self.n, self.prob.mu
+        z, y, lam = u[m:m + n], u[m + n:m + 2 * n], u[m + 2 * n:]
+        r = self._residual(u[:m + n])
+        at = self._adjoint(lam + r / mu)
+        v = z + mu * y
+        pv = self._prox(v)
+        out = np.empty_like(u)
+        out[:m] = self._f_grad(u[:m]) + at[:m]
+        out[m:m + n] = (v - pv) / mu + at[m:]
+        out[m + n:m + 2 * n] = z - pv
+        out[m + 2 * n:] = r
+        return out
+
+    def field(self, u: np.ndarray, alpha: Optional[float] = None) -> np.ndarray:
+        """Primal-descent dual-ascent field ``(-gx, -gz, a*gy, a*glam)``."""
+        a = self.prob.alpha if alpha is None else alpha
+        out = self.gradient(u)
+        k = self.m + self.n
+        out[:k] *= -1.0
+        out[k:] *= a
+        return out
+
+    def kkt(self, u: np.ndarray) -> float:
+        """Norm of the stacked KKT violations; see :func:`kkt_residual`."""
+        m, n = self.m, self.n
+        z, y, lam = u[m:m + n], u[m + n:m + 2 * n], u[m + 2 * n:]
+        at = self._adjoint(lam)
+        r = self._residual(u[:m + n])
+        return float(np.sqrt(np.sum((self._f_grad(u[:m]) + at[:m]) ** 2)
+                             + np.sum((y + at[m:]) ** 2)
+                             + np.sum((z - self._prox(z + self.prob.mu * y)) ** 2)
+                             + np.sum(r ** 2)))
+
+    @cached_property
+    def range_basis(self) -> np.ndarray:
+        """Orthonormal basis of the range of ``[E F]``; computed once."""
+        return range_basis(self.prob._EF_dense())
+
 
 def kkt_residual(prob: SaddleProblem, s: PrimalDualState) -> float:
     """Euclidean norm of the stacked first-order optimality violations.
@@ -239,12 +361,7 @@ def kkt_residual(prob: SaddleProblem, s: PrimalDualState) -> float:
     form of ``y in dg(z)``, and primal feasibility; zero exactly on the
     saddle set.
     """
-    prox_out = prob.prox_g([zj + prob.mu * yj for zj, yj in zip(s.z, s.y)])
-    r = [g + e for g, e in zip(prob.f_grad(s.x), prob.E.adjoint(s.lam))]
-    r += [yj + f for yj, f in zip(s.y, prob.F.adjoint(s.lam))]
-    r += [zj - pj for zj, pj in zip(s.z, prox_out)]
-    r.append(prob.constraint_residual(s.x, s.z))
-    return float(np.sqrt(sum(np.sum(vec(a) ** 2) for a in r)))
+    return prob.kernel.kkt(prob.pack(s))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +444,7 @@ def ges_certificate(prob: SaddleProblem, alpha: Optional[float] = None) -> GesCe
         m_fg = max(m_f, m_g)
 
     EF = prob._EF_dense()
-    sEF = singular_extremes(LinearOperator.from_matrix(EF))
+    sEF = singular_extremes(EF)
     empty_convention = False
     if m_fg == 0.0:
         m_xz = sEF.sigma_min ** 2 / mu
@@ -342,17 +459,17 @@ def ges_certificate(prob: SaddleProblem, alpha: Optional[float] = None) -> GesCe
     else:
         Ic = [i for i in range(len(prob.smooth_blocks)) if i not in I]
         Jc = [j for j in range(len(prob.nonsmooth_blocks)) if j not in J]
-        sIJ = singular_extremes(LinearOperator.from_matrix(_submatrix(prob, I, J)))
-        s_comp = singular_extremes(LinearOperator.from_matrix(_submatrix(prob, Ic, Jc)))
+        sIJ = singular_extremes(_submatrix(prob, I, J))
+        s_comp = singular_extremes(_submatrix(prob, Ic, Jc))
         m_xz = m_fg * sIJ.sigma_min ** 2 / (m_fg * mu + 4.0 * s_comp.sigma_max ** 2)
 
     L_f = prob.L_f
     L_xz = prob.lipschitz_xz()
     c1 = (L_xz / 2.0 + 1.0) * max(1.0, mu)
-    sE = singular_extremes(LinearOperator.from_matrix(prob.E.dense()))
+    sE = singular_extremes(prob.E.dense())
     lam_term = 2.0 * L_f ** 2 / sE.sigma_min ** 2 if (L_f > 0 and sE.sigma_min > 0) else 0.0
     c2 = max(lam_term, 1.0 / mu ** 2)
-    sF = singular_extremes(LinearOperator.from_matrix(prob.F.dense()))
+    sF = singular_extremes(prob.F.dense())
     c3 = (2.0 / mu ** 2) * max(1.0, sF.sigma_max ** 2, mu ** 2 * sF.sigma_max ** 2)
     alpha_bar2 = 0.5 * m_xz ** 2 / (sEF.sigma_max ** 2 + 4.0)
     a = prob.alpha if alpha is None else alpha
@@ -365,40 +482,6 @@ def ges_certificate(prob: SaddleProblem, alpha: Optional[float] = None) -> GesCe
                           notes={"I": I, "J": J, "alpha": a,
                                  "sigma_max_EF": sEF.sigma_max,
                                  "L_xz_bound": "L_f + (1 + sigma_max^2([E F])) / mu"})
-
-
-# ---------------------------------------------------------------------------
-# lifted representation
-
-@dataclass
-class LiftedProblem:
-    """Lifted form with auxiliary variable ``w`` duplicating ``z``; solution
-    sets satisfy ``{(x, z, z)}`` over the original solutions."""
-
-    base: SaddleProblem
-
-    @property
-    def primal_dim(self) -> int:
-        return self.base.m + 2 * self.base.n
-
-    def g_value(self, w: Sequence[np.ndarray]) -> float:
-        return self.base.g_value(w)
-
-    def kkt_residual(self, x, z, w, y, lam) -> float:
-        prob = self.base
-        Et_lam = prob.E.adjoint(lam)
-        Ft_lam = prob.F.adjoint(lam)
-        r = [vec(g + e) for g, e in zip(prob.f_grad(x), Et_lam)]
-        r += [vec(yj + f) for yj, f in zip(y, Ft_lam)]
-        prox_out = prob.prox_g([wj + prob.mu * yj for wj, yj in zip(w, y)])
-        r += [vec(wj - pj) for wj, pj in zip(w, prox_out)]
-        r += [vec(zj - wj) for zj, wj in zip(z, w)]
-        r.append(prob.constraint_residual(x, z))
-        return float(np.sqrt(sum(np.sum(a ** 2) for a in r)))
-
-
-def build_lifted(prob: SaddleProblem) -> LiftedProblem:
-    return LiftedProblem(prob)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,13 @@ def _norm(a: np.ndarray) -> float:
 @dataclass
 class GroupPartition:
     """Disjoint index groups covering ``{0..n-1}`` with per-group weights and
-    an optional elementwise l1 weight."""
+    an optional elementwise l1 weight.
+
+    Construction also lays the groups end to end for the vectorised group
+    norms: ``order`` is the concatenated group indices, ``live`` marks the
+    non-empty groups, and ``sizes`` and ``starts`` are their lengths and
+    offsets in ``order``.
+    """
 
     groups: List[np.ndarray]
     weights: np.ndarray
@@ -35,6 +41,17 @@ class GroupPartition:
         if np.any(self.weights <= 0):
             raise ValueError("group weights must be positive")
         self.validate_cover(self.n)
+        sizes = np.array([len(g) for g in self.groups], dtype=int)
+        self.live = sizes > 0
+        self.sizes = sizes[self.live]
+        self.order = (np.concatenate(self.groups) if self.groups
+                      else np.empty(0, dtype=int))
+        self.starts = np.cumsum(self.sizes) - self.sizes
+
+    def group_norms(self, v: np.ndarray) -> np.ndarray:
+        """Euclidean norm of ``v`` over each non-empty group, in group order."""
+        u = v[self.order]
+        return np.sqrt(np.add.reduceat(u * u, self.starts))
 
     @property
     def n(self) -> int:
@@ -87,12 +104,14 @@ def prox_group_lasso(mu: float, part: GroupPartition, v: np.ndarray) -> np.ndarr
     v = np.asarray(v, dtype=float)
     if v.size != part.n:
         raise ValueError(f"expected {part.n} entries for the partition, got {v.size}")
-    z = prox_l1(part.eta * mu, v) if part.eta > 0 else v.copy()
+    z = prox_l1(part.eta * mu, v) if part.eta > 0 else v
+    nrm = part.group_norms(z)
+    t = part.weights[part.live] * mu
+    scale = np.zeros_like(nrm)
+    shrink = nrm > t
+    scale[shrink] = 1.0 - t[shrink] / nrm[shrink]
     out = np.empty_like(z)
-    for idx, w in zip(part.groups, part.weights):
-        blk = z[idx]
-        nrm = np.linalg.norm(blk)
-        out[idx] = 0.0 if nrm <= w * mu else (1.0 - w * mu / nrm) * blk
+    out[part.order] = z[part.order] * np.repeat(scale, part.sizes)
     return out
 
 
@@ -147,10 +166,8 @@ def l1(weight: float = 1.0) -> ProximableFunction:
 def group_lasso(part: GroupPartition) -> ProximableFunction:
     def value(w):
         w = np.asarray(w, dtype=float)
-        total = part.eta * np.sum(np.abs(w))
-        for idx, om in zip(part.groups, part.weights):
-            total += om * np.linalg.norm(w[idx])
-        return float(total)
+        return float(part.eta * np.sum(np.abs(w))
+                     + part.weights[part.live] @ part.group_norms(w))
 
     return ProximableFunction(
         value=value,

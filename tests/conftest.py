@@ -1,9 +1,12 @@
 """Shared instance builders for the test suite."""
 
+from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 import pytest
 
-from palflow.linops import BlockOperator, LinearOperator
+from palflow.linops import BlockOperator, LinearOperator, vec
 from palflow.problem import (NonsmoothBlock, PrimalDualState, SaddleProblem,
                              SmoothBlock)
 from palflow import prox
@@ -72,6 +75,41 @@ def composite_instance(rng, p=5, x_dims=(4, 3), z_dims=(3, 2), mu=1.0,
     z0 = [rng.standard_normal(d) for d in z_dims]
     q = E.apply(x0) + F.apply(z0)
     return SaddleProblem(smooth, nonsmooth, E, F, q, mu=mu, alpha=alpha)
+
+
+@dataclass
+class LiftedProblem:
+    """Lifted form with auxiliary variable ``w`` duplicating ``z``; solution
+    sets satisfy ``{(x, z, z)}`` over the original solutions.
+
+    Its KKT residual is written block by block on the ``BlockOperator`` path,
+    as an independent reference for ``kkt_residual``.
+    """
+
+    base: SaddleProblem
+
+    @property
+    def primal_dim(self) -> int:
+        return self.base.m + 2 * self.base.n
+
+    def g_value(self, w: Sequence[np.ndarray]) -> float:
+        return self.base.g_value(w)
+
+    def kkt_residual(self, x, z, w, y, lam) -> float:
+        prob = self.base
+        Et_lam = prob.E.adjoint(lam)
+        Ft_lam = prob.F.adjoint(lam)
+        r = [vec(g + e) for g, e in zip(prob.f_grad(x), Et_lam)]
+        r += [vec(yj + f) for yj, f in zip(y, Ft_lam)]
+        prox_out = prob.prox_g([wj + prob.mu * yj for wj, yj in zip(w, y)])
+        r += [vec(wj - pj) for wj, pj in zip(w, prox_out)]
+        r += [vec(zj - wj) for zj, wj in zip(z, w)]
+        r.append(prob.constraint_residual(x, z))
+        return float(np.sqrt(sum(np.sum(a ** 2) for a in r)))
+
+
+def build_lifted(prob: SaddleProblem) -> LiftedProblem:
+    return LiftedProblem(prob)
 
 
 @pytest.fixture

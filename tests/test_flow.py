@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from palflow import prox
+from palflow import examples, flow, prox
+from palflow.distributed import assemble_consensus
 from palflow.flow import (FlowField, IntegratorConfig, blockwise_field,
                           integrate, integrate_ode, pal_gradient, pal_value,
                           vector_field)
@@ -9,7 +10,8 @@ from palflow.linops import BlockOperator, LinearOperator, vec
 from palflow.problem import (NonsmoothBlock, PrimalDualState, SaddleProblem,
                              SmoothBlock, kkt_residual)
 
-from conftest import composite_instance, quadratic_equality_instance
+from conftest import (build_lifted, composite_instance,
+                      quadratic_equality_instance)
 
 
 def one_dim_equality():
@@ -133,10 +135,90 @@ def test_flow_field_matches_vector_field(rng):
     assert ff.n_evals == 1
 
 
+# -- the flat kernel against the per-block reference -------------------------
+
+def _rel_gap(a, b):
+    return float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(a))))
+
+
+KERNEL_INSTANCES = {
+    "network_lasso": lambda: assemble_consensus(examples.gen_lasso_network(3, 4, 3, seed=0)[0]),
+    "sparse_group_lasso": lambda: examples.gen_sparse_group_lasso(6, 12, 3, seed=2)[0],
+    # identity F blocks and an empty E
+    "pcp": lambda: examples.gen_pcp(6, 1, seed=3)[0],
+    # matrix-free Lyapunov and masked-congruence E
+    "covariance_completion": lambda: examples.gen_covariance_completion(3)[0],
+    "counterexample": lambda: examples.counterexample_problem(mu=0.7, alpha=1.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_INSTANCES))
+def test_kernel_field_matches_blockwise(name, rng):
+    prob = KERNEL_INSTANCES[name]()
+    for _ in range(5):
+        s = prob.random_state(rng)
+        flat = prob.kernel.field(prob.pack(s))
+        assert _rel_gap(flat, prob.pack(blockwise_field(prob, s))) <= 1e-14
+        # the residual sums the blocks in BlockOperator's order, to the bit
+        r = prob.kernel.gradient(prob.pack(s))[prob.m + 2 * prob.n:]
+        assert np.array_equal(r, prob.constraint_residual(s.x, s.z))
+
+
+def test_kernel_reads_mu_and_alpha_per_call(rng):
+    prob = composite_instance(rng)
+    s = prob.random_state(rng)
+    prob.kernel.field(prob.pack(s))
+    prob.mu, prob.alpha = 0.3, 2.5
+    flat = prob.kernel.field(prob.pack(s))
+    assert _rel_gap(flat, prob.pack(blockwise_field(prob, s))) <= 1e-14
+    lifted = build_lifted(prob).kkt_residual(s.x, s.z, s.z, s.y, s.lam)
+    assert kkt_residual(prob, s) == pytest.approx(lifted, rel=1e-12)
+
+
+def test_flow_field_counts_solver_calls_only(rng, monkeypatch):
+    prob = composite_instance(rng)
+    traj = integrate(prob, prob.zero_state(), IntegratorConfig(method="rk4", h=0.1, t_end=1.0))
+    assert len(traj.times) == 11
+    assert traj.meta["n_evals"] == 4 * 10
+
+    calls = []
+    solve_ivp = flow.solve_ivp
+
+    def counting(fun, *args, **kwargs):
+        def counted(t, y):
+            calls.append(t)
+            return fun(t, y)
+        return solve_ivp(counted, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "solve_ivp", counting)
+    traj = integrate(prob, prob.zero_state(), IntegratorConfig(t_end=1.0))
+    assert traj.meta["n_evals"] == len(calls)
+
+
+def test_stop_kkt_event_is_the_kkt_residual(rng, monkeypatch):
+    prob = composite_instance(rng)
+    seen = {}
+    solve_ivp = flow.solve_ivp
+
+    def capture(fun, *args, **kwargs):
+        seen["event"] = kwargs["events"][0]
+        return solve_ivp(fun, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "solve_ivp", capture)
+    integrate(prob, prob.random_state(rng), IntegratorConfig(t_end=0.1, stop_kkt=1e-3))
+    lifted = build_lifted(prob)
+    for _ in range(5):
+        s = prob.random_state(rng)
+        value = seen["event"](0.0, prob.pack(s)) + 1e-3
+        assert value == pytest.approx(kkt_residual(prob, s), rel=1e-12)
+        assert value == pytest.approx(lifted.kkt_residual(s.x, s.z, s.z, s.y, s.lam),
+                                      rel=1e-12)
+
+
 # -- integration -------------------------------------------------------------
 
 def test_rk45_scalar_exponential():
-    times, states, term, _ = integrate_ode(
+    times, states, term = integrate_ode(
         lambda t, y: -y, np.array([1.0]),
         IntegratorConfig(method="rk45", t_end=5.0, rel_tol=1e-11, abs_tol=1e-13))
     assert term == "t_end"
@@ -145,10 +227,10 @@ def test_rk45_scalar_exponential():
 
 def test_fixed_step_methods_converge():
     cfg4 = IntegratorConfig(method="rk4", h=0.01, t_end=2.0)
-    _, states4, _, _ = integrate_ode(lambda t, y: -y, np.array([1.0]), cfg4)
+    _, states4, _ = integrate_ode(lambda t, y: -y, np.array([1.0]), cfg4)
     assert states4[-1, 0] == pytest.approx(np.exp(-2.0), abs=1e-8)
     cfg1 = IntegratorConfig(method="euler", h=1e-4, t_end=2.0, record_stride=100)
-    _, states1, _, _ = integrate_ode(lambda t, y: -y, np.array([1.0]), cfg1)
+    _, states1, _ = integrate_ode(lambda t, y: -y, np.array([1.0]), cfg1)
     assert states1[-1, 0] == pytest.approx(np.exp(-2.0), abs=1e-3)
 
 
@@ -186,7 +268,7 @@ def test_integrate_stop_kkt_at_start(rng, method, h):
 @pytest.mark.parametrize("method", ["euler", "rk4"])
 def test_fixed_step_max_steps_termination(method):
     cfg = IntegratorConfig(method=method, h=0.1, t_end=10.0, max_steps=5)
-    times, _, term, _ = integrate_ode(lambda t, y: -y, np.array([1.0]), cfg)
+    times, _, term = integrate_ode(lambda t, y: -y, np.array([1.0]), cfg)
     assert term == "max_steps"
     assert times[-1] == pytest.approx(0.5)
     cfg = IntegratorConfig(method=method, h=0.1, t_end=0.5, max_steps=5)

@@ -4,12 +4,12 @@ import pytest
 from palflow import prox
 from palflow.linops import BlockOperator, LinearOperator
 from palflow.problem import (AssumptionError, NonsmoothBlock, PrimalDualState,
-                             SaddleProblem, SmoothBlock, build_lifted,
-                             check_assumption4, check_assumption5,
+                             SaddleProblem, SmoothBlock, check_assumption4, check_assumption5,
                              ges_certificate, kkt_residual,
                              verify_declared_constants)
 
-from conftest import composite_instance, quadratic_equality_instance
+from conftest import (build_lifted, composite_instance,
+                      quadratic_equality_instance)
 
 
 def one_dim_equality():

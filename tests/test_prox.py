@@ -80,6 +80,37 @@ def test_group_partition_validation():
         GroupPartition([np.array([0, 2])], [1.0])
 
 
+def _group_lasso_loop(mu, part, v):
+    """The per-group loop form of the prox, kept as the reference."""
+    z = prox_l1(part.eta * mu, v) if part.eta > 0 else v.copy()
+    out = np.empty_like(z)
+    for idx, w in zip(part.groups, part.weights):
+        blk = z[idx]
+        nrm = np.linalg.norm(blk)
+        out[idx] = 0.0 if nrm <= w * mu else (1.0 - w * mu / nrm) * blk
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6), st.floats(0.1, 3.0))
+def test_group_lasso_matches_loop_form(seed, mu):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    labels = rng.integers(0, int(rng.integers(1, 8)), size=n)
+    # non-contiguous groups from a random labelling, plus empty groups
+    groups = [np.flatnonzero(labels == k) for k in range(labels.max() + 3)]
+    part = GroupPartition(groups, 0.1 + rng.random(len(groups)),
+                          eta=float(rng.choice([0.0, 0.4])))
+    v = 2.0 * rng.standard_normal(n)
+    v[groups[0]] *= 1e-3                      # one group in the dead zone
+    ref = _group_lasso_loop(mu, part, v)
+    out = prox_group_lasso(mu, part, v)
+    assert np.max(np.abs(out - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+    value = part.eta * np.sum(np.abs(v)) + sum(
+        w * np.linalg.norm(v[idx]) for idx, w in zip(part.groups, part.weights))
+    assert prox.group_lasso(part)(v) == pytest.approx(value, rel=1e-14)
+
+
 def test_group_lasso_rejects_wrong_length():
     part = GroupPartition([np.arange(2), np.arange(2, 4)], [1.0, 1.0])
     with pytest.raises(ValueError, match="4 entries"):
