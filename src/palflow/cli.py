@@ -212,20 +212,28 @@ def svg_line_plot(path, xs, ys, title="", log_y=True):
         fh.write('</svg>\n')
 
 
-def cmd_solve(args) -> int:
+def _load_config(args, integrator: bool = False):
+    """Parse ``--config``, apply the ``--alpha``, ``--mu`` and ``--seed``
+    overrides and build the problem. Returns the keys, ``build_problem``'s
+    tuple and, if asked, the integrator config; or ``None`` after printing
+    the config error."""
     try:
         keys, mats = parse_config(args.config)
-        if args.alpha is not None:
-            keys["alpha"] = str(args.alpha)
-        if args.mu is not None:
-            keys["mu"] = str(args.mu)
-        if args.seed is not None:
-            keys["seed"] = str(args.seed)
-        prob, s0, ref, extras = build_problem(keys, mats)
-        cfg = integrator_from(keys, args)
+        for name in ("alpha", "mu", "seed"):
+            if getattr(args, name) is not None:
+                keys[name] = str(getattr(args, name))
+        built = build_problem(keys, mats)
+        return keys, built, integrator_from(keys, args) if integrator else None
     except ValueError as e:     # ConfigError, or a constructor rejecting the data
         print(f"config error: {e}", file=sys.stderr)
+        return None
+
+
+def cmd_solve(args) -> int:
+    loaded = _load_config(args, integrator=True)
+    if loaded is None:
         return 1
+    keys, (prob, s0, ref, extras), cfg = loaded
 
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -275,16 +283,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    try:
-        keys, mats = parse_config(args.config)
-        if args.alpha is not None:
-            keys["alpha"] = str(args.alpha)
-        if args.mu is not None:
-            keys["mu"] = str(args.mu)
-        prob, _, _, _ = build_problem(keys, mats)
-    except ValueError as e:     # ConfigError, or a constructor rejecting the data
-        print(f"config error: {e}", file=sys.stderr)
+    loaded = _load_config(args)
+    if loaded is None:
         return 1
+    prob = loaded[1][0]
 
     a4 = check_assumption4(prob)
     a5 = check_assumption5(prob)

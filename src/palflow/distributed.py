@@ -4,7 +4,7 @@ discretization, and a synchronous message-passing simulator."""
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -27,11 +27,23 @@ class AgentData:
 
 @dataclass
 class Network:
-    """Connected undirected graph with per-agent local data."""
+    """Connected undirected graph with per-agent local data.
+
+    Construction validates the graph and derives, once, the topology and the
+    layout every other function reads: ``neighbors`` (sorted lists),
+    ``x_dim`` (the common local dimension), ``z_dims``, ``z_slices`` (each
+    agent's slice of the stacked ``z``, and of the local part of the
+    multiplier) and ``slices`` (each agent's ``x, z, y, lam1, lam2`` slices
+    of the packed state, see ``pack_agents``)."""
 
     k: int
     edges: List[Tuple[int, int]]
     agents: List[AgentData]
+    neighbors: List[List[int]] = field(init=False, repr=False)
+    x_dim: int = field(init=False)
+    z_dims: List[int] = field(init=False)
+    z_slices: List[slice] = field(init=False, repr=False)
+    slices: List[Tuple[slice, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.k <= 0:
@@ -51,36 +63,38 @@ class Network:
             seen.add(e)
             norm.append(e)
         self.edges = sorted(norm)
-        if not self._connected():
-            raise ValueError("network must be connected")
-
-    def _connected(self) -> bool:
-        if self.k == 1:
-            return True
-        adj = self.neighbors()
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == self.k
-
-    def neighbors(self) -> List[List[int]]:
         adj: List[List[int]] = [[] for _ in range(self.k)]
         for (i, j) in self.edges:
             adj[i].append(j)
             adj[j].append(i)
-        return [sorted(a) for a in adj]
-
-    @property
-    def x_dim(self) -> int:
+        self.neighbors = [sorted(a) for a in adj]
+        if not self._connected():
+            raise ValueError("network must be connected")
         dims = {a.f.dim for a in self.agents}
         if len(dims) != 1:
             raise ValueError("consensus requires a common local dimension")
-        return dims.pop()
+        self.x_dim = d = dims.pop()
+        self.z_dims = [int(np.prod(a.C.out_shape, dtype=int)) for a in self.agents]
+        z_ends = np.cumsum(self.z_dims).tolist()
+        self.z_slices = [slice(e - n, e) for e, n in zip(z_ends, self.z_dims)]
+        # packed order: every x, then every z, y, lam1 and lam2 (pack_agents)
+        kd, nz = self.k * d, z_ends[-1]
+        bases = (0, kd, kd + nz, kd + 2 * nz, 2 * kd + 2 * nz)
+        xs = [slice(i * d, (i + 1) * d) for i in range(self.k)]
+        self.slices = [tuple(slice(b + s.start, b + s.stop)
+                             for b, s in zip(bases, (x, z, z, x, z)))
+                       for x, z in zip(xs, self.z_slices)]
+
+    def _connected(self) -> bool:
+        seen = {0}
+        queue = deque([0])
+        while queue:
+            u = queue.popleft()
+            for v in self.neighbors[u]:
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        return len(seen) == self.k
 
 
 @dataclass
@@ -90,10 +104,6 @@ class AgentState:
     y: np.ndarray
     lam1: np.ndarray
     lam2: np.ndarray
-
-    def copy(self) -> "AgentState":
-        return AgentState(self.x.copy(), self.z.copy(), self.y.copy(),
-                          self.lam1.copy(), self.lam2.copy())
 
 
 def incidence(net: Network) -> LinearOperator:
@@ -111,24 +121,19 @@ def assemble_consensus(net: Network, mu: float = 1.0, alpha: float = 1.0,
                        name: str = "consensus") -> SaddleProblem:
     """Centralized problem over stacked agent variables with constraint
     ``[T (x) I; blkdiag C] x + [0; -I] z = 0``."""
-    d = net.x_dim
+    d, nz = net.x_dim, sum(net.z_dims)
     T = incidence(net).dense()
     n_cons = T.shape[0] * d
-    z_dims = [int(np.prod(a.C.out_shape, dtype=int)) for a in net.agents]
-    z_offs = np.cumsum([0] + z_dims)
-    p = n_cons + int(z_offs[-1])
+    p = n_cons + nz
 
     E_blocks = []
     for i, a in enumerate(net.agents):
         top = np.kron(T[:, i:i + 1], np.eye(d))
-        bottom = np.zeros((int(z_offs[-1]), d))
-        bottom[z_offs[i]:z_offs[i + 1], :] = a.C.dense()
+        bottom = np.zeros((nz, d))
+        bottom[net.z_slices[i], :] = a.C.dense()
         E_blocks.append(LinearOperator.from_matrix(np.vstack([top, bottom])))
-    F_blocks = []
-    for j in range(net.k):
-        col = np.zeros((p, z_dims[j]))
-        col[n_cons + z_offs[j]:n_cons + z_offs[j + 1], :] = -np.eye(z_dims[j])
-        F_blocks.append(LinearOperator.from_matrix(col))
+    F = np.vstack([np.zeros((n_cons, nz)), -np.eye(nz)])
+    F_blocks = [LinearOperator.from_matrix(F[:, zs]) for zs in net.z_slices]
 
     smooth = [a.f for a in net.agents]
     nonsmooth = [NonsmoothBlock(a.g, a.C.out_shape) for a in net.agents]
@@ -143,13 +148,8 @@ def split_multiplier(net: Network, lam: np.ndarray):
     d = net.x_dim
     T = incidence(net).dense()
     n_cons = T.shape[0] * d
-    lam_cons = lam[:n_cons]
-    lam1_full = np.kron(T.T, np.eye(d)) @ lam_cons
-    lam1 = [lam1_full[i * d:(i + 1) * d] for i in range(net.k)]
-    z_dims = [int(np.prod(a.C.out_shape, dtype=int)) for a in net.agents]
-    z_offs = np.cumsum([0] + z_dims)
-    lam2 = [lam[n_cons + a:n_cons + b] for a, b in zip(z_offs[:-1], z_offs[1:])]
-    return lam1, lam2
+    lam1 = np.split(np.kron(T.T, np.eye(d)) @ lam[:n_cons], net.k)
+    return lam1, [lam[n_cons:][zs] for zs in net.z_slices]
 
 
 def agent_states_from_central(net: Network, s: PrimalDualState) -> List[AgentState]:
@@ -165,7 +165,7 @@ def decentralized_field(net: Network, states: Sequence[AgentState],
     The multiplier derivatives come first so the primal derivatives can reuse
     them; the staggering is exactly the per-block form of the centralized
     field."""
-    adj = net.neighbors()
+    adj = net.neighbors
     out = []
     for i, (a, st) in enumerate(zip(net.agents, states)):
         lam1_dot = alpha * (len(adj[i]) * st.x - sum(states[j].x for j in adj[i]))
@@ -194,7 +194,7 @@ def run_discrete(net: Network, init: Sequence[AgentState], eta: float,
     decentralized field, so each round broadcasts ``x`` to neighbors once."""
     if eta <= 0:
         raise ValueError("step size must be positive")
-    cur = [s.copy() for s in init]
+    cur = unpack_agents(net, pack_agents(init))
     history = [cur]
     for t in range(T_iters):
         flat = pack_agents(cur) + eta * pack_agents(decentralized_field(net, cur, alpha, mu))
@@ -215,23 +215,7 @@ def pack_agents(states: Sequence[AgentState]) -> np.ndarray:
 
 
 def unpack_agents(net: Network, flat: np.ndarray) -> List[AgentState]:
-    d = net.x_dim
-    z_dims = [int(np.prod(a.C.out_shape, dtype=int)) for a in net.agents]
-    off = 0
-
-    def take(dim):
-        nonlocal off
-        out = flat[off:off + dim]
-        off += dim
-        return out.copy()
-
-    xs = [take(d) for _ in range(net.k)]
-    zs = [take(dz) for dz in z_dims]
-    ys = [take(dz) for dz in z_dims]
-    l1s = [take(d) for _ in range(net.k)]
-    l2s = [take(dz) for dz in z_dims]
-    return [AgentState(x, z, y, l1, l2)
-            for x, z, y, l1, l2 in zip(xs, zs, ys, l1s, l2s)]
+    return [AgentState(*(flat[s].copy() for s in sl)) for sl in net.slices]
 
 
 def simulate(net: Network, init: Sequence[AgentState], cfg: flow.IntegratorConfig,
@@ -240,14 +224,16 @@ def simulate(net: Network, init: Sequence[AgentState], cfg: flow.IntegratorConfi
     synchronous round carrying ``x`` across each edge in both directions."""
     counter = {"evals": 0}
 
+    def field(y):
+        return pack_agents(decentralized_field(net, unpack_agents(net, y), alpha, mu))
+
     def fun(t, y):
         counter["evals"] += 1
-        d = decentralized_field(net, unpack_agents(net, y), alpha, mu)
-        return pack_agents(d)
+        return field(y)
 
-    y0 = pack_agents(init)
-    times, states, term = flow.integrate_ode(fun, y0, cfg)
-    fieldnorm = np.array([float(np.linalg.norm(fun(0.0, s))) for s in states])
+    times, states, term = flow.integrate_ode(fun, pack_agents(init), cfg)
+    # the post-hoc norms use the uncounted field: they are not rounds
+    fieldnorm = np.array([float(np.linalg.norm(field(s))) for s in states])
     messages = 2 * len(net.edges) * counter["evals"]
     return flow.Trajectory(times=times, states=states,
                            diagnostics={"field_norm": fieldnorm},

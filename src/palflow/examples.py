@@ -45,8 +45,7 @@ def proximal_gradient(grad: Callable[[np.ndarray], np.ndarray],
                       value: Callable[[np.ndarray], float],
                       prox_step: Callable[[float, np.ndarray], np.ndarray],
                       L: float, x0: np.ndarray,
-                      tol: float = 1e-10, max_iters: int = 200_000,
-                      accelerated: bool = True) -> OracleResult:
+                      tol: float = 1e-10, max_iters: int = 200_000) -> OracleResult:
     """Accelerated proximal gradient with function-value restart.
 
     Stops when the prox-gradient fixed-point residual ``L ||x -
@@ -64,17 +63,14 @@ def proximal_gradient(grad: Callable[[np.ndarray], np.ndarray],
         if resid <= tol:
             break
         f_new = value(x_new)
-        if accelerated and f_new > f_prev:
+        if f_new > f_prev:
             theta = 1.0
             v = x.copy()
             f_prev = np.inf
             continue
-        if accelerated:
-            theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
-            v = x_new + ((theta - 1.0) / theta_new) * (x_new - x)
-            theta = theta_new
-        else:
-            v = x_new
+        theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
+        v = x_new + ((theta - 1.0) / theta_new) * (x_new - x)
+        theta = theta_new
         x, f_prev = x_new, f_new
     final_resid = L * float(np.linalg.norm(x - prox_step(1.0 / L, x - grad(x) / L)))
     return OracleResult(x=x, value=value(x), kkt_residual=final_resid, iterations=it)

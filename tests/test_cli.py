@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import palflow
+from palflow import cli
 from palflow.cli import (ConfigError, build_problem, main, parse_config,
                          svg_line_plot)
 
@@ -217,6 +218,21 @@ problem = custom
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "rho2" in out and "alpha_bar" in out
+
+
+def test_certify_applies_seed_override(tmp_path, monkeypatch):
+    seen = {}
+    real = cli.build_problem
+
+    def capture(keys, mats):
+        seen.update(keys)
+        return real(keys, mats)
+
+    monkeypatch.setattr(cli, "build_problem", capture)
+    cfg = write(tmp_path, "problem = custom\n[matrix H]\n2 0\n0 2\n"
+                          "[matrix E]\n1 1\n[matrix q]\n1\n")
+    assert main(["certify", "--config", cfg, "--seed", "7", "--alpha", "0.5"]) == 0
+    assert seen["seed"] == "7" and seen["alpha"] == "0.5"
 
 
 def test_certify_missing_curvature_exit_1(tmp_path, capsys):

@@ -189,3 +189,70 @@ def test_simulate_matches_centralized(rng):
               for a, b in zip(final_central, final_dec)
               for f in ("x", "z", "y", "lam1", "lam2"))
     assert err < 1e-7
+
+
+def test_simulate_counts_only_integrator_rounds(rng):
+    net = small_net(k=3)
+    init = unpack_agents(net, 0.1 * rng.standard_normal(5 * 2 * 3))
+    traj = simulate(net, init, IntegratorConfig(method="rk4", h=0.1, t_end=1.0),
+                    1.0, 1.0)
+    assert traj.meta["rounds"] == 40            # 10 steps of 4 stages
+    assert len(traj.diagnostics["field_norm"]) == len(traj.times) == 11
+
+
+# -- agent layout with unequal z dimensions ----------------------------------
+
+def mixed_net(seed=0):
+    """Path 0-1-2 whose local operators map R^3 to R^3, R^2 and R^4."""
+    rng = np.random.default_rng(seed)
+    Cs = [LinearOperator.identity((3,)),
+          LinearOperator.from_matrix(rng.standard_normal((2, 3))),
+          LinearOperator.from_matrix(rng.standard_normal((4, 3)))]
+    agents = [AgentData(f=SmoothBlock.least_squares(rng.standard_normal((4, 3)),
+                                                    rng.standard_normal(4)),
+                        g=prox.l1(0.3), C=C) for C in Cs]
+    return Network(3, [(1, 2), (0, 1)], agents)
+
+
+def test_layout_from_network():
+    net = mixed_net()
+    assert net.neighbors == [[1], [0, 2], [1]]
+    assert net.x_dim == 3 and net.z_dims == [3, 2, 4]
+    n = 2 * 3 * 3 + 3 * sum(net.z_dims)      # x and lam1; z, y and lam2
+    covered = np.zeros(n, dtype=int)
+    for sl in net.slices:
+        for s in sl:
+            covered[s] += 1
+    assert np.all(covered == 1)
+
+
+def test_pack_unpack_round_trip_mixed_dims(rng):
+    net = mixed_net()
+    flat = rng.standard_normal(2 * 3 * 3 + 3 * 9)
+    states = unpack_agents(net, flat)
+    assert [s.z.size for s in states] == [3, 2, 4]
+    assert [s.lam1.size for s in states] == [3, 3, 3]
+    assert np.array_equal(pack_agents(states), flat)
+    orig = flat.copy()
+    for st in states:                                  # copies, not views
+        st.x[:] = st.z[:] = st.lam2[:] = 0.0
+    assert np.array_equal(flat, orig)
+
+
+def test_decentralized_matches_centralized_mixed_dims(rng):
+    net = mixed_net()
+    prob = assemble_consensus(net, mu=0.7, alpha=1.4)
+    s = prob.random_state(rng)
+    central = agent_states_from_central(net, vector_field(prob, s))
+    local = decentralized_field(net, agent_states_from_central(net, s),
+                                alpha=1.4, mu=0.7)
+    ref = pack_agents(central)
+    gap = np.max(np.abs(pack_agents(local) - ref))
+    assert gap <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_network_rejects_mixed_local_dims():
+    agents = [AgentData(f=SmoothBlock.quadratic(np.eye(d)), g=prox.l1(),
+                        C=LinearOperator.identity((d,))) for d in (3, 2)]
+    with pytest.raises(ValueError, match="common local dimension"):
+        Network(2, [(0, 1)], agents)
