@@ -383,12 +383,6 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("PALFLOW_THREADS")
-    if threads:
-        # cap the linear algebra worker pools before numpy spins them up
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     ap = argparse.ArgumentParser(prog="palflow")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -71,6 +71,41 @@ def decay_bound(prob: SaddleProblem, s: PrimalDualState, ref: ReferenceSolution,
 
 
 # ---------------------------------------------------------------------------
+# accelerated gradient with adaptive restart
+
+def accelerated_gradient(grad: Callable, prox_step: Callable, L: float,
+                         x0: np.ndarray, tol: float, max_iters: int,
+                         on_restart: Callable = lambda x: None):
+    """FISTA (Beck & Teboulle 2009) with the gradient-mapping adaptive
+    restart of O'Donoghue & Candes (2015): one gradient and one prox per
+    iteration, ``x+ = prox_step(1/L, v - grad(v)/L)`` from the extrapolated
+    point ``v``; the momentum is dropped (``theta = 1, v = x+``, then
+    ``on_restart(x+)``) when ``<v - x+, x+ - x> > 0``.
+
+    Returns ``(point, iterations, residual)``: the first ``v`` whose
+    fixed-point residual ``L ||v - x+||`` is at most ``tol``, or, at the
+    iteration cap, the last ``x+`` with a residual above ``tol``.
+    """
+    x = v = np.array(x0, dtype=float)
+    theta, resid, it = 1.0, np.inf, 0
+    for it in range(1, max_iters + 1):
+        x_new = prox_step(1.0 / L, v - grad(v) / L)
+        d = v - x_new
+        resid = L * float(np.linalg.norm(d))
+        if resid <= tol:
+            return v, it, resid
+        if np.vdot(d, x_new - x) > 0.0:
+            theta, v = 1.0, x_new
+            on_restart(x_new)
+        else:
+            theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
+            v = x_new + ((theta - 1.0) / theta_new) * (x_new - x)
+            theta = theta_new
+        x = x_new
+    return x, it, resid
+
+
+# ---------------------------------------------------------------------------
 # dual function
 
 @dataclass
@@ -98,15 +133,12 @@ def dual_function(prob: SaddleProblem, y: Sequence[np.ndarray], lam: np.ndarray,
     """Minimize the proximal augmented Lagrangian over the primal variables
     at fixed ``(y, lam)``.
 
-    Accelerated gradient with step ``1/L`` and function-value restart; the
-    objective is convex and smooth, so this needs no inner prox. Fails loudly
-    when the iteration cap is hit or the value drops below ``-1e12`` (dual
-    function unbounded below at this point).
+    :func:`accelerated_gradient` with the identity as its prox (the
+    objective is convex and smooth). Fails loudly when the iteration cap is
+    hit or the value, checked at each restart and at the cap, is below
+    ``-1e12`` (dual function unbounded below at this point).
     """
     L = prob.lipschitz_xz()
-    if L <= 0:
-        L = 1.0
-    step = 1.0 / L
     kernel = prob.kernel
     k = prob.m + prob.n
     # flat state with the dual part fixed; the iterates are its (x, z) slice
@@ -119,33 +151,15 @@ def dual_function(prob: SaddleProblem, y: Sequence[np.ndarray], lam: np.ndarray,
         u[:k] = xz
         return u
 
-    xz = u[:k].copy()
-    v = xz.copy()
-    theta = 1.0
-    f_prev = np.inf
-    gnorm = np.inf
-    it = 0
-    for it in range(1, max_iters + 1):
-        g = kernel.gradient(at(v))[:k]
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= inner_tol:
-            xz = v
-            break
-        xz_new = v - step * g
-        f_new = kernel.value(at(xz_new))
-        if f_new < -1e12:
+    def check_bounded(xz):
+        if kernel.value(at(xz)) < -1e12:
             raise DualSolveError("dual function unbounded below at this dual point")
-        if f_new > f_prev:
-            # function restart: drop momentum and retake a plain step
-            theta = 1.0
-            v = xz.copy()
-            f_prev = np.inf
-            continue
-        theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
-        beta = (theta - 1.0) / theta_new
-        v = xz_new + beta * (xz_new - xz)
-        xz, theta, f_prev = xz_new, theta_new, f_new
-    else:
+
+    xz, it, gnorm = accelerated_gradient(
+        lambda xz: kernel.gradient(at(xz))[:k], lambda t, w: w, L,
+        u[:k], inner_tol, max_iters, on_restart=check_bounded)
+    if gnorm > inner_tol:
+        check_bounded(xz)
         raise DualSolveError(
             f"inner solve failed: gradient norm {gnorm:.3g} above {inner_tol:.3g} "
             f"after {max_iters} iterations")

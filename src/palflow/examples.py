@@ -16,7 +16,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import solve_lyapunov
 
 from . import flow, prox
-from .diagnostics import ReferenceSolution
+from .diagnostics import ReferenceSolution, accelerated_gradient
 from .distributed import AgentData, Network
 from .linops import (BlockOperator, LinearOperator, lyapunov_operator,
                      masked_congruence, vec, vstack)
@@ -46,32 +46,14 @@ def proximal_gradient(grad: Callable[[np.ndarray], np.ndarray],
                       prox_step: Callable[[float, np.ndarray], np.ndarray],
                       L: float, x0: np.ndarray,
                       tol: float = 1e-10, max_iters: int = 200_000) -> OracleResult:
-    """Accelerated proximal gradient with function-value restart.
+    """FISTA with adaptive restart (:func:`diagnostics.accelerated_gradient`).
 
-    Stops when the prox-gradient fixed-point residual ``L ||x -
-    prox_{1/L}(x - grad(x)/L)||`` drops below ``tol``.
+    Returns the first extrapolated point ``x`` whose prox-gradient
+    fixed-point residual ``L ||x - prox_{1/L}(x - grad(x)/L)||`` is at most
+    ``tol``; the reported residual is recomputed there, and the value is
+    taken there once.
     """
-    step = 1.0 / L
-    x = np.array(x0, dtype=float)
-    v = x.copy()
-    theta = 1.0
-    f_prev = np.inf
-    it = 0
-    for it in range(1, max_iters + 1):
-        x_new = prox_step(step, v - step * grad(v))
-        resid = L * float(np.linalg.norm(x - prox_step(step, x - step * grad(x))))
-        if resid <= tol:
-            break
-        f_new = value(x_new)
-        if f_new > f_prev:
-            theta = 1.0
-            v = x.copy()
-            f_prev = np.inf
-            continue
-        theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
-        v = x_new + ((theta - 1.0) / theta_new) * (x_new - x)
-        theta = theta_new
-        x, f_prev = x_new, f_new
+    x, it, _ = accelerated_gradient(grad, prox_step, L, x0, tol, max_iters)
     final_resid = L * float(np.linalg.norm(x - prox_step(1.0 / L, x - grad(x) / L)))
     return OracleResult(x=x, value=value(x), kkt_residual=final_resid, iterations=it)
 

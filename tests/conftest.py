@@ -6,7 +6,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from palflow.linops import BlockOperator, LinearOperator, vec
+from palflow.linops import BlockOperator, LinearOperator, unvec, vec
 from palflow.problem import (NonsmoothBlock, PrimalDualState, SaddleProblem,
                              SmoothBlock)
 from palflow import prox
@@ -110,6 +110,40 @@ class LiftedProblem:
 
 def build_lifted(prob: SaddleProblem) -> LiftedProblem:
     return LiftedProblem(prob)
+
+
+def consensus_admm(prob: SaddleProblem, rho: float = 3.0, tol: float = 1e-10,
+                   max_iters: int = 100_000):
+    """Reference saddle point of ``min sum_j g_j(Z_j)`` s.t. ``sum_j Z_j =
+    Q``, the form of principal component pursuit (no smooth blocks, ``F =
+    [I ... I]``), by two-block ADMM in consensus form (Boyd et al., FnT ML
+    2011, section 7); independent of the flow, sharing only the prox maps.
+
+    The x-update runs the block proxes side by side; the z-update projects
+    onto ``{sum_j Z_j = Q}``, after which the scaled dual ``U`` is the same
+    on every block. Stops when the primal and dual residuals are both at
+    most ``tol``. Returns the state with ``lam = vec(rho U)`` and ``y_j =
+    -rho U`` on each block, and the iteration count.
+    """
+    gs = [b.g for b in prob.nonsmooth_blocks]
+    Q = unvec(prob.q, prob.z_shapes[0])
+    k = len(gs)
+    Z = [np.zeros_like(Q) for _ in gs]
+    U = np.zeros_like(Q)
+    for it in range(1, max_iters + 1):
+        X = [g.prox(1.0 / rho, Zj - U) for g, Zj in zip(gs, Z)]
+        W = [Xj + U for Xj in X]
+        U = (sum(W) - Q) / k
+        Z_new = [Wj - U for Wj in W]
+        primal = np.sqrt(sum(np.sum((Xj - Zj) ** 2) for Xj, Zj in zip(X, Z_new)))
+        dual = rho * np.sqrt(sum(np.sum((a - b) ** 2) for a, b in zip(Z_new, Z)))
+        Z = Z_new
+        if primal <= tol and dual <= tol:
+            break
+    else:
+        raise RuntimeError(f"ADMM did not reach {tol:.1e} in {max_iters} iterations")
+    Lam = rho * U
+    return PrimalDualState([], Z, [-Lam for _ in gs], vec(Lam)), it
 
 
 @pytest.fixture

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -265,13 +267,37 @@ def test_bench_invariants(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_threads_env_caps_pools(tmp_path, monkeypatch):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("PALFLOW_THREADS", "1")
-    cfg = write(tmp_path, "problem = counterexample\nbeta = 1\nt_end = 5\n")
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "t_out")]) == 0
-    assert os.environ["OMP_NUM_THREADS"] == "1"
+# Runs in a fresh interpreter: imports palflow first, as the ``palflow``
+# command does, runs a CLI suite, then asks OpenBLAS for its pool size.
+THREAD_PROBE = """
+import ctypes, glob, os, sys
+from palflow.cli import main
+import numpy as np
+assert main(["bench", "invariants"]) == 0
+for lib in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
+    handle = ctypes.CDLL(lib)
+    for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                "openblas_get_num_threads"):
+        if hasattr(handle, sym):
+            print("threads", getattr(handle, sym)())
+            sys.exit(0)
+print("no openblas")
+"""
+
+
+def test_threads_env_caps_pools():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PALFLOW_THREADS"] = "1"
+    src = os.path.dirname(os.path.dirname(palflow.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    last = out.stdout.splitlines()[-1]
+    if last == "no openblas":
+        pytest.skip("numpy is not linked against OpenBLAS")
+    assert last == "threads 1"
 
 
 def test_svg_emitter_handles_degenerate_data(tmp_path):

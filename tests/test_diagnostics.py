@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from palflow import prox
 from palflow.diagnostics import (DualSolveError, ReferenceSolution,
                                  distance_to_solution, dual_function,
                                  envelope_violation, fit_exponential_rate,
@@ -8,7 +9,8 @@ from palflow.diagnostics import (DualSolveError, ReferenceSolution,
                                  decay_bound, lyapunov_v2)
 from palflow.flow import IntegratorConfig, integrate
 from palflow.linops import BlockOperator, LinearOperator
-from palflow.problem import (PrimalDualState, SaddleProblem, SmoothBlock)
+from palflow.problem import (NonsmoothBlock, PrimalDualState, SaddleProblem,
+                             SmoothBlock)
 
 from conftest import composite_instance, quadratic_equality_instance
 
@@ -97,6 +99,59 @@ def test_dual_unbounded_detected():
     prob = SaddleProblem(smooth, [], E, BlockOperator([], p=1), np.zeros(1))
     with pytest.raises(DualSolveError):
         dual_function(prob, [], np.zeros(1), max_iters=20000)
+
+
+def test_dual_quadratic_closed_form(rng):
+    # PAL of a strongly convex quadratic with no z blocks: the minimiser
+    # solves (H + E^T E / mu) x = -c - E^T lam + E^T q / mu
+    mu = 0.7
+    A = rng.standard_normal((6, 4))
+    H, c = A.T @ A + np.eye(4), rng.standard_normal(4)
+    E, q, lam = (rng.standard_normal((3, 4)), rng.standard_normal(3),
+                 rng.standard_normal(3))
+    prob = SaddleProblem([SmoothBlock.quadratic(H, c)], [],
+                         BlockOperator([LinearOperator.from_matrix(E)]),
+                         BlockOperator([], p=3), q, mu=mu)
+    x = np.linalg.solve(H + E.T @ E / mu, -c - E.T @ lam + E.T @ q / mu)
+    r = E @ x - q
+    ev = dual_function(prob, [], lam)
+    assert np.max(np.abs(ev.x[0] - x)) < 1e-9
+    assert np.max(np.abs(ev.grad_flat() - r)) < 1e-9
+    value = 0.5 * x @ H @ x + c @ x + np.sum((r + mu * lam) ** 2) / (2 * mu) \
+        - 0.5 * mu * lam @ lam
+    assert ev.value == pytest.approx(value, rel=1e-12)
+    assert ev.grad_norm_inner <= 1e-10
+
+
+def test_dual_inner_iterations_on_criterion_8_instance():
+    # criterion 8's instance; function-value restart took a median of 567
+    rng = np.random.default_rng(500)
+    A = rng.standard_normal((6, 4))
+    smooth = [SmoothBlock.quadratic(A.T @ A + np.eye(4), rng.standard_normal(4))]
+    nonsmooth = [NonsmoothBlock(prox.l1(0.6), (3,))]
+    E = BlockOperator([LinearOperator.from_matrix(rng.standard_normal((5, 4)))])
+    F = BlockOperator([LinearOperator.from_matrix(rng.standard_normal((5, 3)))])
+    q = E.apply([rng.standard_normal(4)]) + F.apply([rng.standard_normal(3)])
+    prob = SaddleProblem(smooth, nonsmooth, E, F, q, mu=1.0)
+    iters = [dual_function(prob, [rng.standard_normal(3)],
+                           rng.standard_normal(5)).iterations
+             for _ in range(20)]
+    assert np.median(iters) <= 300
+
+
+def test_dual_iteration_cap_error():
+    with pytest.raises(DualSolveError, match="inner solve failed"):
+        dual_function(one_dim_equality(), [], np.zeros(1), max_iters=1)
+
+
+def test_dual_unbounded_error():
+    # steep linear objective and E = 0: the value passes -1e12 at once
+    smooth = [SmoothBlock(shape=(1,), value=lambda x: 1e9 * float(x[0]),
+                          grad=lambda x: np.full(1, 1e9), lipschitz=1.0)]
+    E = BlockOperator([LinearOperator.from_matrix(np.array([[0.0]]))])
+    prob = SaddleProblem(smooth, [], E, BlockOperator([], p=1), np.zeros(1))
+    with pytest.raises(DualSolveError, match="unbounded below"):
+        dual_function(prob, [], np.zeros(1), max_iters=100)
 
 
 def test_duality_gaps_nonnegative_and_zero_at_saddle(rng):
