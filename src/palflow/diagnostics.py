@@ -74,35 +74,34 @@ def decay_bound(prob: SaddleProblem, s: PrimalDualState, ref: ReferenceSolution,
 # accelerated gradient with adaptive restart
 
 def accelerated_gradient(grad: Callable, prox_step: Callable, L: float,
-                         x0: np.ndarray, tol: float, max_iters: int,
-                         on_restart: Callable = lambda x: None):
+                         x0: np.ndarray, tol: float, max_iters: int):
     """FISTA (Beck & Teboulle 2009) with the gradient-mapping adaptive
     restart of O'Donoghue & Candes (2015): one gradient and one prox per
     iteration, ``x+ = prox_step(1/L, v - grad(v)/L)`` from the extrapolated
-    point ``v``; the momentum is dropped (``theta = 1, v = x+``, then
-    ``on_restart(x+)``) when ``<v - x+, x+ - x> > 0``.
+    point ``v``; the momentum is dropped (``theta = 1, v = x+``) when
+    ``<v - x+, x+ - x> > 0``.
 
-    Returns ``(point, iterations, residual)``: the first ``v`` whose
-    fixed-point residual ``L ||v - x+||`` is at most ``tol``, or, at the
-    iteration cap, the last ``x+`` with a residual above ``tol``.
+    Returns ``(v, iterations, residual)`` for the last extrapolated point
+    ``v`` and its fixed-point residual ``L ||v - x+||``: the first ``v`` with
+    a residual at most ``tol``, or the one at the iteration cap. The caller
+    tests the residual (a NaN one means the solve failed).
     """
     x = v = np.array(x0, dtype=float)
-    theta, resid, it = 1.0, np.inf, 0
+    theta = 1.0
     for it in range(1, max_iters + 1):
         x_new = prox_step(1.0 / L, v - grad(v) / L)
         d = v - x_new
         resid = L * float(np.linalg.norm(d))
-        if resid <= tol:
+        if resid <= tol or it == max_iters:
             return v, it, resid
         if np.vdot(d, x_new - x) > 0.0:
             theta, v = 1.0, x_new
-            on_restart(x_new)
         else:
             theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta ** 2))
             v = x_new + ((theta - 1.0) / theta_new) * (x_new - x)
             theta = theta_new
         x = x_new
-    return x, it, resid
+    return v, 0, np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +134,9 @@ def dual_function(prob: SaddleProblem, y: Sequence[np.ndarray], lam: np.ndarray,
 
     :func:`accelerated_gradient` with the identity as its prox (the
     objective is convex and smooth). Fails loudly when the iteration cap is
-    hit or the value, checked at each restart and at the cap, is below
-    ``-1e12`` (dual function unbounded below at this point).
+    hit without convergence; the cap's message says the dual function is
+    unbounded below at this point when the value there is below ``-1e12``
+    (checked at the cap only).
     """
     L = prob.lipschitz_xz()
     kernel = prob.kernel
@@ -151,15 +151,12 @@ def dual_function(prob: SaddleProblem, y: Sequence[np.ndarray], lam: np.ndarray,
         u[:k] = xz
         return u
 
-    def check_bounded(xz):
-        if kernel.value(at(xz)) < -1e12:
-            raise DualSolveError("dual function unbounded below at this dual point")
-
     xz, it, gnorm = accelerated_gradient(
         lambda xz: kernel.gradient(at(xz))[:k], lambda t, w: w, L,
-        u[:k], inner_tol, max_iters, on_restart=check_bounded)
-    if gnorm > inner_tol:
-        check_bounded(xz)
+        u[:k], inner_tol, max_iters)
+    if not gnorm <= inner_tol:
+        if kernel.value(at(xz)) < -1e12:
+            raise DualSolveError("dual function unbounded below at this dual point")
         raise DualSolveError(
             f"inner solve failed: gradient norm {gnorm:.3g} above {inner_tol:.3g} "
             f"after {max_iters} iterations")

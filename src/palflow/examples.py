@@ -48,14 +48,14 @@ def proximal_gradient(grad: Callable[[np.ndarray], np.ndarray],
                       tol: float = 1e-10, max_iters: int = 200_000) -> OracleResult:
     """FISTA with adaptive restart (:func:`diagnostics.accelerated_gradient`).
 
-    Returns the first extrapolated point ``x`` whose prox-gradient
-    fixed-point residual ``L ||x - prox_{1/L}(x - grad(x)/L)||`` is at most
-    ``tol``; the reported residual is recomputed there, and the value is
-    taken there once.
+    ``x`` is the extrapolated point at which the prox-gradient fixed-point
+    residual ``L ||x - prox_{1/L}(x - grad(x)/L)||`` first fell to ``tol``
+    (or the last one, at the iteration cap), not the prox output there; the
+    reported residual is the one measured at ``x``, and the value is taken
+    there once.
     """
-    x, it, _ = accelerated_gradient(grad, prox_step, L, x0, tol, max_iters)
-    final_resid = L * float(np.linalg.norm(x - prox_step(1.0 / L, x - grad(x) / L)))
-    return OracleResult(x=x, value=value(x), kkt_residual=final_resid, iterations=it)
+    x, it, resid = accelerated_gradient(grad, prox_step, L, x0, tol, max_iters)
+    return OracleResult(x=x, value=value(x), kkt_residual=resid, iterations=it)
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,7 @@ import ctypes, glob, os, sys
 from palflow.cli import main
 import numpy as np
 assert main(["bench", "invariants"]) == 0
+print("omp", os.environ.get("OMP_NUM_THREADS"))
 for lib in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
     handle = ctypes.CDLL(lib)
     for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
@@ -294,6 +295,7 @@ def test_threads_env_caps_pools():
     out = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+    assert "omp 1" in out.stdout.splitlines()
     last = out.stdout.splitlines()[-1]
     if last == "no openblas":
         pytest.skip("numpy is not linked against OpenBLAS")

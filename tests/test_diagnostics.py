@@ -154,6 +154,16 @@ def test_dual_unbounded_error():
         dual_function(prob, [], np.zeros(1), max_iters=100)
 
 
+def test_dual_nan_gradient_fails_at_cap():
+    # a NaN residual never passes the stop test and must not pass the cap's
+    smooth = [SmoothBlock(shape=(1,), value=lambda x: float(x[0]) ** 2,
+                          grad=lambda x: np.full(1, np.nan), lipschitz=1.0)]
+    E = BlockOperator([LinearOperator.from_matrix(np.array([[1.0]]))])
+    prob = SaddleProblem(smooth, [], E, BlockOperator([], p=1), np.zeros(1))
+    with pytest.raises(DualSolveError, match="inner solve failed: gradient norm nan"):
+        dual_function(prob, [], np.zeros(1), max_iters=50)
+
+
 def test_duality_gaps_nonnegative_and_zero_at_saddle(rng):
     prob, s_star = quadratic_equality_instance(rng)
     ref = ReferenceSolution.from_state(prob, s_star)

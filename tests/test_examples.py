@@ -160,6 +160,26 @@ def test_oracles_pinned_at_criterion_6_sizes(gen, optimal_value, max_iters):
         assert oracle.iterations < max_iters
 
 
+@pytest.mark.parametrize("max_iters", [200_000, 3], ids=["converged", "cap"])
+def test_proximal_gradient_reports_residual_at_returned_point(rng, max_iters):
+    """The oracle returns the extrapolated point where its residual was
+    measured, on convergence and at the iteration cap alike."""
+    M, h = rng.standard_normal((8, 5)), rng.standard_normal(8)
+    L = np.linalg.norm(M, 2) ** 2
+
+    def grad(u):
+        return M.T @ (M @ u - h)
+
+    def prox_step(t, w):
+        return prox.prox_l1(0.5 * t, w)
+
+    res = examples.proximal_gradient(grad, lambda u: 0.0, prox_step, L,
+                                     np.zeros(5), tol=1e-9, max_iters=max_iters)
+    x = res.x
+    assert res.kkt_residual == L * float(np.linalg.norm(x - prox_step(1.0 / L, x - grad(x) / L)))
+    assert (res.kkt_residual <= 1e-9) == (max_iters > 3)
+
+
 def test_sparse_group_lasso_divisibility():
     with pytest.raises(ValueError):
         gen_sparse_group_lasso(5, 10, 3)
