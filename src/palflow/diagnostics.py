@@ -29,25 +29,23 @@ def _diff_sq(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:
     return float(sum(np.sum((np.asarray(u) - np.asarray(v)) ** 2) for u, v in zip(a, b)))
 
 
-def lyapunov_v1(prob: SaddleProblem, s: PrimalDualState, ref: ReferenceSolution,
-                alpha: Optional[float] = None) -> float:
+def lyapunov_v1(prob: SaddleProblem, s: PrimalDualState, ref: ReferenceSolution) -> float:
     """Quadratic distance function weighting the primal blocks by the dual
     time constant: ``(1/2)(a||x-x*||^2 + a||z-z*||^2 + ||y-y*||^2 +
     ||lam-lam*||^2)``."""
-    a = prob.alpha if alpha is None else alpha
+    a = prob.alpha
     r = ref.state
     return 0.5 * (a * _diff_sq(s.x, r.x) + a * _diff_sq(s.z, r.z)
                   + _diff_sq(s.y, r.y) + float(np.sum((s.lam - r.lam) ** 2)))
 
 
 def lyapunov_v1_derivative(prob: SaddleProblem, s: PrimalDualState,
-                           ref: ReferenceSolution,
-                           alpha: Optional[float] = None) -> float:
+                           ref: ReferenceSolution) -> float:
     """Exact time derivative of the quadratic function along the flow,
     ``<grad V1, field>`` evaluated in closed form."""
-    a = prob.alpha if alpha is None else alpha
+    a = prob.alpha
     r = ref.state
-    d = vector_field(prob, s, alpha=a)
+    d = vector_field(prob, s)
     out = a * sum(float(np.sum((xi - ri) * di)) for xi, ri, di in zip(s.x, r.x, d.x))
     out += a * sum(float(np.sum((zi - ri) * di)) for zi, ri, di in zip(s.z, r.z, d.z))
     out += sum(float(np.sum((yi - ri) * di)) for yi, ri, di in zip(s.y, r.y, d.y))
@@ -55,19 +53,17 @@ def lyapunov_v1_derivative(prob: SaddleProblem, s: PrimalDualState,
     return out
 
 
-def decay_bound(prob: SaddleProblem, s: PrimalDualState, ref: ReferenceSolution,
-                alpha: Optional[float] = None) -> float:
+def decay_bound(prob: SaddleProblem, s: PrimalDualState, ref: ReferenceSolution) -> float:
     """Negative semidefinite upper bound on the derivative of the quadratic
     function: ``-(a / max(L_f, mu)) (||grad f(x) - grad f(x*)||^2 +
     ||g_y||^2 + ||g_lam||^2)``."""
-    a = prob.alpha if alpha is None else alpha
     gf = prob.f_grad(s.x)
     gf_star = prob.f_grad(ref.state.x)
     _, _, gy, glam = pal_gradient(prob, s)
     total = _diff_sq(gf, gf_star)
     total += float(sum(np.sum(np.asarray(g) ** 2) for g in gy))
     total += float(np.sum(glam ** 2))
-    return -a / max(prob.L_f, prob.mu) * total
+    return -prob.alpha / max(prob.L_f, prob.mu) * total
 
 
 # ---------------------------------------------------------------------------

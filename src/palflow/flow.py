@@ -28,18 +28,15 @@ def pal_gradient(prob: SaddleProblem, s: PrimalDualState):
     return g.x, g.z, g.y, g.lam
 
 
-def vector_field(prob: SaddleProblem, s: PrimalDualState,
-                 alpha: Optional[float] = None) -> PrimalDualState:
+def vector_field(prob: SaddleProblem, s: PrimalDualState) -> PrimalDualState:
     """Primal-descent dual-ascent field ``(-gx, -gz, a*gy, a*glam)``."""
-    return prob.unpack(prob.kernel.field(prob.pack(s), alpha))
+    return prob.unpack(prob.kernel.field(prob.pack(s)))
 
 
-def blockwise_field(prob: SaddleProblem, s: PrimalDualState,
-                    alpha: Optional[float] = None) -> PrimalDualState:
+def blockwise_field(prob: SaddleProblem, s: PrimalDualState) -> PrimalDualState:
     """Per-block form of the field: the multiplier derivative first, then the
     dual blocks, then the primal blocks reusing those derivatives."""
-    a = prob.alpha if alpha is None else alpha
-    mu = prob.mu
+    a, mu = prob.alpha, prob.mu
     lam_dot = a * prob.constraint_residual(s.x, s.z)
     shift = s.lam + lam_dot / (a * mu)
     Et = prob.E.adjoint(shift)
@@ -54,14 +51,13 @@ def blockwise_field(prob: SaddleProblem, s: PrimalDualState,
 class FlowField:
     """Flat-state ODE right-hand side of the flow; counts its evaluations."""
 
-    def __init__(self, prob: SaddleProblem, alpha: Optional[float] = None):
+    def __init__(self, prob: SaddleProblem):
         self.prob = prob
-        self.alpha = prob.alpha if alpha is None else alpha
         self.n_evals = 0
 
     def __call__(self, t: float, flat: np.ndarray) -> np.ndarray:
         self.n_evals += 1
-        return self.prob.kernel.field(flat, self.alpha)
+        return self.prob.kernel.field(flat)
 
 
 @dataclass
@@ -82,6 +78,10 @@ class IntegratorConfig:
             raise ValueError("fixed-step methods need a positive step h")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.t_end <= 0:
+            raise ValueError("t_end must be positive")
+        if self.record_stride < 1:
+            raise ValueError("record_stride must be at least 1")
 
 
 @dataclass
@@ -119,15 +119,14 @@ class Trajectory:
             fh.write(np.ascontiguousarray(self.states, dtype="<f8").tobytes())
 
 
-def _diagnostics(prob: SaddleProblem, alpha: float, states):
+def _diagnostics(prob: SaddleProblem, states):
     kernel = prob.kernel
     return {"kkt_residual": np.array([kernel.kkt(u) for u in states]),
-            "field_norm": np.array([np.linalg.norm(kernel.field(u, alpha))
-                                    for u in states])}
+            "field_norm": np.array([np.linalg.norm(kernel.field(u)) for u in states])}
 
 
 def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
-                  events: Optional[list] = None, t0: float = 0.0):
+                  events: Optional[list] = None):
     """Integrate a generic flat ODE with the configured method.
 
     Returns ``(times, states, termination)``. The adaptive method
@@ -135,14 +134,14 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
     event location; fixed-step methods are forward Euler and classic RK4.
     Every ``record_stride``-th step and the last one are kept. Events stop
     the run where they reach zero or below (``"event"``); one that is there
-    at ``t0`` already stops it before the first step, with one sample. Only
+    at ``t = 0`` already stops it before the first step, with one sample. Only
     the fixed-step methods obey ``max_steps`` (``"max_steps"``).
     """
     y0 = np.asarray(y0, dtype=float)
-    if events and any(ev(t0, y0) <= 0 for ev in events):
-        return np.array([t0]), y0[None, :].copy(), "event"
+    if events and any(ev(0.0, y0) <= 0 for ev in events):
+        return np.array([0.0]), y0[None, :].copy(), "event"
     if cfg.method == "rk45":
-        sol = solve_ivp(fun, (t0, cfg.t_end), y0, method="RK45",
+        sol = solve_ivp(fun, (0.0, cfg.t_end), y0, method="RK45",
                         rtol=cfg.rel_tol, atol=cfg.abs_tol, events=events,
                         dense_output=False)
         if not sol.success and sol.status == -1:
@@ -158,14 +157,14 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
         return times, states, term
 
     h = cfg.h
-    n_steps = int(np.ceil((cfg.t_end - t0) / h))
+    n_steps = int(np.ceil(cfg.t_end / h))
     term = "t_end"
     if n_steps > cfg.max_steps:
         n_steps, term = cfg.max_steps, "max_steps"
-    times = [t0]
+    times = [0.0]
     states = [y0.copy()]
     y = y0.copy()
-    t = t0
+    t = 0.0
     for k in range(n_steps):
         if cfg.method == "euler":
             y = y + h * fun(t, y)
@@ -175,7 +174,7 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
             k3 = fun(t + h / 2, y + h / 2 * k2)
             k4 = fun(t + h, y + h * k3)
             y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t0 + (k + 1) * h
+        t = (k + 1) * h
         if not np.all(np.isfinite(y)):
             raise FlowError("non-finite state encountered")
         if (k + 1) % cfg.record_stride == 0 or k == n_steps - 1:
@@ -189,8 +188,7 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
     return np.asarray(times), np.asarray(states), term
 
 
-def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig,
-              alpha: Optional[float] = None) -> Trajectory:
+def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig) -> Trajectory:
     """Integrate the primal-dual flow from ``s0``.
 
     Terminates on ``t_end``; on ``stop_kkt``, once the KKT residual is at or
@@ -198,7 +196,7 @@ def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig,
     already there returns at once); or, for the fixed-step methods only, on
     ``max_steps``. The reason is recorded.
     """
-    ff = FlowField(prob, alpha)
+    ff = FlowField(prob)
     events = None
     if cfg.stop_kkt is not None:
         def kkt_event(t, y):
@@ -210,9 +208,9 @@ def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig,
     times, states, term = integrate_ode(ff, prob.pack(s0), cfg, events=events)
     if term == "event":
         term = "stop_kkt"
-    diag = _diagnostics(prob, ff.alpha, states)
+    diag = _diagnostics(prob, states)
     return Trajectory(times=np.asarray(times), states=np.asarray(states),
                       diagnostics=diag, termination=term, problem=prob,
-                      meta={"method": cfg.method, "alpha": ff.alpha,
+                      meta={"method": cfg.method, "alpha": prob.alpha,
                             "packing": "x-blocks, z-blocks, y-blocks, lam (column-major)",
                             "n_evals": ff.n_evals})

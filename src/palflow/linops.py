@@ -239,11 +239,11 @@ class BlockOperator:
         return np.hstack([b.dense() for b in self.blocks])
 
 
-def singular_extremes(op: LinearOperator, tol_rank: float = TOL_RANK) -> SingularExtremes:
+def singular_extremes(op: LinearOperator) -> SingularExtremes:
     """Largest and smallest nonzero singular values of a materializable
     operator.
 
-    Singular values below ``tol_rank * sigma_max`` are treated as zero. The
+    Singular values below ``TOL_RANK * sigma_max`` are treated as zero. The
     zero operator yields ``(0, 0)`` (flagged through ``is_zero``).
     """
     A = op.dense() if isinstance(op, LinearOperator) else np.atleast_2d(np.asarray(op, dtype=float))
@@ -253,26 +253,26 @@ def singular_extremes(op: LinearOperator, tol_rank: float = TOL_RANK) -> Singula
     smax = float(s[0])
     if smax == 0.0:
         return SingularExtremes(0.0, 0.0)
-    nz = s[s > tol_rank * smax]
+    nz = s[s > TOL_RANK * smax]
     return SingularExtremes(smax, float(nz[-1]))
 
 
-def range_basis(A: np.ndarray, tol_rank: float = TOL_RANK) -> np.ndarray:
+def range_basis(A: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the range of the matrix ``A``, one column per
-    singular value above ``tol_rank * sigma_max``; no columns when ``A`` is
+    singular value above ``TOL_RANK * sigma_max``; no columns when ``A`` is
     empty or all zero."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.size == 0 or not np.any(A):
         return np.zeros((A.shape[0], 0))
     U, s, _ = np.linalg.svd(A, full_matrices=False)
-    return U[:, :int(np.sum(s > tol_rank * s[0]))]
+    return U[:, :int(np.sum(s > TOL_RANK * s[0]))]
 
 
-def range_contained(F: LinearOperator, E: LinearOperator, tol: float = TOL_RANK) -> bool:
+def range_contained(F: LinearOperator, E: LinearOperator) -> bool:
     """Whether ``R(F)`` is contained in ``R(E)``.
 
     Each column of the dense form of ``F`` is tested by its least-squares
-    residual against ``R(E)``, relative to the column norm.
+    residual against ``R(E)``, at most ``TOL_RANK`` times the column norm.
     """
     Fd, Ed = F.dense(), E.dense()
     if Fd.shape[0] != Ed.shape[0]:
@@ -288,17 +288,17 @@ def range_contained(F: LinearOperator, E: LinearOperator, tol: float = TOL_RANK)
         if nrm == 0.0:
             continue
         resid = col - Ur @ (Ur.T @ col)
-        if np.linalg.norm(resid) > tol * nrm:
+        if np.linalg.norm(resid) > TOL_RANK * nrm:
             return False
     return True
 
 
-def null_projection(op: LinearOperator, v: np.ndarray, tol_rank: float = TOL_RANK) -> np.ndarray:
+def null_projection(op: LinearOperator, v: np.ndarray) -> np.ndarray:
     """Orthogonal projection of ``v`` onto ``N(op^T)``, the orthogonal
     complement of the range of ``op``."""
     A = op.dense()
     v = np.asarray(v, dtype=float)
     if v.shape != (A.shape[0],):
         raise ValueError(f"expected a vector of dimension {A.shape[0]}, got shape {v.shape}")
-    Ur = range_basis(A, tol_rank)
+    Ur = range_basis(A)
     return v - Ur @ (Ur.T @ v)

@@ -10,8 +10,8 @@ from typing import Callable, List, NamedTuple, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .linops import (BlockOperator, LinearOperator, TOL_RANK, range_basis,
-                     singular_extremes, range_contained, vec, unvec)
+from .linops import (BlockOperator, LinearOperator, SingularExtremes, TOL_RANK,
+                     range_basis, singular_extremes, range_contained, vec, unvec)
 from .prox import ProximableFunction, moreau_value
 
 
@@ -148,10 +148,6 @@ class SaddleProblem:
     def z_shapes(self):
         return [b.shape for b in self.nonsmooth_blocks]
 
-    @property
-    def gs(self):
-        return [b.g for b in self.nonsmooth_blocks]
-
     # -- declared constants ----------------------------------------------
     @property
     def L_f(self) -> float:
@@ -172,7 +168,7 @@ class SaddleProblem:
     def lipschitz_xz(self) -> float:
         """Upper bound on the Lipschitz constant of the primal gradient of the
         proximal augmented Lagrangian: ``L_f + (1/mu)(1 + sigma_max^2([E F]))``."""
-        smax2 = singular_extremes(self._EF_dense()).sigma_max ** 2
+        smax2 = self.kernel.singular_extremes.sigma_max ** 2
         return self.L_f + (1.0 + smax2) / self.mu
 
     # -- evaluation -------------------------------------------------------
@@ -328,13 +324,12 @@ class FieldKernel:
         out[m + 2 * n:] = r
         return out
 
-    def field(self, u: np.ndarray, alpha: Optional[float] = None) -> np.ndarray:
+    def field(self, u: np.ndarray) -> np.ndarray:
         """Primal-descent dual-ascent field ``(-gx, -gz, a*gy, a*glam)``."""
-        a = self.prob.alpha if alpha is None else alpha
         out = self.gradient(u)
         k = self.m + self.n
         out[:k] *= -1.0
-        out[k:] *= a
+        out[k:] *= self.prob.alpha
         return out
 
     def kkt(self, u: np.ndarray) -> float:
@@ -352,6 +347,11 @@ class FieldKernel:
     def range_basis(self) -> np.ndarray:
         """Orthonormal basis of the range of ``[E F]``; computed once."""
         return range_basis(self.prob._EF_dense())
+
+    @cached_property
+    def singular_extremes(self) -> SingularExtremes:
+        """Extreme nonzero singular values of ``[E F]``; computed once."""
+        return singular_extremes(self.prob._EF_dense())
 
 
 def kkt_residual(prob: SaddleProblem, s: PrimalDualState) -> float:
@@ -373,15 +373,19 @@ class Assumption4Result(NamedTuple):
     J: tuple
 
 
+def _submatrix(prob: SaddleProblem, I: Sequence[int], J: Sequence[int]) -> np.ndarray:
+    cols = [prob.E.blocks[i].dense() for i in I] + [prob.F.blocks[j].dense() for j in J]
+    return np.hstack(cols) if cols else np.zeros((prob.p, 0))
+
+
 def check_assumption4(prob: SaddleProblem) -> Assumption4Result:
     """Full column rank of ``[E_I F_J]`` assembled from the blocks whose
     declared strong convexity is zero."""
     I = tuple(i for i, b in enumerate(prob.smooth_blocks) if b.strong_convexity == 0.0)
     J = tuple(j for j, b in enumerate(prob.nonsmooth_blocks) if b.g.strong_convexity == 0.0)
-    cols = [prob.E.blocks[i].dense() for i in I] + [prob.F.blocks[j].dense() for j in J]
-    if not cols:
+    A = _submatrix(prob, I, J)
+    if A.shape[1] == 0:
         return Assumption4Result(True, I, J)
-    A = np.hstack(cols)
     if A.shape[1] > A.shape[0]:
         return Assumption4Result(False, I, J)
     s = np.linalg.svd(A, compute_uv=False)
@@ -389,10 +393,10 @@ def check_assumption4(prob: SaddleProblem) -> Assumption4Result:
     return Assumption4Result(holds, I, J)
 
 
-def check_assumption5(prob: SaddleProblem, tol: float = TOL_RANK) -> bool:
+def check_assumption5(prob: SaddleProblem) -> bool:
     """Range containment ``R(F) subseteq R(E)``."""
     return range_contained(LinearOperator.from_matrix(prob.F.dense()),
-                           LinearOperator.from_matrix(prob.E.dense()), tol)
+                           LinearOperator.from_matrix(prob.E.dense()))
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +416,7 @@ class GesCertificate:
     notes: dict = field(default_factory=dict)
 
 
-def _submatrix(prob: SaddleProblem, I: Sequence[int], J: Sequence[int]) -> np.ndarray:
-    cols = [prob.E.blocks[i].dense() for i in I] + [prob.F.blocks[j].dense() for j in J]
-    return np.hstack(cols) if cols else np.zeros((prob.p, 0))
-
-
-def ges_certificate(prob: SaddleProblem, alpha: Optional[float] = None) -> GesCertificate:
+def ges_certificate(prob: SaddleProblem) -> GesCertificate:
     """Strong convexity modulus, admissible time-constant range, and the
     exponential envelope constants for a certified instance.
 
@@ -443,8 +442,7 @@ def ges_certificate(prob: SaddleProblem, alpha: Optional[float] = None) -> GesCe
     else:
         m_fg = max(m_f, m_g)
 
-    EF = prob._EF_dense()
-    sEF = singular_extremes(EF)
+    sEF = prob.kernel.singular_extremes
     empty_convention = False
     if m_fg == 0.0:
         m_xz = sEF.sigma_min ** 2 / mu
@@ -472,7 +470,7 @@ def ges_certificate(prob: SaddleProblem, alpha: Optional[float] = None) -> GesCe
     sF = singular_extremes(prob.F.dense())
     c3 = (2.0 / mu ** 2) * max(1.0, sF.sigma_max ** 2, mu ** 2 * sF.sigma_max ** 2)
     alpha_bar2 = 0.5 * m_xz ** 2 / (sEF.sigma_max ** 2 + 4.0)
-    a = prob.alpha if alpha is None else alpha
+    a = prob.alpha
     M2 = (2.0 * c1 + 1.0) / a
     rho2 = min(0.5, a, a * m_xz) / ((2.0 * c1 + 1.0) * (c2 + 1.0) * (c3 + 1.0))
 

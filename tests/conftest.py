@@ -149,3 +149,16 @@ def consensus_admm(prob: SaddleProblem, rho: float = 3.0, tol: float = 1e-10,
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the matrices passed to ``np.linalg.svd`` from here on."""
+    calls, svd = [], np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls

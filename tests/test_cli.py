@@ -1,6 +1,9 @@
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +96,41 @@ def test_solve_malformed_config_exit_1(tmp_path, capsys):
     cfg = write(tmp_path, "problem = lasso_network\nagents = notanint\n")
     assert main(["solve", "--config", cfg]) == 1
     assert "agents" in capsys.readouterr().err
+
+
+def test_solve_zero_record_stride_exit_1(tmp_path, capsys):
+    cfg = write(tmp_path, "problem = counterexample\nrecord_stride = 0\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def _readme_block(heading, info):
+    """The first fenced block with this info string under the README heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split(f"## {heading}\n", 1)[1]
+    return next(body for tag, body in re.findall(r"```(\w*)\n(.*?)```", section, re.S)
+                if tag == info)
+
+
+def test_readme_command_lines_run(tmp_path, capsys):
+    # The README's own config, shortened so the solve stays quick.
+    cfg = write(tmp_path, _readme_block("Command line", "").replace(
+        "t_end = 50.0", "t_end = 5.0"))
+    out = tmp_path / "outdir"
+    ran = set()
+    for line in _readme_block("Command line", "sh").splitlines():
+        argv = shlex.split(line.split("#", 1)[0])
+        assert argv[0] == "palflow"
+        if argv[1:3] == ["bench", "examples"]:
+            continue            # runs the four full-size examples
+        argv = [str(out) + "/" if a == "outdir/" else cfg if a == "config.txt" else a
+                for a in argv[1:]]
+        assert main(argv) == 0, line
+        ran.add(argv[0] + (" --svg" if "--svg" in argv else ""))
+    assert ran == {"solve", "solve --svg", "certify", "bench"}
+    assert (out / "trajectory.csv").exists() and (out / "manifest.txt").exists()
+    assert (out / "kkt.svg").read_text().startswith("<svg")
+    assert "PASS" in capsys.readouterr().out
 
 
 def test_solve_counterexample_emits_exit_row(tmp_path):

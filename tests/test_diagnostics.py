@@ -34,8 +34,10 @@ def test_v1_alpha_weights_primal_only(rng):
     prob, s_star = quadratic_equality_instance(rng)
     ref = ReferenceSolution.from_state(prob, s_star)
     s = prob.random_state(rng)
-    v_a = lyapunov_v1(prob, s, ref, alpha=1.0)
-    v_2a = lyapunov_v1(prob, s, ref, alpha=2.0)
+    prob.alpha = 1.0
+    v_a = lyapunov_v1(prob, s, ref)
+    prob.alpha = 2.0
+    v_2a = lyapunov_v1(prob, s, ref)
     primal = sum(float(np.sum((a - b) ** 2))
                  for a, b in zip(s.x, s_star.x)) / 2.0
     assert v_2a - v_a == pytest.approx(primal, rel=1e-10)
@@ -137,6 +139,14 @@ def test_dual_inner_iterations_on_criterion_8_instance():
                            rng.standard_normal(5)).iterations
              for _ in range(20)]
     assert np.median(iters) <= 300
+
+
+def test_dual_function_factors_EF_once(rng, svd_calls):
+    prob = composite_instance(rng)
+    for _ in range(3):
+        s = prob.random_state(rng)
+        dual_function(prob, s.y, s.lam)
+    assert svd_calls == [(prob.p, prob.m + prob.n)]
 
 
 def test_dual_iteration_cap_error():

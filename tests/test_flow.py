@@ -99,8 +99,10 @@ def test_field_zero_at_saddle():
 def test_alpha_scales_dual_parts_only(rng):
     prob = composite_instance(rng)
     s = prob.random_state(rng)
-    d1 = vector_field(prob, s, alpha=1.0)
-    d2 = vector_field(prob, s, alpha=2.0)
+    prob.alpha = 1.0
+    d1 = vector_field(prob, s)
+    prob.alpha = 2.0
+    d2 = vector_field(prob, s)
     for a, b in zip(d1.x + d1.z, d2.x + d2.z):
         assert np.allclose(a, b, atol=1e-15)
     for a, b in zip(d1.y, d2.y):
@@ -241,6 +243,13 @@ def test_config_validation():
         IntegratorConfig(method="euler")          # missing step
     with pytest.raises(ValueError):
         IntegratorConfig(rel_tol=0.0)
+    for method, h in (("euler", 0.1), ("rk4", 0.1), ("rk45", None)):
+        for stride in (0, -1):
+            with pytest.raises(ValueError, match="record_stride"):
+                IntegratorConfig(method=method, h=h, record_stride=stride)
+        for t_end in (0.0, -1.0):
+            with pytest.raises(ValueError, match="t_end"):
+                IntegratorConfig(method=method, h=h, t_end=t_end)
 
 
 def test_integrate_stop_kkt(rng):
@@ -296,8 +305,8 @@ def test_trajectory_csv_layout(tmp_path, rng):
     assert len(lines) == len(traj.times) + 1
     bpath = tmp_path / "states.bin"
     traj.states_to_binary(bpath)
-    raw = np.frombuffer(bpath.read_bytes(), dtype="<f8")
-    assert np.allclose(raw.reshape(traj.states.shape), traj.states)
+    raw = np.fromfile(bpath, dtype="<f8").reshape(len(traj.times), -1)
+    assert np.array_equal(raw, traj.states)
 
 
 def test_nonfinite_state_raises():

@@ -184,3 +184,15 @@ def test_lipschitz_xz_formula(rng):
     smax = np.linalg.svd(prob._EF_dense(), compute_uv=False)[0]
     assert prob.lipschitz_xz() == pytest.approx(
         prob.L_f + (1.0 + smax ** 2) / prob.mu)
+
+
+def test_ges_certificate_factors_EF_once(svd_calls):
+    # criterion 2's first certified instance: one SVD of [E F], one of E
+    prob, _ = quadratic_equality_instance(np.random.default_rng(11), p=3, dims=(4, 3),
+                                          curvature=5.0, a_scale=0.45)
+    cert = ges_certificate(prob)
+    assert svd_calls == [(3, 7), (3, 7)]
+    assert cert.L_xz == prob.lipschitz_xz()
+    assert cert.notes["sigma_max_EF"] == prob.kernel.singular_extremes.sigma_max
+    ges_certificate(prob)
+    assert len(svd_calls) == 3             # [E F] is not factored again
