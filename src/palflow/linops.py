@@ -1,14 +1,15 @@
 """Linear operator abstraction with the spectral and range queries used elsewhere.
 
 Operators map vector- or matrix-shaped arrays to vector- or matrix-shaped
-arrays. Vectorization is column-major (``order='F'``) throughout the project
-and matrix-shaped variables carry the trace inner product, so ``adjoint`` is
+arrays, and each is defined by one matrix acting on vectorized inputs.
+Vectorization is column-major (``order='F'``) throughout the project and
+matrix-shaped variables carry the trace inner product, so ``adjoint`` is
 always taken with respect to ``<U, V> = tr(U^T V)``.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -39,33 +40,27 @@ class SingularExtremes(NamedTuple):
 
 
 class LinearOperator:
-    """A bounded linear map given by an ``apply``/``adjoint`` pair.
+    """A bounded linear map, defined by its matrix acting on vec'd inputs.
 
     Parameters
     ----------
     in_shape, out_shape : tuple
         Shapes of domain and codomain arrays; ``(n,)`` for vectors,
         ``(r, c)`` for matrices.
-    apply, adjoint : callable
-        The forward map and its adjoint with respect to the (trace) inner
-        product.
-    dense : ndarray, optional
-        Materialized matrix acting on vectorized inputs. Built lazily from
-        basis vectors when not supplied.
-    matrix : callable, optional
-        Zero-argument function returning the CSR matrix that defines the
-        operator on vectorized inputs (see :attr:`matrix`); ``None`` for
-        matrix-free operators.
+    matrix : callable
+        Zero-argument function returning the matrix in its natural form (a
+        dense array or a sparse matrix); called once, on first use, so that
+        constructing an operator stays cheap.
+
+    ``apply`` and ``adjoint`` are the products of the CSR form of that matrix
+    and of its transpose with the vec'd input; the adjoint is thereby taken
+    with respect to the (trace) inner product.
     """
 
-    def __init__(self, in_shape, out_shape, apply: Callable, adjoint: Callable,
-                 dense: Optional[np.ndarray] = None, matrix=None):
+    def __init__(self, in_shape, out_shape, matrix: Callable):
         self.in_shape = tuple(in_shape)
         self.out_shape = tuple(out_shape)
-        self._apply = apply
-        self._adjoint = adjoint
-        self._dense = None if dense is None else np.asarray(dense, dtype=float)
-        self._matrix = matrix
+        self._build = matrix
 
     @property
     def in_dim(self) -> int:
@@ -75,122 +70,98 @@ class LinearOperator:
     def out_dim(self) -> int:
         return int(np.prod(self.out_shape, dtype=int))
 
-    @property
-    def matrix(self):
-        """The defining CSR matrix, or ``None`` for a matrix-free operator.
-        Built when asked for, so that constructing an operator stays cheap."""
-        return None if self._matrix is None else self._matrix()
+    @cached_property
+    def _natural(self):
+        return self._build()
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The defining matrix as CSR, each row's column indices sorted so that
+        products sum a row in the same order as matrices stacked from it."""
+        M = sp.csr_matrix(self._natural)
+        M.sort_indices()
+        return M
+
+    @cached_property
+    def _matrix_t(self) -> sp.csr_matrix:
+        return self.matrix.T.tocsr()
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if u.shape != self.in_shape:
-            raise ValueError(f"expected input of shape {self.in_shape}, got {u.shape}")
-        return np.asarray(self._apply(u), dtype=float)
+        return unvec(self.matrix @ vec(_checked(u, self.in_shape)), self.out_shape)
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != self.out_shape:
-            raise ValueError(f"expected input of shape {self.out_shape}, got {v.shape}")
-        return np.asarray(self._adjoint(v), dtype=float)
+        return unvec(self._matrix_t @ vec(_checked(v, self.out_shape)), self.in_shape)
 
     def dense(self) -> np.ndarray:
-        """Materialize the operator as a matrix acting on vec'd inputs.
-
-        Computed once from canonical basis vectors and cached.
-        """
-        if self._dense is None:
-            cols = np.empty((self.out_dim, self.in_dim))
-            e = np.zeros(self.in_dim)
-            for j in range(self.in_dim):
-                e[j] = 1.0
-                cols[:, j] = vec(self.apply(unvec(e, self.in_shape)))
-                e[j] = 0.0
-            self._dense = cols
-        return self._dense
+        """The matrix as a dense array."""
+        M = self._natural
+        return M.toarray() if sp.issparse(M) else M
 
     @classmethod
     def from_matrix(cls, A: np.ndarray) -> "LinearOperator":
-        """The operator of the matrix ``A``, applied through the CSR forms of
-        ``A`` and ``A^T``."""
+        """The operator of the matrix ``A`` on vectors."""
         A = np.atleast_2d(np.asarray(A, dtype=float))
-
-        @cache
-        def csr(transpose: bool):
-            return sp.csr_matrix(A.T if transpose else A)
-
-        return cls((A.shape[1],), (A.shape[0],), lambda u: csr(False) @ u,
-                   lambda v: csr(True) @ v, dense=A, matrix=lambda: csr(False))
+        return cls((A.shape[1],), (A.shape[0],), lambda: A)
 
     @classmethod
     def identity(cls, shape) -> "LinearOperator":
         shape = tuple(np.atleast_1d(shape))
-        return cls(shape, shape, lambda u: u, lambda v: v,
-                   matrix=lambda: sp.identity(int(np.prod(shape, dtype=int)), format="csr"))
+        return _Identity(shape, shape,
+                         lambda: sp.identity(int(np.prod(shape, dtype=int)), format="csr"))
 
     @classmethod
     def zero(cls, in_shape, out_shape) -> "LinearOperator":
         in_shape, out_shape = tuple(np.atleast_1d(in_shape)), tuple(np.atleast_1d(out_shape))
         return cls(in_shape, out_shape,
-                   lambda u: np.zeros(out_shape), lambda v: np.zeros(in_shape),
-                   matrix=lambda: sp.csr_matrix((int(np.prod(out_shape, dtype=int)),
-                                                 int(np.prod(in_shape, dtype=int)))))
+                   lambda: sp.csr_matrix((int(np.prod(out_shape, dtype=int)),
+                                          int(np.prod(in_shape, dtype=int)))))
+
+
+class _Identity(LinearOperator):
+    """The identity, which returns its (checked) input rather than paying a
+    sparse product: agents' identity maps sit in the message-passing field's
+    inner loop."""
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        return _checked(u, self.in_shape)
+
+    adjoint = apply
+
+
+def _checked(u: np.ndarray, shape: tuple) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if u.shape != shape:
+        raise ValueError(f"expected input of shape {shape}, got {u.shape}")
+    return u
 
 
 def lyapunov_operator(A: np.ndarray) -> LinearOperator:
-    """The map ``X -> A X + X A^T`` on square matrices, with adjoint
-    ``V -> A^T V + V A``."""
+    """The map ``X -> A X + X A^T`` on square matrices, the Kronecker sum
+    ``I (x) A + A (x) I`` on ``vec X``."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     return LinearOperator((n, n), (n, n),
-                          lambda X: A @ X + X @ A.T,
-                          lambda V: A.T @ V + V @ A)
+                          lambda: sp.kron(sp.identity(n), A) + sp.kron(A, sp.identity(n)))
 
 
 def masked_congruence(B: np.ndarray, C: np.ndarray) -> LinearOperator:
-    """The map ``X -> (B X B^T) o C`` with Hadamard mask ``C``; adjoint is
-    ``V -> B^T (V o C) B``."""
+    """The map ``X -> (B X B^T) o C`` with Hadamard mask ``C``, the matrix
+    ``diag(vec C) (B (x) B)`` on ``vec X``."""
     B = np.asarray(B, dtype=float)
     C = np.asarray(C, dtype=float)
     n = B.shape[1]
     p = B.shape[0]
-    return LinearOperator((n, n), (p, p),
-                          lambda X: (B @ X @ B.T) * C,
-                          lambda V: B.T @ (V * C) @ B)
-
-
-def flatten_output(op: LinearOperator) -> LinearOperator:
-    """Compose with column-major vectorization of the codomain."""
-    if len(op.out_shape) == 1:
-        return op
-    return LinearOperator(op.in_shape, (op.out_dim,),
-                          lambda u: vec(op.apply(u)),
-                          lambda v: op.adjoint(unvec(v, op.out_shape)),
-                          dense=op._dense, matrix=op._matrix)
+    return LinearOperator((n, n), (p, p), lambda: sp.diags(vec(C)) @ sp.kron(B, B))
 
 
 def vstack(ops: Sequence[LinearOperator]) -> LinearOperator:
     """Stack operators sharing a domain into one with concatenated (vec'd)
     codomain."""
-    ops = [flatten_output(op) for op in ops]
     in_shape = ops[0].in_shape
     if any(op.in_shape != in_shape for op in ops):
         raise ValueError("vstack requires a common domain shape")
-    offs = np.cumsum([0] + [op.out_dim for op in ops])
-    p = int(offs[-1])
-
-    def apply(u):
-        return np.concatenate([op.apply(u) for op in ops])
-
-    def adjoint(v):
-        out = np.zeros(in_shape)
-        for op, a, b in zip(ops, offs[:-1], offs[1:]):
-            out = out + op.adjoint(v[a:b])
-        return out
-
-    explicit = all(op._matrix is not None for op in ops)
-    return LinearOperator(in_shape, (p,), apply, adjoint,
-                          matrix=(lambda: sp.vstack([op.matrix for op in ops], format="csr"))
-                          if explicit else None)
+    return LinearOperator(in_shape, (sum(op.out_dim for op in ops),),
+                          lambda: sp.vstack([op.matrix for op in ops], format="csr"))
 
 
 class BlockOperator:
@@ -201,7 +172,7 @@ class BlockOperator:
     """
 
     def __init__(self, blocks: Sequence[LinearOperator], p: Optional[int] = None):
-        self.blocks = [flatten_output(b) for b in blocks]
+        self.blocks = list(blocks)
         if self.blocks:
             dims = {b.out_dim for b in self.blocks}
             if len(dims) != 1:
@@ -227,11 +198,11 @@ class BlockOperator:
             raise ValueError("block count mismatch")
         out = np.zeros(self.p)
         for op, u in zip(self.blocks, blocks):
-            out += op.apply(np.asarray(u, dtype=float))
+            out += vec(op.apply(u))
         return out
 
     def adjoint(self, v: np.ndarray) -> list:
-        return [op.adjoint(v) for op in self.blocks]
+        return [op.adjoint(unvec(v, op.out_shape)) for op in self.blocks]
 
     def dense(self) -> np.ndarray:
         if not self.blocks:
@@ -239,14 +210,13 @@ class BlockOperator:
         return np.hstack([b.dense() for b in self.blocks])
 
 
-def singular_extremes(op: LinearOperator) -> SingularExtremes:
-    """Largest and smallest nonzero singular values of a materializable
-    operator.
+def singular_extremes(A: np.ndarray) -> SingularExtremes:
+    """Largest and smallest nonzero singular values of the matrix ``A``.
 
     Singular values below ``TOL_RANK * sigma_max`` are treated as zero. The
     zero operator yields ``(0, 0)`` (flagged through ``is_zero``).
     """
-    A = op.dense() if isinstance(op, LinearOperator) else np.atleast_2d(np.asarray(op, dtype=float))
+    A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.size == 0:
         return SingularExtremes(0.0, 0.0)
     s = np.linalg.svd(A, compute_uv=False)
@@ -268,15 +238,16 @@ def range_basis(A: np.ndarray) -> np.ndarray:
     return U[:, :int(np.sum(s > TOL_RANK * s[0]))]
 
 
-def range_contained(F: LinearOperator, E: LinearOperator) -> bool:
-    """Whether ``R(F)`` is contained in ``R(E)``.
+def range_contained(F: np.ndarray, E: np.ndarray) -> bool:
+    """Whether ``R(F)`` is contained in ``R(E)`` for matrices ``F`` and ``E``.
 
-    Each column of the dense form of ``F`` is tested by its least-squares
-    residual against ``R(E)``, at most ``TOL_RANK`` times the column norm.
+    Each column of ``F`` is tested by its least-squares residual against
+    ``R(E)``, at most ``TOL_RANK`` times the column norm.
     """
-    Fd, Ed = F.dense(), E.dense()
+    Fd = np.atleast_2d(np.asarray(F, dtype=float))
+    Ed = np.atleast_2d(np.asarray(E, dtype=float))
     if Fd.shape[0] != Ed.shape[0]:
-        raise ValueError("operators must share the codomain dimension")
+        raise ValueError("F and E must have the same number of rows")
     if Fd.size == 0 or not np.any(Fd):
         return True
     Ur = range_basis(Ed)
@@ -293,10 +264,10 @@ def range_contained(F: LinearOperator, E: LinearOperator) -> bool:
     return True
 
 
-def null_projection(op: LinearOperator, v: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of ``v`` onto ``N(op^T)``, the orthogonal
-    complement of the range of ``op``."""
-    A = op.dense()
+def null_projection(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of ``v`` onto ``N(A^T)``, the orthogonal
+    complement of the range of the matrix ``A``."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
     v = np.asarray(v, dtype=float)
     if v.shape != (A.shape[0],):
         raise ValueError(f"expected a vector of dimension {A.shape[0]}, got shape {v.shape}")

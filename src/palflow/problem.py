@@ -10,8 +10,8 @@ from typing import Callable, List, NamedTuple, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .linops import (BlockOperator, LinearOperator, SingularExtremes, TOL_RANK,
-                     range_basis, singular_extremes, range_contained, vec, unvec)
+from .linops import (BlockOperator, SingularExtremes, TOL_RANK, range_basis,
+                     singular_extremes, range_contained, vec, unvec)
 from .prox import ProximableFunction, moreau_value
 
 
@@ -242,13 +242,12 @@ class FieldKernel:
     the KKT residual, evaluated on the flat state of a :class:`SaddleProblem`
     (packing order: x blocks, z blocks, y blocks, lam).
 
-    The column blocks of ``[E F]`` with an explicit matrix are stacked into
-    two CSR matrices over the contiguous ``(x, z)`` slice: their block
-    diagonal, whose one product gives every block's ``E_i x_i`` (the
-    residual then sums them in block order, exactly as ``BlockOperator``
-    does, so the two agree to the last bit even where ``Ex`` and ``q``
-    cancel), and the transpose of ``[E F]``, whose one product gives both
-    adjoints. Blocks with no explicit matrix act on their own slice. Smooth
+    The matrices of the column blocks of ``[E F]`` are stacked into two CSR
+    matrices over the contiguous ``(x, z)`` slice: their block diagonal,
+    whose one product gives every block's ``E_i x_i`` (the residual then
+    sums them in block order, exactly as ``BlockOperator`` does, so the two
+    agree to the last bit even where ``Ex`` and ``q`` cancel), and the
+    transpose of ``[E F]``, whose one product gives both adjoints. Smooth
     gradients and proxes are called on reshaped views of their slices.
     ``mu`` and ``alpha`` are read from the problem at each call.
     """
@@ -258,12 +257,7 @@ class FieldKernel:
         self.m, self.n, self.p = prob.m, prob.n, prob.p
         cols = prob.E.blocks + prob.F.blocks
         self.n_E = len(prob.E.blocks)
-        offs = np.cumsum([0] + [op.in_dim for op in cols])
-        mats = [op.matrix for op in cols]
-        self.free = [(i, slice(offs[i], offs[i + 1]), op)
-                     for i, (op, M) in enumerate(zip(cols, mats)) if M is None]
-        mats = [sp.csr_matrix((self.p, op.in_dim)) if M is None else M
-                for op, M in zip(cols, mats)] or [sp.csr_matrix((self.p, 0))]
+        mats = [op.matrix for op in cols] or [sp.csr_matrix((self.p, 0))]
         self.blocks = sp.block_diag(mats, format="csr")
         self.n_blocks = len(mats)
         self.EFt = sp.hstack(mats, format="csr").T.tocsr()
@@ -273,16 +267,11 @@ class FieldKernel:
     def _residual(self, xz: np.ndarray) -> np.ndarray:
         """``E x + F z - q``."""
         parts = (self.blocks @ xz).reshape(self.n_blocks, self.p)
-        for i, sl, op in self.free:
-            parts[i] = op.apply(unvec(xz[sl], op.in_shape))
         return parts[:self.n_E].sum(axis=0) + parts[self.n_E:].sum(axis=0) - self.prob.q
 
     def _adjoint(self, v: np.ndarray) -> np.ndarray:
         """``[E F]^T v`` on the ``(x, z)`` slice."""
-        out = self.EFt @ v
-        for _, sl, op in self.free:
-            out[sl] += vec(op.adjoint(v))
-        return out
+        return self.EFt @ v
 
     def _f_grad(self, x: np.ndarray) -> np.ndarray:
         out = np.empty(self.m)
@@ -380,7 +369,8 @@ def _submatrix(prob: SaddleProblem, I: Sequence[int], J: Sequence[int]) -> np.nd
 
 def check_assumption4(prob: SaddleProblem) -> Assumption4Result:
     """Full column rank of ``[E_I F_J]`` assembled from the blocks whose
-    declared strong convexity is zero."""
+    declared strong convexity is zero; singular values count as zero below
+    ``TOL_RANK`` times the largest, as in ``range_basis``."""
     I = tuple(i for i, b in enumerate(prob.smooth_blocks) if b.strong_convexity == 0.0)
     J = tuple(j for j, b in enumerate(prob.nonsmooth_blocks) if b.g.strong_convexity == 0.0)
     A = _submatrix(prob, I, J)
@@ -389,14 +379,13 @@ def check_assumption4(prob: SaddleProblem) -> Assumption4Result:
     if A.shape[1] > A.shape[0]:
         return Assumption4Result(False, I, J)
     s = np.linalg.svd(A, compute_uv=False)
-    holds = bool(s[-1] > TOL_RANK * max(s[0], 1.0))
+    holds = bool(s[-1] > TOL_RANK * s[0])
     return Assumption4Result(holds, I, J)
 
 
 def check_assumption5(prob: SaddleProblem) -> bool:
     """Range containment ``R(F) subseteq R(E)``."""
-    return range_contained(LinearOperator.from_matrix(prob.F.dense()),
-                           LinearOperator.from_matrix(prob.E.dense()))
+    return range_contained(prob.F.dense(), prob.E.dense())
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ def test_criterion_7_multiplier_range_invariant(certified_runs):
     worst_null = 0.0
     worst_final = 0.0
     for prob, cert, ref, s0, traj in certified_runs:
-        EF = LinearOperator.from_matrix(prob._EF_dense())
+        EF = prob._EF_dense()
         lam0 = s0.lam
         for i in range(len(traj.times)):
             drift = null_projection(EF, traj.state(i).lam - lam0)

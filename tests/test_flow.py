@@ -6,7 +6,8 @@ from palflow.distributed import assemble_consensus
 from palflow.flow import (FlowField, IntegratorConfig, blockwise_field,
                           integrate, integrate_ode, pal_gradient, pal_value,
                           vector_field)
-from palflow.linops import BlockOperator, LinearOperator, vec
+from palflow.linops import (BlockOperator, LinearOperator, masked_congruence,
+                            vec)
 from palflow.problem import (NonsmoothBlock, PrimalDualState, SaddleProblem,
                              SmoothBlock, kkt_residual)
 
@@ -143,14 +144,28 @@ def _rel_gap(a, b):
     return float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(a))))
 
 
+def dense_congruence_problem():
+    """A masked congruence with a dense ``B``: the sparse product that builds
+    its matrix leaves each row's column indices unsorted."""
+    rng = np.random.default_rng(5)
+    E = BlockOperator([masked_congruence(rng.standard_normal((2, 3)),
+                                         np.array([[1.0, 0.0], [1.0, 1.0]]))])
+    F = BlockOperator([LinearOperator.from_matrix(-np.eye(4))])
+    smooth = [SmoothBlock(shape=(3, 3), value=lambda X: 0.5 * np.sum(X ** 2),
+                          grad=lambda X: X, lipschitz=1.0, strong_convexity=1.0)]
+    return SaddleProblem(smooth, [NonsmoothBlock(prox.l1(), (4,))], E, F,
+                         rng.standard_normal(4))
+
+
 KERNEL_INSTANCES = {
     "network_lasso": lambda: assemble_consensus(examples.gen_lasso_network(3, 4, 3, seed=0)[0]),
     "sparse_group_lasso": lambda: examples.gen_sparse_group_lasso(6, 12, 3, seed=2)[0],
     # identity F blocks and an empty E
     "pcp": lambda: examples.gen_pcp(6, 1, seed=3)[0],
-    # matrix-free Lyapunov and masked-congruence E
+    # Lyapunov and masked-congruence E, identity-over-zero F, matrix-shaped x and z
     "covariance_completion": lambda: examples.gen_covariance_completion(3)[0],
     "counterexample": lambda: examples.counterexample_problem(mu=0.7, alpha=1.3),
+    "dense_congruence": dense_congruence_problem,
 }
 
 

@@ -16,27 +16,27 @@ def test_vec_is_column_major():
 
 def test_singular_extremes_identity():
     op = LinearOperator.identity((3,))
-    s = singular_extremes(op)
+    s = singular_extremes(op.dense())
     assert s.sigma_max == pytest.approx(1.0)
     assert s.sigma_min == pytest.approx(1.0)
 
 
 def test_singular_extremes_tall_column():
     op = LinearOperator.from_matrix(np.array([[-1.0], [1.0]]))
-    s = singular_extremes(op)
+    s = singular_extremes(op.dense())
     assert s.sigma_max == pytest.approx(np.sqrt(2.0))
     assert s.sigma_min == pytest.approx(np.sqrt(2.0))
 
 
 def test_singular_extremes_zero_flagged():
-    s = singular_extremes(LinearOperator.zero((2,), (2,)))
+    s = singular_extremes(LinearOperator.zero((2,), (2,)).dense())
     assert s == (0.0, 0.0)
     assert s.is_zero
 
 
 def test_singular_extremes_ignores_tiny_values():
     A = np.diag([1.0, 1e-15])
-    s = singular_extremes(LinearOperator.from_matrix(A))
+    s = singular_extremes(A)
     assert s.sigma_min == pytest.approx(1.0)
 
 
@@ -136,33 +136,33 @@ def test_block_operator_mismatched_codomain_raises():
 
 def test_range_contained_zero_and_self():
     rng = np.random.default_rng(4)
-    E = LinearOperator.from_matrix(rng.standard_normal((4, 2)))
-    assert range_contained(LinearOperator.zero((3,), (4,)), E)
+    E = rng.standard_normal((4, 2))
+    assert range_contained(LinearOperator.zero((3,), (4,)).dense(), E)
     assert range_contained(E, E)
 
 
 def test_range_contained_detects_escape():
-    E = LinearOperator.from_matrix(np.array([[1.0], [0.0]]))
-    F = LinearOperator.from_matrix(np.array([[0.0], [1.0]]))
+    E = np.array([[1.0], [0.0]])
+    F = np.array([[0.0], [1.0]])
     assert not range_contained(F, E)
 
 
 def test_null_projection_surjective_is_zero():
     rng = np.random.default_rng(5)
-    op = LinearOperator.from_matrix(rng.standard_normal((3, 5)))
+    A = rng.standard_normal((3, 5))
     v = rng.standard_normal(3)
-    assert np.allclose(null_projection(op, v), 0.0, atol=1e-12)
+    assert np.allclose(null_projection(A, v), 0.0, atol=1e-12)
 
 
 def test_null_projection_wide_row():
-    op = LinearOperator.from_matrix(np.array([[1.0, 1.0]]))
-    assert np.allclose(null_projection(op, np.array([3.0])), 0.0, atol=1e-12)
+    A = np.array([[1.0, 1.0]])
+    assert np.allclose(null_projection(A, np.array([3.0])), 0.0, atol=1e-12)
 
 
 def test_null_projection_column_operator():
-    op = LinearOperator.from_matrix(np.array([[1.0], [1.0]]))
+    A = np.array([[1.0], [1.0]])
     v = np.array([1.0, -1.0])
-    assert np.allclose(null_projection(op, v), v, atol=1e-12)
+    assert np.allclose(null_projection(A, v), v, atol=1e-12)
 
 
 def test_dense_materialization_matches_apply():
@@ -174,9 +174,66 @@ def test_dense_materialization_matches_apply():
     assert np.allclose(op.dense() @ vec(X), vec(op.apply(X)), atol=1e-12)
 
 
+def test_structured_operators_match_their_formulas():
+    rng = np.random.default_rng(9)
+    A = rng.standard_normal((3, 3))
+    B = rng.standard_normal((2, 3))
+    C = np.array([[1.0, 0.0], [1.0, 1.0]])
+    X = rng.standard_normal((3, 3))
+    V = rng.standard_normal((3, 3))
+    W = rng.standard_normal((2, 2))
+    lyap, cong = lyapunov_operator(A), masked_congruence(B, C)
+    assert np.allclose(lyap.apply(X), A @ X + X @ A.T, atol=1e-12)
+    assert np.allclose(lyap.adjoint(V), A.T @ V + V @ A, atol=1e-12)
+    assert np.allclose(cong.apply(X), (B @ X @ B.T) * C, atol=1e-12)
+    assert np.allclose(cong.adjoint(W), B.T @ (W * C) @ B, atol=1e-12)
+
+
 def test_shape_validation():
     op = LinearOperator.from_matrix(np.ones((2, 3)))
     with pytest.raises(ValueError):
         op.apply(np.ones(2))
     with pytest.raises(ValueError):
         op.adjoint(np.ones(3))
+
+
+def _operators():
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((3, 3))
+    B = rng.standard_normal((2, 3))
+    C = (rng.random((2, 2)) < 0.5).astype(float)
+    return {
+        "from_matrix": LinearOperator.from_matrix(rng.standard_normal((4, 3))),
+        "identity": LinearOperator.identity((2, 3)),
+        "zero": LinearOperator.zero((3, 2), (4,)),
+        "lyapunov_operator": lyapunov_operator(A),
+        "masked_congruence": masked_congruence(B, C),
+        "vstack": vstack([lyapunov_operator(A), masked_congruence(B, C),
+                          LinearOperator.identity((3, 3))]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_operators()))
+def test_operator_is_its_matrix(name):
+    op = _operators()[name]
+    rng = np.random.default_rng(8)
+    M = op.matrix
+    assert M.shape == (op.out_dim, op.in_dim)
+    u = rng.standard_normal(op.in_shape)
+    v = rng.standard_normal(op.out_shape)
+    assert op.apply(u).shape == op.out_shape
+    assert op.adjoint(v).shape == op.in_shape
+    assert np.array_equal(vec(op.apply(u)), M @ vec(u))
+    assert np.array_equal(vec(op.adjoint(v)), M.T @ vec(v))
+    assert np.array_equal(op.dense(), M.toarray())
+
+
+def test_identity_returns_its_input():
+    op = LinearOperator.identity((2, 3))
+    U = np.ones((2, 3))
+    assert op.apply(U) is U
+    assert op.adjoint(U) is U
+    with pytest.raises(ValueError):
+        op.apply(np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        op.adjoint(np.ones(6))

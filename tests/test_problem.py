@@ -72,6 +72,16 @@ def test_assumption4_duplicate_columns_fail():
     assert not check_assumption4(prob).holds
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-10])
+def test_assumption4_rank_is_scale_invariant(scale):
+    smooth = [SmoothBlock(shape=(2,), value=lambda x: 0.0,
+                          grad=lambda x: np.zeros(2), lipschitz=1.0)]
+    E = BlockOperator([LinearOperator.from_matrix(scale * np.eye(2))])
+    prob = SaddleProblem(smooth, [], E, BlockOperator([], p=2), np.zeros(2))
+    res = check_assumption4(prob)
+    assert res.holds and res.I == (0,)
+
+
 def test_assumption5_full_row_rank(rng):
     prob, _ = quadratic_equality_instance(rng)
     assert check_assumption5(prob)
