@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import sys
 import time
 from typing import Dict, Tuple
 
 import numpy as np
+import scipy
 
 from . import __version__, distributed, examples, flow, prox
 from .diagnostics import fit_exponential_rate
@@ -161,17 +163,19 @@ def integrator_from(keys, args) -> flow.IntegratorConfig:
                                  record_stride=_get(keys, "record_stride", int, 1))
 
 
-def write_manifest(path, config_path, keys, cfg, seed, out_dir):
+def write_manifest(path, config_path, keys, cfg, seed, out_dir, traj):
+    # ru_maxrss is in kilobytes on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+    rows = {"palflow_version": __version__, "numpy_version": np.__version__,
+            "scipy_version": scipy.__version__,
+            "config": os.path.abspath(config_path), "out": os.path.abspath(out_dir),
+            "seed": seed, "method": cfg.method, "t_end": repr(cfg.t_end),
+            "stop_kkt": repr(cfg.stop_kkt), "termination": traj.termination,
+            "n_evals": traj.meta["n_evals"], "steps": traj.meta["steps"],
+            "peak_rss_mb": f"{peak_mb:.1f}"}
+    rows.update((f"config.{k}", v) for k, v in sorted(keys.items()))
     with open(path, "w") as fh:
-        fh.write(f"palflow_version = {__version__}\n")
-        fh.write(f"config = {os.path.abspath(config_path)}\n")
-        fh.write(f"out = {os.path.abspath(out_dir)}\n")
-        fh.write(f"seed = {seed}\n")
-        fh.write(f"method = {cfg.method}\n")
-        fh.write(f"t_end = {cfg.t_end!r}\n")
-        fh.write(f"stop_kkt = {cfg.stop_kkt!r}\n")
-        for k, v in sorted(keys.items()):
-            fh.write(f"config.{k} = {v}\n")
+        fh.writelines(f"{k} = {v}\n" for k, v in rows.items())
 
 
 def svg_line_plot(path, xs, ys, title="", log_y=True):
@@ -275,7 +279,7 @@ def cmd_solve(args) -> int:
                                   traj.times, extra["rel_function_error"],
                                   title="relative function error")
         write_manifest(os.path.join(out, "manifest.txt"), args.config, keys,
-                       cfg, seed, out)
+                       cfg, seed, out, traj)
         return 0
     except (flow.FlowError, AssumptionError, ValueError) as e:
         print(f"solve failed: {e}", file=sys.stderr)

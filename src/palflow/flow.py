@@ -7,7 +7,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45
+from scipy.integrate import solve_ivp  # noqa: F401  palbench's tracer looks up flow.solve_ivp
+from scipy.optimize import brentq
 
 from .problem import PrimalDualState, SaddleProblem
 
@@ -68,7 +70,7 @@ class IntegratorConfig:
     abs_tol: float = 1e-12
     t_end: float = 10.0
     stop_kkt: Optional[float] = None
-    max_steps: int = 10_000_000    # fixed-step methods only
+    max_steps: int = 10_000_000
     record_stride: int = 1
 
     def __post_init__(self):
@@ -119,73 +121,106 @@ class Trajectory:
             fh.write(np.ascontiguousarray(self.states, dtype="<f8").tobytes())
 
 
-def _diagnostics(prob: SaddleProblem, states):
-    kernel = prob.kernel
-    return {"kkt_residual": np.array([kernel.kkt(u) for u in states]),
-            "field_norm": np.array([np.linalg.norm(kernel.field(u)) for u in states])}
+class _FixedStep:
+    """Forward Euler or classic RK4 with step ``h``, driven like scipy's
+    ``RK45``: ``step()`` advances to ``t = k·h`` after ``k`` steps, and ``f``,
+    the field at ``(t, y)``, is evaluated on first use and is then the next
+    step's first stage."""
+
+    def __init__(self, fun: Callable, y0: np.ndarray, cfg: IntegratorConfig):
+        self.fun, self.h, self.rk4 = fun, cfg.h, cfg.method == "rk4"
+        self.n_steps = int(np.ceil(cfg.t_end / cfg.h))
+        self.k, self.t, self.y, self._f = 0, 0.0, y0, None
+        self.status = "running"
+
+    @property
+    def f(self) -> np.ndarray:
+        if self._f is None:
+            self._f = self.fun(self.t, self.y)
+        return self._f
+
+    def step(self) -> None:
+        t, y, h, k1 = self.t, self.y, self.h, self.f
+        if self.rk4:
+            k2 = self.fun(t + h / 2, y + h / 2 * k1)
+            k3 = self.fun(t + h / 2, y + h / 2 * k2)
+            k4 = self.fun(t + h, y + h * k3)
+            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        else:
+            y = y + h * k1
+        self.k += 1
+        self.t, self.y, self._f = self.k * h, y, None
+        if self.k == self.n_steps:
+            self.status = "finished"
 
 
 def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
-                  events: Optional[list] = None):
+                  events: Optional[list] = None, field: Optional[Callable] = None):
     """Integrate a generic flat ODE with the configured method.
 
-    Returns ``(times, states, termination)``. The adaptive method
-    is Dormand-Prince 4(5) with error-controlled step rejection and dense
-    event location; fixed-step methods are forward Euler and classic RK4.
-    Every ``record_stride``-th step and the last one are kept. Events stop
-    the run where they reach zero or below (``"event"``); one that is there
-    at ``t = 0`` already stops it before the first step, with one sample. Only
-    the fixed-step methods obey ``max_steps`` (``"max_steps"``).
+    Returns ``(times, states, field_norms, termination, steps)``. The adaptive
+    method is Dormand-Prince 4(5) (scipy's ``RK45``, stepped here) with
+    error-controlled step rejection; fixed-step methods are forward Euler and
+    classic RK4. Only every ``record_stride``-th accepted step and the last
+    one are held. ``field_norms`` are the norms of the field at the kept
+    samples, taken from the field each step already holds there; the one
+    sample no step leaves it at (an event's end point, the last fixed-step
+    sample) is evaluated with ``field(t, y)``, uncounted, which defaults to
+    ``fun``. Events stop the run where they reach zero or below
+    (``"event"``); the adaptive method locates the crossing on its step's
+    dense output, and one that is there at ``t = 0`` already stops the run
+    before the first step, with one sample. ``max_steps`` caps the accepted
+    steps of every method (``"max_steps"``); ``steps`` counts them.
     """
     y0 = np.asarray(y0, dtype=float)
+    field = field or fun
     if events and any(ev(0.0, y0) <= 0 for ev in events):
-        return np.array([0.0]), y0[None, :].copy(), "event"
+        return (np.array([0.0]), y0[None, :].copy(),
+                np.array([np.linalg.norm(field(0.0, y0))]), "event", 0)
     if cfg.method == "rk45":
-        sol = solve_ivp(fun, (0.0, cfg.t_end), y0, method="RK45",
-                        rtol=cfg.rel_tol, atol=cfg.abs_tol, events=events,
-                        dense_output=False)
-        if not sol.success and sol.status == -1:
-            raise FlowError(f"stiff/failed: {sol.message}")
-        if not np.all(np.isfinite(sol.y)):
-            raise FlowError("non-finite state encountered")
-        term = "event" if sol.status == 1 else "t_end"
-        times, states = sol.t, sol.y.T
-        if cfg.record_stride > 1:
-            keep = np.unique(np.r_[np.arange(0, len(times), cfg.record_stride),
-                                   len(times) - 1])
-            times, states = times[keep], states[keep]
-        return times, states, term
-
-    h = cfg.h
-    n_steps = int(np.ceil(cfg.t_end / h))
-    term = "t_end"
-    if n_steps > cfg.max_steps:
-        n_steps, term = cfg.max_steps, "max_steps"
-    times = [0.0]
-    states = [y0.copy()]
-    y = y0.copy()
-    t = 0.0
-    for k in range(n_steps):
-        if cfg.method == "euler":
-            y = y + h * fun(t, y)
-        else:  # rk4
-            k1 = fun(t, y)
-            k2 = fun(t + h / 2, y + h / 2 * k1)
-            k3 = fun(t + h / 2, y + h / 2 * k2)
-            k4 = fun(t + h, y + h * k3)
-            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = (k + 1) * h
+        stepper = RK45(fun, 0.0, y0, cfg.t_end, rtol=cfg.rel_tol, atol=cfg.abs_tol)
+    else:
+        stepper = _FixedStep(fun, y0, cfg)
+    # The kept states share one buffer that grows in place (for large
+    # buffers, realloc moves pages rather than copying them), so a run holds
+    # its samples once: no list of them next to their stacked copy.
+    states = np.empty((64, y0.size))
+    states[0] = y0
+    times, norms = [0.0], [np.linalg.norm(stepper.f)]
+    steps, term = 0, None
+    while term is None:
+        message = stepper.step()
+        if stepper.status == "failed":
+            raise FlowError(f"stiff/failed: {message}")
+        steps += 1
+        t, y = stepper.t, stepper.y
         if not np.all(np.isfinite(y)):
             raise FlowError("non-finite state encountered")
-        if (k + 1) % cfg.record_stride == 0 or k == n_steps - 1:
-            times.append(t)
-            states.append(y.copy())
-        if events:
-            hit = [ev(t, y) <= 0 for ev in events]
-            if any(hit):
-                term = "event"
-                break
-    return np.asarray(times), np.asarray(states), term
+        hit = [ev for ev in events or () if ev(t, y) <= 0]
+        if hit:
+            term = "event"
+            if cfg.method == "rk45":
+                sol, tol = stepper.dense_output(), 4 * np.finfo(float).eps
+                t = min(brentq(lambda s: ev(s, sol(s)), stepper.t_old, t,
+                               xtol=tol, rtol=tol) for ev in hit)
+                y = sol(t)
+        elif stepper.status == "finished":
+            term = "t_end"
+        elif steps == cfg.max_steps:
+            term = "max_steps"
+        if term is None and steps % cfg.record_stride:
+            continue
+        if len(times) == len(states):
+            # no view of the buffer exists, so it may move
+            states.resize((len(states) * 5 // 4, y0.size), refcheck=False)
+        states[len(times)] = y
+        times.append(t)
+        # the field at an accepted state is at hand: RK45's last stage, or
+        # the first stage of the fixed-step method's next step
+        at_hand = term is None or (cfg.method == "rk45" and term != "event")
+        norms.append(np.linalg.norm(stepper.f if at_hand else field(t, y)))
+    states.resize((len(times), y0.size), refcheck=False)
+    return np.array(times), states, np.array(norms), term, steps
 
 
 def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig) -> Trajectory:
@@ -193,24 +228,25 @@ def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig) -
 
     Terminates on ``t_end``; on ``stop_kkt``, once the KKT residual is at or
     below it (located by the adaptive integrator's event search; a start
-    already there returns at once); or, for the fixed-step methods only, on
-    ``max_steps``. The reason is recorded.
+    already there returns at once); or on ``max_steps``. The reason is
+    recorded.
     """
     ff = FlowField(prob)
     events = None
     if cfg.stop_kkt is not None:
         def kkt_event(t, y):
             return prob.kernel.kkt(y) - cfg.stop_kkt
-        kkt_event.terminal = True
-        kkt_event.direction = -1
         events = [kkt_event]
 
-    times, states, term = integrate_ode(ff, prob.pack(s0), cfg, events=events)
+    times, states, norms, term, steps = integrate_ode(
+        ff, prob.pack(s0), cfg, events=events,
+        field=lambda t, y: prob.kernel.field(y))
     if term == "event":
         term = "stop_kkt"
-    diag = _diagnostics(prob, states)
-    return Trajectory(times=np.asarray(times), states=np.asarray(states),
+    diag = {"kkt_residual": np.array([prob.kernel.kkt(u) for u in states]),
+            "field_norm": norms}
+    return Trajectory(times=times, states=states,
                       diagnostics=diag, termination=term, problem=prob,
                       meta={"method": cfg.method, "alpha": prob.alpha,
                             "packing": "x-blocks, z-blocks, y-blocks, lam (column-major)",
-                            "n_evals": ff.n_evals})
+                            "n_evals": ff.n_evals, "steps": steps})

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import palflow
 from palflow import cli
@@ -147,6 +148,7 @@ def test_solve_counterexample_emits_exit_row(tmp_path):
     manifest = (tmp_path / "out" / "manifest.txt").read_text()
     assert "seed = 0" in manifest
     assert "config.beta = 5" in manifest
+    assert "termination = region_exit" in manifest
 
 
 def test_solve_custom_quadratic(tmp_path):
@@ -216,6 +218,12 @@ def test_manifest_records_package_version(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     manifest = (tmp_path / "o" / "manifest.txt").read_text().splitlines()
     assert f"palflow_version = {palflow.__version__}" in manifest
+    assert f"numpy_version = {np.__version__}" in manifest
+    assert f"scipy_version = {scipy.__version__}" in manifest
+    run = dict(line.split(" = ", 1) for line in manifest)
+    assert run["termination"] in ("t_end", "stop_kkt")
+    assert int(run["n_evals"]) > int(run["steps"]) > 0
+    assert float(run["peak_rss_mb"]) > 0
 
 
 def test_solve_lasso_reaches_oracle(tmp_path):

@@ -200,6 +200,19 @@ def test_simulate_counts_only_integrator_rounds(rng):
     assert len(traj.diagnostics["field_norm"]) == len(traj.times) == 11
 
 
+@pytest.mark.parametrize("method,h,stride", [("rk45", None, 1), ("rk45", None, 3),
+                                             ("euler", 0.05, 1), ("rk4", 0.1, 3)])
+def test_simulate_field_norms_are_the_decentralized_field(rng, method, h, stride):
+    net = small_net(k=3)
+    init = unpack_agents(net, 0.1 * rng.standard_normal(5 * 2 * 3))
+    cfg = IntegratorConfig(method=method, h=h, t_end=1.0, record_stride=stride)
+    traj = simulate(net, init, cfg, 1.0, 1.0)
+    want = [np.linalg.norm(pack_agents(decentralized_field(
+        net, unpack_agents(net, u), 1.0, 1.0))) for u in traj.states]
+    assert traj.diagnostics["field_norm"].tolist() == want
+    assert traj.meta["steps"] >= len(traj.times) - 1 > 0
+
+
 # -- agent layout with unequal z dimensions ----------------------------------
 
 def mixed_net(seed=0):

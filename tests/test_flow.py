@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from palflow import examples, flow, prox
 from palflow.distributed import assemble_consensus
@@ -192,36 +193,52 @@ def test_kernel_reads_mu_and_alpha_per_call(rng):
     assert kkt_residual(prob, s) == pytest.approx(lifted, rel=1e-12)
 
 
-def test_flow_field_counts_solver_calls_only(rng, monkeypatch):
+@pytest.fixture
+def rk45_solvers(monkeypatch):
+    """Every solver of the stepper class ``flow`` uses that the test creates;
+    each records the times at which it called its right-hand side."""
+    solvers = []
+
+    class Recording(flow.RK45):
+        def __init__(self, fun, *args, **kwargs):
+            self.calls = []
+            solvers.append(self)
+
+            def counted(t, y):
+                self.calls.append(t)
+                return fun(t, y)
+            super().__init__(counted, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "RK45", Recording)
+    return solvers
+
+
+def test_flow_field_counts_solver_calls_only(rng, rk45_solvers):
     prob = composite_instance(rng)
     traj = integrate(prob, prob.zero_state(), IntegratorConfig(method="rk4", h=0.1, t_end=1.0))
     assert len(traj.times) == 11
     assert traj.meta["n_evals"] == 4 * 10
+    assert traj.meta["steps"] == 10
 
-    calls = []
-    solve_ivp = flow.solve_ivp
-
-    def counting(fun, *args, **kwargs):
-        def counted(t, y):
-            calls.append(t)
-            return fun(t, y)
-        return solve_ivp(counted, *args, **kwargs)
-
-    monkeypatch.setattr(flow, "solve_ivp", counting)
-    traj = integrate(prob, prob.zero_state(), IntegratorConfig(t_end=1.0))
-    assert traj.meta["n_evals"] == len(calls)
+    for cfg in (IntegratorConfig(t_end=1.0), IntegratorConfig(t_end=1.0, record_stride=3),
+                IntegratorConfig(t_end=50.0, stop_kkt=1e-2)):
+        traj = integrate(prob, prob.random_state(rng), cfg)
+        solver = rk45_solvers.pop()
+        assert traj.meta["n_evals"] == len(solver.calls) == solver.nfev
+        assert len(traj.times) >= 2
+    assert traj.termination == "stop_kkt" and rk45_solvers == []
 
 
 def test_stop_kkt_event_is_the_kkt_residual(rng, monkeypatch):
     prob = composite_instance(rng)
     seen = {}
-    solve_ivp = flow.solve_ivp
+    integrate_ode = flow.integrate_ode
 
-    def capture(fun, *args, **kwargs):
-        seen["event"] = kwargs["events"][0]
-        return solve_ivp(fun, *args, **kwargs)
+    def capture(fun, y0, cfg, events=None, field=None):
+        seen["event"] = events[0]
+        return integrate_ode(fun, y0, cfg, events=events, field=field)
 
-    monkeypatch.setattr(flow, "solve_ivp", capture)
+    monkeypatch.setattr(flow, "integrate_ode", capture)
     integrate(prob, prob.random_state(rng), IntegratorConfig(t_end=0.1, stop_kkt=1e-3))
     lifted = build_lifted(prob)
     for _ in range(5):
@@ -232,10 +249,57 @@ def test_stop_kkt_event_is_the_kkt_residual(rng, monkeypatch):
                                       rel=1e-12)
 
 
+def _solve_ivp_samples(fun, y0, cfg, events=None):
+    """``solve_ivp``'s RK45 run with ``record_stride`` applied to its steps."""
+    sol = solve_ivp(fun, (0.0, cfg.t_end), y0, method="RK45", rtol=cfg.rel_tol,
+                    atol=cfg.abs_tol, events=events)
+    n = len(sol.t)
+    keep = np.unique(np.r_[np.arange(0, n, cfg.record_stride), n - 1])
+    return sol.t[keep], sol.y.T[keep], sol
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_rk45_loop_matches_solve_ivp(rng, stride):
+    prob = composite_instance(rng)
+    y0 = prob.pack(prob.random_state(rng))
+    cfg = IntegratorConfig(t_end=2.0, record_stride=stride)
+    times, states, _, term, steps = integrate_ode(FlowField(prob), y0, cfg)
+    t_ref, y_ref, sol = _solve_ivp_samples(FlowField(prob), y0, cfg)
+    assert term == "t_end" and steps == len(sol.t) - 1
+    assert np.array_equal(times, t_ref) and np.array_equal(states, y_ref)
+
+    def event(t, y):
+        return prob.kernel.kkt(y) - 1e-2
+    event.terminal, event.direction = True, -1
+    cfg = IntegratorConfig(t_end=200.0, stop_kkt=1e-2, record_stride=stride)
+    traj = integrate(prob, prob.unpack(y0), cfg)
+    t_ref, y_ref, sol = _solve_ivp_samples(FlowField(prob), y0, cfg, [event])
+    assert traj.termination == "stop_kkt" and sol.status == 1
+    assert traj.times[-1] == sol.t_events[0][0] == t_ref[-1]
+    assert np.array_equal(traj.times, t_ref) and np.array_equal(traj.states, y_ref)
+    assert traj.meta["n_evals"] == sol.nfev
+
+
+@pytest.mark.parametrize("method,h,stride,stop", [
+    ("rk45", None, 1, None), ("rk45", None, 3, None), ("rk45", None, 3, 0.3),
+    ("euler", 0.01, 1, None), ("euler", 0.01, 7, 0.3), ("rk4", 0.05, 3, None)])
+def test_field_norms_are_the_field_at_each_sample(rng, method, h, stride, stop):
+    """The norms come from the fields the steps hold; a stop is set at a
+    share ``stop`` of the starting KKT residual."""
+    prob = composite_instance(rng)
+    s0 = prob.random_state(rng)
+    cfg = IntegratorConfig(method=method, h=h, t_end=3.0, record_stride=stride,
+                           stop_kkt=None if stop is None else stop * kkt_residual(prob, s0))
+    traj = integrate(prob, s0, cfg)
+    assert traj.termination == ("t_end" if stop is None else "stop_kkt")
+    want = [np.linalg.norm(prob.kernel.field(u)) for u in traj.states]
+    assert traj.diagnostics["field_norm"].tolist() == want
+
+
 # -- integration -------------------------------------------------------------
 
 def test_rk45_scalar_exponential():
-    times, states, term = integrate_ode(
+    times, states, _, term, _ = integrate_ode(
         lambda t, y: -y, np.array([1.0]),
         IntegratorConfig(method="rk45", t_end=5.0, rel_tol=1e-11, abs_tol=1e-13))
     assert term == "t_end"
@@ -244,10 +308,10 @@ def test_rk45_scalar_exponential():
 
 def test_fixed_step_methods_converge():
     cfg4 = IntegratorConfig(method="rk4", h=0.01, t_end=2.0)
-    _, states4, _ = integrate_ode(lambda t, y: -y, np.array([1.0]), cfg4)
+    states4 = integrate_ode(lambda t, y: -y, np.array([1.0]), cfg4)[1]
     assert states4[-1, 0] == pytest.approx(np.exp(-2.0), abs=1e-8)
     cfg1 = IntegratorConfig(method="euler", h=1e-4, t_end=2.0, record_stride=100)
-    _, states1, _ = integrate_ode(lambda t, y: -y, np.array([1.0]), cfg1)
+    states1 = integrate_ode(lambda t, y: -y, np.array([1.0]), cfg1)[1]
     assert states1[-1, 0] == pytest.approx(np.exp(-2.0), abs=1e-3)
 
 
@@ -289,14 +353,22 @@ def test_integrate_stop_kkt_at_start(rng, method, h):
     assert np.array_equal(traj.states[0], prob.pack(s0))
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("method", ["euler", "rk4", "rk45"])
 def test_fixed_step_max_steps_termination(method):
-    cfg = IntegratorConfig(method=method, h=0.1, t_end=10.0, max_steps=5)
-    times, _, term = integrate_ode(lambda t, y: -y, np.array([1.0]), cfg)
-    assert term == "max_steps"
-    assert times[-1] == pytest.approx(0.5)
-    cfg = IntegratorConfig(method=method, h=0.1, t_end=0.5, max_steps=5)
-    assert integrate_ode(lambda t, y: -y, np.array([1.0]), cfg)[2] == "t_end"
+    h = None if method == "rk45" else 0.1
+    cfg = IntegratorConfig(method=method, h=h, t_end=10.0, max_steps=5)
+    times, _, _, term, steps = integrate_ode(lambda t, y: -y, np.array([1.0]), cfg)
+    assert term == "max_steps" and steps == 5
+    assert len(times) == 6 and times[-1] < 10.0
+    if h is not None:
+        assert times[-1] == pytest.approx(0.5)
+        cfg = IntegratorConfig(method=method, h=h, t_end=0.5, max_steps=5)
+        assert integrate_ode(lambda t, y: -y, np.array([1.0]), cfg)[3] == "t_end"
+    # a run that ends on t_end at its last allowed step reports t_end
+    full = integrate_ode(lambda t, y: -y, np.array([1.0]),
+                         IntegratorConfig(method=method, h=h, t_end=0.5))
+    cfg = IntegratorConfig(method=method, h=h, t_end=0.5, max_steps=full[4])
+    assert integrate_ode(lambda t, y: -y, np.array([1.0]), cfg)[3] == "t_end"
 
 
 def test_integrate_records_diagnostics(rng):
