@@ -163,6 +163,17 @@ def integrator_from(keys, args) -> flow.IntegratorConfig:
                                  record_stride=_get(keys, "record_stride", int, 1))
 
 
+def blas_threads() -> int:
+    """Threads OpenBLAS (numpy's BLAS) starts with: the first positive
+    ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``
+    (``PALFLOW_THREADS`` sets them on import), else one per usable CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        n = os.environ.get(var, "").strip()
+        if n.isdigit() and int(n) > 0:
+            return int(n)
+    return len(os.sched_getaffinity(0))
+
+
 def write_manifest(path, config_path, keys, cfg, seed, out_dir, traj):
     # ru_maxrss is in kilobytes on Linux
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
@@ -172,6 +183,7 @@ def write_manifest(path, config_path, keys, cfg, seed, out_dir, traj):
             "seed": seed, "method": cfg.method, "t_end": repr(cfg.t_end),
             "stop_kkt": repr(cfg.stop_kkt), "termination": traj.termination,
             "n_evals": traj.meta["n_evals"], "steps": traj.meta["steps"],
+            "rejected": traj.meta["rejected"], "threads": blas_threads(),
             "peak_rss_mb": f"{peak_mb:.1f}"}
     rows.update((f"config.{k}", v) for k, v in sorted(keys.items()))
     with open(path, "w") as fh:

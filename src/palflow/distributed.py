@@ -5,9 +5,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import flow
 from .linops import BlockOperator, LinearOperator, vec
@@ -34,7 +36,9 @@ class Network:
     ``x_dim`` (the common local dimension), ``z_dims``, ``z_slices`` (each
     agent's slice of the stacked ``z``, and of the local part of the
     multiplier) and ``slices`` (each agent's ``x, z, y, lam1, lam2`` slices
-    of the packed state, see ``pack_agents``)."""
+    of the packed state, see ``pack_agents``). The operators of
+    :meth:`field` are built on its first call, not here: most networks are
+    only ever assembled centrally."""
 
     k: int
     edges: List[Tuple[int, int]]
@@ -74,6 +78,8 @@ class Network:
         if len(dims) != 1:
             raise ValueError("consensus requires a common local dimension")
         self.x_dim = d = dims.pop()
+        if any(a.C.in_dim != d for a in self.agents):
+            raise ValueError("each local map C must act on the common local dimension")
         self.z_dims = [int(np.prod(a.C.out_shape, dtype=int)) for a in self.agents]
         z_ends = np.cumsum(self.z_dims).tolist()
         self.z_slices = [slice(e - n, e) for e, n in zip(z_ends, self.z_dims)]
@@ -95,6 +101,50 @@ class Network:
                     seen.add(v)
                     queue.append(v)
         return len(seen) == self.k
+
+    @cached_property
+    def _field_ops(self):
+        """The packed state's five parts, each x entry's agent degree,
+        ``kron(adjacency, I_d)``, and the block diagonals of the local maps
+        and of their transposes, all CSR with sorted indices: a row sums its
+        neighbors, or its local map's terms, in increasing order from 0."""
+        d = self.x_dim
+        parts = [slice(self.slices[0][p].start, self.slices[-1][p].stop) for p in range(5)]
+        deg = np.repeat([float(len(nb)) for nb in self.neighbors], d)
+        rows = [i for i, nb in enumerate(self.neighbors) for _ in nb]
+        cols = [j for nb in self.neighbors for j in nb]
+        adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(self.k, self.k))
+        C = sp.block_diag([a.C.matrix for a in self.agents], format="csr")
+        ops = [sp.kron(adj, sp.identity(d), format="csr"), C, C.T.tocsr()]
+        for M in ops:
+            M.sort_indices()
+        return (parts, deg, *ops)
+
+    def field(self, u: np.ndarray, alpha: float, mu: float) -> np.ndarray:
+        """Every agent's derivative of the packed state ``u`` (``pack_agents``
+        order), packed alike.
+
+        Agent ``i`` reads only its own state and its neighbors' ``x``: the
+        exchange ``deg_i x_i - sum_j x_j`` is one adjacency product. The
+        multiplier derivatives come first so the primal derivatives can
+        reuse them; the staggering is exactly the per-block form of the
+        centralized field."""
+        (xs, zs, ys, l1s, l2s), deg, A, C, Ct = self._field_ops
+        x, z, y, lam1, lam2 = u[xs], u[zs], u[ys], u[l1s], u[l2s]
+        lam1_dot = alpha * (deg * x - A @ x)
+        lam2_dot = alpha * (C @ x - z)
+        v = z + mu * y
+        prox_out = np.empty_like(v)
+        grad = np.empty_like(x)
+        # x leads the packed state, so an agent's x slice also indexes ``x``
+        for a, sl, zsl in zip(self.agents, self.slices, self.z_slices):
+            prox_out[zsl] = vec(a.g.prox(mu, v[zsl].reshape(a.C.out_shape, order="F")))
+            grad[sl[0]] = vec(a.f.grad(x[sl[0]].reshape(a.f.shape, order="F")))
+        y_dot = alpha * (z - prox_out)
+        z_dot = -y - y_dot / (alpha * mu) + lam2 + lam2_dot / (alpha * mu)
+        x_dot = (-grad - lam1 - Ct @ lam2
+                 - (lam1_dot + Ct @ lam2_dot) / (alpha * mu))
+        return np.concatenate([x_dot, z_dot, y_dot, lam1_dot, lam2_dot])
 
 
 @dataclass
@@ -160,26 +210,9 @@ def agent_states_from_central(net: Network, s: PrimalDualState) -> List[AgentSta
 
 def decentralized_field(net: Network, states: Sequence[AgentState],
                         alpha: float, mu: float) -> List[AgentState]:
-    """Per-agent derivatives using only local state and neighbor ``x`` values.
-
-    The multiplier derivatives come first so the primal derivatives can reuse
-    them; the staggering is exactly the per-block form of the centralized
-    field."""
-    adj = net.neighbors
-    out = []
-    for i, (a, st) in enumerate(zip(net.agents, states)):
-        lam1_dot = alpha * (len(adj[i]) * st.x - sum(states[j].x for j in adj[i]))
-        Cx = vec(a.C.apply(st.x.reshape(a.C.in_shape, order="F")))
-        lam2_dot = alpha * (Cx - st.z)
-        prox_out = vec(a.g.prox(mu, st.z + mu * st.y))
-        y_dot = alpha * (st.z - prox_out)
-        z_dot = -st.y - y_dot / (alpha * mu) + st.lam2 + lam2_dot / (alpha * mu)
-        Ct = lambda v: vec(a.C.adjoint(v.reshape(a.C.out_shape, order="F")))
-        x_dot = (-vec(a.f.grad(st.x.reshape(a.f.shape, order="F")))
-                 - st.lam1 - Ct(st.lam2)
-                 - (lam1_dot + Ct(lam2_dot)) / (alpha * mu))
-        out.append(AgentState(x_dot, z_dot, y_dot, lam1_dot, lam2_dot))
-    return out
+    """Per-agent view of :meth:`Network.field`: each agent's derivatives,
+    from its local state and its neighbors' ``x`` values."""
+    return unpack_agents(net, net.field(pack_agents(states), alpha, mu))
 
 
 class DivergenceError(RuntimeError):
@@ -194,14 +227,13 @@ def run_discrete(net: Network, init: Sequence[AgentState], eta: float,
     decentralized field, so each round broadcasts ``x`` to neighbors once."""
     if eta <= 0:
         raise ValueError("step size must be positive")
-    cur = unpack_agents(net, pack_agents(init))
-    history = [cur]
+    flat = pack_agents(init)
+    history = [unpack_agents(net, flat)]
     for t in range(T_iters):
-        flat = pack_agents(cur) + eta * pack_agents(decentralized_field(net, cur, alpha, mu))
+        flat = flat + eta * net.field(flat, alpha, mu)
         if np.linalg.norm(flat) > 1e12:
             raise DivergenceError(t)
-        cur = unpack_agents(net, flat)      # fresh copies; never mutated
-        history.append(cur)
+        history.append(unpack_agents(net, flat))
     return history
 
 
@@ -225,14 +257,14 @@ def simulate(net: Network, init: Sequence[AgentState], cfg: flow.IntegratorConfi
     counter = {"evals": 0}
 
     def field(t, y):
-        return pack_agents(decentralized_field(net, unpack_agents(net, y), alpha, mu))
+        return net.field(y, alpha, mu)
 
     def fun(t, y):
         counter["evals"] += 1
-        return field(t, y)
+        return net.field(y, alpha, mu)
 
     # ``field`` is uncounted: the one sample no step leaves a field at is not a round
-    times, states, norms, term, steps = flow.integrate_ode(
+    times, states, norms, term, steps, rejected = flow.integrate_ode(
         fun, pack_agents(init), cfg, field=field)
     messages = 2 * len(net.edges) * counter["evals"]
     return flow.Trajectory(times=times, states=states,
@@ -241,4 +273,5 @@ def simulate(net: Network, init: Sequence[AgentState], cfg: flow.IntegratorConfi
                            meta={"messages_total": messages,
                                  "messages_per_round": 2 * len(net.edges),
                                  "rounds": counter["evals"], "steps": steps,
+                                 "rejected": rejected,
                                  "packing": "x, z, y, lam1, lam2 per agent"})

@@ -401,7 +401,8 @@ def counterexample_run(beta: float, mu: float = 1.0, alpha: float = 1.0,
                            problem=None,
                            meta={"t_star": t_star, "mu": mu, "alpha": alpha,
                                  "dense": sol.sol, "n_evals": sol.nfev,
-                                 "steps": len(sol.t) - 1})
+                                 "steps": len(sol.t) - 1,
+                                 "rejected": (sol.nfev - 2) // 6 - (len(sol.t) - 1)})
     return t_star, traj
 
 

@@ -158,25 +158,27 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
                   events: Optional[list] = None, field: Optional[Callable] = None):
     """Integrate a generic flat ODE with the configured method.
 
-    Returns ``(times, states, field_norms, termination, steps)``. The adaptive
-    method is Dormand-Prince 4(5) (scipy's ``RK45``, stepped here) with
-    error-controlled step rejection; fixed-step methods are forward Euler and
-    classic RK4. Only every ``record_stride``-th accepted step and the last
-    one are held. ``field_norms`` are the norms of the field at the kept
-    samples, taken from the field each step already holds there; the one
-    sample no step leaves it at (an event's end point, the last fixed-step
-    sample) is evaluated with ``field(t, y)``, uncounted, which defaults to
-    ``fun``. Events stop the run where they reach zero or below
-    (``"event"``); the adaptive method locates the crossing on its step's
-    dense output, and one that is there at ``t = 0`` already stops the run
-    before the first step, with one sample. ``max_steps`` caps the accepted
-    steps of every method (``"max_steps"``); ``steps`` counts them.
+    Returns ``(times, states, field_norms, termination, steps, rejected)``.
+    The adaptive method is Dormand-Prince 4(5) (scipy's ``RK45``, stepped
+    here) with error-controlled step rejection; fixed-step methods are
+    forward Euler and classic RK4. Only every ``record_stride``-th accepted
+    step and the last one are held. ``field_norms`` are the norms of the
+    field at the kept samples, taken from the field each step already holds
+    there; the one sample no step leaves it at (an event's end point, the
+    last fixed-step sample) is evaluated with ``field(t, y)``, uncounted,
+    which defaults to ``fun``. Events stop the run where they reach zero or
+    below (``"event"``); the adaptive method locates the crossing on its
+    step's dense output, and one that is there at ``t = 0`` already stops the
+    run before the first step, with one sample. ``max_steps`` caps the
+    accepted steps of every method (``"max_steps"``); ``steps`` counts them,
+    and ``rejected`` the adaptive method's rejected attempts (0 for the
+    others).
     """
     y0 = np.asarray(y0, dtype=float)
     field = field or fun
     if events and any(ev(0.0, y0) <= 0 for ev in events):
         return (np.array([0.0]), y0[None, :].copy(),
-                np.array([np.linalg.norm(field(0.0, y0))]), "event", 0)
+                np.array([np.linalg.norm(field(0.0, y0))]), "event", 0, 0)
     if cfg.method == "rk45":
         stepper = RK45(fun, 0.0, y0, cfg.t_end, rtol=cfg.rel_tol, atol=cfg.abs_tol)
     else:
@@ -220,7 +222,10 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
         at_hand = term is None or (cfg.method == "rk45" and term != "event")
         norms.append(np.linalg.norm(stepper.f if at_hand else field(t, y)))
     states.resize((len(times), y0.size), refcheck=False)
-    return np.array(times), states, np.array(norms), term, steps
+    # RK45 evaluates the field once at the start, once for its first step
+    # size, and six times per attempted step
+    rejected = (stepper.nfev - 2) // 6 - steps if cfg.method == "rk45" else 0
+    return np.array(times), states, np.array(norms), term, steps, rejected
 
 
 def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig) -> Trajectory:
@@ -238,7 +243,7 @@ def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig) -
             return prob.kernel.kkt(y) - cfg.stop_kkt
         events = [kkt_event]
 
-    times, states, norms, term, steps = integrate_ode(
+    times, states, norms, term, steps, rejected = integrate_ode(
         ff, prob.pack(s0), cfg, events=events,
         field=lambda t, y: prob.kernel.field(y))
     if term == "event":
@@ -249,4 +254,5 @@ def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig) -
                       diagnostics=diag, termination=term, problem=prob,
                       meta={"method": cfg.method, "alpha": prob.alpha,
                             "packing": "x-blocks, z-blocks, y-blocks, lam (column-major)",
-                            "n_evals": ff.n_evals, "steps": steps})
+                            "n_evals": ff.n_evals, "steps": steps,
+                            "rejected": rejected})

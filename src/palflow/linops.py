@@ -106,8 +106,8 @@ class LinearOperator:
     @classmethod
     def identity(cls, shape) -> "LinearOperator":
         shape = tuple(np.atleast_1d(shape))
-        return _Identity(shape, shape,
-                         lambda: sp.identity(int(np.prod(shape, dtype=int)), format="csr"))
+        return cls(shape, shape,
+                   lambda: sp.identity(int(np.prod(shape, dtype=int)), format="csr"))
 
     @classmethod
     def zero(cls, in_shape, out_shape) -> "LinearOperator":
@@ -115,17 +115,6 @@ class LinearOperator:
         return cls(in_shape, out_shape,
                    lambda: sp.csr_matrix((int(np.prod(out_shape, dtype=int)),
                                           int(np.prod(in_shape, dtype=int)))))
-
-
-class _Identity(LinearOperator):
-    """The identity, which returns its (checked) input rather than paying a
-    sparse product: agents' identity maps sit in the message-passing field's
-    inner loop."""
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return _checked(u, self.in_shape)
-
-    adjoint = apply
 
 
 def _checked(u: np.ndarray, shape: tuple) -> np.ndarray:

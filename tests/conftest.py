@@ -6,6 +6,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from palflow.distributed import AgentState
 from palflow.linops import BlockOperator, LinearOperator, unvec, vec
 from palflow.problem import (NonsmoothBlock, PrimalDualState, SaddleProblem,
                              SmoothBlock)
@@ -110,6 +111,31 @@ class LiftedProblem:
 
 def build_lifted(prob: SaddleProblem) -> LiftedProblem:
     return LiftedProblem(prob)
+
+
+def reference_decentralized_field(net, states, alpha, mu):
+    """The message-passing field agent by agent: each agent sums its
+    neighbors' ``x`` and applies its own local map, as the reference for
+    ``Network.field``.
+
+    The multiplier derivatives come first so the primal derivatives can reuse
+    them; the staggering is exactly the per-block form of the centralized
+    field."""
+    adj = net.neighbors
+    out = []
+    for i, (a, st) in enumerate(zip(net.agents, states)):
+        lam1_dot = alpha * (len(adj[i]) * st.x - sum(states[j].x for j in adj[i]))
+        Cx = vec(a.C.apply(st.x.reshape(a.C.in_shape, order="F")))
+        lam2_dot = alpha * (Cx - st.z)
+        prox_out = vec(a.g.prox(mu, st.z + mu * st.y))
+        y_dot = alpha * (st.z - prox_out)
+        z_dot = -st.y - y_dot / (alpha * mu) + st.lam2 + lam2_dot / (alpha * mu)
+        Ct = lambda v: vec(a.C.adjoint(v.reshape(a.C.out_shape, order="F")))
+        x_dot = (-vec(a.f.grad(st.x.reshape(a.f.shape, order="F")))
+                 - st.lam1 - Ct(st.lam2)
+                 - (lam1_dot + Ct(lam2_dot)) / (alpha * mu))
+        out.append(AgentState(x_dot, z_dot, y_dot, lam1_dot, lam2_dot))
+    return out
 
 
 def consensus_admm(prob: SaddleProblem, rho: float = 3.0, tol: float = 1e-10,

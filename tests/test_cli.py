@@ -223,6 +223,8 @@ def test_manifest_records_package_version(tmp_path):
     run = dict(line.split(" = ", 1) for line in manifest)
     assert run["termination"] in ("t_end", "stop_kkt")
     assert int(run["n_evals"]) > int(run["steps"]) > 0
+    assert int(run["rejected"]) >= 0
+    assert int(run["threads"]) >= 1
     assert float(run["peak_rss_mb"]) > 0
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import reference_decentralized_field
 from palflow import flow, prox
 from palflow.distributed import (AgentData, AgentState, DivergenceError,
                                  Network, agent_states_from_central,
@@ -8,6 +9,7 @@ from palflow.distributed import (AgentData, AgentState, DivergenceError,
                                  incidence, pack_agents, run_discrete,
                                  simulate, split_multiplier, unpack_agents)
 from palflow.flow import IntegratorConfig, vector_field
+from palflow.examples import gen_lasso_network
 from palflow.linops import LinearOperator
 from palflow.problem import SmoothBlock, kkt_residual
 
@@ -102,17 +104,20 @@ def test_field_zero_at_consensus_kkt(rng):
 
 def test_locality_stencil(rng):
     net = small_net(k=5, with_chord=False)      # path graph 0-1-2-3-4
-    states = [AgentState(rng.standard_normal(2), rng.standard_normal(2),
-                         rng.standard_normal(2), rng.standard_normal(2),
-                         rng.standard_normal(2)) for _ in range(5)]
-    base = decentralized_field(net, states, alpha=1.0, mu=1.0)
-    states[2] = AgentState(states[2].x + 1.0, states[2].z, states[2].y,
-                           states[2].lam1, states[2].lam2)
-    bumped = decentralized_field(net, states, alpha=1.0, mu=1.0)
-    for i in range(5):
-        changed = any(not np.allclose(getattr(base[i], a), getattr(bumped[i], a))
-                      for a in ("x", "z", "y", "lam1", "lam2"))
-        assert changed == (i in (1, 2, 3))
+    base = rng.standard_normal(5 * 2 * 5)
+    ref = decentralized_field(net, unpack_agents(net, base), alpha=1.0, mu=1.0)
+    for j, sl in enumerate(net.slices):
+        for part, s in zip(("x", "z", "y", "lam1", "lam2"), sl):
+            for e in range(s.start, s.stop):
+                u = base.copy()
+                u[e] += 1.0
+                out = decentralized_field(net, unpack_agents(net, u), alpha=1.0, mu=1.0)
+                changed = {i for i in range(5) if not all(
+                    np.array_equal(getattr(out[i], a), getattr(ref[i], a))
+                    for a in ("x", "z", "y", "lam1", "lam2"))}
+                # only x crosses an edge: a neighbor reads it, nothing else
+                want = {i for i in (j - 1, j, j + 1) if 0 <= i < 5} if part == "x" else {j}
+                assert changed == want, (j, part, e)
 
 
 # -- discrete algorithm ------------------------------------------------------
@@ -126,8 +131,7 @@ def test_discrete_step_is_forward_euler(rng):
     for step in range(3):
         y = y + eta * pack_agents(
             decentralized_field(net, unpack_agents(net, y), 1.0, 1.0))
-        ref = pack_agents(hist[step + 1])
-        assert np.max(np.abs(y - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+        assert np.array_equal(y, pack_agents(hist[step + 1]))
 
 
 def test_discrete_tracks_continuous_flow(rng):
@@ -269,3 +273,46 @@ def test_network_rejects_mixed_local_dims():
                         C=LinearOperator.identity((d,))) for d in (3, 2)]
     with pytest.raises(ValueError, match="common local dimension"):
         Network(2, [(0, 1)], agents)
+    agents[1] = AgentData(f=SmoothBlock.quadratic(np.eye(3)), g=prox.l1(),
+                          C=LinearOperator.from_matrix(np.ones((2, 2))))
+    with pytest.raises(ValueError, match="local map C"):
+        Network(2, [(0, 1)], agents)
+
+
+# -- the packed message-passing field ----------------------------------------
+
+@pytest.mark.parametrize("make_net", [small_net, lambda: small_net(k=5, with_chord=False),
+                                      mixed_net, lambda: gen_lasso_network(6, 4, seed=2)[0]],
+                         ids=["triangle", "path", "mixed", "lasso"])
+@pytest.mark.parametrize("alpha,mu", [(1.0, 1.0), (1.3, 0.7)])
+def test_network_field_is_the_per_agent_loop(rng, make_net, alpha, mu):
+    net = make_net()
+    n = 2 * net.k * net.x_dim + 3 * sum(net.z_dims)
+    for _ in range(20):
+        u = rng.standard_normal(n)
+        want = reference_decentralized_field(net, unpack_agents(net, u), alpha, mu)
+        assert np.array_equal(net.field(u, alpha, mu), pack_agents(want))
+
+
+@pytest.mark.parametrize("method,h,stride", [("rk45", None, 1), ("rk45", None, 3),
+                                             ("rk4", 0.1, 1)])
+def test_simulate_is_the_reference_flow(rng, method, h, stride):
+    net = mixed_net()
+    init = unpack_agents(net, 0.3 * rng.standard_normal(2 * 3 * 3 + 3 * 9))
+    cfg = IntegratorConfig(method=method, h=h, t_end=2.0, record_stride=stride)
+    traj = simulate(net, init, cfg, alpha=1.3, mu=0.7)
+
+    def ref(t, y):
+        return pack_agents(reference_decentralized_field(
+            net, unpack_agents(net, y), 1.3, 0.7))
+
+    times, states = flow.integrate_ode(ref, pack_agents(init), cfg)[:2]
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, states)
+
+
+def test_network_builds_field_operators_on_first_use(rng):
+    net = gen_lasso_network(6, 4, seed=2)[0]
+    assert "_field_ops" not in vars(net)
+    net.field(rng.standard_normal(2 * 6 * 4 + 3 * 6 * 4), 1.0, 1.0)
+    assert "_field_ops" in vars(net)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import rk
 
 from palflow import examples, flow, prox
-from palflow.distributed import assemble_consensus
+from palflow.distributed import assemble_consensus, simulate, unpack_agents
 from palflow.flow import (FlowField, IntegratorConfig, blockwise_field,
                           integrate, integrate_ode, pal_gradient, pal_value,
                           vector_field)
@@ -229,6 +230,34 @@ def test_flow_field_counts_solver_calls_only(rng, rk45_solvers):
     assert traj.termination == "stop_kkt" and rk45_solvers == []
 
 
+def test_rejected_counts_the_attempts_not_accepted(rng, monkeypatch):
+    attempts = []
+    rk_step = rk.rk_step
+
+    def counted(*args, **kwargs):
+        attempts.append(1)
+        return rk_step(*args, **kwargs)
+
+    monkeypatch.setattr(rk, "rk_step", counted)
+    prob = composite_instance(rng)
+    net, _ = examples.gen_lasso_network(5, 4, seed=1)
+    cfgs = [IntegratorConfig(t_end=20.0), IntegratorConfig(t_end=50.0, record_stride=3),
+            IntegratorConfig(method="rk4", h=0.1, t_end=1.0)]
+    runs = [lambda cfg: integrate(prob, prob.random_state(rng), cfg),
+            lambda cfg: simulate(net, unpack_agents(net, rng.standard_normal(5 * 4 * 5)),
+                                 cfg, 1.0, 1.0)]
+    stop = IntegratorConfig(t_end=200.0, stop_kkt=1e-3)
+    rejected = 0
+    for run, cfg in [(r, c) for r in runs for c in cfgs] + [(runs[0], stop)]:
+        attempts.clear()
+        traj = run(cfg)
+        want = len(attempts) - traj.meta["steps"] if cfg.method == "rk45" else 0
+        assert traj.meta["rejected"] == want
+        rejected += want
+    assert traj.termination == "stop_kkt"       # the last run ended on its event
+    assert rejected > 0
+
+
 def test_stop_kkt_event_is_the_kkt_residual(rng, monkeypatch):
     prob = composite_instance(rng)
     seen = {}
@@ -263,7 +292,7 @@ def test_rk45_loop_matches_solve_ivp(rng, stride):
     prob = composite_instance(rng)
     y0 = prob.pack(prob.random_state(rng))
     cfg = IntegratorConfig(t_end=2.0, record_stride=stride)
-    times, states, _, term, steps = integrate_ode(FlowField(prob), y0, cfg)
+    times, states, _, term, steps, _ = integrate_ode(FlowField(prob), y0, cfg)
     t_ref, y_ref, sol = _solve_ivp_samples(FlowField(prob), y0, cfg)
     assert term == "t_end" and steps == len(sol.t) - 1
     assert np.array_equal(times, t_ref) and np.array_equal(states, y_ref)
@@ -299,7 +328,7 @@ def test_field_norms_are_the_field_at_each_sample(rng, method, h, stride, stop):
 # -- integration -------------------------------------------------------------
 
 def test_rk45_scalar_exponential():
-    times, states, _, term, _ = integrate_ode(
+    times, states, _, term, _, _ = integrate_ode(
         lambda t, y: -y, np.array([1.0]),
         IntegratorConfig(method="rk45", t_end=5.0, rel_tol=1e-11, abs_tol=1e-13))
     assert term == "t_end"
@@ -357,7 +386,7 @@ def test_integrate_stop_kkt_at_start(rng, method, h):
 def test_fixed_step_max_steps_termination(method):
     h = None if method == "rk45" else 0.1
     cfg = IntegratorConfig(method=method, h=h, t_end=10.0, max_steps=5)
-    times, _, _, term, steps = integrate_ode(lambda t, y: -y, np.array([1.0]), cfg)
+    times, _, _, term, steps, _ = integrate_ode(lambda t, y: -y, np.array([1.0]), cfg)
     assert term == "max_steps" and steps == 5
     assert len(times) == 6 and times[-1] < 10.0
     if h is not None:
