@@ -234,22 +234,34 @@ def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig) -
     Terminates on ``t_end``; on ``stop_kkt``, once the KKT residual is at or
     below it (located by the adaptive integrator's event search; a start
     already there returns at once); or on ``max_steps``. The reason is
-    recorded.
+    recorded. With ``stop_kkt`` the ``kkt_residual`` column takes the
+    event's values; only a located end point is evaluated again.
     """
     ff = FlowField(prob)
     events = None
+    # the event's residual at each time it first sees: the start and every
+    # accepted step come before any root-search point at the same time
+    kkt_at = {}
     if cfg.stop_kkt is not None:
         def kkt_event(t, y):
-            return prob.kernel.kkt(y) - cfg.stop_kkt
+            k = prob.kernel.kkt(y)
+            kkt_at.setdefault(t, k)
+            return k - cfg.stop_kkt
         events = [kkt_event]
 
     times, states, norms, term, steps, rejected = integrate_ode(
         ff, prob.pack(s0), cfg, events=events,
         field=lambda t, y: prob.kernel.field(y))
+    if events:
+        kkt = [kkt_at[t] for t in times]
+        if term == "event" and cfg.method == "rk45":
+            # located on the dense output, so not a state the event saw
+            kkt[-1] = prob.kernel.kkt(states[-1])
+    else:
+        kkt = [prob.kernel.kkt(u) for u in states]
     if term == "event":
         term = "stop_kkt"
-    diag = {"kkt_residual": np.array([prob.kernel.kkt(u) for u in states]),
-            "field_norm": norms}
+    diag = {"kkt_residual": np.array(kkt), "field_norm": norms}
     return Trajectory(times=times, states=states,
                       diagnostics=diag, termination=term, problem=prob,
                       meta={"method": cfg.method, "alpha": prob.alpha,

@@ -113,6 +113,14 @@ def build_lifted(prob: SaddleProblem) -> LiftedProblem:
     return LiftedProblem(prob)
 
 
+def reference_prox_nuclear(mu: float, X: np.ndarray) -> np.ndarray:
+    """Singular value shrinkage via thin SVD, as the reference for
+    ``prox.prox_nuclear``."""
+    X = np.asarray(X, dtype=float)
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    return (U * np.maximum(s - mu, 0.0)) @ Vt
+
+
 def reference_decentralized_field(net, states, alpha, mu):
     """The message-passing field agent by agent: each agent sums its
     neighbors' ``x`` and applies its own local map, as the reference for

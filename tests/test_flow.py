@@ -278,6 +278,35 @@ def test_stop_kkt_event_is_the_kkt_residual(rng, monkeypatch):
                                       rel=1e-12)
 
 
+@pytest.mark.parametrize("method,h,stride,stop", [
+    ("rk45", None, 1, 0.3), ("rk45", None, 3, 0.3), ("rk45", None, 3, 1e-12),
+    ("euler", 0.01, 1, 0.3), ("euler", 0.01, 7, 1e-12)])
+def test_stop_kkt_column_reuses_the_event(rng, monkeypatch, method, h, stride, stop):
+    """With ``stop_kkt``, ``kernel.kkt`` runs once per event call, plus once
+    at an end point the root search located; the column still equals a
+    fresh evaluation at every sample, to the bit. The stop is a share
+    ``stop`` of the starting KKT residual."""
+    prob = composite_instance(rng)
+    s0 = prob.random_state(rng)
+    cfg = IntegratorConfig(method=method, h=h, t_end=3.0, record_stride=stride,
+                           stop_kkt=stop * kkt_residual(prob, s0))
+    kkt, calls, event_calls = prob.kernel.kkt, [], []
+    monkeypatch.setattr(prob.kernel, "kkt", lambda u: calls.append(1) or kkt(u))
+    integrate_ode = flow.integrate_ode
+
+    def counting(fun, y0, cfg, events=None, field=None):
+        ev = events[0]
+        return integrate_ode(fun, y0, cfg, field=field,
+                             events=[lambda t, y: event_calls.append(1) or ev(t, y)])
+
+    monkeypatch.setattr(flow, "integrate_ode", counting)
+    traj = integrate(prob, s0, cfg)
+    assert traj.termination == ("stop_kkt" if stop == 0.3 else "t_end")
+    located = traj.termination == "stop_kkt" and method == "rk45"
+    assert len(calls) == len(event_calls) + located
+    assert traj.diagnostics["kkt_residual"].tolist() == [kkt(u) for u in traj.states]
+
+
 def _solve_ivp_samples(fun, y0, cfg, events=None):
     """``solve_ivp``'s RK45 run with ``record_stride`` applied to its steps."""
     sol = solve_ivp(fun, (0.0, cfg.t_end), y0, method="RK45", rtol=cfg.rel_tol,

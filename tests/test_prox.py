@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_prox_nuclear
 from palflow import prox
 from palflow.prox import (GroupPartition, moreau_grad, moreau_value,
                           prox_frobenius_ball_masked, prox_group_lasso,
@@ -113,6 +114,7 @@ def test_group_lasso_matches_loop_form(seed, mu):
 
 def test_group_lasso_rejects_wrong_length():
     part = GroupPartition([np.arange(2), np.arange(2, 4)], [1.0, 1.0])
+    assert part.n == 4
     with pytest.raises(ValueError, match="4 entries"):
         prox_group_lasso(1.0, part, np.ones(3))
 
@@ -134,6 +136,119 @@ def test_nuclear_small_rank_one_vanishes():
     X = np.outer(u, v)
     mu = np.linalg.norm(u) * np.linalg.norm(v) + 0.1
     assert np.allclose(prox_nuclear(mu, X), 0.0, atol=1e-12)
+
+
+# The Gram-matrix route's error relative to sigma_max grows like eps *
+# sigma_max / mu; its guard keeps it near 1e-13, the tolerance of every
+# comparison with the SVD reference below unless a test says otherwise.
+GRAM_TOL = 1e-13
+
+
+def _spectrum(rng, shape, s):
+    """A ``shape`` matrix with singular values ``s`` and random vectors."""
+    m, n = shape
+    U = np.linalg.qr(rng.standard_normal((m, len(s))))[0]
+    V = np.linalg.qr(rng.standard_normal((n, len(s))))[0]
+    return (U * s) @ V.T
+
+
+def _gap(mu, X):
+    """Largest entry of ``prox_nuclear - reference`` over ``sigma_max(X)``."""
+    diff = prox_nuclear(mu, X) - reference_prox_nuclear(mu, X)
+    return np.max(np.abs(diff), initial=0.0) / np.linalg.norm(X, 2)
+
+
+def test_nuclear_zero_shortcut_is_exact_and_factors_nothing(rng, monkeypatch):
+    factored = []
+    for name in ("svd", "eigh"):
+        def counting(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+            factored.append(a)
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    X = rng.standard_normal((5, 3))
+    cases = [(np.linalg.norm(X), X), (2.0 * np.linalg.norm(X), X),
+             (1.0, np.zeros((4, 4))), (0.5, np.array([[0.5]]))]
+    outs = [prox_nuclear(mu, A) for mu, A in cases]
+    assert factored == []
+    for (mu, A), out in zip(cases, outs):
+        assert out.shape == A.shape
+        assert np.array_equal(out, reference_prox_nuclear(mu, A))    # exact
+
+
+@pytest.mark.parametrize("ratio", [6.0, 60.0, 440.0])
+@pytest.mark.parametrize("shape", [(40, 40), (30, 12), (12, 30)])
+def test_nuclear_spectrum_clustered_at_mu(rng, ratio, shape):
+    """Ten singular values within 1e-9 of mu, up to sigma_max / mu just
+    under the guard; tolerance ``GRAM_TOL`` relative to sigma_max."""
+    mu = 0.7
+    k = min(shape)
+    for _ in range(5):
+        s = mu * rng.uniform(0.2, ratio, k)
+        s[0] = mu * ratio
+        s[1:11] = mu * (1.0 + rng.uniform(-1e-9, 1e-9, 10))
+        assert _gap(mu, _spectrum(rng, shape, s)) <= GRAM_TOL
+
+
+@pytest.mark.parametrize("shape,rank", [((20, 20), 5), ((25, 8), 3), ((8, 25), 3),
+                                        ((10, 10), 1)])
+def test_nuclear_rank_deficient(rng, shape, rank):
+    """Exact zero singular values; tolerance ``GRAM_TOL`` relative to
+    sigma_max."""
+    X = _spectrum(rng, shape, rng.uniform(0.1, 20.0, rank))
+    assert np.linalg.matrix_rank(X) == rank
+    assert _gap(0.5, X) <= GRAM_TOL
+
+
+@pytest.mark.parametrize("shape", [(7, 7), (9, 4), (4, 9), (1, 6), (6, 1), (1, 1)])
+def test_nuclear_wide_tall_and_vector_shapes(rng, shape):
+    """Tolerance ``GRAM_TOL`` relative to sigma_max; the shapes take both
+    Gram matrices and the 1 x 1 one."""
+    for mu in (0.1, 1.0, 3.0):
+        X = 2.0 * rng.standard_normal(shape)
+        assert prox_nuclear(mu, X).shape == shape
+        assert _gap(mu, X) <= GRAM_TOL
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+def test_nuclear_scaled_inputs(rng, scale):
+    """Scaling ``X`` and ``mu`` together scales the prox and keeps the Gram
+    route; scaling ``X`` alone at fixed ``mu`` crosses the zero shortcut
+    and the guard. Tolerance ``GRAM_TOL`` relative to sigma_max."""
+    X = rng.standard_normal((12, 9))
+    mu = 0.3 * np.linalg.norm(X, 2)
+    assert _gap(scale * mu, scale * X) <= GRAM_TOL
+    assert _gap(mu, scale * X) <= GRAM_TOL
+
+
+def test_nuclear_above_guard_is_the_svd_bit_for_bit(rng):
+    """Past the guard on sigma_max / mu the prox is the reference exactly;
+    so are inputs whose squares overflow the Gram matrix."""
+    ratio = 2.0 * prox._GRAM_MAX_RATIO
+    for shape in [(40, 40), (15, 6), (6, 15)]:
+        s = np.geomspace(ratio, 1e-3, min(shape))
+        X = _spectrum(rng, shape, s)
+        assert np.array_equal(prox_nuclear(1.0, X), reference_prox_nuclear(1.0, X))
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = 1e200 * rng.standard_normal((5, 4))
+        assert np.array_equal(prox_nuclear(1e199, X), reference_prox_nuclear(1e199, X))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nuclear_nonfinite_input_raises(bad):
+    X = np.eye(3)
+    X[1, 2] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        prox_nuclear(0.5, X)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 10 ** 6),
+       st.floats(1e-3, 1e2), st.floats(1e-3, 1e3))
+def test_nuclear_matches_reference(m, n, seed, mu, scale):
+    """Random shapes up to 8 x 8 and penalties; tolerance ``GRAM_TOL``
+    relative to sigma_max."""
+    X = scale * np.random.default_rng(seed).standard_normal((m, n))
+    assert _gap(mu, X) <= GRAM_TOL
 
 
 # -- orthant projection ------------------------------------------------------
