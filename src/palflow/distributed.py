@@ -12,8 +12,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import flow
-from .linops import BlockOperator, LinearOperator, vec
-from .problem import NonsmoothBlock, PrimalDualState, SaddleProblem, SmoothBlock
+from .linops import BlockOperator, LinearOperator, csr_product, vec
+from .problem import (BlockPlan, NonsmoothBlock, PrimalDualState, SaddleProblem,
+                      SmoothBlock)
 from .prox import ProximableFunction
 
 
@@ -104,10 +105,12 @@ class Network:
 
     @cached_property
     def _field_ops(self):
-        """The packed state's five parts, each x entry's agent degree,
-        ``kron(adjacency, I_d)``, and the block diagonals of the local maps
-        and of their transposes, all CSR with sorted indices: a row sums its
-        neighbors, or its local map's terms, in increasing order from 0."""
+        """The packed state's five parts, each x entry's agent degree, the
+        products of ``kron(adjacency, I_d)`` and of the block diagonals of
+        the local maps and of their transposes, and the block plans of the
+        local gradients and proxes. The matrices are CSR with sorted indices,
+        so a row sums its neighbors, or its local map's terms, in increasing
+        order from 0; an identity's product is its input."""
         d = self.x_dim
         parts = [slice(self.slices[0][p].start, self.slices[-1][p].stop) for p in range(5)]
         deg = np.repeat([float(len(nb)) for nb in self.neighbors], d)
@@ -118,7 +121,11 @@ class Network:
         ops = [sp.kron(adj, sp.identity(d), format="csr"), C, C.T.tocsr()]
         for M in ops:
             M.sort_indices()
-        return (parts, deg, *ops)
+        # x leads the packed state, so an agent's x slice also indexes ``x``
+        grads = BlockPlan((sl[0], a.f.shape, a.f) for a, sl in zip(self.agents, self.slices))
+        proxes = BlockPlan((zsl, a.C.out_shape, a.g)
+                           for a, zsl in zip(self.agents, self.z_slices))
+        return (parts, deg, *map(csr_product, ops), grads, proxes)
 
     def field(self, u: np.ndarray, alpha: float, mu: float) -> np.ndarray:
         """Every agent's derivative of the packed state ``u`` (``pack_agents``
@@ -126,24 +133,19 @@ class Network:
 
         Agent ``i`` reads only its own state and its neighbors' ``x``: the
         exchange ``deg_i x_i - sum_j x_j`` is one adjacency product. The
-        multiplier derivatives come first so the primal derivatives can
-        reuse them; the staggering is exactly the per-block form of the
-        centralized field."""
-        (xs, zs, ys, l1s, l2s), deg, A, C, Ct = self._field_ops
+        local gradients and proxes run through one :class:`BlockPlan` each,
+        so agents whose ``g`` is l1 share one soft threshold, and identity
+        local maps cost nothing. The multiplier derivatives come first so
+        the primal derivatives can reuse them; the staggering is exactly the
+        per-block form of the centralized field."""
+        (xs, zs, ys, l1s, l2s), deg, A, C, Ct, grads, proxes = self._field_ops
         x, z, y, lam1, lam2 = u[xs], u[zs], u[ys], u[l1s], u[l2s]
-        lam1_dot = alpha * (deg * x - A @ x)
-        lam2_dot = alpha * (C @ x - z)
-        v = z + mu * y
-        prox_out = np.empty_like(v)
-        grad = np.empty_like(x)
-        # x leads the packed state, so an agent's x slice also indexes ``x``
-        for a, sl, zsl in zip(self.agents, self.slices, self.z_slices):
-            prox_out[zsl] = vec(a.g.prox(mu, v[zsl].reshape(a.C.out_shape, order="F")))
-            grad[sl[0]] = vec(a.f.grad(x[sl[0]].reshape(a.f.shape, order="F")))
-        y_dot = alpha * (z - prox_out)
+        lam1_dot = alpha * (deg * x - A(x))
+        lam2_dot = alpha * (C(x) - z)
+        y_dot = alpha * (z - proxes.prox(mu, z + mu * y))
         z_dot = -y - y_dot / (alpha * mu) + lam2 + lam2_dot / (alpha * mu)
-        x_dot = (-grad - lam1 - Ct @ lam2
-                 - (lam1_dot + Ct @ lam2_dot) / (alpha * mu))
+        x_dot = (-grads.grad(x) - lam1 - Ct(lam2)
+                 - (lam1_dot + Ct(lam2_dot)) / (alpha * mu))
         return np.concatenate([x_dot, z_dot, y_dot, lam1_dot, lam2_dot])
 
 

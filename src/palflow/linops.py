@@ -14,6 +14,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+# the kernel ``A @ x`` calls for a CSR matrix and a vector (scipy's private
+# module; ``tests/test_linops.py`` pins it)
+from scipy.sparse._sparsetools import csr_matvec
 
 # Relative threshold under which singular values count as zero.  Matches the
 # integrator's relative tolerance so rank decisions are not finer than
@@ -115,6 +118,29 @@ class LinearOperator:
         return cls(in_shape, out_shape,
                    lambda: sp.csr_matrix((int(np.prod(out_shape, dtype=int)),
                                           int(np.prod(in_shape, dtype=int)))))
+
+
+def csr_product(A: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
+    """The product ``x -> A @ x`` of the CSR matrix ``A``, bound once.
+
+    It calls ``csr_matvec`` into a zeroed output, exactly as ``A @ x`` does,
+    without the operator's dispatch and checks, so ``x`` must be a vector of
+    ``A``'s column count. A square identity returns ``x`` itself, which
+    differs from ``A @ x`` only in keeping the sign of a zero entry.
+    """
+    n_row, n_col = A.shape
+    indptr, indices = A.indptr, A.indices
+    data = np.asarray(A.data, dtype=float)
+    if (n_row == n_col and np.array_equal(indptr, np.arange(n_row + 1))
+            and np.array_equal(indices, np.arange(n_row)) and np.all(data == 1.0)):
+        return lambda x: x
+
+    def product(x: np.ndarray) -> np.ndarray:
+        out = np.zeros(n_row)
+        csr_matvec(n_row, n_col, indptr, indices, data, x, out)
+        return out
+
+    return product
 
 
 def _checked(u: np.ndarray, shape: tuple) -> np.ndarray:

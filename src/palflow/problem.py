@@ -10,9 +10,9 @@ from typing import Callable, List, NamedTuple, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .linops import (BlockOperator, SingularExtremes, TOL_RANK, range_basis,
-                     singular_extremes, range_contained, vec, unvec)
-from .prox import ProximableFunction, moreau_value
+from .linops import (BlockOperator, SingularExtremes, TOL_RANK, csr_product,
+                     range_basis, singular_extremes, range_contained, vec, unvec)
+from .prox import ProximableFunction, moreau_value, prox_l1
 
 
 class AssumptionError(RuntimeError):
@@ -237,19 +237,70 @@ def _slices(shapes) -> List[slice]:
     return [slice(a, b) for a, b in zip(offs[:-1], offs[1:])]
 
 
+class BlockPlan:
+    """The per-block calls of a field on a flat vector, planned once from
+    each block's ``(slice, shape, function)``; the slices lie end to end
+    from 0. ``grad`` calls smooth blocks' gradients, ``prox`` nonsmooth
+    functions' proxes, each into its block's slice of the output.
+
+    A run of adjacent functions of kind ``"l1"`` makes one call: the soft
+    threshold at the per-entry level ``w * mu``, where ``w`` repeats each
+    block's ``meta["weight"]`` over its entries. That holds the same doubles
+    as each block's ``weight * mu``, and ``prox_l1`` acts entry by entry, so
+    the run equals its blocks' calls to the bit. Any other 1-D block is
+    called on its slice; a matrix-shaped one on its column-major reshape.
+    """
+
+    def __init__(self, blocks):
+        # (slice, per-entry l1 weights, None, None) for a run of l1 blocks,
+        # (slice, None, matrix shape or None, function) for any other block
+        self.runs = []
+        for sl, shape, fn in blocks:
+            if getattr(fn, "kind", None) == "l1":
+                w = np.full(sl.stop - sl.start, float(fn.meta["weight"]))
+                if self.runs and self.runs[-1][1] is not None:
+                    prev, w_prev = self.runs.pop()[:2]
+                    sl, w = slice(prev.start, sl.stop), np.concatenate([w_prev, w])
+                self.runs.append((sl, w, None, None))
+            else:
+                self.runs.append((sl, None, tuple(shape) if len(shape) > 1 else None, fn))
+        self.dim = self.runs[-1][0].stop if self.runs else 0
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        out = np.empty(self.dim)
+        for sl, _, shape, b in self.runs:
+            out[sl] = (b.grad(x[sl]) if shape is None else
+                       np.ravel(b.grad(x[sl].reshape(shape, order="F")), order="F"))
+        return out
+
+    def prox(self, mu: float, v: np.ndarray) -> np.ndarray:
+        out = np.empty(self.dim)
+        for sl, w, shape, g in self.runs:
+            if w is not None:
+                out[sl] = prox_l1(w * mu, v[sl])
+            elif shape is None:
+                out[sl] = g.prox(mu, v[sl])
+            else:
+                out[sl] = np.ravel(g.prox(mu, v[sl].reshape(shape, order="F")), order="F")
+        return out
+
+
 class FieldKernel:
     """The proximal augmented Lagrangian, its gradient, the flow field and
     the KKT residual, evaluated on the flat state of a :class:`SaddleProblem`
     (packing order: x blocks, z blocks, y blocks, lam).
 
     The matrices of the column blocks of ``[E F]`` are stacked into two CSR
-    matrices over the contiguous ``(x, z)`` slice: their block diagonal,
-    whose one product gives every block's ``E_i x_i`` (the residual then
-    sums them in block order, exactly as ``BlockOperator`` does, so the two
-    agree to the last bit even where ``Ex`` and ``q`` cancel), and the
-    transpose of ``[E F]``, whose one product gives both adjoints. Smooth
-    gradients and proxes are called on reshaped views of their slices.
-    ``mu`` and ``alpha`` are read from the problem at each call.
+    matrices over the contiguous ``(x, z)`` slice: their block diagonal
+    ``blocks``, whose one product gives every block's ``E_i x_i`` (the
+    residual then sums them in block order, exactly as ``BlockOperator``
+    does, so the two agree to the last bit even where ``Ex`` and ``q``
+    cancel), and ``EFt``, the transpose of ``[E F]``, whose one product gives
+    both adjoints. Both products are bound once by ``csr_product``, which
+    skips an identity (PCP's block diagonal). The smooth gradients and the
+    proxes run through one :class:`BlockPlan` each, which fuses adjacent l1
+    blocks into one soft threshold. ``mu`` and ``alpha`` are read from the
+    problem at each call.
     """
 
     def __init__(self, prob: SaddleProblem):
@@ -261,30 +312,20 @@ class FieldKernel:
         self.blocks = sp.block_diag(mats, format="csr")
         self.n_blocks = len(mats)
         self.EFt = sp.hstack(mats, format="csr").T.tocsr()
-        self.x_blocks = list(zip(_slices(prob.x_shapes), prob.smooth_blocks))
-        self.z_blocks = list(zip(_slices(prob.z_shapes), prob.nonsmooth_blocks))
+        self._parts = csr_product(self.blocks)
+        # ``[E F]^T v`` on the ``(x, z)`` slice
+        self._adjoint = csr_product(self.EFt)
+        x_slices, z_slices = _slices(prob.x_shapes), _slices(prob.z_shapes)
+        self.x_blocks = list(zip(x_slices, prob.smooth_blocks))
+        self.z_blocks = list(zip(z_slices, prob.nonsmooth_blocks))
+        self.x_plan = BlockPlan(zip(x_slices, prob.x_shapes, prob.smooth_blocks))
+        self.z_plan = BlockPlan(zip(z_slices, prob.z_shapes,
+                                    [b.g for b in prob.nonsmooth_blocks]))
 
     def _residual(self, xz: np.ndarray) -> np.ndarray:
         """``E x + F z - q``."""
-        parts = (self.blocks @ xz).reshape(self.n_blocks, self.p)
+        parts = self._parts(xz).reshape(self.n_blocks, self.p)
         return parts[:self.n_E].sum(axis=0) + parts[self.n_E:].sum(axis=0) - self.prob.q
-
-    def _adjoint(self, v: np.ndarray) -> np.ndarray:
-        """``[E F]^T v`` on the ``(x, z)`` slice."""
-        return self.EFt @ v
-
-    def _f_grad(self, x: np.ndarray) -> np.ndarray:
-        out = np.empty(self.m)
-        for sl, b in self.x_blocks:
-            out[sl] = np.ravel(b.grad(x[sl].reshape(b.shape, order="F")), order="F")
-        return out
-
-    def _prox(self, v: np.ndarray) -> np.ndarray:
-        mu = self.prob.mu
-        out = np.empty(self.n)
-        for sl, b in self.z_blocks:
-            out[sl] = np.ravel(b.g.prox(mu, v[sl].reshape(b.shape, order="F")), order="F")
-        return out
 
     def value(self, u: np.ndarray) -> float:
         """Value of the proximal augmented Lagrangian."""
@@ -305,9 +346,9 @@ class FieldKernel:
         r = self._residual(u[:m + n])
         at = self._adjoint(lam + r / mu)
         v = z + mu * y
-        pv = self._prox(v)
+        pv = self.z_plan.prox(mu, v)
         out = np.empty_like(u)
-        out[:m] = self._f_grad(u[:m]) + at[:m]
+        out[:m] = self.x_plan.grad(u[:m]) + at[:m]
         out[m:m + n] = (v - pv) / mu + at[m:]
         out[m + n:m + 2 * n] = z - pv
         out[m + 2 * n:] = r
@@ -323,13 +364,13 @@ class FieldKernel:
 
     def kkt(self, u: np.ndarray) -> float:
         """Norm of the stacked KKT violations; see :func:`kkt_residual`."""
-        m, n = self.m, self.n
+        m, n, mu = self.m, self.n, self.prob.mu
         z, y, lam = u[m:m + n], u[m + n:m + 2 * n], u[m + 2 * n:]
         at = self._adjoint(lam)
         r = self._residual(u[:m + n])
-        return float(np.sqrt(np.sum((self._f_grad(u[:m]) + at[:m]) ** 2)
+        return float(np.sqrt(np.sum((self.x_plan.grad(u[:m]) + at[:m]) ** 2)
                              + np.sum((y + at[m:]) ** 2)
-                             + np.sum((z - self._prox(z + self.prob.mu * y)) ** 2)
+                             + np.sum((z - self.z_plan.prox(mu, z + mu * y)) ** 2)
                              + np.sum(r ** 2)))
 
     @cached_property

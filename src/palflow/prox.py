@@ -89,8 +89,9 @@ class ProximableFunction:
 # ---------------------------------------------------------------------------
 # elementary prox maps
 
-def prox_l1(mu: float, v: np.ndarray) -> np.ndarray:
-    """Entrywise soft threshold at level ``mu``."""
+def prox_l1(mu, v: np.ndarray) -> np.ndarray:
+    """Entrywise soft threshold at level ``mu``: one level for every entry,
+    or an array of one level per entry of ``v``."""
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - mu, 0.0)
 
@@ -184,7 +185,17 @@ def prox_frobenius_ball_masked(radius: float, mask: np.ndarray, X: np.ndarray) -
 _INDICATOR_TOL = 1e-9
 
 
+def _weight(weight) -> float:
+    """A penalty weight as a float; a negative or non-finite one is refused."""
+    weight = float(weight)
+    if not (np.isfinite(weight) and weight >= 0):
+        raise ValueError(f"penalty weight must be finite and nonnegative, got {weight}")
+    return weight
+
+
 def l1(weight: float = 1.0) -> ProximableFunction:
+    """``weight * ||w||_1``; its prox is the soft threshold at ``weight * mu``."""
+    weight = _weight(weight)
     return ProximableFunction(
         value=lambda w: weight * float(np.sum(np.abs(w))),
         prox=lambda mu, v: prox_l1(weight * mu, v),
@@ -204,6 +215,7 @@ def group_lasso(part: GroupPartition) -> ProximableFunction:
 
 
 def nuclear(weight: float = 1.0) -> ProximableFunction:
+    weight = _weight(weight)
     return ProximableFunction(
         value=lambda W: weight * float(np.sum(np.linalg.svd(W, compute_uv=False))),
         prox=lambda mu, v: prox_nuclear(weight * mu, v),
@@ -224,6 +236,8 @@ def indicator_orthant(sign: str) -> ProximableFunction:
 
 
 def frobenius_ball_masked(radius: float, mask: np.ndarray) -> ProximableFunction:
+    if not radius >= 0:
+        raise ValueError(f"ball radius must be nonnegative, got {radius}")
     mask = np.asarray(mask, dtype=float)
 
     def value(W):

@@ -1,5 +1,13 @@
 """Shared instance builders for the test suite."""
 
+import os
+
+# One BLAS thread unless the environment says otherwise, set before numpy is
+# first imported: the numbers the acceptance tests print (PCP's r^2 and
+# monotone excess) move with the BLAS thread count's rounding.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from dataclasses import dataclass
 from typing import Sequence
 

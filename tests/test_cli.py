@@ -213,6 +213,14 @@ def test_solve_custom_nonsymmetric_hessian_exit_1(tmp_path, capsys):
     assert "symmetric" in capsys.readouterr().err
 
 
+def test_solve_custom_negative_l1_weight_exit_1(tmp_path, capsys):
+    cfg = write(tmp_path, "problem = custom\nl1_weight = -1\n[matrix H]\n1 0\n0 1\n"
+                          "[matrix E]\n1 0\n0 1\n[matrix F]\n-1 0\n0 -1\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "weight" in err
+
+
 def test_manifest_records_package_version(tmp_path):
     cfg = write(tmp_path, VECTOR_CFG.format(c="", q=""))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0

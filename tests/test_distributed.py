@@ -231,6 +231,21 @@ def mixed_net(seed=0):
     return Network(3, [(1, 2), (0, 1)], agents)
 
 
+def mixed_prox_net(seed=1):
+    """Cycle of four agents on R^3: l1 terms of three weights around one
+    group-lasso agent, with identity and random local maps."""
+    rng = np.random.default_rng(seed)
+    part = prox.GroupPartition([np.arange(2), np.arange(2, 4)], [0.5, 1.2], eta=0.1)
+    local = [(prox.l1(0.3), LinearOperator.identity((3,))),
+             (prox.l1(0.8), LinearOperator.from_matrix(rng.standard_normal((2, 3)))),
+             (prox.group_lasso(part), LinearOperator.from_matrix(rng.standard_normal((4, 3)))),
+             (prox.l1(1.5), LinearOperator.identity((3,)))]
+    agents = [AgentData(f=SmoothBlock.least_squares(rng.standard_normal((4, 3)),
+                                                    rng.standard_normal(4)),
+                        g=g, C=C) for g, C in local]
+    return Network(4, [(0, 1), (1, 2), (2, 3), (3, 0)], agents)
+
+
 def test_layout_from_network():
     net = mixed_net()
     assert net.neighbors == [[1], [0, 2], [1]]
@@ -282,8 +297,9 @@ def test_network_rejects_mixed_local_dims():
 # -- the packed message-passing field ----------------------------------------
 
 @pytest.mark.parametrize("make_net", [small_net, lambda: small_net(k=5, with_chord=False),
-                                      mixed_net, lambda: gen_lasso_network(6, 4, seed=2)[0]],
-                         ids=["triangle", "path", "mixed", "lasso"])
+                                      mixed_net, mixed_prox_net,
+                                      lambda: gen_lasso_network(6, 4, seed=2)[0]],
+                         ids=["triangle", "path", "mixed", "mixed_prox", "lasso"])
 @pytest.mark.parametrize("alpha,mu", [(1.0, 1.0), (1.3, 0.7)])
 def test_network_field_is_the_per_agent_loop(rng, make_net, alpha, mu):
     net = make_net()

@@ -9,7 +9,7 @@ from palflow.flow import (FlowField, IntegratorConfig, blockwise_field,
                           integrate, integrate_ode, pal_gradient, pal_value,
                           vector_field)
 from palflow.linops import (BlockOperator, LinearOperator, masked_congruence,
-                            vec)
+                            unvec, vec)
 from palflow.problem import (NonsmoothBlock, PrimalDualState, SaddleProblem,
                              SmoothBlock, kkt_residual)
 
@@ -159,6 +159,34 @@ def dense_congruence_problem():
                          rng.standard_normal(4))
 
 
+def mixed_prox_problem():
+    """z blocks that interleave l1 blocks of different weights, 1-D and
+    matrix-shaped, with group-lasso, nuclear, zero and custom blocks; the
+    custom block wraps the soft threshold and is not of kind l1."""
+    rng = np.random.default_rng(11)
+    custom = prox.ProximableFunction(
+        value=lambda w: 0.9 * float(np.sum(np.abs(w))),
+        prox=lambda mu, v: prox.prox_l1(0.9 * mu, v), kind="custom")
+    part = prox.GroupPartition([np.arange(2), np.arange(2, 4)], [0.6, 1.4], eta=0.2)
+    blocks = [(prox.l1(0.4), (3,)), (prox.l1(1.3), (2, 2)),
+              (prox.group_lasso(part), (4,)), (prox.l1(0.7), (3,)),
+              (prox.l1(0.25), (2, 3)), (custom, (2,)), (prox.l1(1.1), (2,)),
+              (prox.nuclear(0.5), (3, 2)), (prox.zero(), (3,)), (prox.l1(0.9), (1,))]
+    p = 7
+    smooth = [SmoothBlock.quadratic(np.diag([1.0, 2.0, 3.0])),
+              SmoothBlock(shape=(2, 2), value=lambda X: 0.5 * np.sum(X ** 2),
+                          grad=lambda X: X, lipschitz=1.0, strong_convexity=1.0)]
+
+    def random_map(shape):
+        M = rng.standard_normal((p, int(np.prod(shape))))
+        return LinearOperator(shape, (p,), lambda: M)
+
+    E = BlockOperator([random_map(b.shape) for b in smooth])
+    F = BlockOperator([random_map(sh) for _, sh in blocks])
+    return SaddleProblem(smooth, [NonsmoothBlock(g, sh) for g, sh in blocks], E, F,
+                         rng.standard_normal(p), mu=0.8, alpha=1.2)
+
+
 KERNEL_INSTANCES = {
     "network_lasso": lambda: assemble_consensus(examples.gen_lasso_network(3, 4, 3, seed=0)[0]),
     "sparse_group_lasso": lambda: examples.gen_sparse_group_lasso(6, 12, 3, seed=2)[0],
@@ -168,6 +196,7 @@ KERNEL_INSTANCES = {
     "covariance_completion": lambda: examples.gen_covariance_completion(3)[0],
     "counterexample": lambda: examples.counterexample_problem(mu=0.7, alpha=1.3),
     "dense_congruence": dense_congruence_problem,
+    "mixed_prox": mixed_prox_problem,
 }
 
 
@@ -181,6 +210,31 @@ def test_kernel_field_matches_blockwise(name, rng):
         # the residual sums the blocks in BlockOperator's order, to the bit
         r = prob.kernel.gradient(prob.pack(s))[prob.m + 2 * prob.n:]
         assert np.array_equal(r, prob.constraint_residual(s.x, s.z))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_INSTANCES))
+def test_block_plans_are_the_per_block_calls(name, rng):
+    prob = KERNEL_INSTANCES[name]()
+    kernel = prob.kernel
+    for mu in (prob.mu, 0.37):
+        x, v = rng.standard_normal(prob.m), 2.0 * rng.standard_normal(prob.n)
+        xs = [unvec(x[sl], b.shape) for sl, b in kernel.x_blocks]
+        vs = [unvec(v[sl], b.shape) for sl, b in kernel.z_blocks]
+        want_grad = np.concatenate([vec(g) for g in prob.f_grad(xs)] + [np.empty(0)])
+        want_prox = np.concatenate([vec(b.g.prox(mu, vi))
+                                    for (_, b), vi in zip(kernel.z_blocks, vs)] + [np.empty(0)])
+        assert np.array_equal(kernel.x_plan.grad(x), want_grad)
+        assert np.array_equal(kernel.z_plan.prox(mu, v), want_prox)
+
+
+def test_block_plan_fuses_adjacent_l1_blocks_only():
+    plan = mixed_prox_problem().kernel.z_plan
+    # l1 l1 | group | l1 l1 | custom | l1 | nuclear | zero | l1
+    assert [(sl.start, sl.stop, w is not None) for sl, w, _, _ in plan.runs] == [
+        (0, 7, True), (7, 11, False), (11, 20, True), (20, 22, False),
+        (22, 24, True), (24, 30, False), (30, 33, False), (33, 34, True)]
+    assert np.array_equal(plan.runs[2][1], [0.7] * 3 + [0.25] * 6)
+    assert [shape for _, _, shape, _ in plan.runs if shape] == [(3, 2)]
 
 
 def test_kernel_reads_mu_and_alpha_per_call(rng):

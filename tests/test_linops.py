@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from palflow.linops import (BlockOperator, LinearOperator, lyapunov_operator,
-                            masked_congruence, null_projection,
-                            range_contained, singular_extremes, unvec, vec,
-                            vstack)
+from palflow import examples, linops
+from palflow.distributed import assemble_consensus
+from palflow.linops import (BlockOperator, LinearOperator, csr_product,
+                            lyapunov_operator, masked_congruence,
+                            null_projection, range_contained,
+                            singular_extremes, unvec, vec, vstack)
 
 
 def test_vec_is_column_major():
@@ -230,3 +233,47 @@ def test_operator_is_its_matrix(name):
         op.apply(np.ones(op.in_shape[::-1] + (1,)))
     with pytest.raises(ValueError):
         op.adjoint(np.ones(op.out_shape[::-1] + (1,)))
+
+
+def _products():
+    """Every kind of CSR matrix the field kernels bind with ``csr_product``:
+    each operator's matrix and its transpose, a p x 0 matrix, the kernels'
+    block diagonals and ``EFt``, and a network's kron adjacency."""
+    mats = {}
+    for name, op in _operators().items():
+        mats[name] = op.matrix
+        mats[name + ".T"] = op.matrix.T.tocsr()
+    mats["p_by_0"] = sp.csr_matrix((4, 0))
+    for name, prob in (("lasso", assemble_consensus(examples.gen_lasso_network(3, 4, 3, seed=0)[0])),
+                       ("pcp", examples.gen_pcp(6, 1, seed=3)[0]),
+                       ("covariance", examples.gen_covariance_completion(3)[0])):
+        mats[name + ".blocks"] = prob.kernel.blocks
+        mats[name + ".EFt"] = prob.kernel.EFt
+    net = examples.gen_lasso_network(5, 4, 3, seed=0)[0]
+    rows = [i for i, nb in enumerate(net.neighbors) for _ in nb]
+    cols = [j for nb in net.neighbors for j in nb]
+    adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(net.k, net.k))
+    mats["kron_adjacency"] = sp.kron(adj, sp.identity(net.x_dim), format="csr")
+    return mats
+
+
+def test_csr_product_calls_scipys_matvec():
+    # a scipy release that moves this private kernel fails here first
+    from scipy.sparse._sparsetools import csr_matvec
+    assert linops.csr_matvec is csr_matvec
+
+
+@pytest.mark.parametrize("name", sorted(_products()))
+def test_csr_product_is_the_matrix_product(name):
+    A = _products()[name]
+    rng = np.random.default_rng(10)
+    product = csr_product(A)
+    for _ in range(3):
+        x = rng.standard_normal(A.shape[1])
+        got, want = product(x), A @ x
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    identity = (A.shape[0] == A.shape[1]
+                and (A != sp.identity(A.shape[0], format="csr")).nnz == 0)
+    assert (product(x) is x) == identity
+    assert identity == (name in {"identity", "identity.T", "pcp.blocks"})

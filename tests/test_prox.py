@@ -20,6 +20,35 @@ def test_l1_frozen_values():
     assert np.allclose(prox_l1(2.0, np.array([-5.0])), [-3.0])
 
 
+def test_l1_level_per_entry_is_each_entrys_threshold(rng):
+    v = rng.standard_normal(6)
+    levels = np.array([0.1, 0.1, 0.5, 0.5, 0.5, 2.0])
+    want = np.concatenate([prox_l1(0.1, v[:2]), prox_l1(0.5, v[2:5]), prox_l1(2.0, v[5:])])
+    assert np.array_equal(prox_l1(levels, v), want)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: prox.l1(-1.0), lambda: prox.l1(np.inf), lambda: prox.l1(np.nan),
+    lambda: prox.nuclear(-1.0), lambda: prox.nuclear(np.inf), lambda: prox.nuclear(np.nan),
+    lambda: prox.frobenius_ball_masked(-1.0, np.ones((2, 2))),
+    lambda: prox.frobenius_ball_masked(np.nan, np.ones((2, 2)))],
+    ids=["l1_negative", "l1_inf", "l1_nan", "nuclear_negative", "nuclear_inf",
+         "nuclear_nan", "ball_negative", "ball_nan"])
+def test_constructors_refuse_negative_or_nonfinite_weights(make):
+    # a negative l1 weight once made a "prox" that expands: [0.5, -2] -> [1.5, -3]
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_constructors_accept_zero_weights():
+    v = np.array([0.5, -2.0])
+    assert np.array_equal(prox.l1(0).prox(1.0, v), v)
+    assert prox.l1(0).meta["weight"] == 0.0
+    assert np.array_equal(prox.nuclear(0.0).prox(1.0, np.diag(v)), np.diag(v))
+    assert np.array_equal(prox.frobenius_ball_masked(0.0, np.eye(2)).prox(1.0, np.ones((2, 2))),
+                          np.ones((2, 2)) - np.eye(2))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10 ** 6), st.floats(0.01, 5.0))
 def test_l1_matches_scalar_argmin(seed, mu):
