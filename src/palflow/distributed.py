@@ -254,26 +254,12 @@ def unpack_agents(net: Network, flat: np.ndarray) -> List[AgentState]:
 
 def simulate(net: Network, init: Sequence[AgentState], cfg: flow.IntegratorConfig,
              alpha: float, mu: float) -> flow.Trajectory:
-    """Integrate the decentralized field; every field evaluation is one
-    synchronous round carrying ``x`` across each edge in both directions."""
-    counter = {"evals": 0}
-
-    def field(t, y):
-        return net.field(y, alpha, mu)
-
-    def fun(t, y):
-        counter["evals"] += 1
-        return net.field(y, alpha, mu)
-
-    # ``field`` is uncounted: the one sample no step leaves a field at is not a round
-    times, states, norms, term, steps, rejected = flow.integrate_ode(
-        fun, pack_agents(init), cfg, field=field)
-    messages = 2 * len(net.edges) * counter["evals"]
-    return flow.Trajectory(times=times, states=states,
-                           diagnostics={"field_norm": norms},
-                           termination=term, problem=None,
-                           meta={"messages_total": messages,
-                                 "messages_per_round": 2 * len(net.edges),
-                                 "rounds": counter["evals"], "steps": steps,
-                                 "rejected": rejected,
-                                 "packing": "x, z, y, lam1, lam2 per agent"})
+    """Integrate the decentralized field; every field evaluation the stepper
+    makes is one synchronous round carrying ``x`` across each edge in both
+    directions, so ``rounds`` is the run's ``n_evals``."""
+    traj = flow.integrate_ode(lambda t, y: net.field(y, alpha, mu), pack_agents(init), cfg)
+    rounds = traj.meta["n_evals"]
+    traj.meta.update(messages_total=2 * len(net.edges) * rounds,
+                     messages_per_round=2 * len(net.edges), rounds=rounds,
+                     packing="x, z, y, lam1, lam2 per agent")
+    return traj

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import solve_lyapunov
 
 from . import flow, prox
@@ -362,16 +361,17 @@ def counterexample_run(beta: float, mu: float = 1.0, alpha: float = 1.0,
     """Integrate the reduced dynamics from the canonical start and return the
     first exit time from ``{n1 >= 0, n2 >= 0}`` with the trajectory.
 
-    The exit is located by the adaptive integrator's event root finder. A
-    start outside the region is an error.
+    The exit is located on the adaptive integrator's dense output, which the
+    trajectory keeps as ``meta["dense"]``; a fixed-step ``cfg`` is an error.
+    A start outside the region or on its boundary is an error.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     if y0 is None:
         y0 = np.array([2.0 * beta + 2.0, 2.0 * beta + 2.0])
     s0 = np.concatenate([[0.0], np.asarray(y0, dtype=float)])
-    if np.min(region_measurements(s0, mu)) < 0:
-        raise ValueError("initial condition lies outside the region")
+    if np.min(region_measurements(s0, mu)) <= 0:
+        raise ValueError("initial condition lies outside the region or on its boundary")
 
     try:
         phi0 = phi_from_state(s0, mu, alpha)
@@ -385,24 +385,15 @@ def counterexample_run(beta: float, mu: float = 1.0, alpha: float = 1.0,
 
     def exit_event(t, s):
         return float(np.min(region_measurements(s, mu)))
-    exit_event.terminal = True
-    exit_event.direction = -1
 
-    sol = solve_ivp(_reduced_field(mu, alpha), (0.0, cfg.t_end), s0,
-                    method="RK45", rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    events=[exit_event], dense_output=True)
-    if not sol.success and sol.status == -1:
-        raise flow.FlowError(sol.message)
-    if sol.status != 1 or len(sol.t_events[0]) == 0:
-        raise flow.FlowError("trajectory did not exit the region before t_end")
-    t_star = float(sol.t_events[0][0])
-    traj = flow.Trajectory(times=sol.t, states=sol.y.T,
-                           diagnostics={}, termination="region_exit",
-                           problem=None,
-                           meta={"t_star": t_star, "mu": mu, "alpha": alpha,
-                                 "dense": sol.sol, "n_evals": sol.nfev,
-                                 "steps": len(sol.t) - 1,
-                                 "rejected": (sol.nfev - 2) // 6 - (len(sol.t) - 1)})
+    traj = flow.integrate_ode(_reduced_field(mu, alpha), s0, cfg,
+                              events=[exit_event], dense=True)
+    if traj.termination != "event":
+        raise flow.FlowError(f"trajectory did not exit the region: the run stopped "
+                             f"on {traj.termination}")
+    t_star = float(traj.times[-1])
+    traj.termination = "region_exit"
+    traj.meta.update(t_star=t_star, mu=mu, alpha=alpha)
     return t_star, traj
 
 

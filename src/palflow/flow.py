@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import RK45
+from scipy.integrate import RK45, OdeSolution
 from scipy.integrate import solve_ivp  # noqa: F401  palbench's tracer looks up flow.solve_ivp
 from scipy.optimize import brentq
 
@@ -51,14 +51,12 @@ def blockwise_field(prob: SaddleProblem, s: PrimalDualState) -> PrimalDualState:
 
 
 class FlowField:
-    """Flat-state ODE right-hand side of the flow; counts its evaluations."""
+    """Flat-state ODE right-hand side of the flow."""
 
     def __init__(self, prob: SaddleProblem):
         self.prob = prob
-        self.n_evals = 0
 
     def __call__(self, t: float, flat: np.ndarray) -> np.ndarray:
-        self.n_evals += 1
         return self.prob.kernel.field(flat)
 
 
@@ -123,25 +121,27 @@ class Trajectory:
 
 class _FixedStep:
     """Forward Euler or classic RK4 with step ``h``, driven like scipy's
-    ``RK45``: ``step()`` advances to ``t = k·h`` after ``k`` steps, and ``f``,
-    the field at ``(t, y)``, is evaluated on first use and is then the next
-    step's first stage."""
+    ``RK45``: ``step()`` advances to ``t = k·h`` after ``k`` steps, ``f``, the
+    field at ``(t, y)``, is evaluated on first use and is then the next
+    step's first stage, and ``nfev`` counts the field evaluations."""
 
     def __init__(self, fun: Callable, y0: np.ndarray, cfg: IntegratorConfig):
         self.fun, self.h, self.rk4 = fun, cfg.h, cfg.method == "rk4"
         self.n_steps = int(np.ceil(cfg.t_end / cfg.h))
         self.k, self.t, self.y, self._f = 0, 0.0, y0, None
-        self.status = "running"
+        self.status, self.nfev = "running", 0
 
     @property
     def f(self) -> np.ndarray:
         if self._f is None:
+            self.nfev += 1
             self._f = self.fun(self.t, self.y)
         return self._f
 
     def step(self) -> None:
         t, y, h, k1 = self.t, self.y, self.h, self.f
         if self.rk4:
+            self.nfev += 3
             k2 = self.fun(t + h / 2, y + h / 2 * k1)
             k3 = self.fun(t + h / 2, y + h / 2 * k2)
             k4 = self.fun(t + h, y + h * k3)
@@ -155,30 +155,39 @@ class _FixedStep:
 
 
 def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
-                  events: Optional[list] = None, field: Optional[Callable] = None):
+                  events: Optional[list] = None, field: Optional[Callable] = None,
+                  dense: bool = False) -> Trajectory:
     """Integrate a generic flat ODE with the configured method.
 
-    Returns ``(times, states, field_norms, termination, steps, rejected)``.
-    The adaptive method is Dormand-Prince 4(5) (scipy's ``RK45``, stepped
-    here) with error-controlled step rejection; fixed-step methods are
-    forward Euler and classic RK4. Only every ``record_stride``-th accepted
-    step and the last one are held. ``field_norms`` are the norms of the
-    field at the kept samples, taken from the field each step already holds
-    there; the one sample no step leaves it at (an event's end point, the
-    last fixed-step sample) is evaluated with ``field(t, y)``, uncounted,
-    which defaults to ``fun``. Events stop the run where they reach zero or
-    below (``"event"``); the adaptive method locates the crossing on its
-    step's dense output, and one that is there at ``t = 0`` already stops the
-    run before the first step, with one sample. ``max_steps`` caps the
-    accepted steps of every method (``"max_steps"``); ``steps`` counts them,
-    and ``rejected`` the adaptive method's rejected attempts (0 for the
-    others).
+    Returns the run as a :class:`Trajectory` with no problem attached: its
+    ``field_norm`` column, its termination (``"t_end"``, ``"event"`` or
+    ``"max_steps"``) and ``meta`` with ``n_evals``, the stepper's calls of
+    ``fun``, ``steps``, the accepted steps, and ``rejected``, the adaptive
+    method's rejected attempts (0 for the others). The adaptive method is
+    Dormand-Prince 4(5) (scipy's ``RK45``, stepped here) with
+    error-controlled step rejection; fixed-step methods are forward Euler and
+    classic RK4. Only every ``record_stride``-th accepted step and the last
+    one are held. The field norms are taken from the field each step already
+    holds at a kept sample; the one sample no step leaves it at (an event's
+    end point, the last fixed-step sample) is evaluated with ``field(t, y)``,
+    uncounted, which defaults to ``fun``. Events stop the run where they
+    reach zero or below (``"event"``); the adaptive method locates the
+    crossing on its step's dense output, and one that is there at ``t = 0``
+    already stops the run before the first step, with one sample.
+    ``max_steps`` caps the accepted steps of every method (``"max_steps"``).
+    With ``dense`` (adaptive method only), ``meta["dense"]`` is the run's
+    ``OdeSolution``: every accepted step's dense output, with breakpoints at
+    every step's end, whatever the stride (absent for a run stopped at its
+    start).
     """
+    if dense and cfg.method != "rk45":
+        raise ValueError("dense output needs the adaptive method rk45")
     y0 = np.asarray(y0, dtype=float)
     field = field or fun
     if events and any(ev(0.0, y0) <= 0 for ev in events):
-        return (np.array([0.0]), y0[None, :].copy(),
-                np.array([np.linalg.norm(field(0.0, y0))]), "event", 0, 0)
+        return Trajectory(np.array([0.0]), y0[None, :].copy(),
+                          {"field_norm": np.array([np.linalg.norm(field(0.0, y0))])},
+                          "event", meta={"n_evals": 0, "steps": 0, "rejected": 0})
     if cfg.method == "rk45":
         stepper = RK45(fun, 0.0, y0, cfg.t_end, rtol=cfg.rel_tol, atol=cfg.abs_tol)
     else:
@@ -189,6 +198,7 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
     states = np.empty((64, y0.size))
     states[0] = y0
     times, norms = [0.0], [np.linalg.norm(stepper.f)]
+    ends, pieces = [0.0], []
     steps, term = 0, None
     while term is None:
         message = stepper.step()
@@ -199,10 +209,12 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
         if not np.all(np.isfinite(y)):
             raise FlowError("non-finite state encountered")
         hit = [ev for ev in events or () if ev(t, y) <= 0]
+        rk45_hit = hit and cfg.method == "rk45"
+        sol = stepper.dense_output() if dense or rk45_hit else None
         if hit:
             term = "event"
-            if cfg.method == "rk45":
-                sol, tol = stepper.dense_output(), 4 * np.finfo(float).eps
+            if rk45_hit:
+                tol = 4 * np.finfo(float).eps
                 t = min(brentq(lambda s: ev(s, sol(s)), stepper.t_old, t,
                                xtol=tol, rtol=tol) for ev in hit)
                 y = sol(t)
@@ -210,6 +222,9 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
             term = "t_end"
         elif steps == cfg.max_steps:
             term = "max_steps"
+        if dense:
+            pieces.append(sol)
+            ends.append(t)
         if term is None and steps % cfg.record_stride:
             continue
         if len(times) == len(states):
@@ -225,7 +240,11 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
     # RK45 evaluates the field once at the start, once for its first step
     # size, and six times per attempted step
     rejected = (stepper.nfev - 2) // 6 - steps if cfg.method == "rk45" else 0
-    return np.array(times), states, np.array(norms), term, steps, rejected
+    meta = {"n_evals": stepper.nfev, "steps": steps, "rejected": rejected}
+    if dense:
+        meta["dense"] = OdeSolution(ends, pieces)
+    return Trajectory(np.array(times), states, {"field_norm": np.array(norms)}, term,
+                      meta=meta)
 
 
 def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig) -> Trajectory:
@@ -237,7 +256,6 @@ def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig) -
     recorded. With ``stop_kkt`` the ``kkt_residual`` column takes the
     event's values; only a located end point is evaluated again.
     """
-    ff = FlowField(prob)
     events = None
     # the event's residual at each time it first sees: the start and every
     # accepted step come before any root-search point at the same time
@@ -249,22 +267,19 @@ def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig) -
             return k - cfg.stop_kkt
         events = [kkt_event]
 
-    times, states, norms, term, steps, rejected = integrate_ode(
-        ff, prob.pack(s0), cfg, events=events,
-        field=lambda t, y: prob.kernel.field(y))
+    traj = integrate_ode(FlowField(prob), prob.pack(s0), cfg, events=events,
+                         field=lambda t, y: prob.kernel.field(y))
     if events:
-        kkt = [kkt_at[t] for t in times]
-        if term == "event" and cfg.method == "rk45":
+        kkt = [kkt_at[t] for t in traj.times]
+        if traj.termination == "event" and cfg.method == "rk45":
             # located on the dense output, so not a state the event saw
-            kkt[-1] = prob.kernel.kkt(states[-1])
+            kkt[-1] = prob.kernel.kkt(traj.states[-1])
     else:
-        kkt = [prob.kernel.kkt(u) for u in states]
-    if term == "event":
-        term = "stop_kkt"
-    diag = {"kkt_residual": np.array(kkt), "field_norm": norms}
-    return Trajectory(times=times, states=states,
-                      diagnostics=diag, termination=term, problem=prob,
-                      meta={"method": cfg.method, "alpha": prob.alpha,
-                            "packing": "x-blocks, z-blocks, y-blocks, lam (column-major)",
-                            "n_evals": ff.n_evals, "steps": steps,
-                            "rejected": rejected})
+        kkt = [prob.kernel.kkt(u) for u in traj.states]
+    if traj.termination == "event":
+        traj.termination = "stop_kkt"
+    traj.diagnostics = {"kkt_residual": np.array(kkt), **traj.diagnostics}
+    traj.problem = prob
+    traj.meta.update(method=cfg.method, alpha=prob.alpha,
+                     packing="x-blocks, z-blocks, y-blocks, lam (column-major)")
+    return traj

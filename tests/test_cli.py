@@ -149,6 +149,30 @@ def test_solve_counterexample_emits_exit_row(tmp_path):
     assert "seed = 0" in manifest
     assert "config.beta = 5" in manifest
     assert "termination = region_exit" in manifest
+    run = dict(line.split(" = ", 1) for line in manifest.splitlines())
+    assert int(run["n_evals"]) > int(run["steps"]) > 0
+    assert int(run["rejected"]) >= 0
+
+
+def test_solve_counterexample_obeys_record_stride(tmp_path):
+    rows = {}
+    for stride in (1, 5):
+        cfg = write(tmp_path, "problem = counterexample\nbeta = 5\nt_end = 20\n"
+                              f"record_stride = {stride}\n")
+        out = tmp_path / f"s{stride}"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        rows[stride] = (out / "trajectory.csv").read_text().splitlines()
+    assert len(rows[5]) < len(rows[1])
+    # the same exit sample and the same exit time
+    assert rows[5][-2:] == rows[1][-2:]
+
+
+def test_solve_counterexample_rejects_fixed_step(tmp_path, capsys):
+    cfg = write(tmp_path, "problem = counterexample\nbeta = 5\nt_end = 20\nh = 0.01\n")
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", cfg, "--out", out, "--method", "euler"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solve failed:") and "rk45" in err
 
 
 def test_solve_custom_quadratic(tmp_path):

@@ -202,6 +202,19 @@ def test_simulate_counts_only_integrator_rounds(rng):
                     1.0, 1.0)
     assert traj.meta["rounds"] == 40            # 10 steps of 4 stages
     assert len(traj.diagnostics["field_norm"]) == len(traj.times) == 11
+    traj = simulate(net, init, IntegratorConfig(method="euler", h=0.1, t_end=1.0),
+                    1.0, 1.0)
+    assert traj.meta["rounds"] == traj.meta["n_evals"] == 10
+
+
+def test_simulate_rounds_are_the_steppers_calls(rng, monkeypatch):
+    net = small_net(k=3)
+    init = unpack_agents(net, 0.1 * rng.standard_normal(5 * 2 * 3))
+    calls, field = [], net.field
+    monkeypatch.setattr(net, "field", lambda *a: calls.append(1) or field(*a))
+    traj = simulate(net, init, IntegratorConfig(t_end=2.0), 1.0, 1.0)
+    # RK45 holds the field at its last step, so every call is a round
+    assert traj.meta["rounds"] == traj.meta["n_evals"] == len(calls)
 
 
 @pytest.mark.parametrize("method,h,stride", [("rk45", None, 1), ("rk45", None, 3),
@@ -322,9 +335,9 @@ def test_simulate_is_the_reference_flow(rng, method, h, stride):
         return pack_agents(reference_decentralized_field(
             net, unpack_agents(net, y), 1.3, 0.7))
 
-    times, states = flow.integrate_ode(ref, pack_agents(init), cfg)[:2]
-    assert np.array_equal(traj.times, times)
-    assert np.array_equal(traj.states, states)
+    run = flow.integrate_ode(ref, pack_agents(init), cfg)
+    assert np.array_equal(traj.times, run.times)
+    assert np.array_equal(traj.states, run.states)
 
 
 def test_network_builds_field_operators_on_first_use(rng):

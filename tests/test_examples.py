@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from palflow import examples, flow, prox
 from palflow.distributed import assemble_consensus
@@ -241,6 +242,56 @@ def test_counterexample_rejects_bad_starts():
         counterexample_run(-1.0)
     with pytest.raises(ValueError):
         counterexample_run(1.0, y0=np.array([-10.0, -10.0]))
+    # n1 = 0 on the boundary, although the flow would move inward
+    assert np.min(region_measurements(np.array([0.0, 2.0, 5.0]), 1.0)) == 0.0
+    with pytest.raises(ValueError, match="boundary"):
+        counterexample_run(1.0, y0=np.array([2.0, 5.0]))
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_counterexample_rejects_fixed_step(method):
+    cfg = flow.IntegratorConfig(method=method, h=0.01, t_end=20.0)
+    with pytest.raises(ValueError, match="rk45"):
+        counterexample_run(5.0, cfg=cfg)
+
+
+@pytest.mark.parametrize("beta", [1.0, 5.0, 10.0, 20.0])
+def test_counterexample_matches_solve_ivp(beta):
+    """The shared loop reproduces ``solve_ivp``'s terminal-event run with
+    dense output to the bit: exit time, samples, evaluations and the
+    interpolant."""
+    t_star, traj = counterexample_run(beta)
+    s0 = np.array([0.0, 2 * beta + 2, 2 * beta + 2])
+
+    def exit_event(t, s):
+        return float(np.min(region_measurements(s, 1.0)))
+    exit_event.terminal, exit_event.direction = True, -1
+    sol = solve_ivp(examples._reduced_field(1.0, 1.0), (0.0, 2 * beta + 1), s0,
+                    method="RK45", rtol=1e-9, atol=1e-12, events=[exit_event],
+                    dense_output=True)
+    assert sol.status == 1 and traj.termination == "region_exit"
+    assert t_star == sol.t_events[0][0] == traj.meta["t_star"]
+    assert np.array_equal(traj.times, sol.t) and np.array_equal(traj.states, sol.y.T)
+    assert traj.meta["n_evals"] == sol.nfev
+    assert traj.meta["steps"] == len(sol.t) - 1
+    grid = np.linspace(0.0, 0.99 * t_star, 25)
+    assert np.array_equal(traj.meta["dense"](grid), sol.sol(grid))
+
+
+def test_counterexample_obeys_stride_and_max_steps():
+    t_full, full = counterexample_run(5.0)
+    cfg = flow.IntegratorConfig(t_end=11.0, record_stride=5)
+    t_thin, thin = counterexample_run(5.0, cfg=cfg)
+    assert t_thin == t_full and thin.meta["n_evals"] == full.meta["n_evals"]
+    keep = np.r_[np.arange(0, len(full.times) - 1, 5), len(full.times) - 1]
+    assert np.array_equal(thin.times, full.times[keep])
+    assert np.array_equal(thin.states, full.states[keep])
+    # the interpolant keeps every step, whatever the stride
+    grid = np.linspace(0.0, t_full, 50)
+    assert np.array_equal(thin.meta["dense"](grid), full.meta["dense"](grid))
+    cfg = flow.IntegratorConfig(t_end=11.0, max_steps=full.meta["steps"] - 1)
+    with pytest.raises(flow.FlowError, match="max_steps"):
+        counterexample_run(5.0, cfg=cfg)
 
 
 def test_counterexample_exit_time_scales_with_alpha():

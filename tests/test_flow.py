@@ -137,7 +137,6 @@ def test_flow_field_matches_vector_field(rng):
     flat = prob.pack(s)
     assert np.allclose(ff(0.0, flat), prob.pack(vector_field(prob, s)),
                        atol=1e-14)
-    assert ff.n_evals == 1
 
 
 # -- the flat kernel against the per-block reference -------------------------
@@ -375,10 +374,10 @@ def test_rk45_loop_matches_solve_ivp(rng, stride):
     prob = composite_instance(rng)
     y0 = prob.pack(prob.random_state(rng))
     cfg = IntegratorConfig(t_end=2.0, record_stride=stride)
-    times, states, _, term, steps, _ = integrate_ode(FlowField(prob), y0, cfg)
+    run = integrate_ode(FlowField(prob), y0, cfg)
     t_ref, y_ref, sol = _solve_ivp_samples(FlowField(prob), y0, cfg)
-    assert term == "t_end" and steps == len(sol.t) - 1
-    assert np.array_equal(times, t_ref) and np.array_equal(states, y_ref)
+    assert run.termination == "t_end" and run.meta["steps"] == len(sol.t) - 1
+    assert np.array_equal(run.times, t_ref) and np.array_equal(run.states, y_ref)
 
     def event(t, y):
         return prob.kernel.kkt(y) - 1e-2
@@ -411,19 +410,19 @@ def test_field_norms_are_the_field_at_each_sample(rng, method, h, stride, stop):
 # -- integration -------------------------------------------------------------
 
 def test_rk45_scalar_exponential():
-    times, states, _, term, _, _ = integrate_ode(
+    run = integrate_ode(
         lambda t, y: -y, np.array([1.0]),
         IntegratorConfig(method="rk45", t_end=5.0, rel_tol=1e-11, abs_tol=1e-13))
-    assert term == "t_end"
-    assert states[-1, 0] == pytest.approx(np.exp(-5.0), abs=1e-8)
+    assert run.termination == "t_end"
+    assert run.states[-1, 0] == pytest.approx(np.exp(-5.0), abs=1e-8)
 
 
 def test_fixed_step_methods_converge():
     cfg4 = IntegratorConfig(method="rk4", h=0.01, t_end=2.0)
-    states4 = integrate_ode(lambda t, y: -y, np.array([1.0]), cfg4)[1]
+    states4 = integrate_ode(lambda t, y: -y, np.array([1.0]), cfg4).states
     assert states4[-1, 0] == pytest.approx(np.exp(-2.0), abs=1e-8)
     cfg1 = IntegratorConfig(method="euler", h=1e-4, t_end=2.0, record_stride=100)
-    states1 = integrate_ode(lambda t, y: -y, np.array([1.0]), cfg1)[1]
+    states1 = integrate_ode(lambda t, y: -y, np.array([1.0]), cfg1).states
     assert states1[-1, 0] == pytest.approx(np.exp(-2.0), abs=1e-3)
 
 
@@ -469,18 +468,18 @@ def test_integrate_stop_kkt_at_start(rng, method, h):
 def test_fixed_step_max_steps_termination(method):
     h = None if method == "rk45" else 0.1
     cfg = IntegratorConfig(method=method, h=h, t_end=10.0, max_steps=5)
-    times, _, _, term, steps, _ = integrate_ode(lambda t, y: -y, np.array([1.0]), cfg)
-    assert term == "max_steps" and steps == 5
-    assert len(times) == 6 and times[-1] < 10.0
+    run = integrate_ode(lambda t, y: -y, np.array([1.0]), cfg)
+    assert run.termination == "max_steps" and run.meta["steps"] == 5
+    assert len(run.times) == 6 and run.times[-1] < 10.0
     if h is not None:
-        assert times[-1] == pytest.approx(0.5)
+        assert run.times[-1] == pytest.approx(0.5)
         cfg = IntegratorConfig(method=method, h=h, t_end=0.5, max_steps=5)
-        assert integrate_ode(lambda t, y: -y, np.array([1.0]), cfg)[3] == "t_end"
+        assert integrate_ode(lambda t, y: -y, np.array([1.0]), cfg).termination == "t_end"
     # a run that ends on t_end at its last allowed step reports t_end
     full = integrate_ode(lambda t, y: -y, np.array([1.0]),
                          IntegratorConfig(method=method, h=h, t_end=0.5))
-    cfg = IntegratorConfig(method=method, h=h, t_end=0.5, max_steps=full[4])
-    assert integrate_ode(lambda t, y: -y, np.array([1.0]), cfg)[3] == "t_end"
+    cfg = IntegratorConfig(method=method, h=h, t_end=0.5, max_steps=full.meta["steps"])
+    assert integrate_ode(lambda t, y: -y, np.array([1.0]), cfg).termination == "t_end"
 
 
 def test_integrate_records_diagnostics(rng):
