@@ -329,7 +329,14 @@ def cmd_certify(args) -> int:
     return 0
 
 
-_BENCH_EXAMPLES = ("lasso_network", "sparse_group_lasso", "pcp", "covariance_completion")
+# (config keys, t_end) of each ``bench examples`` row
+_BENCH_EXAMPLES = (
+    ({"problem": "lasso_network", "agents": "5", "dim": "20", "meas": "3", "seed": "1"}, 60.0),
+    ({"problem": "sparse_group_lasso", "meas": "10", "dim": "40", "groups": "4",
+      "seed": "2", "alpha": "3"}, 60.0),
+    ({"problem": "pcp", "n": "20", "rank": "2", "seed": "3"}, 40.0),
+    ({"problem": "covariance_completion", "masses": "4", "seed": "4"}, 120.0),
+)
 
 
 def cmd_bench(args) -> int:
@@ -337,25 +344,12 @@ def cmd_bench(args) -> int:
     os.makedirs(out, exist_ok=True)
     if args.suite == "examples":
         rows = []
-        for name in _BENCH_EXAMPLES:
+        for keys, t_end in _BENCH_EXAMPLES:
+            name = keys["problem"]
             t0 = time.time()
             try:
-                if name == "lasso_network":
-                    net, ref = examples.gen_lasso_network(5, 20, 3, seed=1)
-                    probm = distributed.assemble_consensus(net)
-                    s0 = probm.zero_state()
-                    cfg = flow.IntegratorConfig(t_end=60.0, record_stride=5)
-                elif name == "sparse_group_lasso":
-                    probm, ref = examples.gen_sparse_group_lasso(10, 40, 4, seed=2, alpha=3.0)
-                    s0 = probm.zero_state()
-                    cfg = flow.IntegratorConfig(t_end=60.0, record_stride=5)
-                elif name == "pcp":
-                    probm, ref = examples.gen_pcp(20, 2, seed=3)
-                    s0 = probm.zero_state()
-                    cfg = flow.IntegratorConfig(t_end=40.0, record_stride=5)
-                else:
-                    probm, s0 = examples.gen_covariance_completion(4, seed=4)
-                    cfg = flow.IntegratorConfig(t_end=120.0, record_stride=5)
+                probm, s0, _, _ = build_problem(keys, {})
+                cfg = flow.IntegratorConfig(t_end=t_end, record_stride=5)
                 traj = flow.integrate(probm, s0, cfg)
                 kkt = traj.diagnostics["kkt_residual"]
                 fit = fit_exponential_rate(traj.times, kkt ** 2, tail_fraction=0.5)
@@ -375,7 +369,8 @@ def cmd_bench(args) -> int:
     if args.suite == "invariants":
         rng = np.random.default_rng(0)
         results = []
-        probm, _ = examples.gen_sparse_group_lasso(6, 12, 3, seed=0)
+        probm = build_problem({"problem": "sparse_group_lasso", "meas": "6", "dim": "12",
+                               "groups": "3"}, {})[0]
         ok = True
         for _ in range(20):
             s = probm.random_state(rng)

@@ -7,7 +7,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .flow import pal_gradient, pal_value, vector_field
+from .flow import pal_value
 from .linops import vec
 from .problem import PrimalDualState, SaddleProblem
 
@@ -25,45 +25,38 @@ class ReferenceSolution:
         return cls(state=s, optimal_value=prob.objective(s.x, s.z))
 
 
-def _diff_sq(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> float:
-    return float(sum(np.sum((np.asarray(u) - np.asarray(v)) ** 2) for u, v in zip(a, b)))
+def _weighted_dot(prob: SaddleProblem, u: np.ndarray, v: np.ndarray) -> float:
+    """``a <u, v>`` over the primal ``(x, z)`` slice of two flat states plus
+    ``<u, v>`` over the dual ``(y, lam)`` slice."""
+    k = prob.m + prob.n
+    return float(prob.alpha * (u[:k] @ v[:k]) + u[k:] @ v[k:])
 
 
 def lyapunov_v1(prob: SaddleProblem, s: PrimalDualState, ref: ReferenceSolution) -> float:
     """Quadratic distance function weighting the primal blocks by the dual
     time constant: ``(1/2)(a||x-x*||^2 + a||z-z*||^2 + ||y-y*||^2 +
     ||lam-lam*||^2)``."""
-    a = prob.alpha
-    r = ref.state
-    return 0.5 * (a * _diff_sq(s.x, r.x) + a * _diff_sq(s.z, r.z)
-                  + _diff_sq(s.y, r.y) + float(np.sum((s.lam - r.lam) ** 2)))
+    d = prob.pack(s) - prob.pack(ref.state)
+    return 0.5 * _weighted_dot(prob, d, d)
 
 
 def lyapunov_v1_derivative(prob: SaddleProblem, s: PrimalDualState,
                            ref: ReferenceSolution) -> float:
     """Exact time derivative of the quadratic function along the flow,
     ``<grad V1, field>`` evaluated in closed form."""
-    a = prob.alpha
-    r = ref.state
-    d = vector_field(prob, s)
-    out = a * sum(float(np.sum((xi - ri) * di)) for xi, ri, di in zip(s.x, r.x, d.x))
-    out += a * sum(float(np.sum((zi - ri) * di)) for zi, ri, di in zip(s.z, r.z, d.z))
-    out += sum(float(np.sum((yi - ri) * di)) for yi, ri, di in zip(s.y, r.y, d.y))
-    out += float(np.sum((s.lam - r.lam) * d.lam))
-    return out
+    u = prob.pack(s)
+    return _weighted_dot(prob, u - prob.pack(ref.state), prob.kernel.field(u))
 
 
 def decay_bound(prob: SaddleProblem, s: PrimalDualState, ref: ReferenceSolution) -> float:
     """Negative semidefinite upper bound on the derivative of the quadratic
     function: ``-(a / max(L_f, mu)) (||grad f(x) - grad f(x*)||^2 +
     ||g_y||^2 + ||g_lam||^2)``."""
-    gf = prob.f_grad(s.x)
-    gf_star = prob.f_grad(ref.state.x)
-    _, _, gy, glam = pal_gradient(prob, s)
-    total = _diff_sq(gf, gf_star)
-    total += float(sum(np.sum(np.asarray(g) ** 2) for g in gy))
-    total += float(np.sum(glam ** 2))
-    return -prob.alpha / max(prob.L_f, prob.mu) * total
+    kernel, m = prob.kernel, prob.m
+    u = prob.pack(s)
+    gf = kernel.x_plan.grad(u[:m]) - kernel.x_plan.grad(prob.pack(ref.state)[:m])
+    g = kernel.gradient(u)[m + prob.n:]
+    return -prob.alpha / max(prob.L_f, prob.mu) * float(gf @ gf + g @ g)
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +187,11 @@ def distance_to_solution(prob: SaddleProblem, s: PrimalDualState,
     """Euclidean distance to the reference saddle point, with the multiplier
     difference projected onto the range of the constraint map (the component
     in the orthogonal complement moves between equally valid multipliers)."""
-    r = ref.state
+    d = prob.pack(s) - prob.pack(ref.state)
+    k = prob.m + 2 * prob.n
     U = prob.kernel.range_basis
-    lam_diff = U @ (U.T @ (s.lam - r.lam))
-    return float(np.sqrt(_diff_sq(s.x, r.x) + _diff_sq(s.z, r.z)
-                         + _diff_sq(s.y, r.y) + np.sum(lam_diff ** 2)))
+    lam_diff = U @ (U.T @ d[k:])
+    return float(np.sqrt(d[:k] @ d[:k] + lam_diff @ lam_diff))
 
 
 @dataclass

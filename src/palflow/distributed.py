@@ -3,13 +3,13 @@ discretization, and a synchronous message-passing simulator."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from . import flow
 from .linops import BlockOperator, LinearOperator, csr_product, vec
@@ -33,9 +33,10 @@ class Network:
     """Connected undirected graph with per-agent local data.
 
     Construction validates the graph and derives, once, the topology and the
-    layout every other function reads: ``neighbors`` (sorted lists),
-    ``x_dim`` (the common local dimension), ``z_dims``, ``z_slices`` (each
-    agent's slice of the stacked ``z``, and of the local part of the
+    layout every other function reads: ``adjacency`` (the symmetric CSR
+    adjacency matrix, with sorted indices), ``neighbors`` (its rows' column
+    lists), ``x_dim`` (the common local dimension), ``z_dims``, ``z_slices``
+    (each agent's slice of the stacked ``z``, and of the local part of the
     multiplier) and ``slices`` (each agent's ``x, z, y, lam1, lam2`` slices
     of the packed state, see ``pack_agents``). The operators of
     :meth:`field` are built on its first call, not here: most networks are
@@ -44,6 +45,7 @@ class Network:
     k: int
     edges: List[Tuple[int, int]]
     agents: List[AgentData]
+    adjacency: sp.csr_matrix = field(init=False, repr=False, compare=False)
     neighbors: List[List[int]] = field(init=False, repr=False)
     x_dim: int = field(init=False)
     z_dims: List[int] = field(init=False)
@@ -68,12 +70,14 @@ class Network:
             seen.add(e)
             norm.append(e)
         self.edges = sorted(norm)
-        adj: List[List[int]] = [[] for _ in range(self.k)]
-        for (i, j) in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        self.neighbors = [sorted(a) for a in adj]
-        if not self._connected():
+        # both directions of every edge, by row and then by column
+        rc = np.array(self.edges + [(j, i) for i, j in self.edges], dtype=int).reshape(-1, 2)
+        r, c = rc[np.lexsort((rc[:, 1], rc[:, 0]))].T
+        ptr = np.searchsorted(r, np.arange(self.k + 1))
+        self.adjacency = adj = sp.csr_matrix((np.ones(len(c)), c, ptr), shape=(self.k, self.k))
+        self.neighbors = [adj.indices[a:b].tolist() for a, b in zip(ptr, ptr[1:])]
+        # symmetric, so its strong components are the graph's components
+        if connected_components(adj, connection="strong")[0] != 1:
             raise ValueError("network must be connected")
         dims = {a.f.dim for a in self.agents}
         if len(dims) != 1:
@@ -92,17 +96,6 @@ class Network:
                              for b, s in zip(bases, (x, z, z, x, z)))
                        for x, z in zip(xs, self.z_slices)]
 
-    def _connected(self) -> bool:
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in self.neighbors[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == self.k
-
     @cached_property
     def _field_ops(self):
         """The packed state's five parts, each x entry's agent degree, the
@@ -113,12 +106,9 @@ class Network:
         order from 0; an identity's product is its input."""
         d = self.x_dim
         parts = [slice(self.slices[0][p].start, self.slices[-1][p].stop) for p in range(5)]
-        deg = np.repeat([float(len(nb)) for nb in self.neighbors], d)
-        rows = [i for i, nb in enumerate(self.neighbors) for _ in nb]
-        cols = [j for nb in self.neighbors for j in nb]
-        adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(self.k, self.k))
+        deg = np.repeat(np.diff(self.adjacency.indptr).astype(float), d)
         C = sp.block_diag([a.C.matrix for a in self.agents], format="csr")
-        ops = [sp.kron(adj, sp.identity(d), format="csr"), C, C.T.tocsr()]
+        ops = [sp.kron(self.adjacency, sp.identity(d), format="csr"), C, C.T.tocsr()]
         for M in ops:
             M.sort_indices()
         # x leads the packed state, so an agent's x slice also indexes ``x``
@@ -224,19 +214,21 @@ class DivergenceError(RuntimeError):
 
 
 def run_discrete(net: Network, init: Sequence[AgentState], eta: float,
-                 alpha: float, mu: float, T_iters: int) -> List[List[AgentState]]:
-    """Synchronous discrete algorithm: forward Euler with step ``eta`` on the
-    decentralized field, so each round broadcasts ``x`` to neighbors once."""
-    if eta <= 0:
-        raise ValueError("step size must be positive")
-    flat = pack_agents(init)
-    history = [unpack_agents(net, flat)]
-    for t in range(T_iters):
-        flat = flat + eta * net.field(flat, alpha, mu)
-        if np.linalg.norm(flat) > 1e12:
-            raise DivergenceError(t)
-        history.append(unpack_agents(net, flat))
-    return history
+                 alpha: float, mu: float, T_iters: int) -> flow.Trajectory:
+    """Synchronous discrete algorithm: ``T_iters`` forward Euler steps of size
+    ``eta`` on the decentralized field, each round broadcasting ``x`` to
+    neighbors once. Returns the packed iterates at ``t = k·eta``; an iterate
+    of norm 1e12 or more raises :class:`DivergenceError` with its step (0
+    for the first, or for a start already that large)."""
+    if T_iters < 1:
+        raise ValueError("need at least one iteration")
+    cfg = flow.IntegratorConfig(method="euler", h=eta, t_end=T_iters * eta,
+                                max_steps=T_iters)
+    traj = flow.integrate_ode(lambda t, y: net.field(y, alpha, mu), pack_agents(init),
+                              cfg, events=[lambda t, y: 1e12 - np.linalg.norm(y)])
+    if traj.termination == "event":
+        raise DivergenceError(max(traj.meta["steps"] - 1, 0))
+    return traj
 
 
 # -- flat packing of agent states (x, z, y, lam1, lam2; agent order) --------

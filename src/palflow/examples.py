@@ -24,10 +24,6 @@ from .problem import (NonsmoothBlock, PrimalDualState, SaddleProblem,
 from .prox import GroupPartition
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 # ---------------------------------------------------------------------------
 # composite-minimization reference oracle (independent of the flow; shares
 # only the prox maps)
@@ -70,7 +66,7 @@ def gen_lasso_network(agents: int, dim: int, meas: int = 3,
     """
     if agents <= 0 or dim <= 0 or meas <= 0:
         raise ValueError("counts must be positive")
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     x_true = np.zeros(dim)
     support = rng.choice(dim, size=min(5, dim), replace=False)
     x_true[support] = rng.integers(1, 6, size=len(support)).astype(float)
@@ -128,7 +124,7 @@ def gen_pcp(n: int, rank: int, seed: int = 0,
     smooth component at all."""
     if rank >= n:
         raise ValueError("rank must be below the dimension")
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     R1 = rng.standard_normal((n, rank))
     R2 = rng.standard_normal((n, rank))
     Q1 = R1 @ R2.T
@@ -225,20 +221,18 @@ def gen_covariance_completion(N_masses: int, gamma: float = 1.0,
 # Example 4: sparse group lasso
 
 def gen_sparse_group_lasso(meas: int, dim: int, groups: int,
-                           seed: int = 0, mu: float = 1.0, alpha: float = 1.0,
-                           tau1: Optional[float] = None,
-                           tau2: Optional[float] = None
+                           seed: int = 0, mu: float = 1.0, alpha: float = 1.0
                            ) -> Tuple[SaddleProblem, ReferenceSolution]:
     """Least squares with combined elementwise and groupwise shrinkage, split
     into a residual smooth block, a free smooth block, and two z copies.
 
-    Default penalties scale with the data through the correlation of the
+    The penalties scale with the data through the correlation of the
     design with the observation, so desk-size instances keep a sparse but
     nonzero solution.
     """
     if dim % groups:
         raise ValueError("dimension must be divisible by the group count")
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     w = dim // groups
     T = rng.standard_normal((meas, dim))
     x_bar = np.zeros(dim)
@@ -255,11 +249,9 @@ def gen_sparse_group_lasso(meas: int, dim: int, groups: int,
     # that desk instances keep a well-conditioned tail rate, large enough
     # that the solution stays sparse
     corr = T.T @ q
-    if tau1 is None:
-        tau1 = 0.03 * float(np.max(np.abs(corr)))
-    if tau2 is None:
-        tau2 = 0.03 * max(float(np.linalg.norm(corr[h * w:(h + 1) * w]))
-                          for h in range(groups)) / np.sqrt(w)
+    tau1 = 0.03 * float(np.max(np.abs(corr)))
+    tau2 = 0.03 * max(float(np.linalg.norm(corr[h * w:(h + 1) * w]))
+                      for h in range(groups)) / np.sqrt(w)
 
     part = GroupPartition.uniform(dim, groups, weight=tau2)
     smooth = [SmoothBlock.quadratic(np.eye(meas)),
@@ -363,10 +355,13 @@ def counterexample_run(beta: float, mu: float = 1.0, alpha: float = 1.0,
 
     The exit is located on the adaptive integrator's dense output, which the
     trajectory keeps as ``meta["dense"]``; a fixed-step ``cfg`` is an error.
-    A start outside the region or on its boundary is an error.
+    A start outside the region or on its boundary is an error, and so is a
+    ``cfg`` with ``stop_kkt``: the run ends at the exit, not on a residual.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
+    if cfg is not None and cfg.stop_kkt is not None:
+        raise ValueError("the escape-time construction takes no stop_kkt")
     if y0 is None:
         y0 = np.array([2.0 * beta + 2.0, 2.0 * beta + 2.0])
     s0 = np.concatenate([[0.0], np.asarray(y0, dtype=float)])

@@ -123,11 +123,14 @@ class _FixedStep:
     """Forward Euler or classic RK4 with step ``h``, driven like scipy's
     ``RK45``: ``step()`` advances to ``t = k·h`` after ``k`` steps, ``f``, the
     field at ``(t, y)``, is evaluated on first use and is then the next
-    step's first stage, and ``nfev`` counts the field evaluations."""
+    step's first stage, and ``nfev`` counts the field evaluations. A run takes
+    ``n = ceil(t_end / h)`` steps, or ``n - 1`` when ``(n - 1)·h`` already
+    reaches ``t_end``: ``t_end = T·h`` takes ``T`` however ``t_end / h`` rounds."""
 
     def __init__(self, fun: Callable, y0: np.ndarray, cfg: IntegratorConfig):
         self.fun, self.h, self.rk4 = fun, cfg.h, cfg.method == "rk4"
         self.n_steps = int(np.ceil(cfg.t_end / cfg.h))
+        self.n_steps -= (self.n_steps - 1) * cfg.h >= cfg.t_end
         self.k, self.t, self.y, self._f = 0, 0.0, y0, None
         self.status, self.nfev = "running", 0
 

@@ -42,22 +42,18 @@ class GroupPartition:
             raise ValueError("group weights must be positive")
         sizes = np.array([len(g) for g in self.groups], dtype=int)
         self.n = int(sizes.sum())
-        self.validate_cover(self.n)
-        self.live = sizes > 0
-        self.sizes = sizes[self.live]
         self.order = (np.concatenate(self.groups) if self.groups
                       else np.empty(0, dtype=int))
+        if not np.array_equal(np.sort(self.order), np.arange(self.n)):
+            raise ValueError("groups must form a partition of the index range")
+        self.live = sizes > 0
+        self.sizes = sizes[self.live]
         self.starts = np.cumsum(self.sizes) - self.sizes
 
     def group_norms(self, v: np.ndarray) -> np.ndarray:
         """Euclidean norm of ``v`` over each non-empty group, in group order."""
         u = v[self.order]
         return np.sqrt(np.add.reduceat(u * u, self.starts))
-
-    def validate_cover(self, n: int) -> None:
-        seen = np.concatenate(self.groups) if self.groups else np.empty(0, dtype=int)
-        if len(seen) != n or len(np.unique(seen)) != n or (len(seen) and (seen.min() < 0 or seen.max() >= n)):
-            raise ValueError("groups must form a partition of the index range")
 
     @classmethod
     def uniform(cls, n: int, num_groups: int, weight: float = 1.0, eta: float = 0.0) -> "GroupPartition":

@@ -10,7 +10,7 @@ import pytest
 import scipy
 
 import palflow
-from palflow import cli
+from palflow import cli, distributed, examples
 from palflow.cli import (ConfigError, build_problem, main, parse_config,
                          svg_line_plot)
 
@@ -175,6 +175,15 @@ def test_solve_counterexample_rejects_fixed_step(tmp_path, capsys):
     assert err.startswith("solve failed:") and "rk45" in err
 
 
+def test_solve_counterexample_rejects_stop_kkt(tmp_path, capsys):
+    cfg = write(tmp_path, "problem = counterexample\nbeta = 5\nt_end = 20\n")
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", cfg, "--out", out, "--stop-kkt", "1e-3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solve failed:") and "stop_kkt" in err
+    assert not os.path.exists(os.path.join(out, "manifest.txt"))
+
+
 def test_solve_custom_quadratic(tmp_path):
     cfg = write(tmp_path, """
 problem = custom
@@ -335,6 +344,33 @@ problem = custom
 
 
 # -- bench -------------------------------------------------------------------
+
+# the generator calls each ``bench examples`` row made before it was built
+# from config keys
+BENCH_GENERATORS = {
+    "lasso_network": lambda: distributed.assemble_consensus(
+        examples.gen_lasso_network(5, 20, 3, seed=1)[0]),
+    "sparse_group_lasso": lambda: examples.gen_sparse_group_lasso(10, 40, 4, seed=2,
+                                                                  alpha=3.0)[0],
+    "pcp": lambda: examples.gen_pcp(20, 2, seed=3)[0],
+    "covariance_completion": lambda: examples.gen_covariance_completion(4, seed=4),
+}
+
+
+@pytest.mark.parametrize("row", range(len(cli._BENCH_EXAMPLES)))
+def test_bench_example_rows_build_the_generators_instances(row):
+    keys, t_end = cli._BENCH_EXAMPLES[row]
+    prob, s0, _, _ = build_problem(keys, {})
+    want = BENCH_GENERATORS[keys["problem"]]()
+    want, want_s0 = want if isinstance(want, tuple) else (want, want.zero_state())
+    assert prob.name == want.name and t_end > 0
+    assert np.array_equal(prob.q, want.q)
+    assert prob.x_shapes == want.x_shapes and prob.z_shapes == want.z_shapes
+    assert (prob.mu, prob.alpha) == (want.mu, want.alpha)
+    for a, b in zip(prob.E.blocks + prob.F.blocks, want.E.blocks + want.F.blocks):
+        assert np.array_equal(a.dense(), b.dense())
+    assert np.array_equal(prob.pack(s0), want.pack(want_s0))
+
 
 def test_bench_unknown_suite_exit_1(capsys):
     assert main(["bench", "nosuchsuite"]) == 1

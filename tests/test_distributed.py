@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import reference_decentralized_field
 from palflow import flow, prox
@@ -126,22 +127,22 @@ def test_discrete_step_is_forward_euler(rng):
     net = small_net(k=2, with_chord=False)
     init = unpack_agents(net, rng.standard_normal(5 * 2 * 2))
     eta = 0.01
-    hist = run_discrete(net, init, eta, alpha=1.0, mu=1.0, T_iters=3)
+    traj = run_discrete(net, init, eta, alpha=1.0, mu=1.0, T_iters=3)
     y = pack_agents(init)
     for step in range(3):
         y = y + eta * pack_agents(
             decentralized_field(net, unpack_agents(net, y), 1.0, 1.0))
-        assert np.array_equal(y, pack_agents(hist[step + 1]))
+        assert np.array_equal(y, traj.states[step + 1])
 
 
 def test_discrete_tracks_continuous_flow(rng):
     net = small_net(k=2, with_chord=False)
     init = unpack_agents(net, 0.5 * rng.standard_normal(5 * 2 * 2))
     eta = 1e-4
-    hist = run_discrete(net, init, eta, alpha=1.0, mu=1.0, T_iters=10000)
+    run = run_discrete(net, init, eta, alpha=1.0, mu=1.0, T_iters=10000)
     traj = simulate(net, init, IntegratorConfig(t_end=1.0, rel_tol=1e-10,
                                                 abs_tol=1e-12), 1.0, 1.0)
-    final_discrete = pack_agents(hist[-1])
+    final_discrete = run.states[-1]
     final_cont = traj.states[-1]
     assert np.max(np.abs(final_discrete - final_cont)) < 1e-3
 
@@ -153,8 +154,8 @@ def test_identical_quadratics_reach_consensus():
               for _ in range(4)]
     net = Network(4, [(0, 1), (1, 2), (2, 3), (3, 0)], agents)
     init = unpack_agents(net, np.zeros(5 * 4))
-    hist = run_discrete(net, init, eta=0.05, alpha=1.0, mu=1.0, T_iters=4000)
-    xs = np.array([s.x[0] for s in hist[-1]])
+    traj = run_discrete(net, init, eta=0.05, alpha=1.0, mu=1.0, T_iters=4000)
+    xs = np.array([s.x[0] for s in unpack_agents(net, traj.states[-1])])
     assert np.max(np.abs(xs - xs.mean())) < 1e-6
     assert xs.mean() == pytest.approx(1.0, abs=1e-6)
 
@@ -162,10 +163,36 @@ def test_identical_quadratics_reach_consensus():
 def test_discrete_divergence_detected(rng):
     net = small_net(k=2, with_chord=False)
     init = unpack_agents(net, rng.standard_normal(5 * 2 * 2))
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError) as err:
         run_discrete(net, init, eta=50.0, alpha=1.0, mu=1.0, T_iters=500)
+    assert err.value.iteration == 4
+    # a start already above the threshold diverges at the first step
+    big = unpack_agents(net, 1e13 * pack_agents(init))
+    with pytest.raises(DivergenceError) as err:
+        run_discrete(net, big, eta=0.01, alpha=1.0, mu=1.0, T_iters=5)
+    assert err.value.iteration == 0
     with pytest.raises(ValueError):
         run_discrete(net, init, eta=0.0, alpha=1.0, mu=1.0, T_iters=5)
+    with pytest.raises(ValueError, match="iteration"):
+        run_discrete(net, init, eta=0.1, alpha=1.0, mu=1.0, T_iters=0)
+
+
+@pytest.mark.parametrize("eta,T_iters", [(0.1, 3), (0.01, 7), (0.3, 3), (1e-3, 250)])
+def test_discrete_keeps_every_iterate_with_one_round_each(rng, eta, T_iters):
+    net = mixed_prox_net()
+    init = unpack_agents(net, 0.3 * rng.standard_normal(2 * net.k * net.x_dim
+                                                        + 3 * sum(net.z_dims)))
+    traj = run_discrete(net, init, eta, alpha=1.3, mu=0.7, T_iters=T_iters)
+    assert traj.termination == "t_end"
+    assert len(traj.times) == T_iters + 1
+    assert traj.times.tolist() == [k * eta for k in range(T_iters + 1)]
+    assert traj.meta["n_evals"] == traj.meta["steps"] == T_iters
+    # the iterates of the stand-alone Euler loop, to the bit
+    y = pack_agents(init)
+    assert np.array_equal(traj.states[0], y)
+    for k in range(T_iters):
+        y = y + eta * net.field(y, 1.3, 0.7)
+        assert np.array_equal(traj.states[k + 1], y)
 
 
 # -- message-passing simulation ----------------------------------------------
@@ -338,6 +365,25 @@ def test_simulate_is_the_reference_flow(rng, method, h, stride):
     run = flow.integrate_ode(ref, pack_agents(init), cfg)
     assert np.array_equal(traj.times, run.times)
     assert np.array_equal(traj.states, run.states)
+
+
+def test_network_adjacency_is_the_edge_lists():
+    net = gen_lasso_network(5, 20)[0]
+    d = net.x_dim
+    nbrs = [[] for _ in range(net.k)]
+    for i, j in net.edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    assert net.neighbors == [sorted(nb) for nb in nbrs]
+    rows = [i for i, nb in enumerate(net.neighbors) for _ in nb]
+    cols = [j for nb in net.neighbors for j in nb]
+    adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(net.k, net.k))
+    want = sp.kron(adj, sp.identity(d), format="csr")
+    want.sort_indices()
+    got = sp.kron(net.adjacency, sp.identity(d), format="csr")
+    got.sort_indices()
+    for a in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, a), getattr(want, a))
 
 
 def test_network_builds_field_operators_on_first_use(rng):

@@ -255,6 +255,12 @@ def test_counterexample_rejects_fixed_step(method):
         counterexample_run(5.0, cfg=cfg)
 
 
+def test_counterexample_rejects_stop_kkt():
+    cfg = flow.IntegratorConfig(t_end=20.0, stop_kkt=1e-3)
+    with pytest.raises(ValueError, match="stop_kkt"):
+        counterexample_run(5.0, cfg=cfg)
+
+
 @pytest.mark.parametrize("beta", [1.0, 5.0, 10.0, 20.0])
 def test_counterexample_matches_solve_ivp(beta):
     """The shared loop reproduces ``solve_ivp``'s terminal-event run with

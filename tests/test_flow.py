@@ -426,6 +426,17 @@ def test_fixed_step_methods_converge():
     assert states1[-1, 0] == pytest.approx(np.exp(-2.0), abs=1e-3)
 
 
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("h,t_end,steps", [(0.01, 0.07, 7), (0.3, 0.9, 3),
+                                           (0.1, 0.5, 5), (0.1, 0.55, 6)])
+def test_fixed_step_grid_takes_no_extra_step(method, h, t_end, steps):
+    # 0.07 / 0.01 rounds up past 7, and 3 * 0.3 falls an ulp short of 0.9
+    run = integrate_ode(lambda t, y: -y, np.array([1.0]),
+                        IntegratorConfig(method=method, h=h, t_end=t_end))
+    assert run.termination == "t_end" and run.meta["steps"] == steps
+    assert run.times.tolist() == [k * h for k in range(steps + 1)]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(method="heun")
