@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from . import flow
-from .linops import BlockOperator, LinearOperator, csr_product, vec
+from .linops import BlockOperator, LinearOperator, block_diagonal, csr_product, vec
 from .problem import (BlockPlan, NonsmoothBlock, PrimalDualState, SaddleProblem,
                       SmoothBlock)
 from .prox import ProximableFunction
@@ -107,7 +107,7 @@ class Network:
         d = self.x_dim
         parts = [slice(self.slices[0][p].start, self.slices[-1][p].stop) for p in range(5)]
         deg = np.repeat(np.diff(self.adjacency.indptr).astype(float), d)
-        C = sp.block_diag([a.C.matrix for a in self.agents], format="csr")
+        C = block_diagonal([a.C.matrix for a in self.agents])
         ops = [sp.kron(self.adjacency, sp.identity(d), format="csr"), C, C.T.tocsr()]
         for M in ops:
             M.sort_indices()
@@ -124,10 +124,12 @@ class Network:
         Agent ``i`` reads only its own state and its neighbors' ``x``: the
         exchange ``deg_i x_i - sum_j x_j`` is one adjacency product. The
         local gradients and proxes run through one :class:`BlockPlan` each,
-        so agents whose ``g`` is l1 share one soft threshold, and identity
-        local maps cost nothing. The multiplier derivatives come first so
-        the primal derivatives can reuse them; the staggering is exactly the
-        per-block form of the centralized field."""
+        so agents whose ``g`` is l1 share one soft threshold, adjacent
+        least-squares ``f`` share one block-diagonal product pair (built on
+        first use, equal to their separate gradients to the bit), and
+        identity local maps cost nothing. The multiplier derivatives come
+        first so the primal derivatives can reuse them; the staggering is
+        exactly the per-block form of the centralized field."""
         (xs, zs, ys, l1s, l2s), deg, A, C, Ct, grads, proxes = self._field_ops
         x, z, y, lam1, lam2 = u[xs], u[zs], u[ys], u[l1s], u[l2s]
         lam1_dot = alpha * (deg * x - A(x))

@@ -143,6 +143,17 @@ def csr_product(A: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
     return product
 
 
+def block_diagonal(mats) -> sp.csr_matrix:
+    """The block-diagonal CSR matrix of ``mats`` (dense or sparse), holding
+    each block's stored entries (all of a dense block's) with each row's
+    column indices sorted: a row of its ``csr_product`` sums only its own
+    block's entries, in column order from 0.0, exactly as the product of
+    that block alone does."""
+    M = sp.block_diag(mats, format="csr")
+    M.sort_indices()
+    return M
+
+
 def _checked(u: np.ndarray, shape: tuple) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != shape:

@@ -10,8 +10,9 @@ from typing import Callable, List, NamedTuple, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .linops import (BlockOperator, SingularExtremes, TOL_RANK, csr_product,
-                     range_basis, singular_extremes, range_contained, vec, unvec)
+from .linops import (BlockOperator, SingularExtremes, TOL_RANK, _checked,
+                     block_diagonal, csr_product, range_basis, singular_extremes,
+                     range_contained, vec, unvec)
 from .prox import ProximableFunction, moreau_value, prox_l1
 
 
@@ -22,13 +23,16 @@ class AssumptionError(RuntimeError):
 @dataclass
 class SmoothBlock:
     """Convex smooth block with declared Lipschitz and strong convexity
-    constants (never estimated)."""
+    constants (never estimated); ``kind`` and ``meta`` name its form and
+    data, as for :class:`ProximableFunction`."""
 
     shape: tuple
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     lipschitz: float = 0.0
     strong_convexity: float = 0.0
+    kind: str = "custom"
+    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.shape = tuple(np.atleast_1d(self.shape))
@@ -41,10 +45,14 @@ class SmoothBlock:
     def quadratic(cls, H: np.ndarray, c: Optional[np.ndarray] = None) -> "SmoothBlock":
         """``(1/2) x^T H x + c^T x`` for symmetric PSD ``H``."""
         H = np.asarray(H, dtype=float)
+        _check_finite(H=H)
         if (H.ndim != 2 or H.shape[0] != H.shape[1]
                 or np.max(np.abs(H - H.T)) > 1e-12 * np.max(np.abs(H))):
             raise ValueError("H must be a symmetric square matrix")
         c = np.zeros(H.shape[0]) if c is None else np.asarray(c, dtype=float)
+        _check_finite(c=c)
+        if c.shape != (H.shape[0],):
+            raise ValueError(f"c must be a vector of {H.shape[0]} entries, got shape {c.shape}")
         eigs = np.linalg.eigvalsh(H)
         return cls(shape=(H.shape[0],),
                    value=lambda x: 0.5 * x @ H @ x + c @ x,
@@ -54,16 +62,57 @@ class SmoothBlock:
 
     @classmethod
     def least_squares(cls, M: np.ndarray, h: np.ndarray) -> "SmoothBlock":
-        """``(1/2) ||M x - h||^2``."""
+        """``(1/2) ||M x - h||^2``, of kind ``"least_squares"`` with ``M`` and
+        ``h`` in ``meta``.
+
+        The gradient is ``M^T (M x - h)`` through the ``csr_product`` of ``M``
+        and of ``M^T``, built on its first call. A :class:`BlockPlan` gives a
+        run of adjacent least-squares blocks one such product pair, on their
+        block diagonal, which equals these separate calls to the bit."""
         M = np.asarray(M, dtype=float)
         h = np.asarray(h, dtype=float)
+        _check_finite(M=M, h=h)
+        if M.ndim != 2:
+            raise ValueError(f"M must be a matrix, got shape {M.shape}")
+        if h.shape != (M.shape[0],):
+            raise ValueError(f"h must be a vector of {M.shape[0]} entries, got shape {h.shape}")
         s = np.linalg.svd(M, compute_uv=False)
         smin = float(s[-1]) if M.shape[0] >= M.shape[1] else 0.0
+        ls = _LeastSquares([M], [h])
         return cls(shape=(M.shape[1],),
                    value=lambda x: 0.5 * float(np.sum((M @ x - h) ** 2)),
-                   grad=lambda x: M.T @ (M @ x - h),
+                   # csr_product reads x unchecked
+                   grad=lambda x: ls.grad(_checked(x, (M.shape[1],))),
                    lipschitz=float(s[0]) ** 2,
-                   strong_convexity=smin ** 2)
+                   strong_convexity=smin ** 2,
+                   kind="least_squares", meta={"M": M, "h": h})
+
+
+def _check_finite(**arrays):
+    for name, a in arrays.items():
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} must be finite")
+
+
+class _LeastSquares:
+    """The gradient ``M^T (M x - h)`` of ``(1/2) ||M x - h||^2`` for the block
+    diagonal ``M`` of ``Ms`` and the stack ``h`` of ``hs``: one
+    ``csr_product`` of ``M`` and one of ``M^T``, built on the first call. A
+    row of either holds only its own block's entries, summed in column order
+    from 0.0, so the gradient of a run of blocks is their separate gradients
+    to the bit."""
+
+    def __init__(self, Ms, hs):
+        self.Ms, self.hs = Ms, hs
+
+    @cached_property
+    def _products(self):
+        M = block_diagonal(self.Ms)
+        return csr_product(M), csr_product(M.T.tocsr()), np.concatenate(self.hs)
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        M, Mt, h = self._products
+        return Mt(M(x) - h)
 
 
 @dataclass
@@ -247,21 +296,33 @@ class BlockPlan:
     threshold at the per-entry level ``w * mu``, where ``w`` repeats each
     block's ``meta["weight"]`` over its entries. That holds the same doubles
     as each block's ``weight * mu``, and ``prox_l1`` acts entry by entry, so
-    the run equals its blocks' calls to the bit. Any other 1-D block is
-    called on its slice; a matrix-shaped one on its column-major reshape.
+    the run equals its blocks' calls to the bit. A run of adjacent blocks of
+    kind ``"least_squares"`` shares one block-diagonal product pair
+    ``M^T (M x - h)``, built on its first call, which likewise equals its
+    blocks' gradients to the bit. Any other 1-D block is called on its
+    slice; a matrix-shaped one on its column-major reshape.
     """
 
     def __init__(self, blocks):
         # (slice, per-entry l1 weights, None, None) for a run of l1 blocks,
+        # (slice, None, None, its gradient) for a run of least-squares blocks,
         # (slice, None, matrix shape or None, function) for any other block
         self.runs = []
         for sl, shape, fn in blocks:
-            if getattr(fn, "kind", None) == "l1":
+            kind = getattr(fn, "kind", None)
+            prev = self.runs[-1] if self.runs else (None,) * 4
+            if kind == "l1":
                 w = np.full(sl.stop - sl.start, float(fn.meta["weight"]))
-                if self.runs and self.runs[-1][1] is not None:
-                    prev, w_prev = self.runs.pop()[:2]
-                    sl, w = slice(prev.start, sl.stop), np.concatenate([w_prev, w])
+                if prev[1] is not None:
+                    self.runs.pop()
+                    sl, w = slice(prev[0].start, sl.stop), np.concatenate([prev[1], w])
                 self.runs.append((sl, w, None, None))
+            elif kind == "least_squares":
+                Ms, hs = [fn.meta["M"]], [fn.meta["h"]]
+                if isinstance(prev[3], _LeastSquares):
+                    self.runs.pop()
+                    sl, Ms, hs = slice(prev[0].start, sl.stop), prev[3].Ms + Ms, prev[3].hs + hs
+                self.runs.append((sl, None, None, _LeastSquares(Ms, hs)))
             else:
                 self.runs.append((sl, None, tuple(shape) if len(shape) > 1 else None, fn))
         self.dim = self.runs[-1][0].stop if self.runs else 0
@@ -309,7 +370,7 @@ class FieldKernel:
         cols = prob.E.blocks + prob.F.blocks
         self.n_E = len(prob.E.blocks)
         mats = [op.matrix for op in cols] or [sp.csr_matrix((self.p, 0))]
-        self.blocks = sp.block_diag(mats, format="csr")
+        self.blocks = block_diagonal(mats)
         self.n_blocks = len(mats)
         self.EFt = sp.hstack(mats, format="csr").T.tocsr()
         self._parts = csr_product(self.blocks)

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import reference_decentralized_field
-from palflow import flow, prox
+from palflow import flow, problem, prox
 from palflow.distributed import (AgentData, AgentState, DivergenceError,
                                  Network, agent_states_from_central,
                                  assemble_consensus, decentralized_field,
@@ -391,3 +391,31 @@ def test_network_builds_field_operators_on_first_use(rng):
     assert "_field_ops" not in vars(net)
     net.field(rng.standard_normal(2 * 6 * 4 + 3 * 6 * 4), 1.0, 1.0)
     assert "_field_ops" in vars(net)
+
+
+def test_lasso_plans_fuse_every_agents_least_squares(rng):
+    net = gen_lasso_network(5, 20)[0]
+    prob = assemble_consensus(net)
+    grads = net._field_ops[-2]
+    for plan in (prob.kernel.x_plan, grads):
+        assert [(sl.start, sl.stop) for sl, _, _, _ in plan.runs] == [(0, 100)]
+    for _ in range(5):
+        x = rng.standard_normal(prob.m)
+        want = np.concatenate(prob.f_grad(np.split(x, net.k)))
+        assert np.array_equal(prob.kernel.x_plan.grad(x), want)
+        assert np.array_equal(grads.grad(x), want)
+
+
+def test_lasso_construction_builds_no_sparse_matrix(monkeypatch):
+    def refuse(mats):
+        raise AssertionError("built a block-diagonal matrix")
+
+    monkeypatch.setattr(problem, "block_diagonal", refuse)
+    net, ref = gen_lasso_network(5, 20)
+    prob = assemble_consensus(net)
+    monkeypatch.undo()
+    cfg = IntegratorConfig(t_end=600.0, stop_kkt=1e-4)
+    traj = flow.integrate(prob, prob.zero_state(), cfg)
+    assert traj.termination == "stop_kkt"
+    x = prob.unpack(traj.states[-1]).x
+    assert np.max(np.abs(np.mean(x, axis=0) - ref.meta["x_star"])) < 1e-2

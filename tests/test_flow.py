@@ -10,8 +10,8 @@ from palflow.flow import (FlowField, IntegratorConfig, blockwise_field,
                           vector_field)
 from palflow.linops import (BlockOperator, LinearOperator, masked_congruence,
                             unvec, vec)
-from palflow.problem import (NonsmoothBlock, PrimalDualState, SaddleProblem,
-                             SmoothBlock, kkt_residual)
+from palflow.problem import (BlockPlan, NonsmoothBlock, PrimalDualState,
+                             SaddleProblem, SmoothBlock, kkt_residual)
 
 from conftest import (build_lifted, composite_instance,
                       quadratic_equality_instance)
@@ -234,6 +234,36 @@ def test_block_plan_fuses_adjacent_l1_blocks_only():
         (22, 24, True), (24, 30, False), (30, 33, False), (33, 34, True)]
     assert np.array_equal(plan.runs[2][1], [0.7] * 3 + [0.25] * 6)
     assert [shape for _, _, shape, _ in plan.runs if shape] == [(3, 2)]
+
+
+def _plan_of(blocks):
+    ends = np.cumsum([b.dim for b in blocks]).tolist()
+    slices = [slice(e - b.dim, e) for e, b in zip(ends, blocks)]
+    return BlockPlan(zip(slices, [b.shape for b in blocks], blocks)), slices
+
+
+def test_block_plan_fuses_adjacent_least_squares_blocks_only(rng):
+    def ls(rows, cols):
+        return SmoothBlock.least_squares(rng.standard_normal((rows, cols)),
+                                         rng.standard_normal(rows))
+
+    quad = SmoothBlock.quadratic(np.diag([1.0, 2.0]))
+    # least squares, least squares | quadratic | least squares, least squares
+    blocks = [ls(3, 4), ls(2, 4), quad, ls(5, 3), ls(1, 2)]
+    plan, slices = _plan_of(blocks)
+    assert [(sl.start, sl.stop) for sl, _, _, _ in plan.runs] == [(0, 8), (8, 10), (10, 15)]
+    assert all(w is None and shape is None for _, w, shape, _ in plan.runs)
+    assert plan.runs[1][3] is quad
+    for _ in range(5):
+        x = rng.standard_normal(plan.dim)
+        want = np.concatenate([b.grad(x[sl]) for sl, b in zip(slices, blocks)])
+        assert np.array_equal(plan.grad(x), want)
+    # a lone least-squares block is a run of its own
+    lone, slices = _plan_of([quad, blocks[0], quad])
+    assert [(sl.start, sl.stop) for sl, _, _, _ in lone.runs] == [(0, 2), (2, 6), (6, 8)]
+    x = rng.standard_normal(lone.dim)
+    assert np.array_equal(lone.grad(x), np.concatenate(
+        [b.grad(x[sl]) for sl, b in zip(slices, [quad, blocks[0], quad])]))
 
 
 def test_kernel_reads_mu_and_alpha_per_call(rng):

@@ -189,6 +189,54 @@ def test_quadratic_rejects_nonsymmetric_hessian(rng):
     assert np.allclose(blk.grad(x), A.T @ (A @ x) + 1.0)
 
 
+def test_least_squares_rejects_a_non_matrix_M():
+    with pytest.raises(ValueError, match="M must be a matrix"):
+        SmoothBlock.least_squares(np.ones(4), np.ones(4))
+    with pytest.raises(ValueError, match="M must be a matrix"):
+        SmoothBlock.least_squares(np.ones((2, 3, 4)), np.ones(2))
+
+
+def test_least_squares_rejects_wrong_length_h():
+    # the gradient at 0 would broadcast h to [-3, -3, -3, -3]
+    with pytest.raises(ValueError, match="h must be a vector of 3 entries"):
+        SmoothBlock.least_squares(np.ones((3, 4)), np.array([1.0]))
+    with pytest.raises(ValueError, match="h must be a vector of 3 entries"):
+        SmoothBlock.least_squares(np.ones((3, 4)), np.ones((3, 1)))
+
+
+def test_quadratic_rejects_wrong_length_c():
+    with pytest.raises(ValueError, match="c must be a vector of 3 entries"):
+        SmoothBlock.quadratic(np.eye(3), np.array([2.0]))
+    with pytest.raises(ValueError, match="c must be a vector of 3 entries"):
+        SmoothBlock.quadratic(np.eye(3), np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["M", "h", "H", "c"])
+def test_smooth_blocks_reject_nonfinite_data(name, bad):
+    data = {"M": np.ones((3, 2)), "h": np.ones(3), "H": np.eye(2), "c": np.ones(2)}
+    data[name][(0,) * data[name].ndim] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        if name in "Mh":
+            SmoothBlock.least_squares(data["M"], data["h"])
+        else:
+            SmoothBlock.quadratic(data["H"], data["c"])
+
+
+def test_least_squares_gradient_is_the_matrix_product(rng):
+    M, h = rng.standard_normal((5, 7)), rng.standard_normal(5)
+    blk = SmoothBlock.least_squares(M, h)
+    assert blk.kind == "least_squares"
+    assert np.array_equal(blk.meta["M"], M)
+    assert np.array_equal(blk.meta["h"], h)
+    for _ in range(5):
+        x = rng.standard_normal(7)
+        want = M.T @ (M @ x - h)
+        assert np.max(np.abs(blk.grad(x) - want)) <= 1e-14 * np.max(np.abs(want))
+    with pytest.raises(ValueError, match=r"expected input of shape \(7,\)"):
+        blk.grad(np.ones(5))
+
+
 def test_lipschitz_xz_formula(rng):
     prob = composite_instance(rng)
     smax = np.linalg.svd(prob._EF_dense(), compute_uv=False)[0]
