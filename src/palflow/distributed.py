@@ -9,7 +9,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from . import flow
 from .linops import BlockOperator, LinearOperator, block_diagonal, csr_product, vec
@@ -76,8 +75,13 @@ class Network:
         ptr = np.searchsorted(r, np.arange(self.k + 1))
         self.adjacency = adj = sp.csr_matrix((np.ones(len(c)), c, ptr), shape=(self.k, self.k))
         self.neighbors = [adj.indices[a:b].tolist() for a, b in zip(ptr, ptr[1:])]
-        # symmetric, so its strong components are the graph's components
-        if connected_components(adj, connection="strong")[0] != 1:
+        # breadth-first search from vertex 0; ``order`` grows while it is read
+        order, seen = [0], {0}
+        for v in order:
+            new = [w for w in self.neighbors[v] if w not in seen]
+            seen.update(new)
+            order += new
+        if len(order) != self.k:
             raise ValueError("network must be connected")
         dims = {a.f.dim for a in self.agents}
         if len(dims) != 1:

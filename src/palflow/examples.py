@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import solve_lyapunov
 
 from . import flow, prox
 from .diagnostics import ReferenceSolution, accelerated_gradient
@@ -173,6 +172,9 @@ def gen_covariance_completion(N_masses: int, gamma: float = 1.0,
     Feasibility holds by construction: the masked output data come from a
     covariance solving the dynamics constraint exactly.
     """
+    # scipy.linalg only here: no solve imports it
+    from scipy.linalg import solve_lyapunov
+
     if N_masses < 2:
         raise ValueError("need at least two masses")
     A, B = _msd_chain(N_masses)

@@ -3,15 +3,23 @@
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import RK45, OdeSolution
-from scipy.integrate import solve_ivp  # noqa: F401  palbench's tracer looks up flow.solve_ivp
-from scipy.optimize import brentq
 
 from .problem import PrimalDualState, SaddleProblem
+
+
+def __getattr__(name):
+    # palbench's tracer still looks up ``flow.solve_ivp``, which no run in
+    # src/ calls; imported on that lookup only, and removed with the tracer's
+    # scipy rows (ROADMAP, item 1)
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class FlowError(RuntimeError):
@@ -74,14 +82,21 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("euler", "rk4", "rk45"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.method in ("euler", "rk4") and (self.h is None or self.h <= 0):
-            raise ValueError("fixed-step methods need a positive step h")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be at least 1")
+        if self.method in ("euler", "rk4") and self.h is None:
+            raise ValueError("fixed-step methods need a step h")
+        positive = ["t_end", "rel_tol", "abs_tol"]
+        if self.method != "rk45":
+            positive.append("h")
+        if self.stop_kkt is not None:
+            positive.append("stop_kkt")
+        for name in positive:
+            v = getattr(self, name)
+            if not 0 < v < np.inf:      # NaN fails it too
+                raise ValueError(f"{name} must be finite and positive, got {v!r}")
+        for name in ("max_steps", "record_stride"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or v < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {v!r}")
 
 
 @dataclass
@@ -120,12 +135,15 @@ class Trajectory:
 
 
 class _FixedStep:
-    """Forward Euler or classic RK4 with step ``h``, driven like scipy's
-    ``RK45``: ``step()`` advances to ``t = k·h`` after ``k`` steps, ``f``, the
-    field at ``(t, y)``, is evaluated on first use and is then the next
-    step's first stage, and ``nfev`` counts the field evaluations. A run takes
+    """Forward Euler or classic RK4 with step ``h``, driven like
+    :class:`_DormandPrince`: ``step()`` advances to ``t = k·h`` after ``k``
+    steps, ``f``, the field at ``(t, y)``, is evaluated on first use and is
+    then the next step's first stage, and ``nfev`` counts the field
+    evaluations. A run takes
     ``n = ceil(t_end / h)`` steps, or ``n - 1`` when ``(n - 1)·h`` already
     reaches ``t_end``: ``t_end = T·h`` takes ``T`` however ``t_end / h`` rounds."""
+
+    rejected = 0
 
     def __init__(self, fun: Callable, y0: np.ndarray, cfg: IntegratorConfig):
         self.fun, self.h, self.rk4 = fun, cfg.h, cfg.method == "rk4"
@@ -157,6 +175,190 @@ class _FixedStep:
             self.status = "finished"
 
 
+def _rms(v: np.ndarray) -> float:
+    return np.linalg.norm(v) / v.size ** 0.5
+
+
+class _DormandPrince:
+    """Dormand–Prince 5(4) with error-controlled steps (Hairer, Nørsett &
+    Wanner, *Solving ODEs I*, §II.4), step for step scipy's ``RK45``: its
+    tableau, initial step, step-size controller and dense output, in the
+    same arithmetic, so a run's states and times equal ``solve_ivp``'s to
+    the bit. ``step()`` makes one accepted step from ``(t_old, y_old)`` to
+    ``(t, y)``, where ``f`` is the field; ``nfev`` counts the field
+    evaluations (one at the start, one for the initial step, six per
+    attempt) and ``rejected`` the attempts thrown away."""
+
+    C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+    A = np.array([
+        [0, 0, 0, 0, 0],
+        [1/5, 0, 0, 0, 0],
+        [3/40, 9/40, 0, 0, 0],
+        [44/45, -56/15, 32/9, 0, 0],
+        [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+        [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+    ])
+    B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+    E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+                  1/40])
+    # dense output, with the optimal c_6 of Shampine (1986)
+    P = np.array([
+        [1, -8048581381/2820520608, 8663915743/2820520608,
+         -12715105075/11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200/32700410799, -68118460800/10900136933,
+         87487479700/32700410799],
+        [0, -1754552775/470086768, 14199869525/1410260304,
+         -10690763975/1880347072],
+        [0, 127303824393/49829197408, -318862633887/49829197408,
+         701980252875 / 199316789632],
+        [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+        [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+    EXPONENT = -1 / 5       # -1 / (error estimator order + 1)
+
+    def __init__(self, fun: Callable, y0: np.ndarray, t_end: float,
+                 rtol: float, atol: float):
+        self._fun, self.t_end = fun, t_end
+        floor = 100 * np.finfo(float).eps
+        if rtol < floor:
+            warnings.warn(f"rel_tol {rtol:g} is below 100 machine epsilons; "
+                          f"using {floor:g}", stacklevel=3)
+        self.rtol, self.atol = max(rtol, floor), atol
+        self.t, self.y, self.t_old, self.y_old = 0.0, y0, None, None
+        self.status, self.nfev, self.rejected = "running", 0, 0
+        self.f = self.fun(self.t, y0)
+        self.h_abs = self._initial_step()
+        self.K = np.empty((7, y0.size))
+
+    def fun(self, t, y) -> np.ndarray:
+        self.nfev += 1
+        return np.asarray(self._fun(t, y), dtype=float)
+
+    def _initial_step(self) -> float:
+        """Hairer, Nørsett & Wanner's starting step (§II.4), as scipy's
+        ``select_initial_step``."""
+        y0, f0 = self.y, self.f
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, self.t_end)
+        f1 = self.fun(h0, y0 + h0 * f0)
+        d2 = _rms((f1 - f0) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        return min(100 * h0, h1, self.t_end)
+
+    def step(self) -> Optional[str]:
+        t, y, K = self.t, self.y, self.K
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = min_step if self.h_abs < min_step else self.h_abs
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                self.status = "failed"
+                return "Required step size is less than spacing between numbers."
+            t_new = min(t + h_abs, self.t_end)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = self.f
+            for s, (a, c) in enumerate(zip(self.A[1:], self.C[1:]), start=1):
+                dy = np.dot(K[:s].T, a[:s]) * h
+                K[s] = self.fun(t + c * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, self.B)
+            K[-1] = f_new = self.fun(t + h, y_new)
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error = _rms(np.dot(K.T, self.E) * h / scale)
+            if error < 1:
+                break
+            h_abs *= max(0.2, 0.9 * error ** self.EXPONENT)
+            rejected = True
+            self.rejected += 1
+        # grow by at most 10, and not at all right after a rejection
+        factor = 10 if error == 0 else min(10, 0.9 * error ** self.EXPONENT)
+        self.h_abs = h_abs * (min(1, factor) if rejected else factor)
+        self.t_old, self.y_old = t, y
+        self.t, self.y, self.f = t_new, y_new, f_new
+        if self.t >= self.t_end:
+            self.status = "finished"
+        return None
+
+    def dense_output(self) -> _DenseStep:
+        return _DenseStep(self.t_old, self.t, self.y_old, self.K.T.dot(self.P))
+
+
+class _DenseStep:
+    """The quartic interpolant of one Dormand–Prince step, as scipy's
+    ``RkDenseOutput``: ``h·Q·(x, x², x³, x⁴) + y_old`` at ``x = (t - t_old)/h``,
+    for a scalar ``t`` or a vector of them (one column each)."""
+
+    def __init__(self, t_old: float, t: float, y_old: np.ndarray, Q: np.ndarray):
+        self.t_old, self.h, self.y_old, self.Q = t_old, t - t_old, y_old, Q
+
+    def __call__(self, t) -> np.ndarray:
+        t = np.asarray(t)
+        x = (t - self.t_old) / self.h
+        p = np.cumprod(np.tile(x, 4)) if t.ndim == 0 else np.cumprod(np.tile(x, (4, 1)), axis=0)
+        y = self.h * np.dot(self.Q, p)
+        y += self.y_old if y.ndim == 1 else self.y_old[:, None]
+        return y
+
+
+def _brentq(f: Callable, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> float:
+    """A root of ``f`` in the bracket ``[xa, xb]`` by Brent's method (Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 4), step
+    for step scipy's C ``brentq``, so the root is the same double. A bracket
+    whose ends have one sign, and a NaN value, raise ``ValueError``."""
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if np.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry     # a good short step
+            else:
+                spre = scur = sbis          # bisect
+        else:
+            spre = scur = sbis              # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
                   events: Optional[list] = None, field: Optional[Callable] = None,
                   dense: bool = False) -> Trajectory:
@@ -167,32 +369,36 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
     ``"max_steps"``) and ``meta`` with ``n_evals``, the stepper's calls of
     ``fun``, ``steps``, the accepted steps, and ``rejected``, the adaptive
     method's rejected attempts (0 for the others). The adaptive method is
-    Dormand-Prince 4(5) (scipy's ``RK45``, stepped here) with
-    error-controlled step rejection; fixed-step methods are forward Euler and
-    classic RK4. Only every ``record_stride``-th accepted step and the last
-    one are held. The field norms are taken from the field each step already
+    palflow's own Dormand–Prince 5(4) stepper with error-controlled step
+    rejection, step for step scipy's ``RK45``, so its runs equal
+    ``solve_ivp``'s to the bit; fixed-step methods are forward Euler and
+    classic RK4. A non-finite ``y0`` is a ``ValueError``. Only every
+    ``record_stride``-th accepted step and the last one are held. The field norms are taken from the field each step already
     holds at a kept sample; the one sample no step leaves it at (an event's
     end point, the last fixed-step sample) is evaluated with ``field(t, y)``,
     uncounted, which defaults to ``fun``. Events stop the run where they
     reach zero or below (``"event"``); the adaptive method locates the
     crossing on its step's dense output, and one that is there at ``t = 0``
-    already stops the run before the first step, with one sample.
+    already stops the run before the first step, with one sample. The
+    crossing is found by Brent's method, as ``solve_ivp`` finds it.
     ``max_steps`` caps the accepted steps of every method (``"max_steps"``).
     With ``dense`` (adaptive method only), ``meta["dense"]`` is the run's
-    ``OdeSolution``: every accepted step's dense output, with breakpoints at
-    every step's end, whatever the stride (absent for a run stopped at its
-    start).
+    ``OdeSolution`` (scipy's, imported for it): every accepted step's dense
+    output, with breakpoints at every step's end, whatever the stride (absent
+    for a run stopped at its start).
     """
     if dense and cfg.method != "rk45":
         raise ValueError("dense output needs the adaptive method rk45")
     y0 = np.asarray(y0, dtype=float)
+    if not np.all(np.isfinite(y0)):
+        raise ValueError("every entry of the initial state y0 must be finite")
     field = field or fun
     if events and any(ev(0.0, y0) <= 0 for ev in events):
         return Trajectory(np.array([0.0]), y0[None, :].copy(),
                           {"field_norm": np.array([np.linalg.norm(field(0.0, y0))])},
                           "event", meta={"n_evals": 0, "steps": 0, "rejected": 0})
     if cfg.method == "rk45":
-        stepper = RK45(fun, 0.0, y0, cfg.t_end, rtol=cfg.rel_tol, atol=cfg.abs_tol)
+        stepper = _DormandPrince(fun, y0, cfg.t_end, cfg.rel_tol, cfg.abs_tol)
     else:
         stepper = _FixedStep(fun, y0, cfg)
     # The kept states share one buffer that grows in place (for large
@@ -218,8 +424,8 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
             term = "event"
             if rk45_hit:
                 tol = 4 * np.finfo(float).eps
-                t = min(brentq(lambda s: ev(s, sol(s)), stepper.t_old, t,
-                               xtol=tol, rtol=tol) for ev in hit)
+                t = min(_brentq(lambda s: ev(s, sol(s)), stepper.t_old, t, tol, tol)
+                        for ev in hit)
                 y = sol(t)
         elif stepper.status == "finished":
             term = "t_end"
@@ -235,16 +441,14 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
             states.resize((len(states) * 5 // 4, y0.size), refcheck=False)
         states[len(times)] = y
         times.append(t)
-        # the field at an accepted state is at hand: RK45's last stage, or
-        # the first stage of the fixed-step method's next step
+        # the field at an accepted state is at hand: the adaptive step's last
+        # stage, or the first stage of the fixed-step method's next step
         at_hand = term is None or (cfg.method == "rk45" and term != "event")
         norms.append(np.linalg.norm(stepper.f if at_hand else field(t, y)))
     states.resize((len(times), y0.size), refcheck=False)
-    # RK45 evaluates the field once at the start, once for its first step
-    # size, and six times per attempted step
-    rejected = (stepper.nfev - 2) // 6 - steps if cfg.method == "rk45" else 0
-    meta = {"n_evals": stepper.nfev, "steps": steps, "rejected": rejected}
+    meta = {"n_evals": stepper.nfev, "steps": steps, "rejected": stepper.rejected}
     if dense:
+        from scipy.integrate import OdeSolution
         meta["dense"] = OdeSolution(ends, pieces)
     return Trajectory(np.array(times), states, {"field_norm": np.array(norms)}, term,
                       meta=meta)

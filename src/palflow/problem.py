@@ -163,8 +163,12 @@ class SaddleProblem:
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
-        if self.mu <= 0 or self.alpha <= 0:
-            raise ValueError("mu and alpha must be positive")
+        for name in ("mu", "alpha"):
+            v = getattr(self, name)
+            if not 0 < v < np.inf:      # NaN fails it too
+                raise ValueError(f"{name} must be finite and positive, got {v!r}")
+        if not np.all(np.isfinite(self.q)):
+            raise ValueError("q must be finite")
         if self.E.p != self.F.p or self.E.p != self.q.size:
             raise ValueError("E, F, and q must share the codomain dimension")
         if [b.shape for b in self.smooth_blocks] != list(self.E.in_shapes):

@@ -38,8 +38,10 @@ class GroupPartition:
         self.weights = np.asarray(self.weights, dtype=float)
         if len(self.weights) != len(self.groups):
             raise ValueError("one weight per group required")
-        if np.any(self.weights <= 0):
-            raise ValueError("group weights must be positive")
+        if not np.all((self.weights > 0) & (self.weights < np.inf)):
+            raise ValueError(f"group weights must be finite and positive, got {self.weights}")
+        if not 0 <= self.eta < np.inf:
+            raise ValueError(f"eta must be finite and nonnegative, got {self.eta!r}")
         sizes = np.array([len(g) for g in self.groups], dtype=int)
         self.n = int(sizes.sum())
         self.order = (np.concatenate(self.groups) if self.groups

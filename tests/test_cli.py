@@ -105,6 +105,21 @@ def test_solve_zero_record_stride_exit_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_solve_nan_rel_tol_is_a_config_error(tmp_path):
+    """A NaN tolerance once started the adaptive stepper from a NaN step,
+    whose rejection loop never ended; it is now refused before any step."""
+    cfg = write(tmp_path, "problem = lasso_network\nrel_tol = nan\n")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(palflow.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    argv = ["solve", "--config", cfg, "--out", str(tmp_path / "o")]
+    out = subprocess.run([sys.executable, "-c", "import sys; from palflow.cli import main; "
+                          f"sys.exit(main({argv!r}))"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert "config error" in out.stderr and "rel_tol" in out.stderr
+
+
 def _readme_block(heading, info):
     """The first fenced block with this info string under the README heading."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -62,6 +62,33 @@ def test_network_validation():
         Network(3, [(0, 1), (1, 2)], agents[:2])      # agent count
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_connectivity_is_connected_components(seed):
+    """The breadth-first search accepts exactly the edge sets scipy's
+    ``connected_components`` finds connected, sparse and dense ones alike."""
+    from scipy.sparse.csgraph import connected_components
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 12))
+    agents = [AgentData(f=SmoothBlock.quadratic(np.eye(1)), g=prox.l1(),
+                        C=LinearOperator.identity((1,))) for _ in range(k)]
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    verdicts = set()
+    for p in np.linspace(0.05, 0.6, 12):
+        edges = [e for e in pairs if rng.random() < p]
+        r, c = np.array(edges, dtype=int).reshape(-1, 2).T
+        adj = sp.coo_matrix((np.ones(len(r)), (r, c)), shape=(k, k))
+        connected = connected_components(adj, directed=False)[0] == 1
+        try:
+            Network(k, edges, agents)
+            built = True
+        except ValueError as e:
+            assert "connected" in str(e)
+            built = False
+        assert built == connected
+        verdicts.add(connected)
+    assert verdicts == {True, False}
+
+
 def test_single_agent_reduces_to_composite():
     net = small_net(k=1)
     prob = assemble_consensus(net)

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
-from scipy.integrate._ivp import rk
+from scipy.integrate import RK45, solve_ivp
+from scipy.optimize import brentq
 
 from palflow import examples, flow, prox
 from palflow.distributed import assemble_consensus, simulate, unpack_agents
@@ -279,11 +284,11 @@ def test_kernel_reads_mu_and_alpha_per_call(rng):
 
 @pytest.fixture
 def rk45_solvers(monkeypatch):
-    """Every solver of the stepper class ``flow`` uses that the test creates;
-    each records the times at which it called its right-hand side."""
+    """Every adaptive stepper ``flow`` creates during the test; each records
+    the times at which it called its right-hand side."""
     solvers = []
 
-    class Recording(flow.RK45):
+    class Recording(flow._DormandPrince):
         def __init__(self, fun, *args, **kwargs):
             self.calls = []
             solvers.append(self)
@@ -293,7 +298,7 @@ def rk45_solvers(monkeypatch):
                 return fun(t, y)
             super().__init__(counted, *args, **kwargs)
 
-    monkeypatch.setattr(flow, "RK45", Recording)
+    monkeypatch.setattr(flow, "_DormandPrince", Recording)
     return solvers
 
 
@@ -313,15 +318,7 @@ def test_flow_field_counts_solver_calls_only(rng, rk45_solvers):
     assert traj.termination == "stop_kkt" and rk45_solvers == []
 
 
-def test_rejected_counts_the_attempts_not_accepted(rng, monkeypatch):
-    attempts = []
-    rk_step = rk.rk_step
-
-    def counted(*args, **kwargs):
-        attempts.append(1)
-        return rk_step(*args, **kwargs)
-
-    monkeypatch.setattr(rk, "rk_step", counted)
+def test_rejected_counts_the_attempts_not_accepted(rng, rk45_solvers):
     prob = composite_instance(rng)
     net, _ = examples.gen_lasso_network(5, 4, seed=1)
     cfgs = [IntegratorConfig(t_end=20.0), IntegratorConfig(t_end=50.0, record_stride=3),
@@ -332,11 +329,19 @@ def test_rejected_counts_the_attempts_not_accepted(rng, monkeypatch):
     stop = IntegratorConfig(t_end=200.0, stop_kkt=1e-3)
     rejected = 0
     for run, cfg in [(r, c) for r in runs for c in cfgs] + [(runs[0], stop)]:
-        attempts.clear()
         traj = run(cfg)
-        want = len(attempts) - traj.meta["steps"] if cfg.method == "rk45" else 0
+        want = 0
+        if cfg.method == "rk45":
+            # after a call at the start and one for the first step size,
+            # each attempt ends with two calls at its end point: the last
+            # stage and the field there
+            calls = rk45_solvers.pop().calls[2:]
+            attempts = sum(a == b for a, b in zip(calls, calls[1:]))
+            assert len(calls) == 6 * attempts
+            want = attempts - traj.meta["steps"]
         assert traj.meta["rejected"] == want
         rejected += want
+    assert rk45_solvers == []
     assert traj.termination == "stop_kkt"       # the last run ended on its event
     assert rejected > 0
 
@@ -483,6 +488,38 @@ def test_config_validation():
                 IntegratorConfig(method=method, h=h, t_end=t_end)
 
 
+BAD_CONFIGS = [
+    ("t_end", {"t_end": np.nan}), ("t_end", {"t_end": np.inf}),
+    ("rel_tol", {"rel_tol": np.nan}), ("rel_tol", {"rel_tol": np.inf}),
+    ("rel_tol", {"rel_tol": -1e-9}),
+    ("abs_tol", {"abs_tol": np.nan}), ("abs_tol", {"abs_tol": 0.0}),
+    ("h", {"method": "euler", "h": np.nan}), ("h", {"method": "rk4", "h": np.inf}),
+    ("h", {"method": "euler", "h": 0.0}),
+    ("stop_kkt", {"stop_kkt": np.nan}), ("stop_kkt", {"stop_kkt": np.inf}),
+    ("stop_kkt", {"stop_kkt": 0.0}),
+    ("max_steps", {"max_steps": 0}), ("max_steps", {"max_steps": -1}),
+    ("max_steps", {"max_steps": 2.5}), ("record_stride", {"record_stride": 1.5})]
+
+
+@pytest.mark.parametrize("name,kwargs", BAD_CONFIGS,
+                         ids=[",".join(f"{k}={v}" for k, v in kw.items())
+                              for _, kw in BAD_CONFIGS])
+def test_config_rejects_nonfinite_and_out_of_range_numbers(name, kwargs):
+    with pytest.raises(ValueError, match=name):
+        IntegratorConfig(**kwargs)
+
+
+def test_config_ignores_h_of_the_adaptive_method():
+    assert IntegratorConfig(h=np.nan).method == "rk45"
+
+
+def test_integrate_ode_rejects_a_nonfinite_start():
+    for method, h in (("rk45", None), ("euler", 0.1)):
+        with pytest.raises(ValueError, match="y0"):
+            integrate_ode(lambda t, y: -y, np.array([1.0, np.nan]),
+                          IntegratorConfig(method=method, h=h))
+
+
 def test_integrate_stop_kkt(rng):
     prob, s_star = quadratic_equality_instance(rng)
     s0 = prob.random_state(rng)
@@ -561,3 +598,93 @@ def test_record_stride_thins_samples(rng):
                      IntegratorConfig(t_end=2.0, record_stride=5))
     assert len(thin.times) < len(full.times)
     assert thin.times[-1] == pytest.approx(full.times[-1])
+
+
+# -- the owned stepper's parts -----------------------------------------------
+
+def _scipy_brentq(f, a, b, xtol, rtol):
+    return brentq(f, a, b, xtol=xtol, rtol=rtol)
+
+
+def _step(x):
+    return -1.0 if x < 0.3 else 1.0
+
+
+@pytest.mark.parametrize("f,a,b", [
+    (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0),   # interpolates and extrapolates
+    (lambda x: np.exp(x) - 2.0, -4.0, 6.0),
+    (lambda x: (x - 0.3) ** 3, 0.0, 1.0),       # flat root: bisects between
+    (_step, 0.0, 1.0),                          # no slope: bisects only
+    (lambda x: np.tanh(50 * (x - 0.7)), 0.0, 1.0),
+    (lambda x: x - 0.25, 0.25, 1.0)])           # a root at an end
+@pytest.mark.parametrize("tol", [(2e-12, 4 * np.finfo(float).eps),
+                                 (4 * np.finfo(float).eps,) * 2])
+def test_brentq_port_is_scipys_step_for_step(f, a, b, tol):
+    """The same points are evaluated and the same root returned; a search
+    that runs out of its 100 iterations fails in both."""
+    def run(brentq):
+        xs = []
+        try:
+            root = brentq(lambda x: xs.append(x) or f(x), a, b, *tol)
+        except RuntimeError:
+            root = None
+        return root, xs
+    assert run(flow._brentq) == run(_scipy_brentq)
+
+
+def test_brentq_port_refuses_a_bracket_of_one_sign_and_nan():
+    with pytest.raises(ValueError, match="different signs"):
+        flow._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-12)
+    with pytest.raises(ValueError, match="NaN"):
+        flow._brentq(lambda x: np.nan if x > 0.5 else x - 0.9, 0.0, 1.0, 1e-12, 1e-12)
+
+
+def test_dense_step_is_scipys_interpolant(rng):
+    fun = FlowField(composite_instance(rng))
+    y0 = 0.1 * rng.standard_normal(fun.prob.state_dim)
+    ours = flow._DormandPrince(fun, y0, 1.0, 1e-6, 1e-9)
+    theirs = RK45(fun, 0.0, y0, 1.0, rtol=1e-6, atol=1e-9)
+    for _ in range(3):
+        ours.step()
+        theirs.step()
+    assert (ours.t_old, ours.t, ours.nfev) == (theirs.t_old, theirs.t, theirs.nfev)
+    assert np.array_equal(ours.y, theirs.y) and np.array_equal(ours.f, theirs.f)
+    grid = np.linspace(ours.t_old, ours.t, 7)
+    assert np.array_equal(ours.dense_output()(grid), theirs.dense_output()(grid))
+    for t in grid[[0, 3, -1]]:
+        assert np.array_equal(ours.dense_output()(t), theirs.dense_output()(t))
+
+
+SOLVE_IMPORTS = """
+import sys
+from palflow import distributed, examples, flow
+from palflow.flow import IntegratorConfig, integrate
+
+net, _ = examples.gen_lasso_network(3, 4, 3, seed=0)
+prob = distributed.assemble_consensus(net)
+traj = integrate(prob, prob.zero_state(), IntegratorConfig(t_end=600.0, stop_kkt=1e-3))
+assert traj.termination == "stop_kkt", traj.termination
+init = distributed.agent_states_from_central(net, prob.zero_state())
+distributed.simulate(net, init, IntegratorConfig(t_end=0.5), prob.alpha, prob.mu)
+for prob, _ in (examples.gen_sparse_group_lasso(6, 12, 3, seed=2),
+                examples.gen_pcp(6, 1, seed=3)):
+    integrate(prob, prob.zero_state(), IntegratorConfig(t_end=0.2))
+print(sorted(m for m in ("scipy.integrate", "scipy.optimize", "scipy.linalg",
+                         "scipy.sparse.csgraph") if m in sys.modules))
+"""
+
+
+def _src_env():
+    src = str(Path(flow.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def test_a_solve_imports_no_scipy_beyond_sparse():
+    """Building a network and solving sgl, PCP and a lasso to its stop_kkt
+    event, centrally and by message passing, load none of scipy's
+    integrate, optimize, linalg or csgraph."""
+    out = subprocess.run([sys.executable, "-c", SOLVE_IMPORTS], capture_output=True,
+                         text=True, timeout=120, env=_src_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

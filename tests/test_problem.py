@@ -54,6 +54,18 @@ def test_dimension_validation():
         SaddleProblem(smooth, [], E, BlockOperator([], p=3), np.zeros(3), mu=-1)
 
 
+@pytest.mark.parametrize("name,kwargs", [
+    ("mu", {"mu": np.nan}), ("mu", {"mu": np.inf}), ("mu", {"mu": 0.0}),
+    ("alpha", {"alpha": np.nan}), ("alpha", {"alpha": np.inf}), ("alpha", {"alpha": -1.0}),
+    ("q", {"q": np.array([np.nan, 0.0])}), ("q", {"q": np.array([0.0, -np.inf])})])
+def test_saddle_problem_rejects_nonfinite_numbers(name, kwargs):
+    smooth = [SmoothBlock.quadratic(np.eye(2))]
+    E = BlockOperator([LinearOperator.from_matrix(np.eye(2))])
+    args = {"q": np.zeros(2), **kwargs}
+    with pytest.raises(ValueError, match=name):
+        SaddleProblem(smooth, [], E, BlockOperator([], p=2), **args)
+
+
 def test_assumption4_all_strongly_convex(rng):
     prob, _ = quadratic_equality_instance(rng)
     res = check_assumption4(prob)

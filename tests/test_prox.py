@@ -79,6 +79,15 @@ def test_group_lasso_single_group():
     assert np.allclose(out, [2.4, 3.2])
 
 
+@pytest.mark.parametrize("name,weights,eta", [
+    ("weights", [np.nan, 1.0], 0.0), ("weights", [1.0, np.inf], 0.0),
+    ("weights", [0.0, 1.0], 0.0), ("eta", [1.0, 1.0], np.nan),
+    ("eta", [1.0, 1.0], np.inf), ("eta", [1.0, 1.0], -0.5)])
+def test_group_partition_rejects_nonfinite_numbers(name, weights, eta):
+    with pytest.raises(ValueError, match=name):
+        GroupPartition([np.arange(2), np.arange(2, 4)], weights, eta)
+
+
 def test_group_lasso_dead_zone():
     part = GroupPartition([np.arange(3)], [2.0])
     v = np.array([0.5, 0.5, 0.5])   # norm below weight * mu
