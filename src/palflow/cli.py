@@ -406,7 +406,7 @@ def main(argv=None) -> int:
 
     ps = sub.add_parser("solve", help="integrate the flow on a configured problem")
     common(ps)
-    ps.add_argument("--method", choices=["euler", "rk4", "rk45"])
+    ps.add_argument("--method", choices=list(flow.METHODS))
     ps.add_argument("--t-end", type=float, dest="t_end")
     ps.add_argument("--stop-kkt", type=float, dest="stop_kkt")
     ps.add_argument("--svg", action="store_true")

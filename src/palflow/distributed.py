@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from . import flow
 from .linops import BlockOperator, LinearOperator, block_diagonal, csr_product, vec
 from .problem import (BlockPlan, NonsmoothBlock, PrimalDualState, SaddleProblem,
-                      SmoothBlock)
+                      SmoothBlock, _check_positive)
 from .prox import ProximableFunction
 
 
@@ -228,6 +228,7 @@ def run_discrete(net: Network, init: Sequence[AgentState], eta: float,
     for the first, or for a start already that large)."""
     if T_iters < 1:
         raise ValueError("need at least one iteration")
+    _check_positive(alpha=alpha, mu=mu)
     cfg = flow.IntegratorConfig(method="euler", h=eta, t_end=T_iters * eta,
                                 max_steps=T_iters)
     traj = flow.integrate_ode(lambda t, y: net.field(y, alpha, mu), pack_agents(init),
@@ -255,6 +256,7 @@ def simulate(net: Network, init: Sequence[AgentState], cfg: flow.IntegratorConfi
     """Integrate the decentralized field; every field evaluation the stepper
     makes is one synchronous round carrying ``x`` across each edge in both
     directions, so ``rounds`` is the run's ``n_evals``."""
+    _check_positive(alpha=alpha, mu=mu)
     traj = flow.integrate_ode(lambda t, y: net.field(y, alpha, mu), pack_agents(init), cfg)
     rounds = traj.meta["n_evals"]
     traj.meta.update(messages_total=2 * len(net.edges) * rounds,

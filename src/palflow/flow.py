@@ -5,11 +5,11 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .problem import PrimalDualState, SaddleProblem
+from .problem import PrimalDualState, SaddleProblem, _check_positive
 
 
 def __getattr__(name):
@@ -68,9 +68,56 @@ class FlowField:
         return self.prob.kernel.field(flat)
 
 
+class _Tableau(NamedTuple):
+    """A Butcher tableau; an adaptive one adds error weights and dense output."""
+    C: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    E: Optional[np.ndarray] = None
+    P: Optional[np.ndarray] = None
+
+    @property
+    def adaptive(self) -> bool:
+        return self.E is not None
+
+
+# The integration methods, by the name ``IntegratorConfig.method`` takes.
+METHODS = {
+    "euler": _Tableau(np.array([0]), np.zeros((1, 0)), np.array([1.0])),
+    "rk4": _Tableau(np.array([0, 1/2, 1/2, 1]),
+                    np.array([[0, 0, 0], [1/2, 0, 0], [0, 1/2, 0], [0, 0, 1]]),
+                    np.array([1/6, 1/3, 1/3, 1/6])),
+    # Dormand–Prince 5(4), scipy's RK45 tableau as it writes it
+    "rk45": _Tableau(
+        np.array([0, 1/5, 3/10, 4/5, 8/9, 1]),
+        np.array([
+            [0, 0, 0, 0, 0],
+            [1/5, 0, 0, 0, 0],
+            [3/40, 9/40, 0, 0, 0],
+            [44/45, -56/15, 32/9, 0, 0],
+            [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+            [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]]),
+        np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84]),
+        np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40]),
+        # dense output, with the optimal c_6 of Shampine (1986)
+        np.array([
+            [1, -8048581381/2820520608, 8663915743/2820520608,
+             -12715105075/11282082432],
+            [0, 0, 0, 0],
+            [0, 131558114200/32700410799, -68118460800/10900136933,
+             87487479700/32700410799],
+            [0, -1754552775/470086768, 14199869525/1410260304,
+             -10690763975/1880347072],
+            [0, 127303824393/49829197408, -318862633887/49829197408,
+             701980252875 / 199316789632],
+            [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+            [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])),
+}
+
+
 @dataclass
 class IntegratorConfig:
-    method: str = "rk45"            # euler | rk4 | rk45
+    method: str = "rk45"            # a key of METHODS
     h: Optional[float] = None       # fixed-step size
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
@@ -80,19 +127,16 @@ class IntegratorConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.method not in ("euler", "rk4", "rk45"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.method in ("euler", "rk4") and self.h is None:
-            raise ValueError("fixed-step methods need a step h")
         positive = ["t_end", "rel_tol", "abs_tol"]
-        if self.method != "rk45":
+        if not METHODS[self.method].adaptive:
+            if self.h is None:
+                raise ValueError("fixed-step methods need a step h")
             positive.append("h")
         if self.stop_kkt is not None:
             positive.append("stop_kkt")
-        for name in positive:
-            v = getattr(self, name)
-            if not 0 < v < np.inf:      # NaN fails it too
-                raise ValueError(f"{name} must be finite and positive, got {v!r}")
+        _check_positive(**{name: getattr(self, name) for name in positive})
         for name in ("max_steps", "record_stride"):
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
@@ -134,110 +178,71 @@ class Trajectory:
             fh.write(np.ascontiguousarray(self.states, dtype="<f8").tobytes())
 
 
-class _FixedStep:
-    """Forward Euler or classic RK4 with step ``h``, driven like
-    :class:`_DormandPrince`: ``step()`` advances to ``t = k·h`` after ``k``
-    steps, ``f``, the field at ``(t, y)``, is evaluated on first use and is
-    then the next step's first stage, and ``nfev`` counts the field
-    evaluations. A run takes
-    ``n = ceil(t_end / h)`` steps, or ``n - 1`` when ``(n - 1)·h`` already
-    reaches ``t_end``: ``t_end = T·h`` takes ``T`` however ``t_end / h`` rounds."""
-
-    rejected = 0
-
-    def __init__(self, fun: Callable, y0: np.ndarray, cfg: IntegratorConfig):
-        self.fun, self.h, self.rk4 = fun, cfg.h, cfg.method == "rk4"
-        self.n_steps = int(np.ceil(cfg.t_end / cfg.h))
-        self.n_steps -= (self.n_steps - 1) * cfg.h >= cfg.t_end
-        self.k, self.t, self.y, self._f = 0, 0.0, y0, None
-        self.status, self.nfev = "running", 0
-
-    @property
-    def f(self) -> np.ndarray:
-        if self._f is None:
-            self.nfev += 1
-            self._f = self.fun(self.t, self.y)
-        return self._f
-
-    def step(self) -> None:
-        t, y, h, k1 = self.t, self.y, self.h, self.f
-        if self.rk4:
-            self.nfev += 3
-            k2 = self.fun(t + h / 2, y + h / 2 * k1)
-            k3 = self.fun(t + h / 2, y + h / 2 * k2)
-            k4 = self.fun(t + h, y + h * k3)
-            y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        else:
-            y = y + h * k1
-        self.k += 1
-        self.t, self.y, self._f = self.k * h, y, None
-        if self.k == self.n_steps:
-            self.status = "finished"
-
-
 def _rms(v: np.ndarray) -> float:
     return np.linalg.norm(v) / v.size ** 0.5
 
 
-class _DormandPrince:
-    """Dormand–Prince 5(4) with error-controlled steps (Hairer, Nørsett &
-    Wanner, *Solving ODEs I*, §II.4), step for step scipy's ``RK45``: its
-    tableau, initial step, step-size controller and dense output, in the
-    same arithmetic, so a run's states and times equal ``solve_ivp``'s to
-    the bit. ``step()`` makes one accepted step from ``(t_old, y_old)`` to
-    ``(t, y)``, where ``f`` is the field; ``nfev`` counts the field
-    evaluations (one at the start, one for the initial step, six per
-    attempt) and ``rejected`` the attempts thrown away."""
+class _RungeKutta:
+    """Explicit Runge–Kutta steps of ``y' = fun(t, y)`` from ``t = 0`` by the
+    tableau of ``cfg.method`` (Hairer, Nørsett & Wanner, *Solving ODEs I*,
+    §II.1, §II.4). ``step()`` makes one accepted step of ``(t, y)``; ``f``,
+    the field there, is evaluated on first use and is the next first stage;
+    ``nfev`` counts the calls of ``fun``. A fixed-step run steps to ``t = k·h``
+    for ``n = ceil(t_end / h)`` steps, or ``n - 1`` when ``(n - 1)·h`` already
+    reaches ``t_end``. The ``adaptive`` Dormand–Prince 5(4) is step for step
+    scipy's ``RK45`` (initial step, step-size control, dense output), so its
+    runs equal ``solve_ivp``'s to the bit; its last stage is the next ``f``,
+    and ``rejected`` counts the attempts thrown away."""
 
-    C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-    A = np.array([
-        [0, 0, 0, 0, 0],
-        [1/5, 0, 0, 0, 0],
-        [3/40, 9/40, 0, 0, 0],
-        [44/45, -56/15, 32/9, 0, 0],
-        [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-        [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
-    ])
-    B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-    E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
-                  1/40])
-    # dense output, with the optimal c_6 of Shampine (1986)
-    P = np.array([
-        [1, -8048581381/2820520608, 8663915743/2820520608,
-         -12715105075/11282082432],
-        [0, 0, 0, 0],
-        [0, 131558114200/32700410799, -68118460800/10900136933,
-         87487479700/32700410799],
-        [0, -1754552775/470086768, 14199869525/1410260304,
-         -10690763975/1880347072],
-        [0, 127303824393/49829197408, -318862633887/49829197408,
-         701980252875 / 199316789632],
-        [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-        [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
     EXPONENT = -1 / 5       # -1 / (error estimator order + 1)
 
-    def __init__(self, fun: Callable, y0: np.ndarray, t_end: float,
-                 rtol: float, atol: float):
-        self._fun, self.t_end = fun, t_end
-        floor = 100 * np.finfo(float).eps
-        if rtol < floor:
-            warnings.warn(f"rel_tol {rtol:g} is below 100 machine epsilons; "
-                          f"using {floor:g}", stacklevel=3)
-        self.rtol, self.atol = max(rtol, floor), atol
-        self.t, self.y, self.t_old, self.y_old = 0.0, y0, None, None
+    def __init__(self, fun: Callable, y0: np.ndarray, cfg: IntegratorConfig):
+        self._fun, self.t_end = fun, cfg.t_end
+        tab = METHODS[cfg.method]
+        self.B, self.E, self.P, self.adaptive = tab.B, tab.E, tab.P, tab.adaptive
+        self.t, self.y, self._f = 0.0, y0, None
         self.status, self.nfev, self.rejected = "running", 0, 0
-        self.f = self.fun(self.t, y0)
-        self.h_abs = self._initial_step()
-        self.K = np.empty((7, y0.size))
+        # the stages (and Dormand–Prince's field at the new state), read
+        # through views made once
+        self.K = K = np.empty((len(tab.B) + self.adaptive, y0.size))
+        self._rows = [(s, K[:s].T, tab.A[s, :s], tab.C[s]) for s in range(1, len(tab.C))]
+        self._KB = K[:len(tab.B)].T
+        if self.adaptive:
+            floor = 100 * np.finfo(float).eps
+            if cfg.rel_tol < floor:
+                warnings.warn(f"rel_tol {cfg.rel_tol:g} is below 100 machine "
+                              f"epsilons; using {floor:g}", stacklevel=3)
+            self.rtol, self.atol = max(cfg.rel_tol, floor), cfg.abs_tol
+            self.h_abs = None
+        else:
+            self.h, self.k = cfg.h, 0
+            self.n_steps = int(np.ceil(cfg.t_end / cfg.h))
+            self.n_steps -= (self.n_steps - 1) * cfg.h >= cfg.t_end
 
     def fun(self, t, y) -> np.ndarray:
         self.nfev += 1
         return np.asarray(self._fun(t, y), dtype=float)
 
+    @property
+    def f(self) -> np.ndarray:
+        if self._f is None:
+            self._f = self.fun(self.t, self.y)
+        return self._f
+
+    def _stages(self, t: float, y: np.ndarray, h: float) -> np.ndarray:
+        K = self.K
+        K[0] = self.f
+        for s, Ks, a, c in self._rows:
+            K[s] = self.fun(t + c * h, y + np.dot(Ks, a) * h)
+        return y + h * np.dot(self._KB, self.B)
+
     def _initial_step(self) -> float:
         """Hairer, Nørsett & Wanner's starting step (§II.4), as scipy's
         ``select_initial_step``."""
         y0, f0 = self.y, self.f
+        if not np.all(np.isfinite(f0)):
+            # a NaN step would never fall below the minimum step
+            raise FlowError("the field at the start is not finite")
         scale = self.atol + np.abs(y0) * self.rtol
         d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -251,6 +256,15 @@ class _DormandPrince:
         return min(100 * h0, h1, self.t_end)
 
     def step(self) -> Optional[str]:
+        """One accepted step; a failure's message when it fails."""
+        if not self.adaptive:
+            self.y = self._stages(self.t, self.y, self.h)
+            self.k += 1
+            self.t, self._f = self.k * self.h, None
+            self.status = "finished" if self.k == self.n_steps else "running"
+            return None
+        if self.h_abs is None:
+            self.h_abs = self._initial_step()
         t, y, K = self.t, self.y, self.K
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = min_step if self.h_abs < min_step else self.h_abs
@@ -262,11 +276,7 @@ class _DormandPrince:
             t_new = min(t + h_abs, self.t_end)
             h = t_new - t
             h_abs = np.abs(h)
-            K[0] = self.f
-            for s, (a, c) in enumerate(zip(self.A[1:], self.C[1:]), start=1):
-                dy = np.dot(K[:s].T, a[:s]) * h
-                K[s] = self.fun(t + c * h, y + dy)
-            y_new = y + h * np.dot(K[:-1].T, self.B)
+            y_new = self._stages(t, y, h)
             K[-1] = f_new = self.fun(t + h, y_new)
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
             error = _rms(np.dot(K.T, self.E) * h / scale)
@@ -279,7 +289,7 @@ class _DormandPrince:
         factor = 10 if error == 0 else min(10, 0.9 * error ** self.EXPONENT)
         self.h_abs = h_abs * (min(1, factor) if rejected else factor)
         self.t_old, self.y_old = t, y
-        self.t, self.y, self.f = t_new, y_new, f_new
+        self.t, self.y, self._f = t_new, y_new, f_new
         if self.t >= self.t_end:
             self.status = "finished"
         return None
@@ -362,45 +372,34 @@ def _brentq(f: Callable, xa: float, xb: float, xtol: float, rtol: float,
 def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
                   events: Optional[list] = None, field: Optional[Callable] = None,
                   dense: bool = False) -> Trajectory:
-    """Integrate a generic flat ODE with the configured method.
+    """Integrate a generic flat ODE with the method ``cfg.method`` names.
 
-    Returns the run as a :class:`Trajectory` with no problem attached: its
-    ``field_norm`` column, its termination (``"t_end"``, ``"event"`` or
-    ``"max_steps"``) and ``meta`` with ``n_evals``, the stepper's calls of
-    ``fun``, ``steps``, the accepted steps, and ``rejected``, the adaptive
-    method's rejected attempts (0 for the others). The adaptive method is
-    palflow's own Dormand–Prince 5(4) stepper with error-controlled step
-    rejection, step for step scipy's ``RK45``, so its runs equal
-    ``solve_ivp``'s to the bit; fixed-step methods are forward Euler and
-    classic RK4. A non-finite ``y0`` is a ``ValueError``. Only every
-    ``record_stride``-th accepted step and the last one are held. The field norms are taken from the field each step already
-    holds at a kept sample; the one sample no step leaves it at (an event's
-    end point, the last fixed-step sample) is evaluated with ``field(t, y)``,
-    uncounted, which defaults to ``fun``. Events stop the run where they
-    reach zero or below (``"event"``); the adaptive method locates the
-    crossing on its step's dense output, and one that is there at ``t = 0``
-    already stops the run before the first step, with one sample. The
-    crossing is found by Brent's method, as ``solve_ivp`` finds it.
-    ``max_steps`` caps the accepted steps of every method (``"max_steps"``).
-    With ``dense`` (adaptive method only), ``meta["dense"]`` is the run's
-    ``OdeSolution`` (scipy's, imported for it): every accepted step's dense
-    output, with breakpoints at every step's end, whatever the stride (absent
-    for a run stopped at its start).
+    Returns a :class:`Trajectory` with no problem attached, with a
+    ``field_norm`` column, the termination (``"t_end"``, ``"event"`` or
+    ``"max_steps"``, which caps the accepted steps) and ``meta`` with
+    ``n_evals`` (the stepper's calls of ``fun``), ``steps`` and ``rejected``.
+    A non-finite ``y0`` is a ``ValueError``. Only every ``record_stride``-th
+    accepted step and the last are held. A sample's field norm is the field
+    the stepper holds there; where it holds none (an event's end point, the
+    last fixed-step sample) it is ``field(t, y)``, uncounted, which defaults
+    to ``fun``. An event stops the run where it reaches zero or below, before
+    the first step if it is there at ``t = 0``; the adaptive method locates
+    the crossing on the step's dense output by Brent's method, as
+    ``solve_ivp`` does. With ``dense`` (adaptive method only),
+    ``meta["dense"]`` is scipy's ``OdeSolution`` of every accepted step's
+    dense output (absent for a run stopped at its start).
     """
-    if dense and cfg.method != "rk45":
-        raise ValueError("dense output needs the adaptive method rk45")
     y0 = np.asarray(y0, dtype=float)
     if not np.all(np.isfinite(y0)):
         raise ValueError("every entry of the initial state y0 must be finite")
+    stepper = _RungeKutta(fun, y0, cfg)
+    if dense and not stepper.adaptive:
+        raise ValueError("dense output needs the adaptive method rk45")
     field = field or fun
     if events and any(ev(0.0, y0) <= 0 for ev in events):
         return Trajectory(np.array([0.0]), y0[None, :].copy(),
                           {"field_norm": np.array([np.linalg.norm(field(0.0, y0))])},
                           "event", meta={"n_evals": 0, "steps": 0, "rejected": 0})
-    if cfg.method == "rk45":
-        stepper = _DormandPrince(fun, y0, cfg.t_end, cfg.rel_tol, cfg.abs_tol)
-    else:
-        stepper = _FixedStep(fun, y0, cfg)
     # The kept states share one buffer that grows in place (for large
     # buffers, realloc moves pages rather than copying them), so a run holds
     # its samples once: no list of them next to their stacked copy.
@@ -418,11 +417,11 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
         if not np.all(np.isfinite(y)):
             raise FlowError("non-finite state encountered")
         hit = [ev for ev in events or () if ev(t, y) <= 0]
-        rk45_hit = hit and cfg.method == "rk45"
-        sol = stepper.dense_output() if dense or rk45_hit else None
+        located = hit and stepper.adaptive
+        sol = stepper.dense_output() if dense or located else None
         if hit:
             term = "event"
-            if rk45_hit:
+            if located:
                 tol = 4 * np.finfo(float).eps
                 t = min(_brentq(lambda s: ev(s, sol(s)), stepper.t_old, t, tol, tol)
                         for ev in hit)
@@ -443,7 +442,7 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
         times.append(t)
         # the field at an accepted state is at hand: the adaptive step's last
         # stage, or the first stage of the fixed-step method's next step
-        at_hand = term is None or (cfg.method == "rk45" and term != "event")
+        at_hand = term is None or (stepper.adaptive and term != "event")
         norms.append(np.linalg.norm(stepper.f if at_hand else field(t, y)))
     states.resize((len(times), y0.size), refcheck=False)
     meta = {"n_evals": stepper.nfev, "steps": steps, "rejected": stepper.rejected}
@@ -478,7 +477,7 @@ def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig) -
                          field=lambda t, y: prob.kernel.field(y))
     if events:
         kkt = [kkt_at[t] for t in traj.times]
-        if traj.termination == "event" and cfg.method == "rk45":
+        if traj.termination == "event" and METHODS[cfg.method].adaptive:
             # located on the dense output, so not a state the event saw
             kkt[-1] = prob.kernel.kkt(traj.states[-1])
     else:

@@ -94,6 +94,12 @@ def _check_finite(**arrays):
             raise ValueError(f"{name} must be finite")
 
 
+def _check_positive(**values):
+    for name, v in values.items():
+        if not 0 < v < np.inf:      # NaN fails it too
+            raise ValueError(f"{name} must be finite and positive, got {v!r}")
+
+
 class _LeastSquares:
     """The gradient ``M^T (M x - h)`` of ``(1/2) ||M x - h||^2`` for the block
     diagonal ``M`` of ``Ms`` and the stack ``h`` of ``hs``: one
@@ -163,10 +169,7 @@ class SaddleProblem:
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
-        for name in ("mu", "alpha"):
-            v = getattr(self, name)
-            if not 0 < v < np.inf:      # NaN fails it too
-                raise ValueError(f"{name} must be finite and positive, got {v!r}")
+        _check_positive(mu=self.mu, alpha=self.alpha)
         if not np.all(np.isfinite(self.q)):
             raise ValueError("q must be finite")
         if self.E.p != self.F.p or self.E.p != self.q.size:

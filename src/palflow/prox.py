@@ -34,7 +34,10 @@ class GroupPartition:
     eta: float = 0.0
 
     def __post_init__(self):
-        self.groups = [np.asarray(g, dtype=int) for g in self.groups]
+        groups = [np.asarray(g) for g in self.groups]
+        if not all(np.all(np.isfinite(g) & (np.floor(g) == g)) for g in groups):
+            raise ValueError("group indices must be integers")
+        self.groups = [g.astype(int) for g in groups]
         self.weights = np.asarray(self.weights, dtype=float)
         if len(self.weights) != len(self.groups):
             raise ValueError("one weight per group required")

@@ -14,11 +14,20 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+import palflow
 from palflow.distributed import AgentState
 from palflow.linops import BlockOperator, LinearOperator, unvec, vec
 from palflow.problem import (NonsmoothBlock, PrimalDualState, SaddleProblem,
                              SmoothBlock)
 from palflow import prox
+
+
+def src_env() -> dict:
+    """A copy of the environment with the directory palflow is imported from
+    first on ``PYTHONPATH``, for tests that run palflow in a subprocess."""
+    src = os.path.dirname(os.path.dirname(palflow.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 def quadratic_equality_instance(rng, p=3, dims=(4, 3), mu=1.0, alpha=1.0,

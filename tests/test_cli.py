@@ -14,6 +14,8 @@ from palflow import cli, distributed, examples
 from palflow.cli import (ConfigError, build_problem, main, parse_config,
                          svg_line_plot)
 
+from conftest import src_env
+
 
 def write(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
@@ -109,13 +111,10 @@ def test_solve_nan_rel_tol_is_a_config_error(tmp_path):
     """A NaN tolerance once started the adaptive stepper from a NaN step,
     whose rejection loop never ended; it is now refused before any step."""
     cfg = write(tmp_path, "problem = lasso_network\nrel_tol = nan\n")
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(palflow.__file__))
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
     argv = ["solve", "--config", cfg, "--out", str(tmp_path / "o")]
     out = subprocess.run([sys.executable, "-c", "import sys; from palflow.cli import main; "
                           f"sys.exit(main({argv!r}))"],
-                         env=env, capture_output=True, text=True, timeout=60)
+                         env=src_env(), capture_output=True, text=True, timeout=60)
     assert out.returncode == 1
     assert "config error" in out.stderr and "rel_tol" in out.stderr
 
@@ -418,11 +417,9 @@ print("no openblas")
 
 
 def test_threads_env_caps_pools():
-    env = {k: v for k, v in os.environ.items()
+    env = {k: v for k, v in src_env().items()
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     env["PALFLOW_THREADS"] = "1"
-    src = os.path.dirname(os.path.dirname(palflow.__file__))
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
     out = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr

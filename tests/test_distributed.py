@@ -204,6 +204,21 @@ def test_discrete_divergence_detected(rng):
         run_discrete(net, init, eta=0.1, alpha=1.0, mu=1.0, T_iters=0)
 
 
+# alpha = 0 once failed as a non-finite state, alpha = -1 ran with the dual
+# part ascending the wrong way, and a NaN failed as a stiff step
+BAD_ALPHA_MU = [("alpha", 0.0, 1.0), ("alpha", -1.0, 1.0), ("alpha", np.nan, 1.0),
+                ("alpha", np.inf, 1.0), ("mu", 1.0, 0.0), ("mu", 1.0, -2.0),
+                ("mu", 1.0, np.nan)]
+
+
+@pytest.mark.parametrize("name,alpha,mu", BAD_ALPHA_MU)
+def test_discrete_rejects_nonfinite_or_nonpositive_alpha_and_mu(rng, name, alpha, mu):
+    net = small_net(k=2, with_chord=False)
+    init = unpack_agents(net, rng.standard_normal(5 * 2 * 2))
+    with pytest.raises(ValueError, match=name):
+        run_discrete(net, init, eta=0.01, alpha=alpha, mu=mu, T_iters=3)
+
+
 @pytest.mark.parametrize("eta,T_iters", [(0.1, 3), (0.01, 7), (0.3, 3), (1e-3, 250)])
 def test_discrete_keeps_every_iterate_with_one_round_each(rng, eta, T_iters):
     net = mixed_prox_net()
@@ -231,6 +246,14 @@ def test_simulate_message_accounting(rng):
     assert traj.meta["messages_per_round"] == 2 * len(net.edges)
     assert traj.meta["messages_total"] == 2 * len(net.edges) * traj.meta["rounds"]
     assert traj.meta["rounds"] > 0
+
+
+@pytest.mark.parametrize("name,alpha,mu", BAD_ALPHA_MU)
+def test_simulate_rejects_nonfinite_or_nonpositive_alpha_and_mu(name, alpha, mu):
+    net = small_net(k=3)
+    init = unpack_agents(net, np.zeros(5 * 2 * 3))
+    with pytest.raises(ValueError, match=name):
+        simulate(net, init, IntegratorConfig(t_end=0.5), alpha, mu)
 
 
 def test_simulate_matches_centralized(rng):

@@ -1,7 +1,5 @@
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +17,7 @@ from palflow.problem import (BlockPlan, NonsmoothBlock, PrimalDualState,
                              SaddleProblem, SmoothBlock, kkt_residual)
 
 from conftest import (build_lifted, composite_instance,
-                      quadratic_equality_instance)
+                      quadratic_equality_instance, src_env)
 
 
 def one_dim_equality():
@@ -283,12 +281,12 @@ def test_kernel_reads_mu_and_alpha_per_call(rng):
 
 
 @pytest.fixture
-def rk45_solvers(monkeypatch):
-    """Every adaptive stepper ``flow`` creates during the test; each records
-    the times at which it called its right-hand side."""
+def steppers(monkeypatch):
+    """Every stepper ``flow`` creates during the test; each records the
+    times at which it called its right-hand side."""
     solvers = []
 
-    class Recording(flow._DormandPrince):
+    class Recording(flow._RungeKutta):
         def __init__(self, fun, *args, **kwargs):
             self.calls = []
             solvers.append(self)
@@ -298,31 +296,35 @@ def rk45_solvers(monkeypatch):
                 return fun(t, y)
             super().__init__(counted, *args, **kwargs)
 
-    monkeypatch.setattr(flow, "_DormandPrince", Recording)
+    monkeypatch.setattr(flow, "_RungeKutta", Recording)
     return solvers
 
 
-def test_flow_field_counts_solver_calls_only(rng, rk45_solvers):
+def test_flow_field_counts_solver_calls_only(rng, steppers):
     prob = composite_instance(rng)
-    traj = integrate(prob, prob.zero_state(), IntegratorConfig(method="rk4", h=0.1, t_end=1.0))
-    assert len(traj.times) == 11
-    assert traj.meta["n_evals"] == 4 * 10
-    assert traj.meta["steps"] == 10
+    for method, stages in (("rk4", 4), ("euler", 1)):
+        traj = integrate(prob, prob.zero_state(),
+                         IntegratorConfig(method=method, h=0.1, t_end=1.0))
+        solver = steppers.pop()
+        assert len(traj.times) == 11
+        assert traj.meta["n_evals"] == len(solver.calls) == solver.nfev == stages * 10
+        assert traj.meta["steps"] == 10
 
     for cfg in (IntegratorConfig(t_end=1.0), IntegratorConfig(t_end=1.0, record_stride=3),
                 IntegratorConfig(t_end=50.0, stop_kkt=1e-2)):
         traj = integrate(prob, prob.random_state(rng), cfg)
-        solver = rk45_solvers.pop()
+        solver = steppers.pop()
         assert traj.meta["n_evals"] == len(solver.calls) == solver.nfev
         assert len(traj.times) >= 2
-    assert traj.termination == "stop_kkt" and rk45_solvers == []
+    assert traj.termination == "stop_kkt" and steppers == []
 
 
-def test_rejected_counts_the_attempts_not_accepted(rng, rk45_solvers):
+def test_rejected_counts_the_attempts_not_accepted(rng, steppers):
     prob = composite_instance(rng)
     net, _ = examples.gen_lasso_network(5, 4, seed=1)
     cfgs = [IntegratorConfig(t_end=20.0), IntegratorConfig(t_end=50.0, record_stride=3),
-            IntegratorConfig(method="rk4", h=0.1, t_end=1.0)]
+            IntegratorConfig(method="rk4", h=0.1, t_end=1.0),
+            IntegratorConfig(method="euler", h=0.05, t_end=1.0)]
     runs = [lambda cfg: integrate(prob, prob.random_state(rng), cfg),
             lambda cfg: simulate(net, unpack_agents(net, rng.standard_normal(5 * 4 * 5)),
                                  cfg, 1.0, 1.0)]
@@ -330,18 +332,20 @@ def test_rejected_counts_the_attempts_not_accepted(rng, rk45_solvers):
     rejected = 0
     for run, cfg in [(r, c) for r in runs for c in cfgs] + [(runs[0], stop)]:
         traj = run(cfg)
+        solver = steppers.pop()
+        assert traj.meta["n_evals"] == len(solver.calls) == solver.nfev
         want = 0
         if cfg.method == "rk45":
             # after a call at the start and one for the first step size,
             # each attempt ends with two calls at its end point: the last
             # stage and the field there
-            calls = rk45_solvers.pop().calls[2:]
+            calls = solver.calls[2:]
             attempts = sum(a == b for a, b in zip(calls, calls[1:]))
             assert len(calls) == 6 * attempts
             want = attempts - traj.meta["steps"]
         assert traj.meta["rejected"] == want
         rejected += want
-    assert rk45_solvers == []
+    assert steppers == []
     assert traj.termination == "stop_kkt"       # the last run ended on its event
     assert rejected > 0
 
@@ -520,6 +524,28 @@ def test_integrate_ode_rejects_a_nonfinite_start():
                           IntegratorConfig(method=method, h=h))
 
 
+NONFINITE_FIELD = """
+import numpy as np
+from palflow.flow import FlowError, IntegratorConfig, integrate_ode
+for bad in (np.nan, np.inf):
+    try:
+        integrate_ode(lambda t, y: np.full_like(y, bad), np.ones(3),
+                      IntegratorConfig(t_end=1.0, max_steps=5))
+    except FlowError as e:
+        print(e)
+"""
+
+
+def test_a_nonfinite_starting_field_is_refused():
+    """A NaN field at the start once made the adaptive step size NaN, whose
+    rejection loop never ended, whatever ``max_steps``; the run is in a
+    subprocess with a timeout so that a regression fails, not hangs."""
+    out = subprocess.run([sys.executable, "-c", NONFINITE_FIELD], capture_output=True,
+                         text=True, timeout=60, env=src_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["the field at the start is not finite"] * 2
+
+
 def test_integrate_stop_kkt(rng):
     prob, s_star = quadratic_equality_instance(rng)
     s0 = prob.random_state(rng)
@@ -642,7 +668,7 @@ def test_brentq_port_refuses_a_bracket_of_one_sign_and_nan():
 def test_dense_step_is_scipys_interpolant(rng):
     fun = FlowField(composite_instance(rng))
     y0 = 0.1 * rng.standard_normal(fun.prob.state_dim)
-    ours = flow._DormandPrince(fun, y0, 1.0, 1e-6, 1e-9)
+    ours = flow._RungeKutta(fun, y0, IntegratorConfig(t_end=1.0, rel_tol=1e-6, abs_tol=1e-9))
     theirs = RK45(fun, 0.0, y0, 1.0, rtol=1e-6, atol=1e-9)
     for _ in range(3):
         ours.step()
@@ -674,17 +700,11 @@ print(sorted(m for m in ("scipy.integrate", "scipy.optimize", "scipy.linalg",
 """
 
 
-def _src_env():
-    src = str(Path(flow.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-
-
 def test_a_solve_imports_no_scipy_beyond_sparse():
     """Building a network and solving sgl, PCP and a lasso to its stop_kkt
     event, centrally and by message passing, load none of scipy's
     integrate, optimize, linalg or csgraph."""
     out = subprocess.run([sys.executable, "-c", SOLVE_IMPORTS], capture_output=True,
-                         text=True, timeout=120, env=_src_env())
+                         text=True, timeout=120, env=src_env())
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"

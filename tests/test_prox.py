@@ -117,6 +117,12 @@ def test_group_partition_validation():
         GroupPartition([np.array([0, 1]), np.array([1, 2])], [1.0, 1.0])
     with pytest.raises(ValueError, match="partition"):
         GroupPartition([np.array([0, 2])], [1.0])
+    # indices are not truncated: 0.5 and 1.9 once made the group [0, 1]
+    for groups in ([[0.5, 1.9], [2.2]], [[0, np.nan], [2]], [[0, 1], [np.inf]]):
+        with pytest.raises(ValueError, match="integers"):
+            GroupPartition(groups, [1.0, 1.0])
+    part = GroupPartition([[0.0, 1.0], [2.0]], [1.0, 1.0])
+    assert [g.tolist() for g in part.groups] == [[0, 1], [2]]
 
 
 def _group_lasso_loop(mu, part, v):
