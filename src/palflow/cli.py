@@ -109,7 +109,7 @@ def build_problem(keys: Dict[str, str], mats: Dict[str, np.ndarray]):
                                               _get(keys, "dim", int, 20),
                                               _get(keys, "meas", int, 3), seed)
         prob = distributed.assemble_consensus(net, mu=mu, alpha=alpha)
-        return prob, prob.zero_state(), ref, {"network": net}
+        return prob, prob.zero_state(), ref, {}
     if kind == "sparse_group_lasso":
         prob, ref = examples.gen_sparse_group_lasso(
             _get(keys, "meas", int, 20), _get(keys, "dim", int, 200),

@@ -226,13 +226,14 @@ def run_discrete(net: Network, init: Sequence[AgentState], eta: float,
     neighbors once. Returns the packed iterates at ``t = k·eta``; an iterate
     of norm 1e12 or more raises :class:`DivergenceError` with its step (0
     for the first, or for a start already that large)."""
-    if T_iters < 1:
-        raise ValueError("need at least one iteration")
-    _check_positive(alpha=alpha, mu=mu)
+    if not isinstance(T_iters, (int, np.integer)) or T_iters < 1:
+        raise ValueError(f"T_iters must be a whole number of iterations, at least 1, "
+                         f"got {T_iters!r}")
+    _check_positive(eta=eta, alpha=alpha, mu=mu)
     cfg = flow.IntegratorConfig(method="euler", h=eta, t_end=T_iters * eta,
                                 max_steps=T_iters)
     traj = flow.integrate_ode(lambda t, y: net.field(y, alpha, mu), pack_agents(init),
-                              cfg, events=[lambda t, y: 1e12 - np.linalg.norm(y)])
+                              cfg, event=lambda t, y: 1e12 - np.linalg.norm(y))
     if traj.termination == "event":
         raise DivergenceError(max(traj.meta["steps"] - 1, 0))
     return traj

@@ -384,7 +384,7 @@ def counterexample_run(beta: float, mu: float = 1.0, alpha: float = 1.0,
         return float(np.min(region_measurements(s, mu)))
 
     traj = flow.integrate_ode(_reduced_field(mu, alpha), s0, cfg,
-                              events=[exit_event], dense=True)
+                              event=exit_event, dense=True)
     if traj.termination != "event":
         raise flow.FlowError(f"trajectory did not exit the region: the run stopped "
                              f"on {traj.termination}")

@@ -185,14 +185,15 @@ def _rms(v: np.ndarray) -> float:
 class _RungeKutta:
     """Explicit Runge–Kutta steps of ``y' = fun(t, y)`` from ``t = 0`` by the
     tableau of ``cfg.method`` (Hairer, Nørsett & Wanner, *Solving ODEs I*,
-    §II.1, §II.4). ``step()`` makes one accepted step of ``(t, y)``; ``f``,
-    the field there, is evaluated on first use and is the next first stage;
-    ``nfev`` counts the calls of ``fun``. A fixed-step run steps to ``t = k·h``
-    for ``n = ceil(t_end / h)`` steps, or ``n - 1`` when ``(n - 1)·h`` already
-    reaches ``t_end``. The ``adaptive`` Dormand–Prince 5(4) is step for step
-    scipy's ``RK45`` (initial step, step-size control, dense output), so its
-    runs equal ``solve_ivp``'s to the bit; its last stage is the next ``f``,
-    and ``rejected`` counts the attempts thrown away."""
+    §II.1, §II.4). ``step()`` makes one accepted step of ``(t, y)`` and sets
+    ``done`` at ``t_end``; ``f``, the field there, is evaluated on first use
+    and is the next first stage; ``nfev`` counts the calls of ``fun``. A
+    fixed-step run steps to ``t = k·h`` for ``n = ceil(t_end / h)`` steps, or
+    ``n - 1`` when ``(n - 1)·h`` already reaches ``t_end``. The ``adaptive``
+    Dormand–Prince 5(4) is step for step scipy's ``RK45`` (initial step,
+    step-size control, dense output), so its runs equal ``solve_ivp``'s to the
+    bit; its last stage is the next ``f``, ``rejected`` counts the attempts
+    thrown away, and a step below the float spacing is a :class:`FlowError`."""
 
     EXPONENT = -1 / 5       # -1 / (error estimator order + 1)
 
@@ -201,7 +202,7 @@ class _RungeKutta:
         tab = METHODS[cfg.method]
         self.B, self.E, self.P, self.adaptive = tab.B, tab.E, tab.P, tab.adaptive
         self.t, self.y, self._f = 0.0, y0, None
-        self.status, self.nfev, self.rejected = "running", 0, 0
+        self.done, self.nfev, self.rejected = False, 0, 0
         # the stages (and Dormand–Prince's field at the new state), read
         # through views made once
         self.K = K = np.empty((len(tab.B) + self.adaptive, y0.size))
@@ -240,9 +241,6 @@ class _RungeKutta:
         """Hairer, Nørsett & Wanner's starting step (§II.4), as scipy's
         ``select_initial_step``."""
         y0, f0 = self.y, self.f
-        if not np.all(np.isfinite(f0)):
-            # a NaN step would never fall below the minimum step
-            raise FlowError("the field at the start is not finite")
         scale = self.atol + np.abs(y0) * self.rtol
         d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -255,14 +253,13 @@ class _RungeKutta:
             h1 = (0.01 / max(d1, d2)) ** (1 / 5)
         return min(100 * h0, h1, self.t_end)
 
-    def step(self) -> Optional[str]:
-        """One accepted step; a failure's message when it fails."""
+    def step(self) -> None:
         if not self.adaptive:
             self.y = self._stages(self.t, self.y, self.h)
             self.k += 1
             self.t, self._f = self.k * self.h, None
-            self.status = "finished" if self.k == self.n_steps else "running"
-            return None
+            self.done = self.k == self.n_steps
+            return
         if self.h_abs is None:
             self.h_abs = self._initial_step()
         t, y, K = self.t, self.y, self.K
@@ -271,8 +268,8 @@ class _RungeKutta:
         rejected = False
         while True:
             if h_abs < min_step:
-                self.status = "failed"
-                return "Required step size is less than spacing between numbers."
+                raise FlowError("stiff/failed: Required step size is less than "
+                                "spacing between numbers.")
             t_new = min(t + h_abs, self.t_end)
             h = t_new - t
             h_abs = np.abs(h)
@@ -290,9 +287,7 @@ class _RungeKutta:
         self.h_abs = h_abs * (min(1, factor) if rejected else factor)
         self.t_old, self.y_old = t, y
         self.t, self.y, self._f = t_new, y_new, f_new
-        if self.t >= self.t_end:
-            self.status = "finished"
-        return None
+        self.done = t_new >= self.t_end
 
     def dense_output(self) -> _DenseStep:
         return _DenseStep(self.t_old, self.t, self.y_old, self.K.T.dot(self.P))
@@ -370,7 +365,7 @@ def _brentq(f: Callable, xa: float, xb: float, xtol: float, rtol: float,
 
 
 def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
-                  events: Optional[list] = None, field: Optional[Callable] = None,
+                  event: Optional[Callable] = None, field: Optional[Callable] = None,
                   dense: bool = False) -> Trajectory:
     """Integrate a generic flat ODE with the method ``cfg.method`` names.
 
@@ -378,13 +373,14 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
     ``field_norm`` column, the termination (``"t_end"``, ``"event"`` or
     ``"max_steps"``, which caps the accepted steps) and ``meta`` with
     ``n_evals`` (the stepper's calls of ``fun``), ``steps`` and ``rejected``.
-    A non-finite ``y0`` is a ``ValueError``. Only every ``record_stride``-th
+    A non-finite ``y0`` is a ``ValueError``, a non-finite field there or
+    state later a :class:`FlowError`. Only every ``record_stride``-th
     accepted step and the last are held. A sample's field norm is the field
     the stepper holds there; where it holds none (an event's end point, the
     last fixed-step sample) it is ``field(t, y)``, uncounted, which defaults
-    to ``fun``. An event stops the run where it reaches zero or below, before
-    the first step if it is there at ``t = 0``; the adaptive method locates
-    the crossing on the step's dense output by Brent's method, as
+    to ``fun``. The ``event`` stops the run where it reaches zero or below,
+    before the first step if it is there at ``t = 0``; the adaptive method
+    locates the crossing on the step's dense output by Brent's method, as
     ``solve_ivp`` does. With ``dense`` (adaptive method only),
     ``meta["dense"]`` is scipy's ``OdeSolution`` of every accepted step's
     dense output (absent for a run stopped at its start).
@@ -396,37 +392,34 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
     if dense and not stepper.adaptive:
         raise ValueError("dense output needs the adaptive method rk45")
     field = field or fun
-    if events and any(ev(0.0, y0) <= 0 for ev in events):
-        return Trajectory(np.array([0.0]), y0[None, :].copy(),
-                          {"field_norm": np.array([np.linalg.norm(field(0.0, y0))])},
-                          "event", meta={"n_evals": 0, "steps": 0, "rejected": 0})
+    term = "event" if event is not None and event(0.0, y0) <= 0 else None
+    f0 = field(0.0, y0) if term else stepper.f
+    if not np.all(np.isfinite(f0)):
+        # an adaptive step size would be NaN, and never fall below the minimum
+        raise FlowError("the field at the start is not finite")
     # The kept states share one buffer that grows in place (for large
     # buffers, realloc moves pages rather than copying them), so a run holds
     # its samples once: no list of them next to their stacked copy.
     states = np.empty((64, y0.size))
     states[0] = y0
-    times, norms = [0.0], [np.linalg.norm(stepper.f)]
-    ends, pieces = [0.0], []
-    steps, term = 0, None
+    times, norms = [0.0], [np.linalg.norm(f0)]
+    ends, pieces, steps = [0.0], [], 0
     while term is None:
-        message = stepper.step()
-        if stepper.status == "failed":
-            raise FlowError(f"stiff/failed: {message}")
+        stepper.step()
         steps += 1
         t, y = stepper.t, stepper.y
         if not np.all(np.isfinite(y)):
             raise FlowError("non-finite state encountered")
-        hit = [ev for ev in events or () if ev(t, y) <= 0]
+        hit = event is not None and event(t, y) <= 0
         located = hit and stepper.adaptive
         sol = stepper.dense_output() if dense or located else None
         if hit:
             term = "event"
             if located:
                 tol = 4 * np.finfo(float).eps
-                t = min(_brentq(lambda s: ev(s, sol(s)), stepper.t_old, t, tol, tol)
-                        for ev in hit)
+                t = _brentq(lambda s: event(s, sol(s)), stepper.t_old, t, tol, tol)
                 y = sol(t)
-        elif stepper.status == "finished":
+        elif stepper.done:
             term = "t_end"
         elif steps == cfg.max_steps:
             term = "max_steps"
@@ -446,7 +439,7 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
         norms.append(np.linalg.norm(stepper.f if at_hand else field(t, y)))
     states.resize((len(times), y0.size), refcheck=False)
     meta = {"n_evals": stepper.nfev, "steps": steps, "rejected": stepper.rejected}
-    if dense:
+    if pieces:
         from scipy.integrate import OdeSolution
         meta["dense"] = OdeSolution(ends, pieces)
     return Trajectory(np.array(times), states, {"field_norm": np.array(norms)}, term,
@@ -459,31 +452,27 @@ def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig) -
     Terminates on ``t_end``; on ``stop_kkt``, once the KKT residual is at or
     below it (located by the adaptive integrator's event search; a start
     already there returns at once); or on ``max_steps``. The reason is
-    recorded. With ``stop_kkt`` the ``kkt_residual`` column takes the
-    event's values; only a located end point is evaluated again.
+    recorded. A ``kkt_residual`` entry is the stop event's value at a time
+    the event saw first, else ``kernel.kkt`` (as at a located end point).
     """
-    events = None
     # the event's residual at each time it first sees: the start and every
     # accepted step come before any root-search point at the same time
-    kkt_at = {}
+    kkt_at, event = {}, None
     if cfg.stop_kkt is not None:
-        def kkt_event(t, y):
+        def event(t, y):
             k = prob.kernel.kkt(y)
             kkt_at.setdefault(t, k)
             return k - cfg.stop_kkt
-        events = [kkt_event]
 
-    traj = integrate_ode(FlowField(prob), prob.pack(s0), cfg, events=events,
+    traj = integrate_ode(FlowField(prob), prob.pack(s0), cfg, event=event,
                          field=lambda t, y: prob.kernel.field(y))
-    if events:
-        kkt = [kkt_at[t] for t in traj.times]
-        if traj.termination == "event" and METHODS[cfg.method].adaptive:
-            # located on the dense output, so not a state the event saw
-            kkt[-1] = prob.kernel.kkt(traj.states[-1])
-    else:
-        kkt = [prob.kernel.kkt(u) for u in traj.states]
     if traj.termination == "event":
         traj.termination = "stop_kkt"
+        if METHODS[cfg.method].adaptive:
+            # located on the dense output, so not a state the event saw
+            kkt_at.pop(traj.times[-1])
+    kkt = [kkt_at[t] if t in kkt_at else prob.kernel.kkt(u)
+           for t, u in zip(traj.times, traj.states)]
     traj.diagnostics = {"kkt_residual": np.array(kkt), **traj.diagnostics}
     traj.problem = prob
     traj.meta.update(method=cfg.method, alpha=prob.alpha,

@@ -215,10 +215,6 @@ class BlockOperator:
     def in_shapes(self):
         return [b.in_shape for b in self.blocks]
 
-    @property
-    def in_dim(self) -> int:
-        return sum(b.in_dim for b in self.blocks)
-
     def apply(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
         if len(blocks) != len(self.blocks):
             raise ValueError("block count mismatch")

@@ -263,8 +263,8 @@ def zero() -> ProximableFunction:
 
 def moreau_value(g: ProximableFunction, mu: float, v: np.ndarray) -> float:
     """``g(prox(v)) + (1/2 mu) ||prox(v) - v||^2``."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < np.inf:         # NaN fails it too
+        raise ValueError(f"mu must be finite and positive, got {mu!r}")
     p = g.prox(mu, v)
     gv = g(p)
     if not np.isfinite(gv):
@@ -274,8 +274,8 @@ def moreau_value(g: ProximableFunction, mu: float, v: np.ndarray) -> float:
 
 def moreau_grad(g: ProximableFunction, mu: float, v: np.ndarray) -> np.ndarray:
     """``(1/mu) (v - prox(v))``; 1/mu-Lipschitz even for nondifferentiable g."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < np.inf:         # NaN fails it too
+        raise ValueError(f"mu must be finite and positive, got {mu!r}")
     v = np.asarray(v, dtype=float)
     return (v - g.prox(mu, v)) / mu
 

@@ -386,6 +386,33 @@ def test_bench_example_rows_build_the_generators_instances(row):
     assert np.array_equal(prob.pack(s0), want.pack(want_s0))
 
 
+def test_bench_examples_writes_a_row_per_example(tmp_path, monkeypatch, capsys):
+    """Two tiny rows and one that fails to build: the failure is a row of
+    ``error`` and a line on stderr, not the end of the run."""
+    rows = (({"problem": "sparse_group_lasso", "meas": "4", "dim": "8", "groups": "2",
+              "seed": "2"}, 2.0),
+            ({"problem": "lasso_network", "agents": "3", "dim": "2", "meas": "2",
+              "seed": "1"}, 2.0),
+            ({"problem": "nosuchproblem"}, 1.0))
+    monkeypatch.setattr(cli, "_BENCH_EXAMPLES", rows)
+    assert main(["bench", "examples", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "bench.csv").read_text().splitlines()
+    assert lines[0] == "example,rate,r2,final_kkt,wall_s"
+    table = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in table] == ["sparse_group_lasso", "lasso_network", "nosuchproblem"]
+    for r in table[:2]:
+        rate, r2, kkt, wall = map(float, r[1:])
+        assert rate > 0 and 0 < r2 <= 1 and kkt > 0 and wall >= 0
+    assert table[2][1:4] == ["error"] * 3 and float(table[2][4]) >= 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["nosuchproblem failed: unknown problem kind 'nosuchproblem'"]
+    # every row failing is exit code 2
+    monkeypatch.setattr(cli, "_BENCH_EXAMPLES", rows[2:])
+    assert main(["bench", "examples", "--out", str(tmp_path)]) == 2
+    assert (tmp_path / "bench.csv").read_text().splitlines()[1].startswith(
+        "nosuchproblem,error,")
+
+
 def test_bench_unknown_suite_exit_1(capsys):
     assert main(["bench", "nosuchsuite"]) == 1
     assert "nosuchsuite" in capsys.readouterr().err

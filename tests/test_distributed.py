@@ -198,10 +198,14 @@ def test_discrete_divergence_detected(rng):
     with pytest.raises(DivergenceError) as err:
         run_discrete(net, big, eta=0.01, alpha=1.0, mu=1.0, T_iters=5)
     assert err.value.iteration == 0
-    with pytest.raises(ValueError):
-        run_discrete(net, init, eta=0.0, alpha=1.0, mu=1.0, T_iters=5)
-    with pytest.raises(ValueError, match="iteration"):
-        run_discrete(net, init, eta=0.1, alpha=1.0, mu=1.0, T_iters=0)
+    # each bad argument is named: a fractional T_iters once blamed max_steps,
+    # a NaN one t_end, and a NaN eta the step h
+    for eta in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^eta"):
+            run_discrete(net, init, eta=eta, alpha=1.0, mu=1.0, T_iters=5)
+    for T_iters in (0, -1, 2.5, 3.0, np.nan):
+        with pytest.raises(ValueError, match="^T_iters .* iterations"):
+            run_discrete(net, init, eta=0.1, alpha=1.0, mu=1.0, T_iters=T_iters)
 
 
 # alpha = 0 once failed as a non-finite state, alpha = -1 ran with the dual

@@ -355,9 +355,9 @@ def test_stop_kkt_event_is_the_kkt_residual(rng, monkeypatch):
     seen = {}
     integrate_ode = flow.integrate_ode
 
-    def capture(fun, y0, cfg, events=None, field=None):
-        seen["event"] = events[0]
-        return integrate_ode(fun, y0, cfg, events=events, field=field)
+    def capture(fun, y0, cfg, event=None, field=None):
+        seen["event"] = event
+        return integrate_ode(fun, y0, cfg, event=event, field=field)
 
     monkeypatch.setattr(flow, "integrate_ode", capture)
     integrate(prob, prob.random_state(rng), IntegratorConfig(t_end=0.1, stop_kkt=1e-3))
@@ -386,10 +386,9 @@ def test_stop_kkt_column_reuses_the_event(rng, monkeypatch, method, h, stride, s
     monkeypatch.setattr(prob.kernel, "kkt", lambda u: calls.append(1) or kkt(u))
     integrate_ode = flow.integrate_ode
 
-    def counting(fun, y0, cfg, events=None, field=None):
-        ev = events[0]
+    def counting(fun, y0, cfg, event=None, field=None):
         return integrate_ode(fun, y0, cfg, field=field,
-                             events=[lambda t, y: event_calls.append(1) or ev(t, y)])
+                             event=lambda t, y: event_calls.append(1) or event(t, y))
 
     monkeypatch.setattr(flow, "integrate_ode", counting)
     traj = integrate(prob, s0, cfg)
@@ -527,23 +526,36 @@ def test_integrate_ode_rejects_a_nonfinite_start():
 NONFINITE_FIELD = """
 import numpy as np
 from palflow.flow import FlowError, IntegratorConfig, integrate_ode
-for bad in (np.nan, np.inf):
-    try:
-        integrate_ode(lambda t, y: np.full_like(y, bad), np.ones(3),
-                      IntegratorConfig(t_end=1.0, max_steps=5))
-    except FlowError as e:
-        print(e)
+for method, h in (("rk45", None), ("euler", 0.1), ("rk4", 0.1)):
+    for bad in (np.nan, np.inf):
+        try:
+            integrate_ode(lambda t, y: np.full_like(y, bad), np.ones(3),
+                          IntegratorConfig(method=method, h=h, t_end=1.0, max_steps=5))
+        except FlowError as e:
+            print(e)
 """
 
 
 def test_a_nonfinite_starting_field_is_refused():
     """A NaN field at the start once made the adaptive step size NaN, whose
     rejection loop never ended, whatever ``max_steps``; the run is in a
-    subprocess with a timeout so that a regression fails, not hangs."""
+    subprocess with a timeout so that a regression fails, not hangs. The
+    fixed-step methods refuse the same start before their first step."""
     out = subprocess.run([sys.executable, "-c", NONFINITE_FIELD], capture_output=True,
                          text=True, timeout=60, env=src_env())
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["the field at the start is not finite"] * 2
+    assert out.stdout.splitlines() == ["the field at the start is not finite"] * 6
+
+
+def test_a_step_below_the_float_spacing_is_refused():
+    """``y' = y²`` from 1 blows up at ``t = 1``, so the adaptive step size
+    shrinks below the spacing of the floats there and the stepper fails."""
+    calls = []
+    with pytest.raises(flow.FlowError, match="^stiff/failed: Required step size is "
+                                             "less than spacing between numbers[.]$"):
+        integrate_ode(lambda t, y: calls.append(t) or y ** 2, np.array([1.0]),
+                      IntegratorConfig(t_end=2.0))
+    assert 0.999 < max(calls) < 1.0
 
 
 def test_integrate_stop_kkt(rng):

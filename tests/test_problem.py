@@ -113,6 +113,67 @@ def test_certificate_scalar_instance():
     assert cert.rho2 > 0
 
 
+def _sigma_min_max(A):
+    s = np.linalg.svd(A, compute_uv=False)
+    return s[-1], s[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_certificate_general_branch(seed):
+    """f strongly convex in every block and g in none: ``I = ()``, ``J`` is
+    every nonsmooth block, and ``m_xz = m_f σ_min²(F) / (m_f μ + 4 σ_max²(E))``."""
+    prob = composite_instance(np.random.default_rng(seed), mu=0.7)
+    cert = ges_certificate(prob)
+    assert (cert.notes["I"], cert.notes["J"]) == ((), (0, 1))
+    assert not cert.empty_set_convention
+    m_f, mu = prob.m_f, prob.mu
+    assert m_f > 0 and prob.m_g == 0
+    smin_F, smax_E = _sigma_min_max(prob.F.dense())[0], _sigma_min_max(prob.E.dense())[1]
+    want = m_f * smin_F ** 2 / (m_f * mu + 4 * smax_E ** 2)
+    assert cert.m_xz == pytest.approx(want, rel=1e-12)
+
+
+def test_certificate_with_no_strongly_convex_block():
+    """One least-squares block with fewer rows than unknowns and no nonsmooth
+    block (Assumptions 4 and 5 leave no room for one): ``m_xz = σ_min²([E F])/μ``."""
+    rng = np.random.default_rng(5)
+    smooth = [SmoothBlock.least_squares(rng.standard_normal((2, 3)), rng.standard_normal(2))]
+    E = BlockOperator([LinearOperator.from_matrix(rng.standard_normal((4, 3)))])
+    prob = SaddleProblem(smooth, [], E, BlockOperator([], p=4),
+                         E.apply([rng.standard_normal(3)]), mu=0.5)
+    cert = ges_certificate(prob)
+    assert (cert.notes["I"], cert.notes["J"]) == ((0,), ())
+    assert prob.m_f == prob.m_g == 0
+    smin_EF = _sigma_min_max(np.hstack([prob.E.dense(), prob.F.dense()]))[0]
+    assert cert.m_xz == pytest.approx(smin_EF ** 2 / 0.5, rel=1e-12)
+
+
+def test_certificate_with_f_and_g_strongly_convex():
+    """A strongly convex smooth block, a plain one, and a strongly convex
+    nonsmooth block: ``m_fg = min(m_f, m_g)``, ``I = (1,)``, ``J = ()``, and
+    ``m_xz = m_fg σ_min²(E_1) / (m_fg μ + 4 σ_max²([E_0 F]))``."""
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((5, 3))
+    smooth = [SmoothBlock.quadratic(A.T @ A), SmoothBlock.least_squares(
+        rng.standard_normal((1, 2)), rng.standard_normal(1))]
+    g = prox.ProximableFunction(value=lambda w: 0.25 * float(np.sum(w ** 2)),
+                                prox=lambda mu, v: v / (1.0 + 0.5 * mu),
+                                strong_convexity=0.5)
+    nonsmooth = [NonsmoothBlock(g, (2,))]
+    E0, E1, F0 = (rng.standard_normal((4, d)) for d in (3, 2, 2))
+    E = BlockOperator([LinearOperator.from_matrix(E0), LinearOperator.from_matrix(E1)])
+    F = BlockOperator([LinearOperator.from_matrix(F0)])
+    prob = SaddleProblem(smooth, nonsmooth, E, F, rng.standard_normal(4), mu=1.5)
+    cert = ges_certificate(prob)
+    assert (cert.notes["I"], cert.notes["J"]) == ((1,), ())
+    m_fg = min(prob.m_f, prob.m_g)
+    assert prob.m_f > 0 and prob.m_g == 0.5 and not cert.empty_set_convention
+    smin_I = _sigma_min_max(E1)[0]
+    smax_comp = _sigma_min_max(np.hstack([E0, F0]))[1]
+    want = m_fg * smin_I ** 2 / (m_fg * 1.5 + 4 * smax_comp ** 2)
+    assert cert.m_xz == pytest.approx(want, rel=1e-12)
+
+
 def test_certificate_requires_mu_mg_bound():
     g = prox.ProximableFunction(value=lambda w: float(np.sum(w ** 2)),
                                 prox=lambda mu, v: v / (1.0 + 2.0 * mu),

@@ -366,10 +366,12 @@ def test_moreau_grad_zero_function():
 
 
 def test_moreau_rejects_nonpositive_mu():
-    with pytest.raises(ValueError):
-        moreau_value(prox.l1(), 0.0, np.array([1.0]))
-    with pytest.raises(ValueError):
-        moreau_grad(prox.l1(), -1.0, np.array([1.0]))
+    # a NaN mu once passed the check: moreau_grad returned NaNs, moreau_value
+    # blamed the prox, and an infinite mu gave the value 0
+    for mu in (0.0, -1.0, np.nan, np.inf):
+        for moreau in (moreau_value, moreau_grad):
+            with pytest.raises(ValueError, match="^mu must be finite and positive"):
+                moreau(prox.l1(1.0), mu, np.array([1.0]))
 
 
 @settings(max_examples=50, deadline=None)
