@@ -233,7 +233,7 @@ def run_discrete(net: Network, init: Sequence[AgentState], eta: float,
     cfg = flow.IntegratorConfig(method="euler", h=eta, t_end=T_iters * eta,
                                 max_steps=T_iters)
     traj = flow.integrate_ode(lambda t, y: net.field(y, alpha, mu), pack_agents(init),
-                              cfg, event=lambda t, y: 1e12 - np.linalg.norm(y))
+                              cfg, event=lambda t, y, f: 1e12 - np.linalg.norm(y))
     if traj.termination == "event":
         raise DivergenceError(max(traj.meta["steps"] - 1, 0))
     return traj

@@ -84,7 +84,8 @@ def gen_lasso_network(agents: int, dim: int, meas: int = 3,
                             g=prox.l1(t),
                             C=LinearOperator.identity((dim,)))
                   for M, h, t in zip(Ms, hs, taus)]
-    edges = [(i, (i + 1) % agents) for i in range(agents)] if agents > 1 else []
+    # a ring; two agents share its one edge
+    edges = [(i, (i + 1) % agents) for i in range(agents if agents > 2 else agents - 1)]
     if agents > 3:
         extra = set()
         while len(extra) < agents // 2:
@@ -380,7 +381,7 @@ def counterexample_run(beta: float, mu: float = 1.0, alpha: float = 1.0,
     if cfg is None:
         cfg = flow.IntegratorConfig(method="rk45", t_end=2.0 * t_guess + 1.0)
 
-    def exit_event(t, s):
+    def exit_event(t, s, f):
         return float(np.min(region_measurements(s, mu)))
 
     traj = flow.integrate_ode(_reduced_field(mu, alpha), s0, cfg,

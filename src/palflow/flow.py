@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -179,7 +180,8 @@ class Trajectory:
 
 
 def _rms(v: np.ndarray) -> float:
-    return np.linalg.norm(v) / v.size ** 0.5
+    # np.linalg.norm's arithmetic on a vector, without its dispatch
+    return math.sqrt(v.dot(v)) / v.size ** 0.5
 
 
 class _RungeKutta:
@@ -193,7 +195,14 @@ class _RungeKutta:
     Dormand–Prince 5(4) is step for step scipy's ``RK45`` (initial step,
     step-size control, dense output), so its runs equal ``solve_ivp``'s to the
     bit; its last stage is the next ``f``, ``rejected`` counts the attempts
-    thrown away, and a step below the float spacing is a :class:`FlowError`."""
+    thrown away, and a step below the float spacing is a :class:`FlowError`.
+
+    A step's arithmetic runs in work arrays made once: the stage inputs, the
+    error scale and the weighted error in place, each product formed in
+    scipy's order, ``(K·a)·h + y``, so the values are scipy's to the bit.
+    ``fun`` is handed these arrays and must not keep them. The new state is
+    written into a spare array that, once accepted, becomes ``y`` and is
+    replaced by a fresh one, so a state is never written again."""
 
     EXPONENT = -1 / 5       # -1 / (error estimator order + 1)
 
@@ -208,13 +217,14 @@ class _RungeKutta:
         self.K = K = np.empty((len(tab.B) + self.adaptive, y0.size))
         self._rows = [(s, K[:s].T, tab.A[s, :s], tab.C[s]) for s in range(1, len(tab.C))]
         self._KB = K[:len(tab.B)].T
+        self._work, self._y_new = np.empty(y0.size), np.empty(y0.size)
         if self.adaptive:
             floor = 100 * np.finfo(float).eps
             if cfg.rel_tol < floor:
                 warnings.warn(f"rel_tol {cfg.rel_tol:g} is below 100 machine "
                               f"epsilons; using {floor:g}", stacklevel=3)
             self.rtol, self.atol = max(cfg.rel_tol, floor), cfg.abs_tol
-            self.h_abs = None
+            self.h_abs, self._scale = None, np.empty(y0.size)
         else:
             self.h, self.k = cfg.h, 0
             self.n_steps = int(np.ceil(cfg.t_end / cfg.h))
@@ -231,11 +241,28 @@ class _RungeKutta:
         return self._f
 
     def _stages(self, t: float, y: np.ndarray, h: float) -> np.ndarray:
-        K = self.K
-        K[0] = self.f
-        for s, Ks, a, c in self._rows:
-            K[s] = self.fun(t + c * h, y + np.dot(Ks, a) * h)
-        return y + h * np.dot(self._KB, self.B)
+        """The stages of a step of ``h`` into ``K``, and ``y + h·Σ b_i k_i``
+        into the spare array, which is returned."""
+        K, dy, y_new = self.K, self._work, self._y_new
+        if not self._rows:
+            # forward Euler: the one-stage sum is f itself
+            np.multiply(self.f, h, out=y_new)
+        else:
+            K[0] = self.f
+            for s, Ks, a, c in self._rows:
+                np.dot(Ks, a, out=dy)
+                dy *= h
+                dy += y
+                K[s] = self.fun(t + c * h, dy)
+            np.dot(self._KB, self.B, out=y_new)
+            y_new *= h
+        y_new += y
+        return y_new
+
+    def _accept(self) -> np.ndarray:
+        """The spare array as the new state; a fresh one takes its place."""
+        y, self._y_new = self._y_new, np.empty_like(self._y_new)
+        return y
 
     def _initial_step(self) -> float:
         """Hairer, Nørsett & Wanner's starting step (§II.4), as scipy's
@@ -255,7 +282,8 @@ class _RungeKutta:
 
     def step(self) -> None:
         if not self.adaptive:
-            self.y = self._stages(self.t, self.y, self.h)
+            self._stages(self.t, self.y, self.h)
+            self.y = self._accept()
             self.k += 1
             self.t, self._f = self.k * self.h, None
             self.done = self.k == self.n_steps
@@ -263,7 +291,8 @@ class _RungeKutta:
         if self.h_abs is None:
             self.h_abs = self._initial_step()
         t, y, K = self.t, self.y, self.K
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        err, scale = self._work, self._scale
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = min_step if self.h_abs < min_step else self.h_abs
         rejected = False
         while True:
@@ -272,11 +301,19 @@ class _RungeKutta:
                                 "spacing between numbers.")
             t_new = min(t + h_abs, self.t_end)
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             y_new = self._stages(t, y, h)
             K[-1] = f_new = self.fun(t + h, y_new)
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            error = _rms(np.dot(K.T, self.E) * h / scale)
+            # atol + max(|y|, |y_new|)·rtol, and the error (K·e)·h / scale
+            np.abs(y, out=err)
+            np.abs(y_new, out=scale)
+            np.maximum(err, scale, out=scale)
+            scale *= self.rtol
+            scale += self.atol
+            np.dot(K.T, self.E, out=err)
+            err *= h
+            err /= scale
+            error = _rms(err)
             if error < 1:
                 break
             h_abs *= max(0.2, 0.9 * error ** self.EXPONENT)
@@ -286,7 +323,7 @@ class _RungeKutta:
         factor = 10 if error == 0 else min(10, 0.9 * error ** self.EXPONENT)
         self.h_abs = h_abs * (min(1, factor) if rejected else factor)
         self.t_old, self.y_old = t, y
-        self.t, self.y, self._f = t_new, y_new, f_new
+        self.t, self.y, self._f = t_new, self._accept(), f_new
         self.done = t_new >= self.t_end
 
     def dense_output(self) -> _DenseStep:
@@ -378,12 +415,18 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
     accepted step and the last are held. A sample's field norm is the field
     the stepper holds there; where it holds none (an event's end point, the
     last fixed-step sample) it is ``field(t, y)``, uncounted, which defaults
-    to ``fun``. The ``event`` stops the run where it reaches zero or below,
-    before the first step if it is there at ``t = 0``; the adaptive method
-    locates the crossing on the step's dense output by Brent's method, as
-    ``solve_ivp`` does. With ``dense`` (adaptive method only),
-    ``meta["dense"]`` is scipy's ``OdeSolution`` of every accepted step's
-    dense output (absent for a run stopped at its start).
+    to ``fun``. The ``event`` is called as ``event(t, y, f)`` and stops the
+    run where it reaches zero or below, before the first step if it is there
+    at ``t = 0``; ``f`` is the field the stepper holds at ``y`` (after an
+    accepted adaptive step, its last stage), or ``None`` where it holds none:
+    at ``t = 0``, at fixed-step states and at the points of the root search.
+    The adaptive method locates the crossing on the step's dense output by
+    Brent's method, as ``solve_ivp`` does. With ``dense`` (adaptive method
+    only), ``meta["dense"]`` is scipy's ``OdeSolution`` of every accepted
+    step's dense output (absent for a run stopped at its start).
+
+    ``fun`` and ``event`` must not keep the arrays they are handed: the
+    stepper writes its stage inputs into arrays it reuses.
     """
     y0 = np.asarray(y0, dtype=float)
     if not np.all(np.isfinite(y0)):
@@ -392,7 +435,7 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
     if dense and not stepper.adaptive:
         raise ValueError("dense output needs the adaptive method rk45")
     field = field or fun
-    term = "event" if event is not None and event(0.0, y0) <= 0 else None
+    term = "event" if event is not None and event(0.0, y0, None) <= 0 else None
     f0 = field(0.0, y0) if term else stepper.f
     if not np.all(np.isfinite(f0)):
         # an adaptive step size would be NaN, and never fall below the minimum
@@ -408,16 +451,17 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
         stepper.step()
         steps += 1
         t, y = stepper.t, stepper.y
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise FlowError("non-finite state encountered")
-        hit = event is not None and event(t, y) <= 0
+        # stepper._f: the field it holds at y, if any
+        hit = event is not None and event(t, y, stepper._f) <= 0
         located = hit and stepper.adaptive
         sol = stepper.dense_output() if dense or located else None
         if hit:
             term = "event"
             if located:
                 tol = 4 * np.finfo(float).eps
-                t = _brentq(lambda s: event(s, sol(s)), stepper.t_old, t, tol, tol)
+                t = _brentq(lambda s: event(s, sol(s), None), stepper.t_old, t, tol, tol)
                 y = sol(t)
         elif stepper.done:
             term = "t_end"
@@ -452,27 +496,20 @@ def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig) -
     Terminates on ``t_end``; on ``stop_kkt``, once the KKT residual is at or
     below it (located by the adaptive integrator's event search; a start
     already there returns at once); or on ``max_steps``. The reason is
-    recorded. A ``kkt_residual`` entry is the stop event's value at a time
-    the event saw first, else ``kernel.kkt`` (as at a located end point).
+    recorded. The stop event reads the residual off the field the stepper
+    holds where it has one (``kernel.kkt(y, f)``); the ``kkt_residual``
+    column is ``kernel.kkt`` at every kept sample.
     """
-    # the event's residual at each time it first sees: the start and every
-    # accepted step come before any root-search point at the same time
-    kkt_at, event = {}, None
+    event = None
     if cfg.stop_kkt is not None:
-        def event(t, y):
-            k = prob.kernel.kkt(y)
-            kkt_at.setdefault(t, k)
-            return k - cfg.stop_kkt
+        def event(t, y, f):
+            return prob.kernel.kkt(y, f) - cfg.stop_kkt
 
     traj = integrate_ode(FlowField(prob), prob.pack(s0), cfg, event=event,
                          field=lambda t, y: prob.kernel.field(y))
     if traj.termination == "event":
         traj.termination = "stop_kkt"
-        if METHODS[cfg.method].adaptive:
-            # located on the dense output, so not a state the event saw
-            kkt_at.pop(traj.times[-1])
-    kkt = [kkt_at[t] if t in kkt_at else prob.kernel.kkt(u)
-           for t, u in zip(traj.times, traj.states)]
+    kkt = [prob.kernel.kkt(u) for u in traj.states]
     traj.diagnostics = {"kkt_residual": np.array(kkt), **traj.diagnostics}
     traj.problem = prob
     traj.meta.update(method=cfg.method, alpha=prob.alpha,

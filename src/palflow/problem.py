@@ -390,10 +390,13 @@ class FieldKernel:
         self.z_plan = BlockPlan(zip(z_slices, prob.z_shapes,
                                     [b.g for b in prob.nonsmooth_blocks]))
 
-    def _residual(self, xz: np.ndarray) -> np.ndarray:
-        """``E x + F z - q``."""
+    def _residual(self, xz: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``E x + F z - q``, into ``out`` if given."""
         parts = self._parts(xz).reshape(self.n_blocks, self.p)
-        return parts[:self.n_E].sum(axis=0) + parts[self.n_E:].sum(axis=0) - self.prob.q
+        out = parts[:self.n_E].sum(axis=0, out=out)
+        out += parts[self.n_E:].sum(axis=0)
+        out -= self.prob.q
+        return out
 
     def value(self, u: np.ndarray) -> float:
         """Value of the proximal augmented Lagrangian."""
@@ -407,39 +410,73 @@ class FieldKernel:
         return (f + envelope + np.sum((r + mu * lam) ** 2) / (2.0 * mu)
                 - 0.5 * mu * np.sum(y ** 2) - 0.5 * mu * np.sum(lam ** 2))
 
+    def _assemble(self, u: np.ndarray, field: bool) -> np.ndarray:
+        """The flat gradient, or with ``field`` the flow field, written into
+        one output slice by slice. The field's sign flip and α scaling go
+        into the writes: ``-(a + b)`` is ``(-a) - b`` and ``-(a - b)`` is
+        ``b - a`` to the bit, so both equal the gradient's entries negated
+        or scaled."""
+        m, n, mu = self.m, self.n, self.prob.mu
+        k = m + n
+        z, y, lam = u[m:k], u[k:k + n], u[k + n:]
+        out = np.empty_like(u)
+        gx, gz, gy, r = out[:m], out[m:k], out[k:k + n], out[k + n:]
+        self._residual(u[:k], out=r)
+        shift = r / mu
+        shift += lam
+        at = self._adjoint(shift)
+        v = mu * y
+        v += z
+        pv = self.z_plan.prox(mu, v)
+        np.subtract(z, pv, out=gy)
+        if field:
+            np.negative(self.x_plan.grad(u[:m]), out=gx)
+            np.subtract(pv, v, out=gz)
+            gz /= mu
+            out[:k] -= at
+            out[k:] *= self.prob.alpha
+        else:
+            gx[:] = self.x_plan.grad(u[:m])
+            np.subtract(v, pv, out=gz)
+            gz /= mu
+            out[:k] += at
+        return out
+
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """Flat partial gradients ``(gx, gz, gy, glam)``."""
-        m, n, mu = self.m, self.n, self.prob.mu
-        z, y, lam = u[m:m + n], u[m + n:m + 2 * n], u[m + 2 * n:]
-        r = self._residual(u[:m + n])
-        at = self._adjoint(lam + r / mu)
-        v = z + mu * y
-        pv = self.z_plan.prox(mu, v)
-        out = np.empty_like(u)
-        out[:m] = self.x_plan.grad(u[:m]) + at[:m]
-        out[m:m + n] = (v - pv) / mu + at[m:]
-        out[m + n:m + 2 * n] = z - pv
-        out[m + 2 * n:] = r
-        return out
+        return self._assemble(u, field=False)
 
     def field(self, u: np.ndarray) -> np.ndarray:
         """Primal-descent dual-ascent field ``(-gx, -gz, a*gy, a*glam)``."""
-        out = self.gradient(u)
-        k = self.m + self.n
-        out[:k] *= -1.0
-        out[k:] *= self.prob.alpha
-        return out
+        return self._assemble(u, field=True)
 
-    def kkt(self, u: np.ndarray) -> float:
-        """Norm of the stacked KKT violations; see :func:`kkt_residual`."""
+    def kkt(self, u: np.ndarray, f: Optional[np.ndarray] = None) -> float:
+        """Norm of the stacked KKT violations; see :func:`kkt_residual`.
+
+        Given ``f = (f_x, f_z, f_y, f_lam)``, the field at ``u``, they are
+        read off it with one adjoint product, equal up to rounding:
+        ``r = f_lam / a``, ``z - prox(z + mu y) = f_y / a``,
+        ``grad f + E^T lam = -f_x - E^T r / mu`` and
+        ``y + F^T lam = -f_z - (f_y / a) / mu - F^T r / mu``.
+        """
         m, n, mu = self.m, self.n, self.prob.mu
-        z, y, lam = u[m:m + n], u[m + n:m + 2 * n], u[m + 2 * n:]
-        at = self._adjoint(lam)
-        r = self._residual(u[:m + n])
-        return float(np.sqrt(np.sum((self.x_plan.grad(u[:m]) + at[:m]) ** 2)
-                             + np.sum((y + at[m:]) ** 2)
-                             + np.sum((z - self.z_plan.prox(mu, z + mu * y)) ** 2)
-                             + np.sum(r ** 2)))
+        k = m + n
+        if f is None:
+            z, y, lam = u[m:k], u[k:k + n], u[k + n:]
+            at = self._adjoint(lam)
+            r = self._residual(u[:k])
+            return float(np.sqrt(np.sum((self.x_plan.grad(u[:m]) + at[:m]) ** 2)
+                                 + np.sum((y + at[m:]) ** 2)
+                                 + np.sum((z - self.z_plan.prox(mu, z + mu * y)) ** 2)
+                                 + np.sum(r ** 2)))
+        alpha = self.prob.alpha
+        r = f[k + n:] / alpha
+        d = f[k:k + n] / alpha
+        # -(the two stationarity violations), summed into the adjoint
+        g = self._adjoint(r / mu)
+        g += f[:k]
+        g[m:] += d / mu
+        return float(np.sqrt(g @ g + d @ d + r @ r))
 
     @cached_property
     def range_basis(self) -> np.ndarray:

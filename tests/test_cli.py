@@ -297,6 +297,12 @@ def test_solve_lasso_reaches_oracle(tmp_path):
     assert (tmp_path / "l_out" / "function_error.svg").exists()
 
 
+def test_solve_two_agent_lasso(tmp_path):
+    cfg = write(tmp_path, "problem = lasso_network\nagents = 2\ndim = 4\nt_end = 5\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "trajectory.csv").exists()
+
+
 def test_cli_overrides_apply(tmp_path):
     cfg = write(tmp_path, "problem = counterexample\nbeta = 4\nt_end = 20\n")
     out = str(tmp_path / "o_out")

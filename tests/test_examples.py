@@ -39,6 +39,20 @@ def test_lasso_network_differs_across_seeds():
     assert not np.array_equal(ref1.meta["x_star"], ref2.meta["x_star"])
 
 
+def test_two_agent_network_builds_and_integrates():
+    """The ring of two agents is their one edge; every other ring is kept,
+    and so are the draws that follow it."""
+    net, ref = gen_lasso_network(2, 4, 3, seed=0)
+    assert net.edges == [(0, 1)] and ref.meta["oracle"].kkt_residual < 1e-8
+    assert gen_lasso_network(1, 4, 3, seed=0)[0].edges == []
+    assert gen_lasso_network(3, 4, 3, seed=0)[0].edges == [(0, 1), (0, 2), (1, 2)]
+    prob = assemble_consensus(net)
+    traj = flow.integrate(prob, prob.zero_state(), flow.IntegratorConfig(t_end=400.0))
+    assert traj.termination == "t_end" and np.all(np.isfinite(traj.states))
+    x = np.concatenate(traj.final_state().x)
+    assert np.allclose(x, np.tile(ref.meta["x_star"], 2), atol=1e-6)
+
+
 def test_pcp_construction():
     prob, ref = gen_pcp(12, 2, seed=3)
     assert ref is None

@@ -210,8 +210,25 @@ def test_kernel_field_matches_blockwise(name, rng):
         flat = prob.kernel.field(prob.pack(s))
         assert _rel_gap(flat, prob.pack(blockwise_field(prob, s))) <= 1e-14
         # the residual sums the blocks in BlockOperator's order, to the bit
-        r = prob.kernel.gradient(prob.pack(s))[prob.m + 2 * prob.n:]
-        assert np.array_equal(r, prob.constraint_residual(s.x, s.z))
+        g = prob.kernel.gradient(prob.pack(s))
+        k = prob.m + prob.n
+        assert np.array_equal(g[k + prob.n:], prob.constraint_residual(s.x, s.z))
+        # the field is the gradient, its primal part negated and its dual
+        # part scaled, to the bit
+        assert np.array_equal(flat, np.concatenate([-g[:k], prob.alpha * g[k:]]))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_INSTANCES))
+def test_kkt_read_off_the_field(name, rng):
+    """Given the field at the state, the KKT residual is read off it; with
+    ``mu`` and ``alpha`` away from 1, a dropped ``/alpha`` or ``/mu`` shows."""
+    prob = KERNEL_INSTANCES[name]()
+    prob.mu, prob.alpha = 0.45, 2.7
+    for _ in range(5):
+        u = prob.pack(prob.random_state(rng))
+        want = prob.kernel.kkt(u)
+        assert 0.1 < want < 1e3
+        assert prob.kernel.kkt(u, prob.kernel.field(u)) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_INSTANCES))
@@ -364,18 +381,22 @@ def test_stop_kkt_event_is_the_kkt_residual(rng, monkeypatch):
     lifted = build_lifted(prob)
     for _ in range(5):
         s = prob.random_state(rng)
-        value = seen["event"](0.0, prob.pack(s)) + 1e-3
+        u = prob.pack(s)
+        value = seen["event"](0.0, u, None) + 1e-3
         assert value == pytest.approx(kkt_residual(prob, s), rel=1e-12)
         assert value == pytest.approx(lifted.kkt_residual(s.x, s.z, s.z, s.y, s.lam),
                                       rel=1e-12)
+        staged = seen["event"](0.0, u, prob.kernel.field(u)) + 1e-3
+        assert staged == pytest.approx(value, rel=1e-12)
 
 
 @pytest.mark.parametrize("method,h,stride,stop", [
     ("rk45", None, 1, 0.3), ("rk45", None, 3, 0.3), ("rk45", None, 3, 1e-12),
     ("euler", 0.01, 1, 0.3), ("euler", 0.01, 7, 1e-12)])
 def test_stop_kkt_column_reuses_the_event(rng, monkeypatch, method, h, stride, stop):
-    """With ``stop_kkt``, ``kernel.kkt`` runs once per event call, plus once
-    at an end point the root search located; the column still equals a
+    """With ``stop_kkt``, ``kernel.kkt`` runs once per event call, reading
+    the field the event is handed (the last stage of each accepted adaptive
+    step), and once per kept sample, with no field; the column equals a
     fresh evaluation at every sample, to the bit. The stop is a share
     ``stop`` of the starting KKT residual."""
     prob = composite_instance(rng)
@@ -383,19 +404,107 @@ def test_stop_kkt_column_reuses_the_event(rng, monkeypatch, method, h, stride, s
     cfg = IntegratorConfig(method=method, h=h, t_end=3.0, record_stride=stride,
                            stop_kkt=stop * kkt_residual(prob, s0))
     kkt, calls, event_calls = prob.kernel.kkt, [], []
-    monkeypatch.setattr(prob.kernel, "kkt", lambda u: calls.append(1) or kkt(u))
+    monkeypatch.setattr(prob.kernel, "kkt",
+                        lambda u, f=None: calls.append(f is None) or kkt(u, f))
     integrate_ode = flow.integrate_ode
 
     def counting(fun, y0, cfg, event=None, field=None):
-        return integrate_ode(fun, y0, cfg, field=field,
-                             event=lambda t, y: event_calls.append(1) or event(t, y))
+        return integrate_ode(fun, y0, cfg, field=field, event=lambda t, y, f: (
+            event_calls.append(f is None) or event(t, y, f)))
 
     monkeypatch.setattr(flow, "integrate_ode", counting)
     traj = integrate(prob, s0, cfg)
     assert traj.termination == ("stop_kkt" if stop == 0.3 else "t_end")
-    located = traj.termination == "stop_kkt" and method == "rk45"
-    assert len(calls) == len(event_calls) + located
+    assert calls.count(True) == len(traj.times) + event_calls.count(True)
+    assert calls.count(False) == event_calls.count(False)
+    # the adaptive method hands the event a field at every accepted step
+    assert event_calls.count(False) == (traj.meta["steps"] if method == "rk45" else 0)
     assert traj.diagnostics["kkt_residual"].tolist() == [kkt(u) for u in traj.states]
+
+
+@pytest.mark.parametrize("instance,stop", [("composite", 1e-6), ("network", 1e-2),
+                                           ("network", 1e-5)])
+def test_stop_kkt_from_the_stage_keeps_the_stop_point(rng, monkeypatch, instance, stop):
+    """The stop event reads the KKT residual off the last stage; an event
+    that evaluates it afresh stops the same run at the same step, after the
+    same attempts, at a time equal to rounding."""
+    if instance == "composite":
+        prob = composite_instance(rng)
+    else:
+        prob = assemble_consensus(examples.gen_lasso_network(3, 8, 3, seed=0)[0])
+    s0 = prob.random_state(rng)
+    cfg = IntegratorConfig(t_end=600.0, stop_kkt=stop, record_stride=10)
+    staged = integrate(prob, s0, cfg)
+    integrate_ode = flow.integrate_ode
+
+    def fresh(fun, y0, cfg, event=None, field=None):
+        return integrate_ode(fun, y0, cfg, field=field,
+                             event=lambda t, y, f: event(t, y, None))
+
+    monkeypatch.setattr(flow, "integrate_ode", fresh)
+    direct = integrate(prob, s0, cfg)
+    assert staged.termination == direct.termination == "stop_kkt"
+    for key in ("steps", "rejected", "n_evals"):
+        assert staged.meta[key] == direct.meta[key]
+    assert staged.times[-1] == pytest.approx(direct.times[-1], rel=1e-9, abs=0)
+    assert np.array_equal(staged.times[:-1], direct.times[:-1])
+
+
+def test_reused_buffers_never_leak(rng, monkeypatch):
+    """The stepper's work arrays never become a state, a kept sample, a
+    step's start or a piece of dense output, and nothing it hands out is
+    written by a later step: on Euler, RK4 and RK45, with a located stop and
+    with dense output."""
+    seen = []
+
+    class Watched(flow._RungeKutta):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.held, self.pieces = [(self.y, self.y.copy())], []
+            seen.append(self)
+
+        def _work_arrays(self):
+            return [self.K, self._work, self._y_new] + ([self._scale] if self.adaptive else [])
+
+        def step(self):
+            super().step()
+            handed = [self.y] + ([self.y_old] if self.adaptive else [])
+            handed += [self._f] if self._f is not None else []
+            assert not any(np.shares_memory(a, w)
+                           for a in handed for w in self._work_arrays())
+            self.held.append((self.y, self.y.copy()))
+
+        def dense_output(self):
+            sol = super().dense_output()
+            assert not any(np.shares_memory(a, w) for a in (sol.y_old, sol.Q)
+                           for w in self._work_arrays())
+            self.pieces.append((sol, sol.y_old.copy(), sol.Q.copy()))
+            return sol
+
+    monkeypatch.setattr(flow, "_RungeKutta", Watched)
+    prob = composite_instance(rng)
+    s0 = prob.random_state(rng)
+    runs = [integrate(prob, s0, IntegratorConfig(method="euler", h=0.01, t_end=1.0)),
+            integrate(prob, s0, IntegratorConfig(method="rk4", h=0.05, t_end=1.0)),
+            integrate(prob, s0, IntegratorConfig(t_end=2.0)),
+            integrate(prob, s0, IntegratorConfig(
+                t_end=50.0, stop_kkt=0.3 * kkt_residual(prob, s0)))]
+    t_star, dense = examples.counterexample_run(5.0)
+    assert [t.termination for t in runs] == ["t_end"] * 3 + ["stop_kkt"]
+    for traj, stepper in zip(runs + [dense], seen):
+        assert all(np.array_equal(y, copy) for y, copy in stepper.held)
+        kept = [copy for _, copy in stepper.held]
+        located = traj.termination in ("stop_kkt", "region_exit")
+        assert np.array_equal(traj.states[:len(traj.times) - located],
+                              kept[:len(traj.times) - located])
+        for sol, y_old, Q in stepper.pieces:
+            assert np.array_equal(sol.y_old, y_old) and np.array_equal(sol.Q, Q)
+        if located:
+            # the end point the root search located, from the pristine piece
+            sol, y_old, Q = stepper.pieces[-1]
+            end = flow._DenseStep(sol.t_old, sol.t_old + sol.h, y_old, Q)(traj.times[-1])
+            assert np.array_equal(traj.states[-1], end)
+    assert len(seen) == 5 and len(seen[-1].pieces) == dense.meta["steps"]
 
 
 def _solve_ivp_samples(fun, y0, cfg, events=None):
