@@ -131,8 +131,7 @@ def csr_product(A: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
     n_row, n_col = A.shape
     indptr, indices = A.indptr, A.indices
     data = np.asarray(A.data, dtype=float)
-    if (n_row == n_col and np.array_equal(indptr, np.arange(n_row + 1))
-            and np.array_equal(indices, np.arange(n_row)) and np.all(data == 1.0)):
+    if is_identity(A):
         return lambda x: x
 
     def product(x: np.ndarray) -> np.ndarray:
@@ -141,6 +140,14 @@ def csr_product(A: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
         return out
 
     return product
+
+
+def is_identity(A: sp.csr_matrix) -> bool:
+    """Whether the CSR matrix ``A`` stores exactly a square identity: one
+    entry per row, on the diagonal, equal to 1."""
+    n_row, n_col = A.shape
+    return bool(n_row == n_col and np.array_equal(A.indptr, np.arange(n_row + 1))
+                and np.array_equal(A.indices, np.arange(n_row)) and np.all(A.data == 1.0))
 
 
 def block_diagonal(mats) -> sp.csr_matrix:

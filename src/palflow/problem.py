@@ -11,8 +11,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linops import (BlockOperator, SingularExtremes, TOL_RANK, _checked,
-                     block_diagonal, csr_product, range_basis, singular_extremes,
-                     range_contained, vec, unvec)
+                     block_diagonal, csr_product, is_identity, range_basis,
+                     singular_extremes, range_contained, vec, unvec)
 from .prox import ProximableFunction, moreau_value, prox_l1
 
 
@@ -293,6 +293,21 @@ def _slices(shapes) -> List[slice]:
     return [slice(a, b) for a, b in zip(offs[:-1], offs[1:])]
 
 
+def _sums_in_column_order(E_mats, F_mats, p: int) -> bool:
+    """Whether one product of ``[E F]`` sums every row as ``BlockOperator``
+    does: conditions (a)-(c) of :class:`FieldKernel` on the stored entries of
+    the ``p``-row CSR column blocks ``E_mats`` and ``F_mats``."""
+    def counts(mats):   # (blocks, rows): stored entries of each block's rows
+        return np.array([np.diff(M.indptr) for M in mats], dtype=int).reshape(len(mats), p)
+
+    def later_blocks_hold_one(c):
+        return bool(np.all(c[np.cumsum(c > 0, axis=0) > 1] <= 1))
+
+    cE, cF = counts(E_mats), counts(F_mats)
+    return (later_blocks_hold_one(cE) and later_blocks_hold_one(cF)
+            and bool(np.all((cE.sum(axis=0) == 0) | (cF.sum(axis=0) <= 1))))
+
+
 class BlockPlan:
     """The per-block calls of a field on a flat vector, planned once from
     each block's ``(slice, shape, function)``; the slices lie end to end
@@ -333,8 +348,15 @@ class BlockPlan:
             else:
                 self.runs.append((sl, None, tuple(shape) if len(shape) > 1 else None, fn))
         self.dim = self.runs[-1][0].stop if self.runs else 0
+        # a lone run fused here returns its own fresh array, uncopied; any
+        # other lone block is copied, as its function may return a view
+        lone = self.runs[0] if len(self.runs) == 1 else (None,) * 4
+        self._lone_l1 = lone[1]
+        self._lone_ls = lone[3] if isinstance(lone[3], _LeastSquares) else None
 
     def grad(self, x: np.ndarray) -> np.ndarray:
+        if self._lone_ls is not None:
+            return self._lone_ls.grad(x)
         out = np.empty(self.dim)
         for sl, _, shape, b in self.runs:
             out[sl] = (b.grad(x[sl]) if shape is None else
@@ -342,6 +364,8 @@ class BlockPlan:
         return out
 
     def prox(self, mu: float, v: np.ndarray) -> np.ndarray:
+        if self._lone_l1 is not None:
+            return prox_l1(self._lone_l1 * mu, v)
         out = np.empty(self.dim)
         for sl, w, shape, g in self.runs:
             if w is not None:
@@ -358,31 +382,52 @@ class FieldKernel:
     the KKT residual, evaluated on the flat state of a :class:`SaddleProblem`
     (packing order: x blocks, z blocks, y blocks, lam).
 
-    The matrices of the column blocks of ``[E F]`` are stacked into two CSR
-    matrices over the contiguous ``(x, z)`` slice: their block diagonal
-    ``blocks``, whose one product gives every block's ``E_i x_i`` (the
-    residual then sums them in block order, exactly as ``BlockOperator``
-    does, so the two agree to the last bit even where ``Ex`` and ``q``
-    cancel), and ``EFt``, the transpose of ``[E F]``, whose one product gives
-    both adjoints. Both products are bound once by ``csr_product``, which
-    skips an identity (PCP's block diagonal). The smooth gradients and the
-    proxes run through one :class:`BlockPlan` each, which fuses adjacent l1
-    blocks into one soft threshold. ``mu`` and ``alpha`` are read from the
-    problem at each call.
+    The column blocks of ``[E F]`` are stacked side by side into the sorted
+    CSR matrix ``EF`` over the contiguous ``(x, z)`` slice; ``EFt``, its
+    transpose, gives both adjoints in one product. The residual
+    ``E x + F z - q`` must equal ``BlockOperator``'s to the last bit, even
+    where ``Ex`` and ``q`` cancel. That sums each block's entries of a row
+    from 0.0 in column order, folds the E blocks' sums in block order, then
+    the F blocks', and adds the two folds; one product of ``EF`` folds the
+    row's entries in column order from 0.0. The two agree when every row
+    meets (a) among the E blocks with an entry in the row, each after the
+    first stores exactly one there, (b) likewise among the F blocks, and
+    (c) if an E block has an entry in the row, the F blocks store at most
+    one there in total: a fold step adding a one-entry block's sum
+    ``0.0 + a x`` adds the same double as the product's ``+ a x``, a block
+    with no entry adds 0.0, and a row sum is never -0.0. Stored zeros count
+    as entries. Such a kernel forms the residual as that one product: the
+    network lasso (a consensus row holds one ±1 per agent, a measurement
+    row ``C_i``'s row, then one -1), PCP (E empty, identity F blocks) and
+    covariance completion. Any other keeps the block diagonal ``blocks`` of
+    the column blocks, whose one product gives every ``E_i x_i`` and
+    ``F_j z_j``, summed in block order: the sparse group lasso, whose
+    measurement rows add E2's many entries of ``T`` after E1's one, and a
+    square identity ``EF``, whose product returns its input, -0.0 entries
+    included. Each product is bound once by ``csr_product``. The smooth
+    gradients and the proxes run through one :class:`BlockPlan` each, which
+    fuses adjacent l1 blocks into one soft threshold. ``mu`` and ``alpha``
+    are read from the problem at each call.
     """
 
     def __init__(self, prob: SaddleProblem):
         self.prob = prob
         self.m, self.n, self.p = prob.m, prob.n, prob.p
-        cols = prob.E.blocks + prob.F.blocks
-        self.n_E = len(prob.E.blocks)
-        mats = [op.matrix for op in cols] or [sp.csr_matrix((self.p, 0))]
-        self.blocks = block_diagonal(mats)
-        self.n_blocks = len(mats)
-        self.EFt = sp.hstack(mats, format="csr").T.tocsr()
-        self._parts = csr_product(self.blocks)
+        E_mats = [op.matrix for op in prob.E.blocks]
+        F_mats = [op.matrix for op in prob.F.blocks]
+        mats = E_mats + F_mats or [sp.csr_matrix((self.p, 0))]
+        self.EF = sp.hstack(mats, format="csr")
+        self.EF.sort_indices()
+        self.EFt = self.EF.T.tocsr()
         # ``[E F]^T v`` on the ``(x, z)`` slice
         self._adjoint = csr_product(self.EFt)
+        if _sums_in_column_order(E_mats, F_mats, self.p) and not is_identity(self.EF):
+            self.blocks = None
+            self._product = csr_product(self.EF)
+        else:
+            self.blocks = block_diagonal(mats)
+            self._parts = csr_product(self.blocks)
+            self.n_E, self.n_blocks = len(E_mats), len(mats)
         x_slices, z_slices = _slices(prob.x_shapes), _slices(prob.z_shapes)
         self.x_blocks = list(zip(x_slices, prob.smooth_blocks))
         self.z_blocks = list(zip(z_slices, prob.nonsmooth_blocks))
@@ -392,6 +437,8 @@ class FieldKernel:
 
     def _residual(self, xz: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``E x + F z - q``, into ``out`` if given."""
+        if self.blocks is None:
+            return np.subtract(self._product(xz), self.prob.q, out=out)
         parts = self._parts(xz).reshape(self.n_blocks, self.p)
         out = parts[:self.n_E].sum(axis=0, out=out)
         out += parts[self.n_E:].sum(axis=0)

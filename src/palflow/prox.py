@@ -92,9 +92,16 @@ class ProximableFunction:
 
 def prox_l1(mu, v: np.ndarray) -> np.ndarray:
     """Entrywise soft threshold at level ``mu``: one level for every entry,
-    or an array of one level per entry of ``v``."""
+    or an array of one level per entry of ``v``; computed in one temporary
+    as ``max(|v| - mu, 0) * sign(v)``, so an entry cut to zero is -0.0 where
+    ``v`` is negative and 0.0 elsewhere."""
     v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.maximum(np.abs(v) - mu, 0.0)
+    a = np.abs(v)
+    a -= mu
+    # numpy returns a scalar, not an array to write into, for a 0-d ``v``
+    a = np.maximum(a, 0.0, out=a if v.ndim else None)
+    a *= np.sign(v)
+    return a
 
 
 def prox_group_lasso(mu: float, part: GroupPartition, v: np.ndarray) -> np.ndarray:

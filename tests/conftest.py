@@ -30,6 +30,12 @@ def src_env() -> dict:
     return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
+def same_doubles(a, b) -> bool:
+    """Whether two arrays hold the same doubles, the sign of each zero too."""
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
 def quadratic_equality_instance(rng, p=3, dims=(4, 3), mu=1.0, alpha=1.0,
                                 duplicate_row=False, curvature=1.0,
                                 e_scale=1.0, a_scale=1.0):

@@ -25,7 +25,7 @@ from palflow.flow import (IntegratorConfig, blockwise_field, integrate,
 from palflow.linops import (BlockOperator, LinearOperator, null_projection,
                             vec)
 from palflow.problem import (NonsmoothBlock, SaddleProblem, SmoothBlock,
-                             ges_certificate)
+                             ges_certificate, kkt_residual)
 
 from conftest import composite_instance, quadratic_equality_instance
 
@@ -138,13 +138,21 @@ def test_criterion_7_multiplier_range_invariant(certified_runs):
 # criterion 3: dissipation inequality along trajectories
 
 def test_criterion_3_dissipation():
+    """The reference saddle point is the end of a settle run from the zero
+    state, stopped at KKT 1e-11 or at t = 600. Most settle runs reach t = 600
+    first (seeds 201-204 end at KKT 2e-11 to 2.2e-10), so the reference is
+    the state the flow holds there, and its KKT residual is bounded here."""
     worst_slack = -np.inf
     worst_increase = -np.inf
+    worst_settle_kkt = 0.0
     for seed in range(5):
         rng = np.random.default_rng(200 + seed)
         prob = composite_instance(rng)
         settle = integrate(prob, prob.zero_state(),
                            IntegratorConfig(t_end=600.0, stop_kkt=1e-11))
+        settle_kkt = kkt_residual(prob, settle.final_state())
+        assert settle_kkt <= 1e-9, f"settle run {200 + seed} ended at KKT {settle_kkt:.2e}"
+        worst_settle_kkt = max(worst_settle_kkt, settle_kkt)
         ref = ReferenceSolution.from_state(prob, settle.final_state())
         traj = integrate(prob, prob.random_state(rng),
                          IntegratorConfig(t_end=40.0, rel_tol=1e-10,
@@ -163,7 +171,8 @@ def test_criterion_3_dissipation():
             prev = v
     ok = worst_slack <= 1e-8 and worst_increase <= 1e-8
     report(3, ok, f"max (dV1/dt - bound) = {worst_slack:.2e} (<=1e-8), "
-                  f"max V1 increase = {worst_increase:.2e} (<=1e-8)")
+                  f"max V1 increase = {worst_increase:.2e} (<=1e-8), "
+                  f"worst reference KKT = {worst_settle_kkt:.2e} (<=1e-9)")
     assert worst_slack <= 1e-8
     assert worst_increase <= 1e-8
 

@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import RK45, solve_ivp
 from scipy.optimize import brentq
 
@@ -17,7 +19,7 @@ from palflow.problem import (BlockPlan, NonsmoothBlock, PrimalDualState,
                              SaddleProblem, SmoothBlock, kkt_residual)
 
 from conftest import (build_lifted, composite_instance,
-                      quadratic_equality_instance, src_env)
+                      quadratic_equality_instance, same_doubles, src_env)
 
 
 def one_dim_equality():
@@ -218,6 +220,95 @@ def test_kernel_field_matches_blockwise(name, rng):
         assert np.array_equal(flat, np.concatenate([-g[:k], prob.alpha * g[k:]]))
 
 
+def _one_product_expected(E_mats, F_mats, EF):
+    """The residual layout rule, row by row: (a) and (b) after each side's
+    first block with entries, every block with entries stores one; (c) a row
+    with E entries has at most one F entry; and [E F] is no square identity."""
+    def later_blocks_hold_one(counts):
+        held = [c for c in counts if c > 0]
+        return all(c == 1 for c in held[1:])
+
+    for i in range(EF.shape[0]):
+        e = [M.indptr[i + 1] - M.indptr[i] for M in E_mats]
+        f = [M.indptr[i + 1] - M.indptr[i] for M in F_mats]
+        if not (later_blocks_hold_one(e) and later_blocks_hold_one(f)
+                and (sum(e) == 0 or sum(f) <= 1)):
+            return False
+    return not (EF.shape[0] == EF.shape[1]
+                and np.array_equal(EF.toarray(), np.eye(EF.shape[0])))
+
+
+def _pattern_problem(p, e_widths, f_widths, seed):
+    """A problem whose column blocks have random stored-entry patterns: 0-3
+    entries per row, some stored as explicit zeros, over values of mixed
+    magnitudes. An F width of None is a p x p identity block."""
+    rng = np.random.default_rng(seed)
+
+    def block(width):
+        if width is None:
+            return LinearOperator.identity((p,))
+        per_row = np.minimum(rng.choice(4, size=p, p=[0.3, 0.45, 0.15, 0.1]), width)
+        cols = [np.sort(rng.choice(width, size=k, replace=False)) for k in per_row]
+        k = int(per_row.sum())
+        data = rng.standard_normal(k) * 10.0 ** rng.uniform(-2, 2, k)
+        data[rng.random(k) < 0.15] = 0.0
+        M = sp.csr_matrix((data, np.concatenate([np.zeros(0, int)] + cols),
+                           np.concatenate([[0], np.cumsum(per_row)])), shape=(p, width))
+        return LinearOperator((width,), (p,), lambda: M)
+
+    E = BlockOperator([block(w) for w in e_widths], p=p)
+    F = BlockOperator([block(w) for w in f_widths], p=p)
+    smooth = [SmoothBlock.quadratic(np.eye(w)) for w in e_widths]
+    nonsmooth = [NonsmoothBlock(prox.zero(), (p if w is None else w,)) for w in f_widths]
+    q = rng.standard_normal(p)
+    q[rng.random(p) < 0.3] = 0.0
+    return SaddleProblem(smooth, nonsmooth, E, F, q), rng
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.integers(1, 5), e_widths=st.lists(st.integers(1, 4), max_size=3),
+       f_widths=st.lists(st.one_of(st.none(), st.integers(1, 4)), max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(p=3, e_widths=[], f_widths=[], seed=0)                   # no blocks
+@example(p=3, e_widths=[], f_widths=[None, None, None], seed=0)   # PCP's pattern
+@example(p=3, e_widths=[], f_widths=[None], seed=0)               # identity [E F]
+@example(p=3, e_widths=[2], f_widths=[None], seed=0)               # E beside an identity F
+def test_residual_layout_rule(p, e_widths, f_widths, seed):
+    """The kernel takes one product of ``[E F]`` exactly where the rule
+    holds, and either layout gives ``BlockOperator``'s residual to the bit,
+    signed zeros included."""
+    prob, rng = _pattern_problem(p, e_widths, f_widths, seed)
+    kernel = prob.kernel
+    mats = [[op.matrix for op in B.blocks] for B in (prob.E, prob.F)]
+    assert (kernel.blocks is None) == _one_product_expected(*mats, kernel.EF)
+    k = prob.m + prob.n
+    for _ in range(8):
+        s = prob.random_state(rng)
+        for a in s.x + s.z:
+            a *= 10.0 ** rng.uniform(-3, 3, a.shape)
+            a[rng.random(a.shape) < 0.2] = -0.0
+        u = prob.pack(s)
+        want = prob.constraint_residual(s.x, s.z)
+        assert same_doubles(kernel._residual(u[:k]), want)
+        assert same_doubles(kernel.gradient(u)[k + prob.n:], want)
+
+
+@pytest.mark.parametrize("name, one_product", [
+    ("network_lasso", True), ("pcp", True), ("covariance_completion", True),
+    ("counterexample", True), ("dense_congruence", True),
+    ("sparse_group_lasso", False), ("mixed_prox", False),
+    # palbench's full-size instances
+    ("lasso_5x20", True), ("pcp_40", True), ("sgl_20x200", False)])
+def test_residual_layout_of_each_instance(name, one_product):
+    make = {**KERNEL_INSTANCES,
+            "lasso_5x20": lambda: assemble_consensus(
+                examples.gen_lasso_network(5, 20, 3, seed=0)[0]),
+            "pcp_40": lambda: examples.gen_pcp(40, 3, seed=3)[0],
+            "sgl_20x200": lambda: examples.gen_sparse_group_lasso(20, 200, 10, seed=2)[0]}
+    # the block diagonal is built only where it is the layout picked
+    assert (make[name]().kernel.blocks is None) == one_product
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_INSTANCES))
 def test_kkt_read_off_the_field(name, rng):
     """Given the field at the state, the KKT residual is read off it; with
@@ -284,6 +375,23 @@ def test_block_plan_fuses_adjacent_least_squares_blocks_only(rng):
     x = rng.standard_normal(lone.dim)
     assert np.array_equal(lone.grad(x), np.concatenate(
         [b.grad(x[sl]) for sl, b in zip(slices, [quad, blocks[0], quad])]))
+
+
+def test_block_plan_output_never_aliases_its_input(rng):
+    """A lone run the plan fused returns its own fresh array; a lone block
+    whose function returns its input is copied."""
+    ident = SmoothBlock(shape=(4,), value=lambda x: 0.5 * x @ x, grad=lambda x: x)
+    passthrough = prox.ProximableFunction(value=lambda w: 0.0, prox=lambda mu, v: v)
+    lone_ls = SmoothBlock.least_squares(rng.standard_normal((3, 4)), rng.standard_normal(3))
+    x = rng.standard_normal(4)
+    for block in (ident, lone_ls):
+        plan, _ = _plan_of([block])
+        g = plan.grad(x)
+        assert np.array_equal(g, block.grad(x)) and not np.shares_memory(g, x)
+    for g in (passthrough, prox.l1(0.3)):
+        plan = BlockPlan([(slice(0, 4), (4,), g)])
+        p = plan.prox(0.7, x)
+        assert np.array_equal(p, g.prox(0.7, x)) and not np.shares_memory(p, x)
 
 
 def test_kernel_reads_mu_and_alpha_per_call(rng):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from palflow import examples, linops
 from palflow.distributed import assemble_consensus
-from palflow.linops import (BlockOperator, LinearOperator, csr_product,
+from palflow.linops import (BlockOperator, LinearOperator, block_diagonal, csr_product,
                             lyapunov_operator, masked_congruence,
                             null_projection, range_contained,
                             singular_extremes, unvec, vec, vstack)
@@ -238,7 +238,9 @@ def test_operator_is_its_matrix(name):
 def _products():
     """Every kind of CSR matrix the field kernels bind with ``csr_product``:
     each operator's matrix and its transpose, a p x 0 matrix, the kernels'
-    block diagonals and ``EFt``, and a network's kron adjacency."""
+    ``EF`` and ``EFt``, the block diagonal of a problem's column blocks (the
+    layout a kernel keeps where one product of ``EF`` would round
+    differently), and a network's kron adjacency."""
     mats = {}
     for name, op in _operators().items():
         mats[name] = op.matrix
@@ -246,8 +248,11 @@ def _products():
     mats["p_by_0"] = sp.csr_matrix((4, 0))
     for name, prob in (("lasso", assemble_consensus(examples.gen_lasso_network(3, 4, 3, seed=0)[0])),
                        ("pcp", examples.gen_pcp(6, 1, seed=3)[0]),
+                       ("sgl", examples.gen_sparse_group_lasso(6, 12, 3, seed=2)[0]),
                        ("covariance", examples.gen_covariance_completion(3)[0])):
-        mats[name + ".blocks"] = prob.kernel.blocks
+        mats[name + ".blocks"] = block_diagonal(
+            [op.matrix for op in prob.E.blocks + prob.F.blocks])
+        mats[name + ".EF"] = prob.kernel.EF
         mats[name + ".EFt"] = prob.kernel.EFt
     net = examples.gen_lasso_network(5, 4, 3, seed=0)[0]
     rows = [i for i, nb in enumerate(net.neighbors) for _ in nb]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reference_prox_nuclear
+from conftest import reference_prox_nuclear, same_doubles
 from palflow import prox
 from palflow.prox import (GroupPartition, moreau_grad, moreau_value,
                           prox_frobenius_ball_masked, prox_group_lasso,
@@ -25,6 +25,37 @@ def test_l1_level_per_entry_is_each_entrys_threshold(rng):
     levels = np.array([0.1, 0.1, 0.5, 0.5, 0.5, 2.0])
     want = np.concatenate([prox_l1(0.1, v[:2]), prox_l1(0.5, v[2:5]), prox_l1(2.0, v[5:])])
     assert np.array_equal(prox_l1(levels, v), want)
+
+
+def _soft_threshold(mu, v):
+    """The soft threshold written out in its textbook form."""
+    return np.sign(v) * np.maximum(np.abs(v) - mu, 0.0)
+
+
+def test_l1_signed_zeros_and_entries_at_the_level():
+    v = np.array([0.0, -0.0, 0.5, -0.5, 0.7, -0.7, 0.2, -0.2])
+    got = prox_l1(0.5, v)
+    assert same_doubles(got, _soft_threshold(0.5, v))
+    # +-0 and +-0.5 cut to 0.0 except where v < 0; +-0.7 keep their sign
+    assert np.array_equal(np.signbit(got), [False, False, False, True,
+                                            False, True, False, True])
+    assert np.array_equal(got[4:6], [0.7 - 0.5, -(0.7 - 0.5)])
+    # a zero level passes every entry through, -0.0 as 0.0
+    assert same_doubles(prox_l1(0.0, v), _soft_threshold(0.0, v))
+
+
+def test_l1_per_entry_levels_to_the_bit(rng):
+    v = np.concatenate([[0.0, -0.0, 0.3, -0.3, 1.25, -1.25], rng.standard_normal(30)])
+    levels = np.concatenate([[0.3, 0.3, 0.3, 0.3, 1.25, 1.25],
+                             rng.choice([0.0, 0.1, 0.5, 2.0], size=30)])
+    assert same_doubles(prox_l1(levels, v), _soft_threshold(levels, v))
+    assert same_doubles(prox_l1(levels.reshape(6, 6), v.reshape(6, 6)),
+                         _soft_threshold(levels, v).reshape(6, 6))
+
+
+def test_l1_scalar_input():
+    assert prox_l1(1.0, 3.0) == 2.0
+    assert same_doubles(np.asarray(prox_l1(1.0, -0.5)), np.asarray(-0.0))
 
 
 @pytest.mark.parametrize("make", [
