@@ -183,7 +183,8 @@ def write_manifest(path, config_path, keys, cfg, seed, out_dir, traj):
             "seed": seed, "method": cfg.method, "t_end": repr(cfg.t_end),
             "stop_kkt": repr(cfg.stop_kkt), "termination": traj.termination,
             "n_evals": traj.meta["n_evals"], "steps": traj.meta["steps"],
-            "rejected": traj.meta["rejected"], "threads": blas_threads(),
+            "rejected": traj.meta["rejected"], "kink_cuts": traj.meta["kink_cuts"],
+            "threads": blas_threads(),
             "peak_rss_mb": f"{peak_mb:.1f}"}
     rows.update((f"config.{k}", v) for k, v in sorted(keys.items()))
     with open(path, "w") as fh:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -144,6 +144,12 @@ class Network:
                  - (lam1_dot + Ct(lam2_dot)) / (alpha * mu))
         return np.concatenate([x_dot, z_dot, y_dot, lam1_dot, lam2_dot])
 
+    def switching(self, mu: float) -> Optional[flow.L1Switching]:
+        """The switching functions of the l1 entries of :meth:`field`'s prox
+        plan at penalty ``mu``, or ``None`` where no agent's ``g`` is l1."""
+        (_, zs, ys, _, _), *_, proxes = self._field_ops
+        return flow.L1Switching.of(proxes, zs.start, ys.start, lambda: mu)
+
 
 @dataclass
 class AgentState:
@@ -256,9 +262,13 @@ def simulate(net: Network, init: Sequence[AgentState], cfg: flow.IntegratorConfi
              alpha: float, mu: float) -> flow.Trajectory:
     """Integrate the decentralized field; every field evaluation the stepper
     makes is one synchronous round carrying ``x`` across each edge in both
-    directions, so ``rounds`` is the run's ``n_evals``."""
+    directions, so ``rounds`` is the run's ``n_evals``. The adaptive method
+    retries a rejected attempt at the first kink of the agents' l1 entries
+    (:meth:`Network.switching`), as :func:`flow.integrate` does on the
+    assembled problem; ``meta["kink_cuts"]`` counts these retries."""
     _check_positive(alpha=alpha, mu=mu)
-    traj = flow.integrate_ode(lambda t, y: net.field(y, alpha, mu), pack_agents(init), cfg)
+    traj = flow.integrate_ode(lambda t, y: net.field(y, alpha, mu), pack_agents(init), cfg,
+                              switching=net.switching(mu))
     rounds = traj.meta["n_evals"]
     traj.meta.update(messages_total=2 * len(net.edges) * rounds,
                      messages_per_round=2 * len(net.edges), rounds=rounds,

@@ -184,6 +184,61 @@ def _rms(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v)) / v.size ** 0.5
 
 
+class L1Switching:
+    """The switching functions ``s_i = |z_i + mu y_i| - mu w_i`` of the l1
+    entries of a prox plan (``BlockPlan.l1_index`` and ``l1_weight``), whose
+    ``z`` and ``y`` lie at ``z_start`` and ``y_start`` of the flat state; the
+    soft threshold of entry ``i`` is zero where ``s_i <= 0``, so the field
+    has a kink where ``s_i`` changes sign. ``mu()`` gives the penalty, read
+    at each call. :meth:`of` is ``None`` for a plan with no l1 run."""
+
+    GRID = 64       # intervals of the crossing search on ``[0, 1]``
+    # (x, x², x³, x⁴) at x = g / GRID, one column per grid point g = 0..GRID
+    _POWERS = np.linspace(0.0, 1.0, GRID + 1) ** np.arange(1, 5)[:, None]
+
+    def __init__(self, plan, z_start: int, y_start: int, mu: Callable[[], float]):
+        self.z, self.y = plan.l1_index + z_start, plan.l1_index + y_start
+        self.w, self.mu = plan.l1_weight, mu
+
+    @classmethod
+    def of(cls, plan, z_start: int, y_start: int,
+           mu: Callable[[], float]) -> Optional[L1Switching]:
+        return None if plan.l1_index is None else cls(plan, z_start, y_start, mu)
+
+    def first_crossing(self, y0: np.ndarray, y1: np.ndarray, K: np.ndarray,
+                       P: np.ndarray, h: float) -> float:
+        """The first ``x`` in ``(0, 1]`` at which a switching function whose
+        signs at ``y0`` and ``y1`` differ changes sign on the attempt's
+        quartic interpolant ``y0 + h·(K^T P)·(x, x², x³, x⁴)`` (stages ``K``,
+        dense-output weights ``P``); 1 where none does. Only those entries'
+        rows are interpolated, on ``GRID + 1`` points in one product; the
+        earliest interval whose ends lie on either side is interpolated
+        linearly: exact for a linear ``s_i``, and off by at most
+        ``GRID^-2 / 8 · max|s_i''| / min|s_i'|`` on that interval for a
+        smooth one."""
+        mu = self.mu()
+        level = mu * self.w
+        v0 = y0[self.z] + mu * y0[self.y]
+        out0 = np.abs(v0) > level
+        flip = np.flatnonzero(out0 != (np.abs(y1[self.z] + mu * y1[self.y]) > level))
+        if not flip.size:
+            return 1.0
+        kv = K[:, self.z[flip]] + mu * K[:, self.y[flip]]
+        s = np.dot(kv.T.dot(P) * h, self._POWERS)       # (entries, GRID + 1)
+        s += v0[flip, None]
+        np.abs(s, out=s)
+        s -= level[flip, None]
+        # the grid point x = 0 is on the start's side, so j >= 1 where found
+        crossed = (s > 0) != out0[flip, None]
+        j = crossed.argmax(axis=1)
+        rows = np.flatnonzero(crossed[np.arange(flip.size), j])
+        if not rows.size:
+            return 1.0
+        j = j[rows]
+        left, right = s[rows, j - 1], s[rows, j]
+        return float(np.min(j - 1 + left / (left - right))) / self.GRID
+
+
 class _RungeKutta:
     """Explicit Runge–Kutta steps of ``y' = fun(t, y)`` from ``t = 0`` by the
     tableau of ``cfg.method`` (Hairer, Nørsett & Wanner, *Solving ODEs I*,
@@ -193,9 +248,14 @@ class _RungeKutta:
     fixed-step run steps to ``t = k·h`` for ``n = ceil(t_end / h)`` steps, or
     ``n - 1`` when ``(n - 1)·h`` already reaches ``t_end``. The ``adaptive``
     Dormand–Prince 5(4) is step for step scipy's ``RK45`` (initial step,
-    step-size control, dense output), so its runs equal ``solve_ivp``'s to the
-    bit; its last stage is the next ``f``, ``rejected`` counts the attempts
-    thrown away, and a step below the float spacing is a :class:`FlowError`.
+    step-size control, dense output); its last stage is the next ``f``,
+    ``rejected`` counts the attempts thrown away, and a step below the float
+    spacing is a :class:`FlowError`. Given ``switching`` (an
+    :class:`L1Switching`), a rejected attempt that carries an l1 entry
+    across its kink is retried at the first crossing on its own interpolant
+    when that step is shorter than the controller's and not below the
+    minimum step; ``kink_cuts`` counts these retries. With no ``switching``
+    its runs equal ``solve_ivp``'s to the bit.
 
     A step's arithmetic runs in work arrays made once: the stage inputs, the
     error scale and the weighted error in place, each product formed in
@@ -206,12 +266,13 @@ class _RungeKutta:
 
     EXPONENT = -1 / 5       # -1 / (error estimator order + 1)
 
-    def __init__(self, fun: Callable, y0: np.ndarray, cfg: IntegratorConfig):
-        self._fun, self.t_end = fun, cfg.t_end
+    def __init__(self, fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
+                 switching: Optional[L1Switching] = None):
+        self._fun, self.t_end, self.switching = fun, cfg.t_end, switching
         tab = METHODS[cfg.method]
         self.B, self.E, self.P, self.adaptive = tab.B, tab.E, tab.P, tab.adaptive
         self.t, self.y, self._f = 0.0, y0, None
-        self.done, self.nfev, self.rejected = False, 0, 0
+        self.done, self.nfev, self.rejected, self.kink_cuts = False, 0, 0, 0
         # the stages (and Dormand–Prince's field at the new state), read
         # through views made once
         self.K = K = np.empty((len(tab.B) + self.adaptive, y0.size))
@@ -316,7 +377,13 @@ class _RungeKutta:
             error = _rms(err)
             if error < 1:
                 break
-            h_abs *= max(0.2, 0.9 * error ** self.EXPONENT)
+            h_next = h_abs * max(0.2, 0.9 * error ** self.EXPONENT)
+            if self.switching is not None:
+                cut = h_abs * self.switching.first_crossing(y, y_new, K, self.P, h)
+                if min_step <= cut < h_next:
+                    h_next = cut
+                    self.kink_cuts += 1
+            h_abs = h_next
             rejected = True
             self.rejected += 1
         # grow by at most 10, and not at all right after a rejection
@@ -345,6 +412,32 @@ class _DenseStep:
         y = self.h * np.dot(self.Q, p)
         y += self.y_old if y.ndim == 1 else self.y_old[:, None]
         return y
+
+
+class _DenseSolution:
+    """The dense output of a run: the step pieces ``pieces`` between the
+    times ``ends``, looked up as scipy's ``OdeSolution`` does (a time on a
+    step's end takes the earlier step; one outside takes the nearest), so
+    its values equal ``solve_ivp``'s ``sol`` to the bit."""
+
+    def __init__(self, ends, pieces):
+        self.ends, self.pieces = np.asarray(ends), pieces
+
+    def _piece(self, t):
+        return np.clip(np.searchsorted(self.ends, t) - 1, 0, len(self.pieces) - 1)
+
+    def __call__(self, t) -> np.ndarray:
+        t = np.asarray(t)
+        if t.ndim == 0:
+            return self.pieces[self._piece(t)](t)
+        # each run of sorted times on one piece in one call, as scipy does
+        order = np.argsort(t)
+        ts = t[order]
+        seg = self._piece(ts)
+        cuts = np.flatnonzero(np.diff(seg)) + 1
+        ys = np.hstack([self.pieces[g[0]](tg)
+                        for g, tg in zip(np.split(seg, cuts), np.split(ts, cuts))])
+        return ys[:, np.argsort(order)]
 
 
 def _brentq(f: Callable, xa: float, xb: float, xtol: float, rtol: float,
@@ -403,13 +496,18 @@ def _brentq(f: Callable, xa: float, xb: float, xtol: float, rtol: float,
 
 def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
                   event: Optional[Callable] = None, field: Optional[Callable] = None,
-                  dense: bool = False) -> Trajectory:
+                  dense: bool = False,
+                  switching: Optional[L1Switching] = None) -> Trajectory:
     """Integrate a generic flat ODE with the method ``cfg.method`` names.
 
     Returns a :class:`Trajectory` with no problem attached, with a
     ``field_norm`` column, the termination (``"t_end"``, ``"event"`` or
     ``"max_steps"``, which caps the accepted steps) and ``meta`` with
-    ``n_evals`` (the stepper's calls of ``fun``), ``steps`` and ``rejected``.
+    ``n_evals`` (the stepper's calls of ``fun``), ``steps``, ``rejected``
+    and ``kink_cuts``. The adaptive method retries a rejected attempt at the
+    first l1 kink ``switching`` locates on its interpolant, where that is
+    the shorter step (see :class:`_RungeKutta`); with no ``switching`` it
+    equals ``solve_ivp``'s ``RK45`` to the bit and ``kink_cuts`` is 0.
     A non-finite ``y0`` is a ``ValueError``, a non-finite field there or
     state later a :class:`FlowError`. Only every ``record_stride``-th
     accepted step and the last are held. A sample's field norm is the field
@@ -422,8 +520,8 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
     at ``t = 0``, at fixed-step states and at the points of the root search.
     The adaptive method locates the crossing on the step's dense output by
     Brent's method, as ``solve_ivp`` does. With ``dense`` (adaptive method
-    only), ``meta["dense"]`` is scipy's ``OdeSolution`` of every accepted
-    step's dense output (absent for a run stopped at its start).
+    only), ``meta["dense"]`` interpolates every accepted step's dense output
+    (a :class:`_DenseSolution`, absent for a run stopped at its start).
 
     ``fun`` and ``event`` must not keep the arrays they are handed: the
     stepper writes its stage inputs into arrays it reuses.
@@ -431,7 +529,7 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
     y0 = np.asarray(y0, dtype=float)
     if not np.all(np.isfinite(y0)):
         raise ValueError("every entry of the initial state y0 must be finite")
-    stepper = _RungeKutta(fun, y0, cfg)
+    stepper = _RungeKutta(fun, y0, cfg, switching)
     if dense and not stepper.adaptive:
         raise ValueError("dense output needs the adaptive method rk45")
     field = field or fun
@@ -482,10 +580,10 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
         at_hand = term is None or (stepper.adaptive and term != "event")
         norms.append(np.linalg.norm(stepper.f if at_hand else field(t, y)))
     states.resize((len(times), y0.size), refcheck=False)
-    meta = {"n_evals": stepper.nfev, "steps": steps, "rejected": stepper.rejected}
+    meta = {"n_evals": stepper.nfev, "steps": steps, "rejected": stepper.rejected,
+            "kink_cuts": stepper.kink_cuts}
     if pieces:
-        from scipy.integrate import OdeSolution
-        meta["dense"] = OdeSolution(ends, pieces)
+        meta["dense"] = _DenseSolution(ends, pieces)
     return Trajectory(np.array(times), states, {"field_norm": np.array(norms)}, term,
                       meta=meta)
 
@@ -498,15 +596,20 @@ def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig) -
     already there returns at once); or on ``max_steps``. The reason is
     recorded. The stop event reads the residual off the field the stepper
     holds where it has one (``kernel.kkt(y, f)``); the ``kkt_residual``
-    column is ``kernel.kkt`` at every kept sample.
+    column is ``kernel.kkt`` at every kept sample. Where the z blocks hold
+    an l1 run, the adaptive method retries a rejected attempt at the first
+    kink of its l1 entries (``integrate_ode``'s ``switching``).
     """
     event = None
     if cfg.stop_kkt is not None:
         def event(t, y, f):
             return prob.kernel.kkt(y, f) - cfg.stop_kkt
 
+    k = prob.kernel
     traj = integrate_ode(FlowField(prob), prob.pack(s0), cfg, event=event,
-                         field=lambda t, y: prob.kernel.field(y))
+                         field=lambda t, y: k.field(y),
+                         switching=L1Switching.of(k.z_plan, k.m, k.m + k.n,
+                                                  lambda: prob.mu))
     if traj.termination == "event":
         traj.termination = "stop_kkt"
     kkt = [prob.kernel.kkt(u) for u in traj.states]

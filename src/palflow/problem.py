@@ -184,15 +184,16 @@ class SaddleProblem:
     def p(self) -> int:
         return self.E.p
 
-    @property
+    # summed once: the blocks are fixed at construction
+    @cached_property
     def m(self) -> int:
         return sum(b.dim for b in self.smooth_blocks)
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(b.dim for b in self.nonsmooth_blocks)
 
-    @property
+    @cached_property
     def state_dim(self) -> int:
         return self.m + 2 * self.n + self.p
 
@@ -322,7 +323,9 @@ class BlockPlan:
     kind ``"least_squares"`` shares one block-diagonal product pair
     ``M^T (M x - h)``, built on its first call, which likewise equals its
     blocks' gradients to the bit. Any other 1-D block is called on its
-    slice; a matrix-shaped one on its column-major reshape.
+    slice; a matrix-shaped one on its column-major reshape. ``l1_index``
+    and ``l1_weight`` hold the positions of every l1 run's entries and
+    their weights, or ``None`` where there is no l1 run.
     """
 
     def __init__(self, blocks):
@@ -348,6 +351,9 @@ class BlockPlan:
             else:
                 self.runs.append((sl, None, tuple(shape) if len(shape) > 1 else None, fn))
         self.dim = self.runs[-1][0].stop if self.runs else 0
+        l1 = [(np.arange(sl.start, sl.stop), w) for sl, w, _, _ in self.runs if w is not None]
+        self.l1_index = np.concatenate([i for i, _ in l1]) if l1 else None
+        self.l1_weight = np.concatenate([w for _, w in l1]) if l1 else None
         # a lone run fused here returns its own fresh array, uncopied; any
         # other lone block is copied, as its function may return a view
         lone = self.runs[0] if len(self.runs) == 1 else (None,) * 4

@@ -416,9 +416,12 @@ def test_simulate_is_the_reference_flow(rng, method, h, stride):
         return pack_agents(reference_decentralized_field(
             net, unpack_agents(net, y), 1.3, 0.7))
 
-    run = flow.integrate_ode(ref, pack_agents(init), cfg)
+    # the reference cuts rejected steps at the same l1 kinks
+    run = flow.integrate_ode(ref, pack_agents(init), cfg, switching=net.switching(0.7))
     assert np.array_equal(traj.times, run.times)
     assert np.array_equal(traj.states, run.states)
+    for key in ("n_evals", "rejected", "kink_cuts"):
+        assert traj.meta[key] == run.meta[key]
 
 
 def test_network_adjacency_is_the_edge_lists():

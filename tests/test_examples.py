@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -14,7 +17,7 @@ from palflow.flow import pal_gradient, vector_field
 from palflow.linops import vec
 from palflow.problem import PrimalDualState, kkt_residual
 
-from conftest import consensus_admm
+from conftest import consensus_admm, src_env
 
 
 # -- generators --------------------------------------------------------------
@@ -296,6 +299,30 @@ def test_counterexample_matches_solve_ivp(beta):
     assert traj.meta["steps"] == len(sol.t) - 1
     grid = np.linspace(0.0, 0.99 * t_star, 25)
     assert np.array_equal(traj.meta["dense"](grid), sol.sol(grid))
+    # a time on a step's end takes the same piece, in any order, and alone;
+    # one past the last end takes the last piece
+    ends = sol.sol.ts
+    grid = np.r_[ends[::-3], grid[::2], ends[-1] + 0.5, -0.5]
+    assert np.array_equal(traj.meta["dense"](grid), sol.sol(grid))
+    for t in (*ends[:3], *ends[-2:], ends[-1] + 0.5):
+        assert np.array_equal(traj.meta["dense"](t), sol.sol(t))
+
+
+COUNTEREXAMPLE_IMPORTS = """
+import sys
+from palflow import examples
+t_star, traj = examples.counterexample_run(1.0)
+assert traj.meta["dense"](0.5 * t_star).shape == (3,)
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def test_counterexample_loads_no_scipy_integrate():
+    """The escape-time run and its dense output need no ``scipy.integrate``."""
+    out = subprocess.run([sys.executable, "-c", COUNTEREXAMPLE_IMPORTS],
+                         capture_output=True, text=True, timeout=120, env=src_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_counterexample_obeys_stride_and_max_steps():

@@ -345,6 +345,11 @@ def test_block_plan_fuses_adjacent_l1_blocks_only():
         (22, 24, True), (24, 30, False), (30, 33, False), (33, 34, True)]
     assert np.array_equal(plan.runs[2][1], [0.7] * 3 + [0.25] * 6)
     assert [shape for _, _, shape, _ in plan.runs if shape] == [(3, 2)]
+    # every l1 run's positions and weights, in order, for the kink search
+    assert plan.l1_index.tolist() == [*range(7), *range(11, 20), 22, 23, 33]
+    assert np.array_equal(plan.l1_weight, np.concatenate(
+        [w for _, w, _, _ in plan.runs if w is not None]))
+    assert composite_instance(np.random.default_rng(0)).kernel.x_plan.l1_index is None
 
 
 def _plan_of(blocks):
@@ -480,9 +485,9 @@ def test_stop_kkt_event_is_the_kkt_residual(rng, monkeypatch):
     seen = {}
     integrate_ode = flow.integrate_ode
 
-    def capture(fun, y0, cfg, event=None, field=None):
+    def capture(fun, y0, cfg, event=None, field=None, switching=None):
         seen["event"] = event
-        return integrate_ode(fun, y0, cfg, event=event, field=field)
+        return integrate_ode(fun, y0, cfg, event=event, field=field, switching=switching)
 
     monkeypatch.setattr(flow, "integrate_ode", capture)
     integrate(prob, prob.random_state(rng), IntegratorConfig(t_end=0.1, stop_kkt=1e-3))
@@ -516,9 +521,10 @@ def test_stop_kkt_column_reuses_the_event(rng, monkeypatch, method, h, stride, s
                         lambda u, f=None: calls.append(f is None) or kkt(u, f))
     integrate_ode = flow.integrate_ode
 
-    def counting(fun, y0, cfg, event=None, field=None):
-        return integrate_ode(fun, y0, cfg, field=field, event=lambda t, y, f: (
-            event_calls.append(f is None) or event(t, y, f)))
+    def counting(fun, y0, cfg, event=None, field=None, switching=None):
+        return integrate_ode(fun, y0, cfg, field=field, switching=switching,
+                             event=lambda t, y, f: (
+                                 event_calls.append(f is None) or event(t, y, f)))
 
     monkeypatch.setattr(flow, "integrate_ode", counting)
     traj = integrate(prob, s0, cfg)
@@ -545,8 +551,8 @@ def test_stop_kkt_from_the_stage_keeps_the_stop_point(rng, monkeypatch, instance
     staged = integrate(prob, s0, cfg)
     integrate_ode = flow.integrate_ode
 
-    def fresh(fun, y0, cfg, event=None, field=None):
-        return integrate_ode(fun, y0, cfg, field=field,
+    def fresh(fun, y0, cfg, event=None, field=None, switching=None):
+        return integrate_ode(fun, y0, cfg, field=field, switching=switching,
                              event=lambda t, y, f: event(t, y, None))
 
     monkeypatch.setattr(flow, "integrate_ode", fresh)
@@ -638,9 +644,11 @@ def test_rk45_loop_matches_solve_ivp(rng, stride):
         return prob.kernel.kkt(y) - 1e-2
     event.terminal, event.direction = True, -1
     cfg = IntegratorConfig(t_end=200.0, stop_kkt=1e-2, record_stride=stride)
-    traj = integrate(prob, prob.unpack(y0), cfg)
+    traj = integrate_ode(FlowField(prob), y0, cfg,
+                         event=lambda t, y, f: prob.kernel.kkt(y, f) - 1e-2)
     t_ref, y_ref, sol = _solve_ivp_samples(FlowField(prob), y0, cfg, [event])
-    assert traj.termination == "stop_kkt" and sol.status == 1
+    assert traj.termination == "event" and traj.meta["kink_cuts"] == 0
+    assert sol.status == 1
     assert traj.times[-1] == sol.t_events[0][0] == t_ref[-1]
     assert np.array_equal(traj.times, t_ref) and np.array_equal(traj.states, y_ref)
     assert traj.meta["n_evals"] == sol.nfev
@@ -908,6 +916,183 @@ def test_dense_step_is_scipys_interpolant(rng):
     assert np.array_equal(ours.dense_output()(grid), theirs.dense_output()(grid))
     for t in grid[[0, 3, -1]]:
         assert np.array_equal(ours.dense_output()(t), theirs.dense_output()(t))
+
+
+# -- the retry at the first l1 kink ---------------------------------------------
+
+def _switching(weights, mu=1.0, extra=0):
+    """Switching functions of l1 entries of ``weights`` on the flat state
+    ``(z, y, extra entries)``."""
+    k = len(weights)
+    plan = BlockPlan([(slice(i, i + 1), (1,), prox.l1(w)) for i, w in enumerate(weights)])
+    return flow.L1Switching.of(plan, 0, k, lambda: mu)
+
+
+def _attempt(fun, y0, h=1.0):
+    """One Dormand–Prince attempt of ``h`` from ``t = 0``: its end state,
+    its stages (the field at the end last) and the dense-output weights."""
+    st = flow._RungeKutta(fun, np.asarray(y0, dtype=float), IntegratorConfig(t_end=10.0))
+    y1 = st._stages(0.0, st.y, h).copy()
+    st.K[-1] = st.fun(h, y1)
+    return y1, st.K, st.P
+
+
+def test_first_crossing_is_on_the_attempts_interpolant():
+    """Fields of ``t`` alone with cubic z: the interpolant is the solution,
+    so the switching function ``|z + mu y| - mu w`` crosses zero where the
+    closed form says, in either direction and for either sign of z. The
+    search interpolates linearly on a grid of 1/64 of the step, so it is
+    off by at most ``(1/64)²/8 · max|s''| / min|s'|`` on the bracket: 1.7e-3
+    for ``t³ - 0.05³`` (whose curvature is large beside its slope), under
+    1e-4 for the others, and rounding only for a linear one."""
+    cases = [  # (z0, y0, z', y', mu, w, crossing x)
+        (0.0, 0.0, lambda t: 3 * t ** 2, lambda t: 0.0, 1.0, 0.05 ** 3, 0.05),
+        (0.0, 0.0, lambda t: 3 * t ** 2, lambda t: 0.0, 1.0, 0.3, 0.3 ** (1 / 3)),
+        (2.0, 0.0, lambda t: -3 * t ** 2, lambda t: 0.0, 1.0, 1.5, 0.5 ** (1 / 3)),
+        (-2.0, 0.0, lambda t: 3 * t ** 2, lambda t: 0.0, 1.0, 1.5, 0.5 ** (1 / 3)),
+        # v = z + mu y = t³ + t/2 reaches mu w = 0.3 where t³ + t/2 = 0.3
+        (0.0, 0.0, lambda t: 3 * t ** 2, lambda t: 1.0, 0.5, 0.6,
+         brentq(lambda t: t ** 3 + t / 2 - 0.3, 0, 1, xtol=1e-15)),
+    ]
+    for (z0, y0, dz, dy, mu, w, want), tol in zip(cases, [1.7e-3] + [1e-4] * 4):
+        fun = lambda t, u: np.array([dz(t), dy(t)])
+        y1, K, P = _attempt(fun, [z0, y0])
+        x = _switching([w], mu).first_crossing(np.array([z0, y0]), y1, K, P, 1.0)
+        assert x == pytest.approx(want, abs=tol)
+    # linear: exact to rounding, and scaled by the step
+    fun = lambda t, u: np.array([1.0, 0.0])
+    y1, K, P = _attempt(fun, [0.0, 0.0], h=2.0)
+    x = _switching([0.7]).first_crossing(np.zeros(2), y1, K, P, 2.0)
+    assert x == pytest.approx(0.35, abs=1e-14)
+
+
+def test_first_crossing_takes_the_earliest():
+    """Entry 0 crosses once, at x = 0.6; entry 1 crosses at 0.2, 0.5 and
+    0.8, so its ends too lie on either side. The first crossing of any
+    entry wins; an attempt with no entry whose ends differ gives 1."""
+    def fun(t, u):
+        # z0 = t - 0.6 + 1, z1 = 1 + (t - 0.2)(t - 0.5)(t - 0.8); y = 0
+        return np.array([1.0, 3 * t ** 2 - 3 * t + 0.66, 0.0, 0.0])
+
+    u0 = np.array([0.4, 0.92, 0.0, 0.0])
+    y1, K, P = _attempt(fun, u0)
+    assert _switching([1.0, 1.0]).first_crossing(u0, y1, K, P, 1.0) == pytest.approx(
+        0.2, abs=3e-4)
+    assert _switching([1.0, 50.0]).first_crossing(u0, y1, K, P, 1.0) == pytest.approx(
+        0.6, abs=1e-12)
+    assert _switching([50.0, 1.0]).first_crossing(u0, y1, K, P, 1.0) == pytest.approx(
+        0.2, abs=3e-4)
+    assert _switching([50.0, 50.0]).first_crossing(u0, y1, K, P, 1.0) == 1.0
+
+
+class _Attempts(flow._RungeKutta):
+    """A stepper that records the step of every attempt it makes, and fails
+    one that retries without end."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.steps = []
+
+    def _stages(self, t, y, h):
+        self.steps.append(h)
+        assert len(self.steps) <= 100, "the attempts never end"
+        return super()._stages(t, y, h)
+
+
+def _stiff_kink(w, t0=0.0):
+    """``z' = 3(t - t0)²`` and ``y' = 0``, one l1 entry of weight ``w``, beside
+    ``u' = -1000 u``, which rejects a first attempt of step 1 with the
+    controller's smallest factor, 0.2."""
+    def fun(t, s):
+        return np.array([3 * (t - t0) ** 2, 0.0, -1000.0 * s[2]])
+    st = _Attempts(fun, np.array([0.0, 0.0, 1.0]), IntegratorConfig(t_end=t0 + 10.0),
+                   _switching([w], extra=1))
+    st.t, st.h_abs = t0, 1.0
+    return st
+
+
+def test_a_rejected_attempt_is_retried_at_the_first_kink_when_shorter():
+    # the crossing at x = 0.05 is shorter than the controller's 0.2
+    st = _stiff_kink(0.05 ** 3)
+    st.step()
+    assert st.steps[:2] == [1.0, pytest.approx(0.05, abs=1.7e-3)]
+    assert st.kink_cuts >= 1 and st.rejected >= 1
+    # the one at x = 0.5 is longer: the controller's step is kept
+    st = _stiff_kink(0.5 ** 3)
+    st.step()
+    assert st.steps[:2] == [1.0, 0.2]
+
+
+def test_a_kink_cut_is_never_below_the_minimum_step():
+    """At t = 1000 the minimum step is 10 float spacings, about 1.1e-12; a
+    crossing at 1e-14 of the step is not cut to."""
+    st = _stiff_kink(1e-42, t0=1000.0)
+    st.step()
+    assert st.steps[:2] == [1.0, pytest.approx(0.2, rel=1e-12)] and st.kink_cuts == 0
+
+
+def test_an_accepted_step_is_not_cut():
+    """A linear field: the first attempt crosses the kink at x = 0.5 and is
+    accepted, so it ends at its full step."""
+    st = flow._RungeKutta(lambda t, s: np.array([1.0, 0.0]), np.zeros(2),
+                          IntegratorConfig(t_end=10.0), _switching([0.5]))
+    st.h_abs = 1.0
+    st.step()
+    assert (st.t, st.rejected, st.kink_cuts) == (1.0, 0, 0)
+
+
+def test_switching_functions_are_the_l1_supports(rng):
+    """Each switching function is at or below zero exactly where its
+    entry's prox is zero: on a kernel's flat state and on a network's
+    packed one, at a penalty set after construction."""
+    prob = mixed_prox_problem()
+    k = prob.kernel
+    sw = flow.L1Switching.of(k.z_plan, k.m, k.m + k.n, lambda: prob.mu)
+    net = examples.gen_lasso_network(4, 5, 3, seed=1)[0]
+    for mu in (1.0, 0.4):
+        prob.mu = mu
+        for _ in range(5):
+            u = rng.standard_normal(prob.state_dim)
+            z, y = u[k.m:k.m + k.n], u[k.m + k.n:k.m + 2 * k.n]
+            zero = k.z_plan.prox(mu, z + mu * y)[k.z_plan.l1_index] == 0
+            s = np.abs(u[sw.z] + mu * u[sw.y]) - mu * sw.w
+            assert np.array_equal(s <= 0, zero) and zero.any() and not zero.all()
+            u = rng.standard_normal(5 * 5 * 2 + 3 * 4 * 5)
+            agents = unpack_agents(net, u)
+            z = np.concatenate([a.z for a in agents])
+            y = np.concatenate([a.y for a in agents])
+            zero = prox.prox_l1(mu * np.repeat([a.g.meta["weight"] for a in net.agents], 5),
+                                z + mu * y) == 0
+            nsw = net.switching(mu)
+            s = np.abs(u[nsw.z] + mu * u[nsw.y]) - mu * nsw.w
+            assert np.array_equal(s <= 0, zero)
+    assert flow.L1Switching.of(composite_instance(rng).kernel.x_plan, 0, 0, None) is None
+
+
+def test_kink_cuts_leave_the_scipy_path_alone(rng):
+    """On a network lasso, whose steps are rejected at l1 kinks, the loop
+    with no switching functions is still ``solve_ivp``'s RK45 to the bit;
+    ``integrate`` passes the kernel's, cuts at some rejections and so takes
+    other steps. A problem with no l1 run (covariance completion's nuclear
+    norm) takes none."""
+    prob = assemble_consensus(examples.gen_lasso_network(3, 8, 3, seed=0)[0])
+    y0 = prob.pack(prob.random_state(rng, scale=0.1))
+    cfg = IntegratorConfig(t_end=30.0)
+    plain = integrate_ode(FlowField(prob), y0, cfg)
+    t_ref, y_ref, sol = _solve_ivp_samples(FlowField(prob), y0, cfg)
+    assert np.array_equal(plain.times, t_ref) and np.array_equal(plain.states, y_ref)
+    assert plain.meta["n_evals"] == sol.nfev
+    assert plain.meta["rejected"] > 0 and plain.meta["kink_cuts"] == 0
+    cut = integrate(prob, prob.unpack(y0), cfg)
+    assert 0 < cut.meta["kink_cuts"] <= cut.meta["rejected"]
+    assert cut.meta["n_evals"] != plain.meta["n_evals"]
+    assert _rel_gap(cut.states[-1], plain.states[-1]) < 1e-6
+    cov = examples.gen_covariance_completion(2)[0]
+    s0 = cov.pack(cov.random_state(rng))
+    a = integrate(cov, cov.unpack(s0), IntegratorConfig(t_end=5.0))
+    b = integrate_ode(FlowField(cov), s0, IntegratorConfig(t_end=5.0))
+    assert a.meta["kink_cuts"] == 0 and np.array_equal(a.states, b.states)
+    assert a.meta["rejected"] == b.meta["rejected"] > 0
 
 
 SOLVE_IMPORTS = """

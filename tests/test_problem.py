@@ -45,6 +45,18 @@ def test_pack_unpack_roundtrip(rng):
         assert np.array_equal(np.asarray(a), np.asarray(b))
 
 
+def test_dimensions_are_the_block_sums_summed_once(rng, monkeypatch):
+    prob = composite_instance(rng, x_dims=(4, 3, 2), z_dims=(3, 2))
+    m, n = prob.m, prob.n
+    assert m == sum(int(np.prod(b.shape)) for b in prob.smooth_blocks) == 9
+    assert n == sum(int(np.prod(b.shape)) for b in prob.nonsmooth_blocks) == 5
+    assert prob.state_dim == m + 2 * n + prob.p == prob.pack(prob.zero_state()).size
+    # later reads take the stored sums: no block's size is asked again
+    monkeypatch.setattr(SmoothBlock, "dim", property(lambda b: 1 / 0))
+    monkeypatch.setattr(NonsmoothBlock, "dim", property(lambda b: 1 / 0))
+    assert (prob.m, prob.n, prob.state_dim) == (m, n, m + 2 * n + prob.p)
+
+
 def test_dimension_validation():
     smooth = [SmoothBlock.quadratic(np.eye(2))]
     E = BlockOperator([LinearOperator.from_matrix(np.ones((3, 2)))])
