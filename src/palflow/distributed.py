@@ -144,11 +144,11 @@ class Network:
                  - (lam1_dot + Ct(lam2_dot)) / (alpha * mu))
         return np.concatenate([x_dot, z_dot, y_dot, lam1_dot, lam2_dot])
 
-    def switching(self, mu: float) -> Optional[flow.L1Switching]:
-        """The switching functions of the l1 entries of :meth:`field`'s prox
-        plan at penalty ``mu``, or ``None`` where no agent's ``g`` is l1."""
+    def switching(self, mu: float) -> Optional[flow.ProxSwitching]:
+        """The switching functions of :meth:`field`'s prox plan at penalty
+        ``mu``, or ``None`` where no agent's ``g`` is l1 or nuclear."""
         (_, zs, ys, _, _), *_, proxes = self._field_ops
-        return flow.L1Switching.of(proxes, zs.start, ys.start, lambda: mu)
+        return flow.ProxSwitching.of(proxes, zs.start, ys.start, lambda: mu)
 
 
 @dataclass
@@ -263,7 +263,7 @@ def simulate(net: Network, init: Sequence[AgentState], cfg: flow.IntegratorConfi
     """Integrate the decentralized field; every field evaluation the stepper
     makes is one synchronous round carrying ``x`` across each edge in both
     directions, so ``rounds`` is the run's ``n_evals``. The adaptive method
-    retries a rejected attempt at the first kink of the agents' l1 entries
+    retries a rejected attempt at the first kink of the agents' proxes
     (:meth:`Network.switching`), as :func:`flow.integrate` does on the
     assembled problem; ``meta["kink_cuts"]`` counts these retries."""
     _check_positive(alpha=alpha, mu=mu)

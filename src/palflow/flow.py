@@ -11,6 +11,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .problem import PrimalDualState, SaddleProblem, _check_positive
+from .prox import gram, keeps_none
 
 
 def __getattr__(name):
@@ -184,54 +185,131 @@ def _rms(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v)) / v.size ** 0.5
 
 
-class L1Switching:
-    """The switching functions ``s_i = |z_i + mu y_i| - mu w_i`` of the l1
-    entries of a prox plan (``BlockPlan.l1_index`` and ``l1_weight``), whose
-    ``z`` and ``y`` lie at ``z_start`` and ``y_start`` of the flat state; the
-    soft threshold of entry ``i`` is zero where ``s_i <= 0``, so the field
-    has a kink where ``s_i`` changes sign. ``mu()`` gives the penalty, read
-    at each call. :meth:`of` is ``None`` for a plan with no l1 run."""
+def _run(index: np.ndarray):
+    """An increasing ``index`` as a slice where its entries are consecutive."""
+    return slice(index[0], index[-1] + 1) if index[-1] - index[0] + 1 == index.size else index
+
+
+class ProxSwitching:
+    """The switching functions of a prox plan's kinks: of its l1 entries
+    (``BlockPlan.l1_index`` and ``l1_weight``) and of its nuclear-norm
+    blocks (``BlockPlan.nuclear``), whose ``z`` and ``y`` lie at ``z_start``
+    and ``y_start`` of the flat state. ``mu()`` gives the penalty, read at
+    each call. :meth:`of` is ``None`` for a plan with neither.
+
+    - l1 entry ``i`` of weight ``w_i``: ``s_i = |z_i + mu y_i| - mu w_i``;
+      its soft threshold is zero where ``s_i <= 0``. A run of consecutive
+      positions is read through slices.
+    - A nuclear block of weight ``c``, with ``V`` its part of ``z + mu y``
+      as a column-major matrix: its prox keeps the singular values above
+      ``mu c``, so the field has a kink where the rank of the prox changes.
+      With ``w_i`` the eigenvectors of the smaller Gram matrix of ``V`` at an
+      attempt's start (``eigh``, as ``prox_nuclear`` takes it), ``r_i =
+      ||V w_i||^2 - (mu c)^2`` (``V^T w_i`` where ``V`` is wide) is positive
+      at the start on exactly the eigenvalues the prox keeps, and follows
+      ``sigma_i^2 - (mu c)^2`` to first order in the step."""
 
     GRID = 64       # intervals of the crossing search on ``[0, 1]``
+    _X = np.linspace(0.0, 1.0, GRID + 1)
     # (x, x², x³, x⁴) at x = g / GRID, one column per grid point g = 0..GRID
-    _POWERS = np.linspace(0.0, 1.0, GRID + 1) ** np.arange(1, 5)[:, None]
+    _POWERS = _X ** np.arange(1, 5)[:, None]
+    # x^(j + l) for j, l = 0..4 (row 5 j + l), likewise
+    _GRAM_POWERS = _X ** np.add.outer(np.arange(5), np.arange(5)).reshape(25, 1)
 
     def __init__(self, plan, z_start: int, y_start: int, mu: Callable[[], float]):
-        self.z, self.y = plan.l1_index + z_start, plan.l1_index + y_start
-        self.w, self.mu = plan.l1_weight, mu
+        self.mu, self.z = mu, None
+        if plan.l1_index is not None:
+            self.z_index, self.y_index = plan.l1_index + z_start, plan.l1_index + y_start
+            self.z, self.y = _run(self.z_index), _run(self.y_index)
+            self.w = plan.l1_weight
+        self.nuclear = [(slice(sl.start + z_start, sl.stop + z_start),
+                         slice(sl.start + y_start, sl.stop + y_start), shape, c)
+                        for sl, shape, c in plan.nuclear]
 
     @classmethod
     def of(cls, plan, z_start: int, y_start: int,
-           mu: Callable[[], float]) -> Optional[L1Switching]:
-        return None if plan.l1_index is None else cls(plan, z_start, y_start, mu)
+           mu: Callable[[], float]) -> Optional[ProxSwitching]:
+        return (None if plan.l1_index is None and not plan.nuclear
+                else cls(plan, z_start, y_start, mu))
 
     def first_crossing(self, y0: np.ndarray, y1: np.ndarray, K: np.ndarray,
                        P: np.ndarray, h: float) -> float:
-        """The first ``x`` in ``(0, 1]`` at which a switching function whose
-        signs at ``y0`` and ``y1`` differ changes sign on the attempt's
-        quartic interpolant ``y0 + h·(K^T P)·(x, x², x³, x⁴)`` (stages ``K``,
-        dense-output weights ``P``); 1 where none does. Only those entries'
-        rows are interpolated, on ``GRID + 1`` points in one product; the
-        earliest interval whose ends lie on either side is interpolated
-        linearly: exact for a linear ``s_i``, and off by at most
-        ``GRID^-2 / 8 · max|s_i''| / min|s_i'|`` on that interval for a
+        """The first ``x`` in ``(0, 1]`` at which a switching function changes
+        sign on the attempt's quartic interpolant ``y0 + h·(K^T P)·(x, x²,
+        x³, x⁴)`` (stages ``K``, dense-output weights ``P``); 1 where none
+        does. The l1 entries searched are those whose signs at ``y0`` and
+        ``y1`` differ, and a nuclear block is searched only where its prox's
+        rank differs there. Each is evaluated on ``GRID + 1`` points in one
+        product, and the earliest interval whose ends lie on either side is
+        interpolated linearly: exact for a linear function, and off by at
+        most ``GRID^-2 / 8 · max|s''| / min|s'|`` on that interval for a
         smooth one."""
         mu = self.mu()
+        x = 1.0 if self.z is None else self._l1_crossing(mu, y0, y1, K, P, h)
+        for block in self.nuclear:
+            if self._rank(block, mu, y0) != self._rank(block, mu, y1):
+                x = min(x, self._first_sign_change(self.rank_margins(block, mu, y0, K, P, h)))
+        return x
+
+    def _l1_crossing(self, mu, y0, y1, K, P, h) -> float:
         level = mu * self.w
         v0 = y0[self.z] + mu * y0[self.y]
         out0 = np.abs(v0) > level
         flip = np.flatnonzero(out0 != (np.abs(y1[self.z] + mu * y1[self.y]) > level))
         if not flip.size:
             return 1.0
-        kv = K[:, self.z[flip]] + mu * K[:, self.y[flip]]
+        kv = K[:, self.z_index[flip]] + mu * K[:, self.y_index[flip]]
         s = np.dot(kv.T.dot(P) * h, self._POWERS)       # (entries, GRID + 1)
         s += v0[flip, None]
         np.abs(s, out=s)
         s -= level[flip, None]
+        return self._first_sign_change(s)
+
+    @staticmethod
+    def _rank(block, mu: float, y: np.ndarray) -> int:
+        """The rank of the nuclear block's prox at ``y``, 0 where ``y`` is not
+        finite there."""
+        zs, ys, shape, c = block
+        level = c * mu
+        G, _ = gram((y[zs] + mu * y[ys]).reshape(shape, order="F"))
+        if keeps_none(G, level) or not np.isfinite(G).all():
+            return 0
+        return int(np.count_nonzero(np.linalg.eigvalsh(G) > level * level))
+
+    def rank_margins(self, block, mu: float, y0: np.ndarray, K: np.ndarray,
+                     P: np.ndarray, h: float) -> np.ndarray:
+        """``r_i`` of the nuclear ``block`` on the grid, one row per
+        eigenvector. ``V(x)`` is ``V_0 + sum_j x^j V_j`` with ``V_j`` the
+        block's rows of ``h·K^T P``, so ``||V(x) w_i||^2`` is the degree-8
+        polynomial ``p^T M_i p`` in ``p = (1, x, .., x⁴)``, with ``M_i`` the
+        5×5 Gram matrix of the ``V_j w_i``; its constant term is the
+        eigenvalue itself, as the prox compares it."""
+        zs, ys, shape, c = block
+        level = c * mu
+        v0 = y0[zs] + mu * y0[ys]
+        lam, W = np.linalg.eigh(gram(v0.reshape(shape, order="F"))[0])
+        C = np.empty((5, v0.size))
+        C[0] = v0
+        np.dot(P.T, K[:, zs] + mu * K[:, ys], out=C[1:])
+        C[1:] *= h
+        # row j of C is V_j in column-major order, so this reshape reads V_j^T
+        Vt = C.reshape(5, shape[1], shape[0])
+        A = Vt @ W if shape[0] < shape[1] else Vt.transpose(0, 2, 1) @ W
+        B = A.transpose(2, 0, 1)                        # (eigenvectors, 5, rows)
+        M = B @ B.transpose(0, 2, 1)
+        M[:, 0, 0] = lam
+        r = M.reshape(len(lam), 25) @ self._GRAM_POWERS
+        r -= level * level
+        return r
+
+    def _first_sign_change(self, s: np.ndarray) -> float:
+        """The first ``x`` at which a row of grid values ``s`` leaves the side
+        of zero it starts on, interpolated linearly; 1 where none does."""
+        pos = s > 0
+        crossed = pos != pos[:, :1]
         # the grid point x = 0 is on the start's side, so j >= 1 where found
-        crossed = (s > 0) != out0[flip, None]
         j = crossed.argmax(axis=1)
-        rows = np.flatnonzero(crossed[np.arange(flip.size), j])
+        rows = np.flatnonzero(crossed[np.arange(len(s)), j])
         if not rows.size:
             return 1.0
         j = j[rows]
@@ -250,12 +328,13 @@ class _RungeKutta:
     Dormand–Prince 5(4) is step for step scipy's ``RK45`` (initial step,
     step-size control, dense output); its last stage is the next ``f``,
     ``rejected`` counts the attempts thrown away, and a step below the float
-    spacing is a :class:`FlowError`. Given ``switching`` (an
-    :class:`L1Switching`), a rejected attempt that carries an l1 entry
-    across its kink is retried at the first crossing on its own interpolant
-    when that step is shorter than the controller's and not below the
-    minimum step; ``kink_cuts`` counts these retries. With no ``switching``
-    its runs equal ``solve_ivp``'s to the bit.
+    spacing is a :class:`FlowError`. Given ``switching`` (a
+    :class:`ProxSwitching`), a rejected attempt that carries an l1 entry
+    across its kink, or changes the rank of a nuclear block's prox, is
+    retried at the first crossing on its own interpolant when that step is
+    shorter than the controller's and not below the minimum step;
+    ``kink_cuts`` counts these retries. With no ``switching`` its runs equal
+    ``solve_ivp``'s to the bit.
 
     A step's arithmetic runs in work arrays made once: the stage inputs, the
     error scale and the weighted error in place, each product formed in
@@ -267,7 +346,7 @@ class _RungeKutta:
     EXPONENT = -1 / 5       # -1 / (error estimator order + 1)
 
     def __init__(self, fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
-                 switching: Optional[L1Switching] = None):
+                 switching: Optional[ProxSwitching] = None):
         self._fun, self.t_end, self.switching = fun, cfg.t_end, switching
         tab = METHODS[cfg.method]
         self.B, self.E, self.P, self.adaptive = tab.B, tab.E, tab.P, tab.adaptive
@@ -497,7 +576,7 @@ def _brentq(f: Callable, xa: float, xb: float, xtol: float, rtol: float,
 def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
                   event: Optional[Callable] = None, field: Optional[Callable] = None,
                   dense: bool = False,
-                  switching: Optional[L1Switching] = None) -> Trajectory:
+                  switching: Optional[ProxSwitching] = None) -> Trajectory:
     """Integrate a generic flat ODE with the method ``cfg.method`` names.
 
     Returns a :class:`Trajectory` with no problem attached, with a
@@ -505,15 +584,15 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
     ``"max_steps"``, which caps the accepted steps) and ``meta`` with
     ``n_evals`` (the stepper's calls of ``fun``), ``steps``, ``rejected``
     and ``kink_cuts``. The adaptive method retries a rejected attempt at the
-    first l1 kink ``switching`` locates on its interpolant, where that is
-    the shorter step (see :class:`_RungeKutta`); with no ``switching`` it
-    equals ``solve_ivp``'s ``RK45`` to the bit and ``kink_cuts`` is 0.
-    A non-finite ``y0`` is a ``ValueError``, a non-finite field there or
-    state later a :class:`FlowError`. Only every ``record_stride``-th
-    accepted step and the last are held. A sample's field norm is the field
-    the stepper holds there; where it holds none (an event's end point, the
-    last fixed-step sample) it is ``field(t, y)``, uncounted, which defaults
-    to ``fun``. The ``event`` is called as ``event(t, y, f)`` and stops the
+    first l1 or nuclear-norm kink ``switching`` locates on its interpolant,
+    where that is the shorter step (see :class:`_RungeKutta`); with no
+    ``switching`` it equals ``solve_ivp``'s ``RK45`` to the bit and
+    ``kink_cuts`` is 0. A non-finite ``y0`` is a ``ValueError``, a
+    non-finite field there or state later a :class:`FlowError`. Only every
+    ``record_stride``-th accepted step and the last are held. A sample's
+    field norm is the field the stepper holds there; where it holds none (an
+    event's end point, the last fixed-step sample) it is ``field(t, y)``,
+    uncounted, which defaults to ``fun``. The ``event`` is called as ``event(t, y, f)`` and stops the
     run where it reaches zero or below, before the first step if it is there
     at ``t = 0``; ``f`` is the field the stepper holds at ``y`` (after an
     accepted adaptive step, its last stage), or ``None`` where it holds none:
@@ -597,8 +676,9 @@ def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig) -
     recorded. The stop event reads the residual off the field the stepper
     holds where it has one (``kernel.kkt(y, f)``); the ``kkt_residual``
     column is ``kernel.kkt`` at every kept sample. Where the z blocks hold
-    an l1 run, the adaptive method retries a rejected attempt at the first
-    kink of its l1 entries (``integrate_ode``'s ``switching``).
+    an l1 run or a nuclear-norm block, the adaptive method retries a
+    rejected attempt at the first kink of their proxes (``integrate_ode``'s
+    ``switching``).
     """
     event = None
     if cfg.stop_kkt is not None:
@@ -608,8 +688,8 @@ def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig) -
     k = prob.kernel
     traj = integrate_ode(FlowField(prob), prob.pack(s0), cfg, event=event,
                          field=lambda t, y: k.field(y),
-                         switching=L1Switching.of(k.z_plan, k.m, k.m + k.n,
-                                                  lambda: prob.mu))
+                         switching=ProxSwitching.of(k.z_plan, k.m, k.m + k.n,
+                                                    lambda: prob.mu))
     if traj.termination == "event":
         traj.termination = "stop_kkt"
     kkt = [prob.kernel.kkt(u) for u in traj.states]

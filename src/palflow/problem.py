@@ -325,7 +325,9 @@ class BlockPlan:
     blocks' gradients to the bit. Any other 1-D block is called on its
     slice; a matrix-shaped one on its column-major reshape. ``l1_index``
     and ``l1_weight`` hold the positions of every l1 run's entries and
-    their weights, or ``None`` where there is no l1 run.
+    their weights, or ``None`` where there is no l1 run. ``nuclear`` lists
+    each matrix-shaped block of kind ``"nuclear"`` as ``(slice, shape,
+    meta["weight"])``.
     """
 
     def __init__(self, blocks):
@@ -354,6 +356,8 @@ class BlockPlan:
         l1 = [(np.arange(sl.start, sl.stop), w) for sl, w, _, _ in self.runs if w is not None]
         self.l1_index = np.concatenate([i for i, _ in l1]) if l1 else None
         self.l1_weight = np.concatenate([w for _, w in l1]) if l1 else None
+        self.nuclear = [(sl, shape, float(g.meta["weight"])) for sl, _, shape, g in self.runs
+                        if shape is not None and getattr(g, "kind", None) == "nuclear"]
         # a lone run fused here returns its own fresh array, uncopied; any
         # other lone block is copied, as its function may return a view
         lone = self.runs[0] if len(self.runs) == 1 else (None,) * 4

@@ -130,13 +130,40 @@ def prox_group_lasso(mu: float, part: GroupPartition, v: np.ndarray) -> np.ndarr
 # measured just under the guard was 6e-14 of sigma_max.)
 _GRAM_MAX_RATIO = 1e-13 / np.finfo(float).eps
 
+# Below this level the product G G in ``keeps_none`` may underflow.
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)
+
+
+def gram(X: np.ndarray):
+    """The smaller Gram matrix of ``X`` (``X X^T`` when it is wide, ``X^T X``
+    otherwise), and whether ``X`` is wide."""
+    wide = X.shape[0] < X.shape[1]
+    return (X @ X.T if wide else X.T @ X), wide
+
+
+def keeps_none(G: np.ndarray, mu: float) -> bool:
+    """Whether no eigenvalue of the Gram matrix ``G`` exceeds ``mu^2``, by the
+    bound ``sqrt(||G G||_F) = (sum lambda_i^4)^(1/4) >= lambda_max``, taken
+    ``1 + 1e-10`` times over to cover its rounding. False where the bound
+    does not show it: where it is larger or not finite, or where ``mu^2``
+    is below the square root of the smallest normal double, so that ``G G``
+    could underflow. ``G G`` is not formed where ``sum lambda_i^2 / sum
+    lambda_i = ||G||_F^2 / tr G``, a lower bound on ``lambda_max``, already
+    exceeds ``mu^2``."""
+    level = mu * mu
+    if not (level >= _SQRT_TINY and np.vdot(G, G) <= level * G.trace() < np.inf):
+        return False
+    GG = G @ G
+    return np.sqrt(np.sqrt(np.vdot(GG, GG))) * (1 + 1e-10) <= level
+
 
 def prox_nuclear(mu: float, X: np.ndarray) -> np.ndarray:
     """Singular value shrinkage ``U (S - mu)_+ V^T``.
 
-    ``X`` is zero when ``||X||_F <= mu``, which bounds every singular value.
-    Otherwise ``V`` and ``S^2`` come from ``eigh`` of the Gram matrix ``X^T
-    X`` (``X X^T`` when ``X`` is wide), and the result is ``X V_k diag(1 -
+    ``X`` is zero when ``||X||_F <= mu``, which bounds every singular value,
+    or when :func:`keeps_none` bounds every eigenvalue of the Gram matrix
+    ``X^T X`` (``X X^T`` when ``X`` is wide) by ``mu^2``. Otherwise ``V``
+    and ``S^2`` come from its ``eigh``, and the result is ``X V_k diag(1 -
     mu / s_k) V_k^T`` over ``s_k > mu``, with no ``U`` formed. Above
     ``_GRAM_MAX_RATIO``, or when the Gram matrix would overflow, the thin SVD
     gives it instead. A non-finite entry raises ``np.linalg.LinAlgError``.
@@ -146,8 +173,10 @@ def prox_nuclear(mu: float, X: np.ndarray) -> np.ndarray:
     if nrm <= mu:
         return np.zeros_like(X)
     if np.isfinite(nrm):
-        wide = X.shape[0] < X.shape[1]
-        w, V = np.linalg.eigh(X @ X.T if wide else X.T @ X)
+        G, wide = gram(X)
+        if keeps_none(G, mu):
+            return np.zeros_like(X)
+        w, V = np.linalg.eigh(G)
         if np.sqrt(w[-1]) <= _GRAM_MAX_RATIO * mu:
             keep = w > mu * mu
             Vk = V[:, keep]

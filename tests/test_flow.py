@@ -350,6 +350,8 @@ def test_block_plan_fuses_adjacent_l1_blocks_only():
     assert np.array_equal(plan.l1_weight, np.concatenate(
         [w for _, w, _, _ in plan.runs if w is not None]))
     assert composite_instance(np.random.default_rng(0)).kernel.x_plan.l1_index is None
+    # every matrix-shaped nuclear block, for the rank-change search
+    assert plan.nuclear == [(slice(24, 30), (3, 2), 0.5)]
 
 
 def _plan_of(blocks):
@@ -918,14 +920,14 @@ def test_dense_step_is_scipys_interpolant(rng):
         assert np.array_equal(ours.dense_output()(t), theirs.dense_output()(t))
 
 
-# -- the retry at the first l1 kink ---------------------------------------------
+# -- the retry at the first prox kink ----------------------------------------
 
 def _switching(weights, mu=1.0, extra=0):
     """Switching functions of l1 entries of ``weights`` on the flat state
     ``(z, y, extra entries)``."""
     k = len(weights)
     plan = BlockPlan([(slice(i, i + 1), (1,), prox.l1(w)) for i, w in enumerate(weights)])
-    return flow.L1Switching.of(plan, 0, k, lambda: mu)
+    return flow.ProxSwitching.of(plan, 0, k, lambda: mu)
 
 
 def _attempt(fun, y0, h=1.0):
@@ -983,6 +985,140 @@ def test_first_crossing_takes_the_earliest():
     assert _switching([50.0, 1.0]).first_crossing(u0, y1, K, P, 1.0) == pytest.approx(
         0.2, abs=3e-4)
     assert _switching([50.0, 50.0]).first_crossing(u0, y1, K, P, 1.0) == 1.0
+
+
+def _nuclear_switching(shape, weight, mu, l1=None):
+    """Switching functions of a nuclear block of ``shape`` and ``weight`` on
+    the flat state ``(z, y)``, after one l1 entry of weight ``l1`` if given."""
+    blocks = [(slice(0, 1), (1,), prox.l1(l1))] if l1 is not None else []
+    n = len(blocks) + shape[0] * shape[1]
+    blocks.append((slice(len(blocks), n), shape, prox.nuclear(weight)))
+    return flow.ProxSwitching.of(BlockPlan(blocks), 0, n, lambda: mu)
+
+
+def _spectral(rng, shape, k):
+    """``k`` orthonormal left and right singular vectors for ``shape``."""
+    return (np.linalg.qr(rng.standard_normal((shape[0], k)))[0],
+            np.linalg.qr(rng.standard_normal((shape[1], k)))[0])
+
+
+@pytest.mark.parametrize("shape", [(6, 4), (4, 6), (5, 5)])
+def test_nuclear_crossing_is_where_a_singular_value_meets_the_level(rng, shape):
+    """Fields of ``t`` alone, ``Z(t) = U diag(s(t)) V^T`` with fixed singular
+    vectors and ``y`` constant, ``Y = U diag(e) V^T``: the singular values of
+    ``Z + mu Y`` are ``s_i + mu e_i``, and ``r_i`` is exactly ``(s_i + mu
+    e_i)^2 - (mu c)^2``, which meets zero where the closed form says, going
+    up, going down, and first where one of three goes down before two go up.
+    For a linear ``s_i`` the search's linear interpolation on the grid of
+    1/64 is off by at most ``(1/64)^2 / 8 · |r''| / |r'|``, under 3e-5 here;
+    the bound asserted is 1e-4. A singular value that goes up through the
+    level and back within the step leaves the rank at its ends alike, and
+    the block is not searched."""
+    mu, c = 0.8, 1.5
+    level = mu * c
+    cases = [  # (s(0), s', e, crossing x)
+        ([0.5 * level, 0.3 * level, 2.0 * level], [1.0, 0.0, 0.0], [0.0] * 3, 0.6),
+        ([1.5 * level, 0.3 * level, 2.0 * level], [-1.0, 0.0, 0.0], [0.0] * 3, 0.6),
+        ([1.5 * level, 0.3 * level, 2.0 * level], [-1.0, 0.0, 0.0], [0.1, 0.2, 0.3],
+         0.6 + 0.1 * mu),
+        ([level - 0.6, level + 0.25, level - 0.8], [1.0, -1.0, 1.0], [0.0] * 3, 0.25),
+        # s_0 = level - 0.2 + 1.6 t (1 - t) is above the level on (0.146, 0.854)
+        ([level - 0.2, 0.3 * level, 2.0 * level], [lambda t: 1.6 - 3.2 * t, 0.0, 0.0],
+         [0.0] * 3, 1.0),
+    ]
+    sw = _nuclear_switching(shape, c, mu)
+    U, V = _spectral(rng, shape, 3)
+    for s0, ds, e, want in cases:
+        fun = lambda t, u: np.concatenate([
+            np.ravel((U * [d(t) if callable(d) else d for d in ds]) @ V.T, order="F"),
+            np.zeros(U.shape[0] * V.shape[0])])
+        u0 = np.concatenate([np.ravel((U * s0) @ V.T, order="F"),
+                             np.ravel((U * e) @ V.T, order="F")])
+        y1, K, P = _attempt(fun, u0)
+        assert sw.first_crossing(u0, y1, K, P, 1.0) == pytest.approx(want, abs=1e-4)
+
+
+def test_the_earlier_of_an_l1_and_a_nuclear_crossing_wins(rng):
+    """An l1 entry whose ``z`` meets its level at x = 0.4 (or 0.9) beside a
+    nuclear block whose singular value meets its level at x = 0.7."""
+    mu, shape = 0.5, (4, 3)
+    U, V = _spectral(rng, shape, 2)
+    dZ = np.ravel(U[:, :1] @ V[:, :1].T, order="F")
+    n = 1 + dZ.size
+    fun = lambda t, u: np.concatenate([[1.0], dZ, np.zeros(n)])
+    u0 = np.concatenate([[0.0], np.ravel((U * [0.3, 0.1]) @ V.T, order="F"), np.zeros(n)])
+    y1, K, P = _attempt(fun, u0)
+    for w, want in [(0.4 / mu, 0.4), (0.9 / mu, 0.7)]:
+        sw = _nuclear_switching(shape, 1.0 / mu, mu, l1=w)
+        assert sw.first_crossing(u0, y1, K, P, 1.0) == pytest.approx(want, abs=1e-4)
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (5, 7), (6, 6)])
+def test_rank_margins_start_on_the_eigenvalues_the_prox_keeps(rng, monkeypatch, shape):
+    """``r_i(0) > 0`` on exactly the eigenvalues ``prox_nuclear`` keeps,
+    with singular values within 1e-12 and 2e-15 of the level on either
+    side."""
+    seen = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        seen.append(eigh(a, *args, **kwargs)[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    mu, c = 0.8, 1.5
+    level = mu * c
+    sw = _nuclear_switching(shape, c, mu)
+    plan, block = BlockPlan([(slice(0, shape[0] * shape[1]), shape, prox.nuclear(c))]), sw.nuclear[0]
+    P = flow.METHODS["rk45"].P
+    for _ in range(5):
+        U, V = _spectral(rng, shape, 5)
+        s = level * (1 + np.array([1e-12, -1e-12, 2e-15, -2e-15, 0.5]))
+        z = np.ravel((U * s) @ V.T, order="F")
+        y = 1e-3 * rng.standard_normal(z.size)
+        plan.prox(mu, z + mu * y)
+        r = sw.rank_margins(block, mu, np.concatenate([z, y]), np.zeros((7, 2 * z.size)), P, 1.0)
+        keep = seen[-2] > level * level
+        assert np.array_equal(seen[-1], seen[-2]) and np.array_equal(r[:, 0] > 0, keep)
+        # the constant term is the eigenvalue itself, not ||V_0 w_i||^2
+        assert np.array_equal(r[:, 0], seen[-1] - level * level)
+        assert 0 < keep.sum() < 5
+
+
+def test_pcp_is_cut_at_a_nuclear_kink(monkeypatch):
+    """A small PCP run: some rejected attempt's first crossing is its
+    nuclear block's rank change, ahead of every l1 entry's, and searching
+    the nuclear block changes the run."""
+    calls = []
+    margins, l1_crossing, first = (flow.ProxSwitching.rank_margins,
+                                   flow.ProxSwitching._l1_crossing,
+                                   flow.ProxSwitching.first_crossing)
+
+    def recording_margins(self, *args):
+        r = margins(self, *args)
+        calls[-1]["nuclear"] = self._first_sign_change(r)
+        return r
+
+    def recording_l1(self, *args):
+        calls[-1]["l1"] = l1_crossing(self, *args)
+        return calls[-1]["l1"]
+
+    def recording_first(self, *args):
+        calls.append({})
+        calls[-1]["x"] = first(self, *args)
+        return calls[-1]["x"]
+
+    monkeypatch.setattr(flow.ProxSwitching, "rank_margins", recording_margins)
+    monkeypatch.setattr(flow.ProxSwitching, "_l1_crossing", recording_l1)
+    monkeypatch.setattr(flow.ProxSwitching, "first_crossing", recording_first)
+    prob = examples.gen_pcp(6, 1, seed=3)[0]
+    cfg = IntegratorConfig(t_end=0.2)
+    run = integrate(prob, prob.zero_state(), cfg)
+    assert 0 < run.meta["kink_cuts"] <= run.meta["rejected"] == len(calls)
+    assert any(c.get("nuclear", 1.0) == c["x"] < c["l1"] for c in calls)
+    prob.kernel.z_plan.nuclear = []
+    l1_only = integrate(prob, prob.zero_state(), cfg)
+    assert l1_only.meta["n_evals"] != run.meta["n_evals"]
 
 
 class _Attempts(flow._RungeKutta):
@@ -1047,7 +1183,7 @@ def test_switching_functions_are_the_l1_supports(rng):
     packed one, at a penalty set after construction."""
     prob = mixed_prox_problem()
     k = prob.kernel
-    sw = flow.L1Switching.of(k.z_plan, k.m, k.m + k.n, lambda: prob.mu)
+    sw = flow.ProxSwitching.of(k.z_plan, k.m, k.m + k.n, lambda: prob.mu)
     net = examples.gen_lasso_network(4, 5, 3, seed=1)[0]
     for mu in (1.0, 0.4):
         prob.mu = mu
@@ -1066,15 +1202,16 @@ def test_switching_functions_are_the_l1_supports(rng):
             nsw = net.switching(mu)
             s = np.abs(u[nsw.z] + mu * u[nsw.y]) - mu * nsw.w
             assert np.array_equal(s <= 0, zero)
-    assert flow.L1Switching.of(composite_instance(rng).kernel.x_plan, 0, 0, None) is None
+    assert flow.ProxSwitching.of(composite_instance(rng).kernel.x_plan, 0, 0, None) is None
 
 
 def test_kink_cuts_leave_the_scipy_path_alone(rng):
     """On a network lasso, whose steps are rejected at l1 kinks, the loop
     with no switching functions is still ``solve_ivp``'s RK45 to the bit;
     ``integrate`` passes the kernel's, cuts at some rejections and so takes
-    other steps. A problem with no l1 run (covariance completion's nuclear
-    norm) takes none."""
+    other steps. A problem with neither an l1 run nor a nuclear block (a
+    group lasso beside an orthant) takes none; covariance completion's
+    nuclear block takes some, never more than its rejections."""
     prob = assemble_consensus(examples.gen_lasso_network(3, 8, 3, seed=0)[0])
     y0 = prob.pack(prob.random_state(rng, scale=0.1))
     cfg = IntegratorConfig(t_end=30.0)
@@ -1087,12 +1224,19 @@ def test_kink_cuts_leave_the_scipy_path_alone(rng):
     assert 0 < cut.meta["kink_cuts"] <= cut.meta["rejected"]
     assert cut.meta["n_evals"] != plain.meta["n_evals"]
     assert _rel_gap(cut.states[-1], plain.states[-1]) < 1e-6
-    cov = examples.gen_covariance_completion(2)[0]
-    s0 = cov.pack(cov.random_state(rng))
-    a = integrate(cov, cov.unpack(s0), IntegratorConfig(t_end=5.0))
-    b = integrate_ode(FlowField(cov), s0, IntegratorConfig(t_end=5.0))
+    base = composite_instance(rng)
+    plain = SaddleProblem(base.smooth_blocks,
+                          [NonsmoothBlock(prox.indicator_orthant("nonneg"), (3,)),
+                           base.nonsmooth_blocks[1]],
+                          base.E, base.F, base.q, mu=base.mu, alpha=base.alpha)
+    s0 = plain.pack(plain.random_state(rng))
+    a = integrate(plain, plain.unpack(s0), IntegratorConfig(t_end=5.0))
+    b = integrate_ode(FlowField(plain), s0, IntegratorConfig(t_end=5.0))
     assert a.meta["kink_cuts"] == 0 and np.array_equal(a.states, b.states)
     assert a.meta["rejected"] == b.meta["rejected"] > 0
+    cov = examples.gen_covariance_completion(2)[0]
+    a = integrate(cov, cov.random_state(rng), IntegratorConfig(t_end=5.0))
+    assert 0 <= a.meta["kink_cuts"] <= a.meta["rejected"]
 
 
 SOLVE_IMPORTS = """

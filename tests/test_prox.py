@@ -233,7 +233,30 @@ def _gap(mu, X):
     return np.max(np.abs(diff), initial=0.0) / np.linalg.norm(X, 2)
 
 
+def _eigh_route(mu, X):
+    """``prox_nuclear``'s Gram route, with no shortcut before its ``eigh``."""
+    wide = X.shape[0] < X.shape[1]
+    w, V = np.linalg.eigh(X @ X.T if wide else X.T @ X)
+    keep = w > mu * mu
+    Vk = V[:, keep]
+    P = (Vk * (1.0 - mu / np.sqrt(w[keep]))) @ Vk.T
+    return P @ X if wide else X @ P
+
+
 def test_nuclear_zero_shortcut_is_exact_and_factors_nothing(rng, monkeypatch):
+    """Neither a Frobenius norm at or below ``mu`` nor a spectral bound at or
+    below ``mu^2`` factors anything, and both return what the factoring
+    routes return, +0.0 entries: the bound's cases have a singular value
+    just under ``mu``, a Frobenius norm above it, and entries of one sign."""
+    mu = 0.7
+    below = mu * np.array([1 - 1e-6, 1e-2, 1e-3])
+    spectral = [(mu, sign * _spectrum(rng, shape, below))
+                for shape in [(5, 3), (3, 5), (4, 4), (40, 40)] for sign in (1, -1)]
+    # near rank one with every entry negative
+    A = np.outer(rng.uniform(1, 2, 6), rng.uniform(1, 2, 4)) + 0.5 * rng.uniform(0, 1, (6, 4))
+    spectral += [(mu, -A * (mu * (1 - 1e-4) / np.linalg.norm(A, 2)))]
+    assert all(np.linalg.norm(X) > mu for mu, X in spectral)
+    eigh_outs = [_eigh_route(mu, X) for mu, X in spectral]
     factored = []
     for name in ("svd", "eigh"):
         def counting(a, *args, _fn=getattr(np.linalg, name), **kwargs):
@@ -243,11 +266,35 @@ def test_nuclear_zero_shortcut_is_exact_and_factors_nothing(rng, monkeypatch):
     X = rng.standard_normal((5, 3))
     cases = [(np.linalg.norm(X), X), (2.0 * np.linalg.norm(X), X),
              (1.0, np.zeros((4, 4))), (0.5, np.array([[0.5]]))]
-    outs = [prox_nuclear(mu, A) for mu, A in cases]
+    outs = [prox_nuclear(m, A) for m, A in cases + spectral]
     assert factored == []
-    for (mu, A), out in zip(cases, outs):
+    # just above the level the bound does not hold, and eigh runs
+    X = _spectrum(rng, (5, 3), mu * np.array([1 + 1e-6, 1e-2, 1e-3]))
+    assert prox_nuclear(mu, X).any() and len(factored) == 1
+    for (m, A), out in zip(cases, outs):
         assert out.shape == A.shape
-        assert np.array_equal(out, reference_prox_nuclear(mu, A))    # exact
+        assert np.array_equal(out, reference_prox_nuclear(m, A))    # exact
+    for want, out in zip(eigh_outs, outs[len(cases):]):
+        assert same_doubles(out, want) and not np.signbit(out).any()
+
+
+def test_keeps_none_bounds_the_largest_eigenvalue(rng):
+    """``keeps_none`` holds only where every eigenvalue is at most ``mu^2``,
+    and on a one-term spectrum just under it; a non-finite Gram matrix, or
+    one whose ``G G`` underflows to zero at a level below its eigenvalue,
+    is not shown empty."""
+    for _ in range(50):
+        X = _spectrum(rng, (6, 4), rng.uniform(0.0, 1.0, 4))
+        G = prox.gram(X)[0]
+        mu = rng.uniform(0.3, 1.2)
+        if prox.keeps_none(G, mu):
+            assert np.linalg.eigvalsh(G)[-1] <= mu * mu
+    G = prox.gram(_spectrum(rng, (6, 4), np.array([1 - 1e-8, 0.0, 0.0, 0.0])))[0]
+    assert prox.keeps_none(G, 1.0) and not prox.keeps_none(G, 1 - 1e-7)
+    assert not prox.keeps_none(np.full((2, 2), np.nan), 1.0)
+    assert not prox.keeps_none(np.full((2, 2), np.inf), 1.0)
+    assert not prox.keeps_none(1e-170 * np.eye(2), 1e-90)
+    assert prox.gram(np.ones((2, 3)))[1] and not prox.gram(np.ones((3, 2)))[1]
 
 
 @pytest.mark.parametrize("ratio", [6.0, 60.0, 440.0])
