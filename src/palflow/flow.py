@@ -185,9 +185,13 @@ def _rms(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v)) / v.size ** 0.5
 
 
-def _run(index: np.ndarray):
-    """An increasing ``index`` as a slice where its entries are consecutive."""
-    return slice(index[0], index[-1] + 1) if index[-1] - index[0] + 1 == index.size else index
+def _prox_rank(G: np.ndarray, level: float) -> int:
+    """The count of eigenvalues of the Gram matrix ``G`` above ``level^2``:
+    the rank of the nuclear prox at ``level``; 0 where ``G`` is not
+    finite."""
+    if keeps_none(G, level) or not np.isfinite(G).all():
+        return 0
+    return int(np.count_nonzero(np.linalg.eigvalsh(G) > level * level))
 
 
 class ProxSwitching:
@@ -198,8 +202,7 @@ class ProxSwitching:
     each call. :meth:`of` is ``None`` for a plan with neither.
 
     - l1 entry ``i`` of weight ``w_i``: ``s_i = |z_i + mu y_i| - mu w_i``;
-      its soft threshold is zero where ``s_i <= 0``. A run of consecutive
-      positions is read through slices.
+      its soft threshold is zero where ``s_i <= 0``.
     - A nuclear block of weight ``c``, with ``V`` its part of ``z + mu y``
       as a column-major matrix: its prox keeps the singular values above
       ``mu c``, so the field has a kink where the rank of the prox changes.
@@ -219,8 +222,7 @@ class ProxSwitching:
     def __init__(self, plan, z_start: int, y_start: int, mu: Callable[[], float]):
         self.mu, self.z = mu, None
         if plan.l1_index is not None:
-            self.z_index, self.y_index = plan.l1_index + z_start, plan.l1_index + y_start
-            self.z, self.y = _run(self.z_index), _run(self.y_index)
+            self.z, self.y = plan.l1_index + z_start, plan.l1_index + y_start
             self.w = plan.l1_weight
         self.nuclear = [(slice(sl.start + z_start, sl.stop + z_start),
                          slice(sl.start + y_start, sl.stop + y_start), shape, c)
@@ -247,8 +249,7 @@ class ProxSwitching:
         mu = self.mu()
         x = 1.0 if self.z is None else self._l1_crossing(mu, y0, y1, K, P, h)
         for block in self.nuclear:
-            if self._rank(block, mu, y0) != self._rank(block, mu, y1):
-                x = min(x, self._first_sign_change(self.rank_margins(block, mu, y0, K, P, h)))
+            x = min(x, self._nuclear_crossing(block, mu, y0, y1, K, P, h))
         return x
 
     def _l1_crossing(self, mu, y0, y1, K, P, h) -> float:
@@ -258,36 +259,36 @@ class ProxSwitching:
         flip = np.flatnonzero(out0 != (np.abs(y1[self.z] + mu * y1[self.y]) > level))
         if not flip.size:
             return 1.0
-        kv = K[:, self.z_index[flip]] + mu * K[:, self.y_index[flip]]
+        kv = K[:, self.z[flip]] + mu * K[:, self.y[flip]]
         s = np.dot(kv.T.dot(P) * h, self._POWERS)       # (entries, GRID + 1)
         s += v0[flip, None]
         np.abs(s, out=s)
         s -= level[flip, None]
         return self._first_sign_change(s)
 
-    @staticmethod
-    def _rank(block, mu: float, y: np.ndarray) -> int:
-        """The rank of the nuclear block's prox at ``y``, 0 where ``y`` is not
-        finite there."""
-        zs, ys, shape, c = block
-        level = c * mu
-        G, _ = gram((y[zs] + mu * y[ys]).reshape(shape, order="F"))
-        if keeps_none(G, level) or not np.isfinite(G).all():
-            return 0
-        return int(np.count_nonzero(np.linalg.eigvalsh(G) > level * level))
-
-    def rank_margins(self, block, mu: float, y0: np.ndarray, K: np.ndarray,
-                     P: np.ndarray, h: float) -> np.ndarray:
-        """``r_i`` of the nuclear ``block`` on the grid, one row per
-        eigenvector. ``V(x)`` is ``V_0 + sum_j x^j V_j`` with ``V_j`` the
-        block's rows of ``h·K^T P``, so ``||V(x) w_i||^2`` is the degree-8
-        polynomial ``p^T M_i p`` in ``p = (1, x, .., x⁴)``, with ``M_i`` the
-        5×5 Gram matrix of the ``V_j w_i``; its constant term is the
-        eigenvalue itself, as the prox compares it."""
+    def _nuclear_crossing(self, block, mu, y0, y1, K, P, h) -> float:
         zs, ys, shape, c = block
         level = c * mu
         v0 = y0[zs] + mu * y0[ys]
-        lam, W = np.linalg.eigh(gram(v0.reshape(shape, order="F"))[0])
+        G0 = gram(v0.reshape(shape, order="F"))[0]
+        if _prox_rank(G0, level) == _prox_rank(
+                gram((y1[zs] + mu * y1[ys]).reshape(shape, order="F"))[0], level):
+            return 1.0
+        return self._first_sign_change(self.rank_margins(block, mu, v0, G0, K, P, h))
+
+    def rank_margins(self, block, mu: float, v0: np.ndarray, G0: np.ndarray,
+                     K: np.ndarray, P: np.ndarray, h: float) -> np.ndarray:
+        """``r_i`` of the nuclear ``block`` on the grid, one row per
+        eigenvector, from the block's part ``v0`` of ``z + mu y`` at the
+        attempt's start and its Gram matrix ``G0``. ``V(x)`` is ``V_0 +
+        sum_j x^j V_j`` with ``V_j`` the block's rows of ``h·K^T P``, so
+        ``||V(x) w_i||^2`` is the degree-8 polynomial ``p^T M_i p`` in ``p =
+        (1, x, .., x⁴)``, with ``M_i`` the 5×5 Gram matrix of the ``V_j
+        w_i``; its constant term is the eigenvalue itself, as the prox
+        compares it."""
+        zs, ys, shape, c = block
+        level = c * mu
+        lam, W = np.linalg.eigh(G0)
         C = np.empty((5, v0.size))
         C[0] = v0
         np.dot(P.T, K[:, zs] + mu * K[:, ys], out=C[1:])

@@ -130,8 +130,8 @@ def prox_group_lasso(mu: float, part: GroupPartition, v: np.ndarray) -> np.ndarr
 # measured just under the guard was 6e-14 of sigma_max.)
 _GRAM_MAX_RATIO = 1e-13 / np.finfo(float).eps
 
-# Below this level the product G G in ``keeps_none`` may underflow.
-_SQRT_TINY = np.sqrt(np.finfo(float).tiny)
+# Below this level the sum of fourth powers in ``keeps_none`` may underflow.
+_TINY_4RT = np.finfo(float).tiny ** 0.25
 
 
 def gram(X: np.ndarray):
@@ -146,12 +146,12 @@ def keeps_none(G: np.ndarray, mu: float) -> bool:
     bound ``sqrt(||G G||_F) = (sum lambda_i^4)^(1/4) >= lambda_max``, taken
     ``1 + 1e-10`` times over to cover its rounding. False where the bound
     does not show it: where it is larger or not finite, or where ``mu^2``
-    is below the square root of the smallest normal double, so that ``G G``
-    could underflow. ``G G`` is not formed where ``sum lambda_i^2 / sum
-    lambda_i = ||G||_F^2 / tr G``, a lower bound on ``lambda_max``, already
-    exceeds ``mu^2``."""
+    is below the fourth root of the smallest normal double, so that ``sum
+    lambda_i^4`` could underflow. ``G G`` is not formed where ``sum
+    lambda_i^2 / sum lambda_i = ||G||_F^2 / tr G``, a lower bound on
+    ``lambda_max``, already exceeds ``mu^2``."""
     level = mu * mu
-    if not (level >= _SQRT_TINY and np.vdot(G, G) <= level * G.trace() < np.inf):
+    if not (level >= _TINY_4RT and np.vdot(G, G) <= level * G.trace() < np.inf):
         return False
     GG = G @ G
     return np.sqrt(np.sqrt(np.vdot(GG, GG))) * (1 + 1e-10) <= level
@@ -174,7 +174,9 @@ def prox_nuclear(mu: float, X: np.ndarray) -> np.ndarray:
         return np.zeros_like(X)
     if np.isfinite(nrm):
         G, wide = gram(X)
-        if keeps_none(G, mu):
+        # tr G = ||X||_F^2 <= min(X.shape) lambda_max, so where it exceeds
+        # that many mu^2 some singular value is kept: a free test first
+        if nrm * nrm <= min(X.shape) * mu * mu and keeps_none(G, mu):
             return np.zeros_like(X)
         w, V = np.linalg.eigh(G)
         if np.sqrt(w[-1]) <= _GRAM_MAX_RATIO * mu:

@@ -1077,7 +1077,9 @@ def test_rank_margins_start_on_the_eigenvalues_the_prox_keeps(rng, monkeypatch, 
         z = np.ravel((U * s) @ V.T, order="F")
         y = 1e-3 * rng.standard_normal(z.size)
         plan.prox(mu, z + mu * y)
-        r = sw.rank_margins(block, mu, np.concatenate([z, y]), np.zeros((7, 2 * z.size)), P, 1.0)
+        v0 = z + mu * y
+        r = sw.rank_margins(block, mu, v0, prox.gram(v0.reshape(shape, order="F"))[0],
+                            np.zeros((7, 2 * z.size)), P, 1.0)
         keep = seen[-2] > level * level
         assert np.array_equal(seen[-1], seen[-2]) and np.array_equal(r[:, 0] > 0, keep)
         # the constant term is the eigenvalue itself, not ||V_0 w_i||^2

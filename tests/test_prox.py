@@ -281,8 +281,8 @@ def test_nuclear_zero_shortcut_is_exact_and_factors_nothing(rng, monkeypatch):
 def test_keeps_none_bounds_the_largest_eigenvalue(rng):
     """``keeps_none`` holds only where every eigenvalue is at most ``mu^2``,
     and on a one-term spectrum just under it; a non-finite Gram matrix, or
-    one whose ``G G`` underflows to zero at a level below its eigenvalue,
-    is not shown empty."""
+    one whose ``G G`` or sum of fourth powers underflows to zero at a level
+    below its largest eigenvalue, is not shown empty."""
     for _ in range(50):
         X = _spectrum(rng, (6, 4), rng.uniform(0.0, 1.0, 4))
         G = prox.gram(X)[0]
@@ -294,6 +294,18 @@ def test_keeps_none_bounds_the_largest_eigenvalue(rng):
     assert not prox.keeps_none(np.full((2, 2), np.nan), 1.0)
     assert not prox.keeps_none(np.full((2, 2), np.inf), 1.0)
     assert not prox.keeps_none(1e-170 * np.eye(2), 1e-90)
+    # just above the underflow guard the bound still shows a small spectrum
+    assert prox.keeps_none(0.5e-70 * np.eye(10), 1e-35)
+    # at mu^2 in [1e-150, 1e-100] the spectrum (2, 0.5 × 10) mu^2 passes the
+    # ||G||_F^2 <= mu^2 tr G test and its sum of fourth powers underflows to
+    # zero, yet one singular value is kept, as on the eigh route
+    for mu in (1e-50, 1e-75):
+        s = mu * np.sqrt(np.r_[2.0, np.full(10, 0.5)])
+        X, G = np.diag(s), np.diag(s * s)
+        assert np.vdot(G, G) <= mu * mu * G.trace() and np.vdot(G @ G, G @ G) == 0.0
+        assert not prox.keeps_none(G, mu)
+        out = prox_nuclear(mu, X)
+        assert out[0, 0] > 0 and np.array_equal(out, _eigh_route(mu, X))
     assert prox.gram(np.ones((2, 3)))[1] and not prox.gram(np.ones((3, 2)))[1]
 
 
