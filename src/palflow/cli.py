@@ -184,6 +184,7 @@ def write_manifest(path, config_path, keys, cfg, seed, out_dir, traj):
             "stop_kkt": repr(cfg.stop_kkt), "termination": traj.termination,
             "n_evals": traj.meta["n_evals"], "steps": traj.meta["steps"],
             "rejected": traj.meta["rejected"], "kink_cuts": traj.meta["kink_cuts"],
+            "kink_caps": traj.meta["kink_caps"],
             "threads": blas_threads(),
             "peak_rss_mb": f"{peak_mb:.1f}"}
     rows.update((f"config.{k}", v) for k, v in sorted(keys.items()))

@@ -263,9 +263,10 @@ def simulate(net: Network, init: Sequence[AgentState], cfg: flow.IntegratorConfi
     """Integrate the decentralized field; every field evaluation the stepper
     makes is one synchronous round carrying ``x`` across each edge in both
     directions, so ``rounds`` is the run's ``n_evals``. The adaptive method
-    retries a rejected attempt at the first kink of the agents' proxes
-    (:meth:`Network.switching`), as :func:`flow.integrate` does on the
-    assembled problem; ``meta["kink_cuts"]`` counts these retries."""
+    aims each step at the next l1 kink of the agents' proxes and retries a
+    rejected attempt at the first kink (:meth:`Network.switching`), as
+    :func:`flow.integrate` does on the assembled problem;
+    ``meta["kink_caps"]`` and ``meta["kink_cuts"]`` count these."""
     _check_positive(alpha=alpha, mu=mu)
     traj = flow.integrate_ode(lambda t, y: net.field(y, alpha, mu), pack_agents(init), cfg,
                               switching=net.switching(mu))

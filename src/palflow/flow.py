@@ -210,9 +210,16 @@ class ProxSwitching:
       attempt's start (``eigh``, as ``prox_nuclear`` takes it), ``r_i =
       ||V w_i||^2 - (mu c)^2`` (``V^T w_i`` where ``V`` is wide) is positive
       at the start on exactly the eigenvalues the prox keeps, and follows
-      ``sigma_i^2 - (mu c)^2`` to first order in the step."""
+      ``sigma_i^2 - (mu c)^2`` to first order in the step.
+
+    :meth:`next_crossing` predicts the next l1 kink from the field at a
+    step's start; :meth:`first_crossing` finds the first kink of either kind
+    on a rejected attempt's interpolant."""
 
     GRID = 64       # intervals of the crossing search on ``[0, 1]``
+    # a predicted crossing within this fraction of the step is the kink the
+    # last step landed on
+    LANDED = 1e-3
     _X = np.linspace(0.0, 1.0, GRID + 1)
     # (x, x², x³, x⁴) at x = g / GRID, one column per grid point g = 0..GRID
     _POWERS = _X ** np.arange(1, 5)[:, None]
@@ -233,6 +240,24 @@ class ProxSwitching:
            mu: Callable[[], float]) -> Optional[ProxSwitching]:
         return (None if plan.l1_index is None and not plan.nuclear
                 else cls(plan, z_start, y_start, mu))
+
+    def next_crossing(self, y: np.ndarray, f: np.ndarray, h: float) -> float:
+        """The first-order time to the next l1 kink from ``y``, where the
+        field is ``f``: the least ``tau_i = -s_i / s'_i`` above ``LANDED·h``
+        over the entries moving toward their kink (``s_i s'_i < 0``), with
+        ``s'_i = sign(v_i)·(f_{z,i} + mu f_{y,i})`` and ``v_i = z_i + mu y_i``;
+        ``inf`` where there is none. Nuclear blocks are not predicted: their
+        rate would take an ``eigh`` per step."""
+        if self.z is None:
+            return math.inf
+        mu = self.mu()
+        v = y[self.z] + mu * y[self.y]
+        # -s_i / s'_i = (the level on v_i's side - v_i) / v_i'
+        gap = np.copysign(mu * self.w, v)
+        gap -= v
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = gap / (f[self.z] + mu * f[self.y])
+        return float(tau[tau > self.LANDED * h].min(initial=math.inf))
 
     def first_crossing(self, y0: np.ndarray, y1: np.ndarray, K: np.ndarray,
                        P: np.ndarray, h: float) -> float:
@@ -330,11 +355,19 @@ class _RungeKutta:
     step-size control, dense output); its last stage is the next ``f``,
     ``rejected`` counts the attempts thrown away, and a step below the float
     spacing is a :class:`FlowError`. Given ``switching`` (a
-    :class:`ProxSwitching`), a rejected attempt that carries an l1 entry
-    across its kink, or changes the rank of a nuclear block's prox, is
-    retried at the first crossing on its own interpolant when that step is
-    shorter than the controller's and not below the minimum step;
-    ``kink_cuts`` counts these retries. With no ``switching`` its runs equal
+    :class:`ProxSwitching`), a step's first attempt is shortened to the l1
+    kink that ``next_crossing`` predicts from the field held at its start
+    (no evaluation) when that is shorter than the step and not below the
+    minimum step; ``kink_caps`` counts these. A prediction is taken again
+    once the run has covered half the time to it, or ``HOLD`` steps of the
+    step it was taken for, whichever comes first. A rejected attempt that
+    carries an l1 entry across its kink, or changes the rank of a nuclear
+    block's prox, is retried at the first crossing on its own interpolant
+    when that step is shorter than the controller's and not below the
+    minimum step; ``kink_cuts`` counts these retries. An accepted step whose
+    length a kink set (a cap or a cut) proposes at least the step the kink
+    displaced, not the controller's smaller or unchanged one (Gear &
+    Østerby 1984; Enright et al. 1988). With no ``switching`` its runs equal
     ``solve_ivp``'s to the bit.
 
     A step's arithmetic runs in work arrays made once: the stage inputs, the
@@ -345,6 +378,9 @@ class _RungeKutta:
     replaced by a fresh one, so a state is never written again."""
 
     EXPONENT = -1 / 5       # -1 / (error estimator order + 1)
+    # a kink prediction is taken again once half the time to the kink, or
+    # this many steps, has passed: a far one need not be taken every step
+    HOLD = 8
 
     def __init__(self, fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
                  switching: Optional[ProxSwitching] = None):
@@ -352,7 +388,9 @@ class _RungeKutta:
         tab = METHODS[cfg.method]
         self.B, self.E, self.P, self.adaptive = tab.B, tab.E, tab.P, tab.adaptive
         self.t, self.y, self._f = 0.0, y0, None
-        self.done, self.nfev, self.rejected, self.kink_cuts = False, 0, 0, 0
+        self.done, self.nfev, self.rejected = False, 0, 0
+        self.kink_cuts = self.kink_caps = 0
+        self._predict_at = 0.0
         # the stages (and Dormand–Prince's field at the new state), read
         # through views made once
         self.K = K = np.empty((len(tab.B) + self.adaptive, y0.size))
@@ -436,6 +474,13 @@ class _RungeKutta:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = min_step if self.h_abs < min_step else self.h_abs
         rejected = False
+        kink = None     # the controller's step a kink displaced, while it holds
+        if self.switching is not None and t >= self._predict_at:
+            cap = self.switching.next_crossing(y, self.f, h_abs)
+            self._predict_at = t + min(cap / 2, self.HOLD * h_abs)
+            if min_step <= cap < min(h_abs, self.t_end - t):
+                kink, h_abs = h_abs, cap
+                self.kink_caps += 1
         while True:
             if h_abs < min_step:
                 raise FlowError("stiff/failed: Required step size is less than "
@@ -458,17 +503,20 @@ class _RungeKutta:
             if error < 1:
                 break
             h_next = h_abs * max(0.2, 0.9 * error ** self.EXPONENT)
+            kink = None
             if self.switching is not None:
                 cut = h_abs * self.switching.first_crossing(y, y_new, K, self.P, h)
                 if min_step <= cut < h_next:
-                    h_next = cut
+                    kink, h_next = h_next, cut
                     self.kink_cuts += 1
             h_abs = h_next
             rejected = True
             self.rejected += 1
-        # grow by at most 10, and not at all right after a rejection
+        # grow by at most 10, and not at all right after a rejection; a step
+        # a kink set is followed by at least the step it displaced
         factor = 10 if error == 0 else min(10, 0.9 * error ** self.EXPONENT)
-        self.h_abs = h_abs * (min(1, factor) if rejected else factor)
+        h_abs *= min(1, factor) if rejected else factor
+        self.h_abs = h_abs if kink is None else max(h_abs, kink)
         self.t_old, self.y_old = t, y
         self.t, self.y, self._f = t_new, self._accept(), f_new
         self.done = t_new >= self.t_end
@@ -583,12 +631,15 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
     Returns a :class:`Trajectory` with no problem attached, with a
     ``field_norm`` column, the termination (``"t_end"``, ``"event"`` or
     ``"max_steps"``, which caps the accepted steps) and ``meta`` with
-    ``n_evals`` (the stepper's calls of ``fun``), ``steps``, ``rejected``
-    and ``kink_cuts``. The adaptive method retries a rejected attempt at the
-    first l1 or nuclear-norm kink ``switching`` locates on its interpolant,
-    where that is the shorter step (see :class:`_RungeKutta`); with no
-    ``switching`` it equals ``solve_ivp``'s ``RK45`` to the bit and
-    ``kink_cuts`` is 0. A non-finite ``y0`` is a ``ValueError``, a
+    ``n_evals`` (the stepper's calls of ``fun``), ``steps``, ``rejected``,
+    ``kink_cuts`` and ``kink_caps``. The adaptive method shortens a step's
+    first attempt to the next l1 kink ``switching`` predicts from the field
+    at its start, and retries a rejected attempt at the first l1 or
+    nuclear-norm kink it locates on its interpolant, where that is the
+    shorter step; the step after either is at least the one the kink
+    displaced (see :class:`_RungeKutta`). With no ``switching`` it equals
+    ``solve_ivp``'s ``RK45`` to the bit, and ``kink_cuts`` and
+    ``kink_caps`` are 0. A non-finite ``y0`` is a ``ValueError``, a
     non-finite field there or state later a :class:`FlowError`. Only every
     ``record_stride``-th accepted step and the last are held. A sample's
     field norm is the field the stepper holds there; where it holds none (an
@@ -661,7 +712,7 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
         norms.append(np.linalg.norm(stepper.f if at_hand else field(t, y)))
     states.resize((len(times), y0.size), refcheck=False)
     meta = {"n_evals": stepper.nfev, "steps": steps, "rejected": stepper.rejected,
-            "kink_cuts": stepper.kink_cuts}
+            "kink_cuts": stepper.kink_cuts, "kink_caps": stepper.kink_caps}
     if pieces:
         meta["dense"] = _DenseSolution(ends, pieces)
     return Trajectory(np.array(times), states, {"field_norm": np.array(norms)}, term,
@@ -677,9 +728,9 @@ def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig) -
     recorded. The stop event reads the residual off the field the stepper
     holds where it has one (``kernel.kkt(y, f)``); the ``kkt_residual``
     column is ``kernel.kkt`` at every kept sample. Where the z blocks hold
-    an l1 run or a nuclear-norm block, the adaptive method retries a
-    rejected attempt at the first kink of their proxes (``integrate_ode``'s
-    ``switching``).
+    an l1 run or a nuclear-norm block, the adaptive method aims each step at
+    the next l1 kink and retries a rejected attempt at the first kink of
+    their proxes (``integrate_ode``'s ``switching``).
     """
     event = None
     if cfg.stop_kkt is not None:

@@ -279,6 +279,7 @@ def test_manifest_records_package_version(tmp_path):
     assert run["termination"] in ("t_end", "stop_kkt")
     assert int(run["n_evals"]) > int(run["steps"]) > 0
     assert int(run["rejected"]) >= int(run["kink_cuts"]) >= 0
+    assert int(run["kink_caps"]) >= 0
     assert int(run["threads"]) >= 1
     assert float(run["peak_rss_mb"]) > 0
 
@@ -295,10 +296,12 @@ def test_solve_lasso_reaches_oracle(tmp_path):
     final = dict(zip(cols, [float(v) for v in lines[-1].split(",")]))
     assert final["rel_function_error"] < 1e-6
     assert (tmp_path / "l_out" / "function_error.svg").exists()
-    # the lasso's l1 kinks cut some of its rejected steps
+    # the lasso's l1 kinks cap some of its steps and cut some of its
+    # rejected ones
     manifest = (tmp_path / "l_out" / "manifest.txt").read_text().splitlines()
     run = dict(line.split(" = ", 1) for line in manifest)
     assert 0 < int(run["kink_cuts"]) <= int(run["rejected"])
+    assert int(run["kink_caps"]) > 0
 
 
 def test_solve_two_agent_lasso(tmp_path):

@@ -416,11 +416,11 @@ def test_simulate_is_the_reference_flow(rng, method, h, stride):
         return pack_agents(reference_decentralized_field(
             net, unpack_agents(net, y), 1.3, 0.7))
 
-    # the reference cuts rejected steps at the same l1 kinks
+    # the reference caps steps and cuts rejected ones at the same l1 kinks
     run = flow.integrate_ode(ref, pack_agents(init), cfg, switching=net.switching(0.7))
     assert np.array_equal(traj.times, run.times)
     assert np.array_equal(traj.states, run.states)
-    for key in ("n_evals", "rejected", "kink_cuts"):
+    for key in ("n_evals", "rejected", "kink_cuts", "kink_caps"):
         assert traj.meta[key] == run.meta[key]
 
 

@@ -1090,7 +1090,8 @@ def test_rank_margins_start_on_the_eigenvalues_the_prox_keeps(rng, monkeypatch, 
 def test_pcp_is_cut_at_a_nuclear_kink(monkeypatch):
     """A small PCP run: some rejected attempt's first crossing is its
     nuclear block's rank change, ahead of every l1 entry's, and searching
-    the nuclear block changes the run."""
+    the nuclear block changes the run's steps (here not its evaluation
+    count)."""
     calls = []
     margins, l1_crossing, first = (flow.ProxSwitching.rank_margins,
                                    flow.ProxSwitching._l1_crossing,
@@ -1120,7 +1121,8 @@ def test_pcp_is_cut_at_a_nuclear_kink(monkeypatch):
     assert any(c.get("nuclear", 1.0) == c["x"] < c["l1"] for c in calls)
     prob.kernel.z_plan.nuclear = []
     l1_only = integrate(prob, prob.zero_state(), cfg)
-    assert l1_only.meta["n_evals"] != run.meta["n_evals"]
+    assert not (np.array_equal(l1_only.times, run.times)
+                and np.array_equal(l1_only.states, run.states))
 
 
 class _Attempts(flow._RungeKutta):
@@ -1169,14 +1171,138 @@ def test_a_kink_cut_is_never_below_the_minimum_step():
     assert st.steps[:2] == [1.0, pytest.approx(0.2, rel=1e-12)] and st.kink_cuts == 0
 
 
-def test_an_accepted_step_is_not_cut():
-    """A linear field: the first attempt crosses the kink at x = 0.5 and is
-    accepted, so it ends at its full step."""
-    st = flow._RungeKutta(lambda t, s: np.array([1.0, 0.0]), np.zeros(2),
-                          IntegratorConfig(t_end=10.0), _switching([0.5]))
+def _linear_kink(z0, w, h=1.0, t0=0.0):
+    """``z' = 1`` and ``y' = 0`` from ``z = z0`` at ``t0``, one l1 entry of
+    weight ``w``, about to take a step of ``h``: the kink is ``w - z0``
+    ahead."""
+    st = _Attempts(lambda t, s: np.array([1.0, 0.0]), np.array([z0, 0.0]),
+                   IntegratorConfig(t_end=t0 + 10.0), _switching([w]))
+    st.t, st.h_abs = t0, h
+    return st
+
+
+def test_a_step_is_capped_at_the_predicted_kink():
+    """A linear field: the first attempt is shortened to the kink at 0.5,
+    which the field at the start predicts exactly, and is accepted."""
+    st = _linear_kink(0.0, 0.5)
+    st.step()
+    assert st.steps == [0.5]
+    assert (st.t, st.rejected, st.kink_cuts, st.kink_caps) == (0.5, 0, 0, 1)
+
+
+def test_next_crossing_is_the_first_order_time_to_a_kink():
+    """Entry ``i`` reaches the level on its own side, ``±mu w_i``, at
+    ``(±mu w_i - v_i) / v_i'`` to first order, with ``v = z + mu y`` and
+    ``v' = f_z + mu f_y``: from inside or outside, for either sign of
+    ``v``. An entry moving away from its kink, or not moving, is ignored,
+    and so is one within ``LANDED·h`` of its kink."""
+    sw = _switching([1.0] * 4, mu=0.5)             # levels 0.5
+    # v = (0.2, -0.1, 0.9, -0.9), v' = (0.2, -0.4, -0.8, -1.0): the kinks
+    # are 1.5, 1.0 and 0.5 ahead, and entry 3 moves away from its own
+    u = np.array([0.1, -0.1, 0.9, -0.9, 0.2, 0.0, 0.0, 0.0])
+    f = np.array([0.1, -0.4, -0.8, -1.0, 0.2, 0.0, 0.0, 0.0])
+    assert sw.next_crossing(u, f, 10.0) == pytest.approx(0.5, rel=1e-14)
+    f[2] = 0.8
+    assert sw.next_crossing(u, f, 10.0) == pytest.approx(1.0, rel=1e-14)
+    f[1] = 0.4
+    assert sw.next_crossing(u, f, 10.0) == pytest.approx(1.5, rel=1e-14)
+    f[0] = -0.2
+    assert sw.next_crossing(u, f, 10.0) == np.inf
+    f[:] = 0.0
+    assert sw.next_crossing(u, f, 10.0) == np.inf
+    # 1e-4 from the kink: ignored against a step of 1, not of 0.05
+    u[[0, 4]], f[0] = (0.5 - 1e-4, 0.0), 1.0
+    assert sw.next_crossing(u, f, 1.0) == np.inf
+    assert sw.next_crossing(u, f, 0.05) == pytest.approx(1e-4, rel=1e-9)
+
+
+def test_a_kink_at_or_beyond_the_step_or_just_landed_on_is_not_capped():
+    """The predicted kink caps the step only where it lies in ``(LANDED·h,
+    h)`` and not below the minimum step."""
+    for z0, w in [(0.0, 1.0), (0.0, 1.5), (0.5 - 5e-4, 0.5)]:
+        st = _linear_kink(z0, w)
+        st.step()
+        assert st.steps == [1.0] and (st.t, st.rejected, st.kink_caps) == (1.0, 0, 0)
+    st = _linear_kink(0.5 - 2e-3, 0.5)
+    st.step()
+    assert st.steps == [pytest.approx(2e-3, rel=1e-9)] and st.kink_caps == 1
+    # at t = 1000 the minimum step is about 1.1e-12: a kink 5e-13 ahead,
+    # above LANDED·h for h = 1e-10, is not capped to
+    st = _linear_kink(0.5 - 5e-13, 0.5, h=1e-10, t0=1000.0)
+    st.step()
+    assert st.steps == [pytest.approx(1e-10, rel=1e-3)] and st.kink_caps == 0
+
+
+def test_a_far_kink_is_predicted_again_half_way_or_after_hold_steps(monkeypatch):
+    """Steps of 0.5 toward a kink at t = 6 predict it at t = 0 (6 ahead:
+    again at 3), 3, 4.5, 5.5 (0.5 ahead: not capped) and 6, where it is
+    landed on and none is left; with no entry moving, the prediction is
+    taken every ``HOLD`` steps."""
+    seen = []
+    real = flow.ProxSwitching.next_crossing
+
+    def recording(self, y, f, h):
+        seen.append(float(y[0]))
+        return real(self, y, f, h)
+
+    monkeypatch.setattr(flow.ProxSwitching, "next_crossing", recording)
+    for rate, want in [(1.0, [0.0, 3.0, 4.5, 5.5, 6.0]), (0.0, [0.0, 0.0, 0.0])]:
+        seen.clear()
+        st = _Attempts(lambda t, s: np.array([rate, 0.0]), np.zeros(2),
+                       IntegratorConfig(t_end=10.0), _switching([6.0]))
+        while not st.done:
+            st.h_abs = 0.5
+            st.step()
+        assert seen == pytest.approx(want, abs=1e-12)
+        assert st.kink_caps == 0 and st.t == 10.0
+    assert flow._RungeKutta.HOLD == 8
+
+
+def test_the_step_after_a_kink_is_at_least_the_one_it_displaced():
+    """A cap to 0.05 of a step of 1, accepted with no error, would propose
+    0.5 (growth of at most 10); the step it displaced, 1, is proposed. A
+    cut retry of ``z' = 3t²`` beside a fast-growing ``u' = c t⁵`` (loose
+    tolerances), accepted, proposes the controller's step after the
+    rejection, which a run without switching functions takes as its
+    retry, and not the cut's own step. A step the controller set after a
+    cap keeps the controller's proposal."""
+    st = _linear_kink(0.0, 0.05)
+    st.step()
+    assert st.steps == [pytest.approx(0.05, rel=1e-12)] and st.h_abs == 1.0
+
+    def fun(t, s):
+        return np.array([3 * t ** 2, 0.0, 1e3 * t ** 5])
+
+    cfg = IntegratorConfig(t_end=10.0, rel_tol=1e-3, abs_tol=1e-3)
+    plain, cut = (_Attempts(fun, np.array([0.0, 0.0, 1.0]), cfg, sw)
+                  for sw in (None, _switching([0.05 ** 3], extra=1)))
+    for st in (plain, cut):
+        st.h_abs = 1.0
+        st.step()
+    assert plain.steps[0] == cut.steps[0] == 1.0 and plain.rejected >= 1
+    assert cut.steps[1] == pytest.approx(0.05, abs=1.7e-3)
+    assert cut.steps[1] < plain.steps[1]
+    assert (cut.rejected, cut.kink_cuts, cut.kink_caps) == (1, 1, 0)
+    assert cut.h_abs == plain.steps[1]
+    # a capped attempt rejected and retried at the controller's step: the
+    # controller set the accepted step, so it does not grow
+    st = _Attempts(lambda t, s: np.array([1.0, 0.0, 1e5 * t ** 5]),
+                   np.array([0.0, 0.0, 1.0]), cfg, _switching([0.5], extra=1))
     st.h_abs = 1.0
     st.step()
-    assert (st.t, st.rejected, st.kink_cuts) == (1.0, 0, 0)
+    assert st.steps[0] == 0.5 and (st.kink_caps, st.kink_cuts) == (1, 0)
+    assert st.rejected == len(st.steps) - 1 >= 1
+    assert st.h_abs <= st.steps[-1] < 0.5
+
+
+def test_a_kink_cap_costs_no_evaluation():
+    """On a small network lasso the caps read the field the stepper holds:
+    the run makes its two starting evaluations and six per attempt."""
+    prob = assemble_consensus(examples.gen_lasso_network(3, 8, 3, seed=0)[0])
+    run = integrate(prob, prob.zero_state(), IntegratorConfig(t_end=30.0))
+    m = run.meta
+    assert m["kink_caps"] > 0 and m["kink_cuts"] <= m["rejected"]
+    assert m["n_evals"] == 2 + 6 * (m["steps"] + m["rejected"])
 
 
 def test_switching_functions_are_the_l1_supports(rng):
