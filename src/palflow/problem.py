@@ -294,19 +294,28 @@ def _slices(shapes) -> List[slice]:
     return [slice(a, b) for a, b in zip(offs[:-1], offs[1:])]
 
 
-def _sums_in_column_order(E_mats, F_mats, p: int) -> bool:
-    """Whether one product of ``[E F]`` sums every row as ``BlockOperator``
-    does: conditions (a)-(c) of :class:`FieldKernel` on the stored entries of
-    the ``p``-row CSR column blocks ``E_mats`` and ``F_mats``."""
-    def counts(mats):   # (blocks, rows): stored entries of each block's rows
-        return np.array([np.diff(M.indptr) for M in mats], dtype=int).reshape(len(mats), p)
-
-    def later_blocks_hold_one(c):
-        return bool(np.all(c[np.cumsum(c > 0, axis=0) > 1] <= 1))
-
-    cE, cF = counts(E_mats), counts(F_mats)
-    return (later_blocks_hold_one(cE) and later_blocks_hold_one(cF)
-            and bool(np.all((cE.sum(axis=0) == 0) | (cF.sum(axis=0) <= 1))))
+def _fold_order(EF: sp.csr_matrix, E_mats, F_mats) -> Optional[np.ndarray]:
+    """The order of ``EF``'s stored entries in which one product sums every
+    row as ``BlockOperator`` does, or ``None`` where no order does: rules
+    (a)-(c) of :class:`FieldKernel`, read off the stored entries of the
+    ``p``-row CSR column blocks ``E_mats`` and ``F_mats`` of ``EF``."""
+    p, n_E, mats = EF.shape[0], len(E_mats), E_mats + F_mats
+    counts = np.array([np.diff(M.indptr) for M in mats],
+                      dtype=int).reshape(len(mats), p)   # (blocks, rows)
+    for c in (counts[:n_E], counts[n_E:]):
+        many = c > 1
+        if np.any(many.sum(axis=0) > 1) or np.any(np.cumsum(c > 0, axis=0)[many] > 2):
+            return None
+    tot_E, tot_F = counts[:n_E].sum(axis=0), counts[n_E:].sum(axis=0)
+    if not np.all((tot_E <= 1) | (tot_F <= 1)):
+        return None
+    row = np.repeat(np.arange(p), np.diff(EF.indptr))
+    block = np.searchsorted(np.cumsum([M.shape[1] for M in mats]), EF.indices, side="right")
+    # E's side goes last where it holds one entry and F more
+    last = (block >= n_E) ^ ((tot_E == 1) & (tot_F > 1))[row]
+    # lexsort is stable: a side's blocks, and each block's entries, keep
+    # column order behind its many-entry block
+    return np.lexsort((counts[block, row] == 1, last, row))
 
 
 class BlockPlan:
@@ -398,26 +407,32 @@ class FieldKernel:
     ``E x + F z - q`` must equal ``BlockOperator``'s to the last bit, even
     where ``Ex`` and ``q`` cancel. That sums each block's entries of a row
     from 0.0 in column order, folds the E blocks' sums in block order, then
-    the F blocks', and adds the two folds; one product of ``EF`` folds the
-    row's entries in column order from 0.0. The two agree when every row
-    meets (a) among the E blocks with an entry in the row, each after the
-    first stores exactly one there, (b) likewise among the F blocks, and
-    (c) if an E block has an entry in the row, the F blocks store at most
-    one there in total: a fold step adding a one-entry block's sum
-    ``0.0 + a x`` adds the same double as the product's ``+ a x``, a block
-    with no entry adds 0.0, and a row sum is never -0.0. Stored zeros count
-    as entries. Such a kernel forms the residual as that one product: the
-    network lasso (a consensus row holds one ±1 per agent, a measurement
-    row ``C_i``'s row, then one -1), PCP (E empty, identity F blocks) and
-    covariance completion. Any other keeps the block diagonal ``blocks`` of
-    the column blocks, whose one product gives every ``E_i x_i`` and
-    ``F_j z_j``, summed in block order: the sparse group lasso, whose
-    measurement rows add E2's many entries of ``T`` after E1's one, and a
-    square identity ``EF``, whose product returns its input, -0.0 entries
-    included. Each product is bound once by ``csr_product``. The smooth
-    gradients and the proxes run through one :class:`BlockPlan` each, which
-    fuses adjacent l1 blocks into one soft threshold. ``mu`` and ``alpha``
-    are read from the problem at each call.
+    the F blocks', and adds the two folds; a CSR product folds each row's
+    stored entries from 0.0 in the order they are stored. As ``a + S == S +
+    a``, one product can add the same doubles when every row meets (a) among
+    the E blocks with an entry in the row, at most one stores more than one
+    there, and it is the first or second of them, (b) likewise among the F
+    blocks, and (c) if both sides have entries in the row, one side has
+    exactly one in total. The product then stores each row in fold order: on
+    each side the many-entry block first, then the side's other blocks in
+    block order; the side with one entry in total last; each block's entries
+    in column order. A fold step adding a one-entry
+    block's sum ``0.0 + a x`` adds the same double as the product's ``+ a
+    x``, a block with no entry adds 0.0, and a row sum is never -0.0. Stored
+    zeros count as entries. Such a kernel forms the residual as that one
+    product: the network lasso (a consensus row holds one ±1 per agent, a
+    measurement row ``C_i``'s row, then one -1), PCP (E empty, identity F
+    blocks), covariance completion and the sparse group lasso (a measurement
+    row holds one entry of E1, then E2's many entries of ``T``, which go
+    first). Any other keeps the block diagonal ``blocks`` of the column
+    blocks, whose one product gives every ``E_i x_i`` and ``F_j z_j``, summed
+    in block order: a row with more than one entry on both sides (as dense
+    E and F blocks give), two many-entry blocks on one side or one third
+    among them, and a square identity ``EF``, whose product returns its
+    input, -0.0 entries included. Each product is bound once by
+    ``csr_product``. The smooth gradients and the proxes run through one
+    :class:`BlockPlan` each, which fuses adjacent l1 blocks into one soft
+    threshold. ``mu`` and ``alpha`` are read from the problem at each call.
     """
 
     def __init__(self, prob: SaddleProblem):
@@ -431,9 +446,12 @@ class FieldKernel:
         self.EFt = self.EF.T.tocsr()
         # ``[E F]^T v`` on the ``(x, z)`` slice
         self._adjoint = csr_product(self.EFt)
-        if _sums_in_column_order(E_mats, F_mats, self.p) and not is_identity(self.EF):
+        order = None if is_identity(self.EF) else _fold_order(self.EF, E_mats, F_mats)
+        if order is not None:
             self.blocks = None
-            self._product = csr_product(self.EF)
+            self._product = csr_product(sp.csr_matrix(
+                (self.EF.data[order], self.EF.indices[order], self.EF.indptr),
+                shape=self.EF.shape))
         else:
             self.blocks = block_diagonal(mats)
             self._parts = csr_product(self.blocks)

@@ -14,6 +14,9 @@ from typing import Callable, List
 import numpy as np
 
 
+_SMALLEST = np.finfo(float).smallest_subnormal
+
+
 def _norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=float)))
 
@@ -27,6 +30,9 @@ class GroupPartition:
     groups end to end for the vectorised group norms: ``order`` is the
     concatenated group indices, ``live`` marks the non-empty groups, and
     ``sizes`` and ``starts`` are their lengths and offsets in ``order``.
+    For the prox it stores ``live_weights``, the non-empty groups' weights,
+    and ``group_of``, the index among the non-empty groups of the group
+    holding each entry of the range.
     """
 
     groups: List[np.ndarray]
@@ -54,6 +60,9 @@ class GroupPartition:
         self.live = sizes > 0
         self.sizes = sizes[self.live]
         self.starts = np.cumsum(self.sizes) - self.sizes
+        self.live_weights = self.weights[self.live]
+        self.group_of = np.empty(self.n, dtype=int)
+        self.group_of[self.order] = np.repeat(np.arange(len(self.sizes)), self.sizes)
 
     def group_norms(self, v: np.ndarray) -> np.ndarray:
         """Euclidean norm of ``v`` over each non-empty group, in group order."""
@@ -106,19 +115,24 @@ def prox_l1(mu, v: np.ndarray) -> np.ndarray:
 
 def prox_group_lasso(mu: float, part: GroupPartition, v: np.ndarray) -> np.ndarray:
     """Soft threshold by ``eta * mu`` (when ``eta > 0``) followed by per-group
-    block shrinkage by ``weight * mu``. Zero blocks map to zero."""
+    block shrinkage by ``t = weight * mu``: each entry of the thresholded
+    ``z`` is multiplied by its group's ``1 - t / max(||z_g||, t)``. For a
+    finite level that is exactly 0.0 where ``||z_g|| <= t``, so such a group
+    maps to zeros signed as ``z``, and exactly ``1 - t / ||z_g||``
+    elsewhere. A level that underflows to 0.0 is raised to the smallest
+    positive double, which keeps a zero-norm group at zero (``0 / 0`` would
+    give NaN) and scales any other group by exactly 1.0, as the level 0.0
+    does: a nonzero norm is at least the square root of that double."""
     v = np.asarray(v, dtype=float)
     if v.size != part.n:
         raise ValueError(f"expected {part.n} entries for the partition, got {v.size}")
     z = prox_l1(part.eta * mu, v) if part.eta > 0 else v
-    nrm = part.group_norms(z)
-    t = part.weights[part.live] * mu
-    scale = np.zeros_like(nrm)
-    shrink = nrm > t
-    scale[shrink] = 1.0 - t[shrink] / nrm[shrink]
-    out = np.empty_like(z)
-    out[part.order] = z[part.order] * np.repeat(scale, part.sizes)
-    return out
+    t = part.live_weights * mu
+    np.maximum(t, _SMALLEST, out=t)
+    scale = np.maximum(part.group_norms(z), t)
+    np.divide(t, scale, out=scale)
+    np.subtract(1.0, scale, out=scale)
+    return z * scale[part.group_of]
 
 
 # Largest sigma_max / mu for which prox_nuclear shrinks through the Gram
@@ -245,7 +259,7 @@ def group_lasso(part: GroupPartition) -> ProximableFunction:
     def value(w):
         w = np.asarray(w, dtype=float)
         return float(part.eta * np.sum(np.abs(w))
-                     + part.weights[part.live] @ part.group_norms(w))
+                     + part.live_weights @ part.group_norms(w))
 
     return ProximableFunction(
         value=value,

@@ -221,18 +221,19 @@ def test_kernel_field_matches_blockwise(name, rng):
 
 
 def _one_product_expected(E_mats, F_mats, EF):
-    """The residual layout rule, row by row: (a) and (b) after each side's
-    first block with entries, every block with entries stores one; (c) a row
-    with E entries has at most one F entry; and [E F] is no square identity."""
-    def later_blocks_hold_one(counts):
+    """The residual layout rule, row by row: on each side, at most one block
+    stores more than one entry in the row, and it is the first or second of
+    that side's blocks with an entry there; where both sides have entries,
+    one of them has exactly one; and [E F] is no square identity."""
+    def side_folds(counts):
         held = [c for c in counts if c > 0]
-        return all(c == 1 for c in held[1:])
+        many = [k for k, c in enumerate(held) if c > 1]
+        return many in ([], [0], [1])
 
     for i in range(EF.shape[0]):
         e = [M.indptr[i + 1] - M.indptr[i] for M in E_mats]
         f = [M.indptr[i + 1] - M.indptr[i] for M in F_mats]
-        if not (later_blocks_hold_one(e) and later_blocks_hold_one(f)
-                and (sum(e) == 0 or sum(f) <= 1)):
+        if not (side_folds(e) and side_folds(f) and min(sum(e), sum(f)) <= 1):
             return False
     return not (EF.shape[0] == EF.shape[1]
                 and np.array_equal(EF.toarray(), np.eye(EF.shape[0])))
@@ -241,13 +242,17 @@ def _one_product_expected(E_mats, F_mats, EF):
 def _pattern_problem(p, e_widths, f_widths, seed):
     """A problem whose column blocks have random stored-entry patterns: 0-3
     entries per row, some stored as explicit zeros, over values of mixed
-    magnitudes. An F width of None is a p x p identity block."""
+    magnitudes. An F width of None is a p x p identity block; a width given
+    as ``(width, counts)`` fixes the block's stored entries per row."""
     rng = np.random.default_rng(seed)
 
     def block(width):
         if width is None:
             return LinearOperator.identity((p,))
-        per_row = np.minimum(rng.choice(4, size=p, p=[0.3, 0.45, 0.15, 0.1]), width)
+        if isinstance(width, tuple):
+            width, per_row = width[0], np.array(width[1])
+        else:
+            per_row = np.minimum(rng.choice(4, size=p, p=[0.3, 0.45, 0.15, 0.1]), width)
         cols = [np.sort(rng.choice(width, size=k, replace=False)) for k in per_row]
         k = int(per_row.sum())
         data = rng.standard_normal(k) * 10.0 ** rng.uniform(-2, 2, k)
@@ -258,8 +263,10 @@ def _pattern_problem(p, e_widths, f_widths, seed):
 
     E = BlockOperator([block(w) for w in e_widths], p=p)
     F = BlockOperator([block(w) for w in f_widths], p=p)
-    smooth = [SmoothBlock.quadratic(np.eye(w)) for w in e_widths]
-    nonsmooth = [NonsmoothBlock(prox.zero(), (p if w is None else w,)) for w in f_widths]
+    width = lambda w: w[0] if isinstance(w, tuple) else w
+    smooth = [SmoothBlock.quadratic(np.eye(width(w))) for w in e_widths]
+    nonsmooth = [NonsmoothBlock(prox.zero(), (p if w is None else width(w),))
+                 for w in f_widths]
     q = rng.standard_normal(p)
     q[rng.random(p) < 0.3] = 0.0
     return SaddleProblem(smooth, nonsmooth, E, F, q), rng
@@ -273,6 +280,16 @@ def _pattern_problem(p, e_widths, f_widths, seed):
 @example(p=3, e_widths=[], f_widths=[None, None, None], seed=0)   # PCP's pattern
 @example(p=3, e_widths=[], f_widths=[None], seed=0)               # identity [E F]
 @example(p=3, e_widths=[2], f_widths=[None], seed=0)               # E beside an identity F
+# sgl's: one E1 entry, then a measurement row of T; E2 beside one F entry
+@example(p=3, e_widths=[(3, [1, 1, 0]), (5, [5, 5, 1])], f_widths=[(2, [0, 0, 1])], seed=0)
+# a many-entry E block third among the row's E blocks keeps the block diagonal
+@example(p=2, e_widths=[(1, [1, 1]), (2, [1, 1]), (3, [3, 1])], f_widths=[], seed=0)
+# a many-entry F block, second on its side, beside one E entry
+@example(p=3, e_widths=[(2, [1, 1, 1])], f_widths=[(1, [1, 0, 1]), (3, [3, 2, 3])], seed=1)
+# two many-entry blocks on one side
+@example(p=2, e_widths=[(3, [2, 2]), (3, [2, 0])], f_widths=[], seed=2)
+# more than one entry on both sides: two one-entry E blocks beside an F row of two
+@example(p=2, e_widths=[(1, [1, 1]), (1, [1, 1])], f_widths=[(3, [2, 2])], seed=3)
 def test_residual_layout_rule(p, e_widths, f_widths, seed):
     """The kernel takes one product of ``[E F]`` exactly where the rule
     holds, and either layout gives ``BlockOperator``'s residual to the bit,
@@ -296,9 +313,9 @@ def test_residual_layout_rule(p, e_widths, f_widths, seed):
 @pytest.mark.parametrize("name, one_product", [
     ("network_lasso", True), ("pcp", True), ("covariance_completion", True),
     ("counterexample", True), ("dense_congruence", True),
-    ("sparse_group_lasso", False), ("mixed_prox", False),
+    ("sparse_group_lasso", True), ("mixed_prox", False),
     # palbench's full-size instances
-    ("lasso_5x20", True), ("pcp_40", True), ("sgl_20x200", False)])
+    ("lasso_5x20", True), ("pcp_40", True), ("sgl_20x200", True)])
 def test_residual_layout_of_each_instance(name, one_product):
     make = {**KERNEL_INSTANCES,
             "lasso_5x20": lambda: assemble_consensus(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,6 +169,20 @@ def _group_lasso_loop(mu, part, v):
     return out
 
 
+def _group_lasso_masked(mu, part, v):
+    """The vectorised form with a mask and a scatter, kept as the reference
+    the mask-free prox equals to the bit."""
+    z = prox_l1(part.eta * mu, v) if part.eta > 0 else v
+    nrm = part.group_norms(z)
+    t = part.weights[part.live] * mu
+    scale = np.zeros_like(nrm)
+    shrink = nrm > t
+    scale[shrink] = 1.0 - t[shrink] / nrm[shrink]
+    out = np.empty_like(z)
+    out[part.order] = z[part.order] * np.repeat(scale, part.sizes)
+    return out
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10 ** 6), st.floats(0.1, 3.0))
 def test_group_lasso_matches_loop_form(seed, mu):
@@ -182,9 +198,58 @@ def test_group_lasso_matches_loop_form(seed, mu):
     ref = _group_lasso_loop(mu, part, v)
     out = prox_group_lasso(mu, part, v)
     assert np.max(np.abs(out - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+    assert same_doubles(out, _group_lasso_masked(mu, part, v))
     value = part.eta * np.sum(np.abs(v)) + sum(
         w * np.linalg.norm(v[idx]) for idx, w in zip(part.groups, part.weights))
     assert prox.group_lasso(part)(v) == pytest.approx(value, rel=1e-14)
+
+
+@pytest.mark.parametrize("case", ["norm_at_level", "zero_groups", "eta_cuts", "sgl"])
+def test_group_lasso_is_the_masked_form_to_the_bit(case, rng):
+    """Groups at the kink, of zeros of either sign, and of entries the
+    elementwise stage cuts to -0.0 map as the masked form maps them, value
+    and sign bit."""
+    if case == "norm_at_level":      # ||(-3, 4)|| = 5 = 2.5 * 2 exactly
+        part, mu = GroupPartition([np.arange(2), np.arange(2, 4)], [2.5, 1.0]), 2.0
+        v = np.array([-3.0, 4.0, -3.0, 4.0])
+    elif case == "zero_groups":
+        part, mu = GroupPartition([np.arange(2), np.arange(2, 4), np.arange(4, 6)],
+                                  [1.0, 1.0, 0.5]), 0.7
+        v = np.array([0.0, 0.0, -0.0, -0.0, 0.0, -2.0])
+    elif case == "eta_cuts":         # -0.2 and -0.05 are cut to -0.0
+        part, mu = GroupPartition([np.array([0, 3, 4]), np.array([1, 2])], [0.3, 0.4],
+                                  eta=0.25), 1.0
+        v = np.array([-0.2, -0.05, 0.1, 3.0, -1.5])
+    else:                            # sgl's partition, groups on either side of the kink
+        part, mu = GroupPartition.uniform(200, 10, weight=0.8, eta=0.1), 1.3
+        v = rng.standard_normal(200) * np.repeat(10.0 ** rng.uniform(-1.5, 0.5, 10), 20)
+    out = prox_group_lasso(mu, part, v)
+    assert same_doubles(out, _group_lasso_masked(mu, part, v))
+    if case == "norm_at_level":
+        assert same_doubles(out[:2], np.array([-0.0, 0.0]))
+        assert np.all(out[2:] != 0.0)
+    elif case == "zero_groups":
+        assert same_doubles(out[:4], np.array([0.0, 0.0, -0.0, -0.0]))
+    elif case == "eta_cuts":
+        assert same_doubles(out[:2], np.array([-0.0, -0.0]))
+    else:
+        assert 0 < np.count_nonzero(out) < 200
+
+
+def test_group_lasso_level_underflowing_to_zero():
+    """Where ``weight * mu`` underflows to 0.0, a group whose norm is 0.0 (of
+    zeros, or of entries whose squares underflow) maps to zeros signed as
+    its input, with no NaN from ``0 / 0``, and any other group passes
+    through, as in the masked form."""
+    part = GroupPartition([np.arange(2), np.arange(2, 4), np.arange(4, 6)], [1e-300] * 3)
+    mu = 1e-30
+    assert part.weights[0] * mu == 0.0
+    v = np.array([0.0, -0.0, 1e-200, -1e-200, 1.0, -2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = prox_group_lasso(mu, part, v)
+    assert same_doubles(out, _group_lasso_masked(mu, part, v))
+    assert same_doubles(out, np.array([0.0, -0.0, 0.0, -0.0, 1.0, -2.0]))
 
 
 def test_group_lasso_rejects_wrong_length():
