@@ -121,9 +121,11 @@ class Network:
                            for a, zsl in zip(self.agents, self.z_slices))
         return (parts, deg, *map(csr_product, ops), grads, proxes)
 
-    def field(self, u: np.ndarray, alpha: float, mu: float) -> np.ndarray:
+    def field(self, u: np.ndarray, alpha: float, mu: float,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
         """Every agent's derivative of the packed state ``u`` (``pack_agents``
-        order), packed alike.
+        order), packed alike, written into ``out`` if given, which must not
+        overlap ``u``.
 
         Agent ``i`` reads only its own state and its neighbors' ``x``: the
         exchange ``deg_i x_i - sum_j x_j`` is one adjacency product. The
@@ -133,16 +135,35 @@ class Network:
         first use, equal to their separate gradients to the bit), and
         identity local maps cost nothing. The multiplier derivatives come
         first so the primal derivatives can reuse them; the staggering is
-        exactly the per-block form of the centralized field."""
+        exactly the per-block form of the centralized field. Each derivative
+        is written into its part of the output once; the contiguous ``(y,
+        lam1, lam2)`` tail is scaled by ``alpha`` in one pass, and where
+        ``mu``, ``alpha`` or ``alpha * mu`` is 1 the pass that would multiply
+        or divide by it is skipped, to the same bits."""
         (xs, zs, ys, l1s, l2s), deg, A, C, Ct, grads, proxes = self._field_ops
         x, z, y, lam1, lam2 = u[xs], u[zs], u[ys], u[l1s], u[l2s]
-        lam1_dot = alpha * (deg * x - A(x))
-        lam2_dot = alpha * (C(x) - z)
-        y_dot = alpha * (z - proxes.prox(mu, z + mu * y))
-        z_dot = -y - y_dot / (alpha * mu) + lam2 + lam2_dot / (alpha * mu)
-        x_dot = (-grads.grad(x) - lam1 - Ct(lam2)
-                 - (lam1_dot + Ct(lam2_dot)) / (alpha * mu))
-        return np.concatenate([x_dot, z_dot, y_dot, lam1_dot, lam2_dot])
+        if out is None:
+            out = np.empty(u.size)
+        x_dot, z_dot, y_dot, lam1_dot, lam2_dot = (out[xs], out[zs], out[ys],
+                                                   out[l1s], out[l2s])
+        np.subtract(deg * x, A(x), out=lam1_dot)
+        np.subtract(C(x), z, out=lam2_dot)
+        np.subtract(z, proxes.prox(mu, y + z if mu == 1.0 else z + mu * y), out=y_dot)
+        if alpha != 1.0:
+            out[ys.start:] *= alpha
+        am = alpha * mu
+        np.negative(y, out=z_dot)
+        z_dot -= y_dot if am == 1.0 else y_dot / am
+        z_dot += lam2
+        z_dot += lam2_dot if am == 1.0 else lam2_dot / am
+        np.negative(grads.grad(x), out=x_dot)
+        x_dot -= lam1
+        x_dot -= Ct(lam2)
+        coupling = lam1_dot + Ct(lam2_dot)
+        if am != 1.0:
+            coupling /= am
+        x_dot -= coupling
+        return out
 
     def switching(self, mu: float) -> Optional[flow.ProxSwitching]:
         """The switching functions of :meth:`field`'s prox plan at penalty
@@ -238,8 +259,9 @@ def run_discrete(net: Network, init: Sequence[AgentState], eta: float,
     _check_positive(eta=eta, alpha=alpha, mu=mu)
     cfg = flow.IntegratorConfig(method="euler", h=eta, t_end=T_iters * eta,
                                 max_steps=T_iters)
-    traj = flow.integrate_ode(lambda t, y: net.field(y, alpha, mu), pack_agents(init),
-                              cfg, event=lambda t, y, f: 1e12 - np.linalg.norm(y))
+    traj = flow.integrate_ode(lambda t, y, out=None: net.field(y, alpha, mu, out),
+                              pack_agents(init), cfg,
+                              event=lambda t, y, f: 1e12 - np.linalg.norm(y))
     if traj.termination == "event":
         raise DivergenceError(max(traj.meta["steps"] - 1, 0))
     return traj
@@ -268,8 +290,8 @@ def simulate(net: Network, init: Sequence[AgentState], cfg: flow.IntegratorConfi
     :func:`flow.integrate` does on the assembled problem;
     ``meta["kink_caps"]`` and ``meta["kink_cuts"]`` count these."""
     _check_positive(alpha=alpha, mu=mu)
-    traj = flow.integrate_ode(lambda t, y: net.field(y, alpha, mu), pack_agents(init), cfg,
-                              switching=net.switching(mu))
+    traj = flow.integrate_ode(lambda t, y, out=None: net.field(y, alpha, mu, out),
+                              pack_agents(init), cfg, switching=net.switching(mu))
     rounds = traj.meta["n_evals"]
     traj.meta.update(messages_total=2 * len(net.edges) * rounds,
                      messages_per_round=2 * len(net.edges), rounds=rounds,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import inspect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -61,13 +62,15 @@ def blockwise_field(prob: SaddleProblem, s: PrimalDualState) -> PrimalDualState:
 
 
 class FlowField:
-    """Flat-state ODE right-hand side of the flow."""
+    """Flat-state ODE right-hand side of the flow; given ``out``, which must
+    not overlap ``flat``, the field is written into it and returned."""
 
     def __init__(self, prob: SaddleProblem):
         self.prob = prob
 
-    def __call__(self, t: float, flat: np.ndarray) -> np.ndarray:
-        return self.prob.kernel.field(flat)
+    def __call__(self, t: float, flat: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+        return self.prob.kernel.field(flat, out)
 
 
 class _Tableau(NamedTuple):
@@ -246,18 +249,25 @@ class ProxSwitching:
         field is ``f``: the least ``tau_i = -s_i / s'_i`` above ``LANDED·h``
         over the entries moving toward their kink (``s_i s'_i < 0``), with
         ``s'_i = sign(v_i)·(f_{z,i} + mu f_{y,i})`` and ``v_i = z_i + mu y_i``;
-        ``inf`` where there is none. Nuclear blocks are not predicted: their
-        rate would take an ``eigh`` per step."""
+        ``inf`` where there is none. An entry whose ``v_i'`` is zero is not
+        moving: its ``tau_i`` is NaN, which no comparison keeps. Nuclear
+        blocks are not predicted: their rate would take an ``eigh`` per
+        step."""
         if self.z is None:
             return math.inf
         mu = self.mu()
-        v = y[self.z] + mu * y[self.y]
+        # a unit mu costs no pass: 1.0 * a is a
+        if mu == 1.0:
+            v, level, rate = y[self.z] + y[self.y], self.w, f[self.z] + f[self.y]
+        else:
+            v, level = y[self.z] + mu * y[self.y], mu * self.w
+            rate = f[self.z] + mu * f[self.y]
         # -s_i / s'_i = (the level on v_i's side - v_i) / v_i'
-        gap = np.copysign(mu * self.w, v)
+        gap = np.copysign(level, v)
         gap -= v
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau = gap / (f[self.z] + mu * f[self.y])
-        return float(tau[tau > self.LANDED * h].min(initial=math.inf))
+        rate[rate == 0] = math.nan
+        gap /= rate
+        return float(gap[gap > self.LANDED * h].min(initial=math.inf))
 
     def first_crossing(self, y0: np.ndarray, y1: np.ndarray, K: np.ndarray,
                        P: np.ndarray, h: float) -> float:
@@ -343,6 +353,21 @@ class ProxSwitching:
         return float(np.min(j - 1 + left / (left - right))) / self.GRID
 
 
+def _takes_out(fun: Callable) -> bool:
+    """Whether ``fun`` takes an ``out`` argument to write its value into."""
+    try:
+        return "out" in inspect.signature(fun).parameters
+    except (TypeError, ValueError):     # no signature to read
+        return False
+
+
+def _copied_into_out(fun: Callable) -> Callable:
+    """``fun(t, y)`` as ``fun(t, y, out)``: its value copied into ``out``."""
+    def into(t, y, out):
+        out[...] = fun(t, y)
+    return into
+
+
 class _RungeKutta:
     """Explicit Runge–Kutta steps of ``y' = fun(t, y)`` from ``t = 0`` by the
     tableau of ``cfg.method`` (Hairer, Nørsett & Wanner, *Solving ODEs I*,
@@ -373,9 +398,15 @@ class _RungeKutta:
     A step's arithmetic runs in work arrays made once: the stage inputs, the
     error scale and the weighted error in place, each product formed in
     scipy's order, ``(K·a)·h + y``, so the values are scipy's to the bit.
-    ``fun`` is handed these arrays and must not keep them. The new state is
-    written into a spare array that, once accepted, becomes ``y`` and is
-    replaced by a fresh one, so a state is never written again."""
+    Each stage is written into its row of ``K``: a ``fun`` that takes an
+    ``out`` argument is called as ``fun(t, y, out)`` and writes the field
+    there; any other is called as ``fun(t, y)`` and its value copied into
+    the row. ``fun`` is handed these arrays and must not keep them. The
+    field held at an accepted Dormand–Prince state is the last row of ``K``,
+    copied into the first row once when the next step begins, so it survives
+    that step's rejected attempts and no attempt copies it again. The new
+    state is written into a spare array that, once accepted, becomes ``y``
+    and is replaced by a fresh one, so a state is never written again."""
 
     EXPONENT = -1 / 5       # -1 / (error estimator order + 1)
     # a kink prediction is taken again once half the time to the kink, or
@@ -384,7 +415,8 @@ class _RungeKutta:
 
     def __init__(self, fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
                  switching: Optional[ProxSwitching] = None):
-        self._fun, self.t_end, self.switching = fun, cfg.t_end, switching
+        self._fun = fun if _takes_out(fun) else _copied_into_out(fun)
+        self.t_end, self.switching = cfg.t_end, switching
         tab = METHODS[cfg.method]
         self.B, self.E, self.P, self.adaptive = tab.B, tab.E, tab.P, tab.adaptive
         self.t, self.y, self._f = 0.0, y0, None
@@ -392,9 +424,10 @@ class _RungeKutta:
         self.kink_cuts = self.kink_caps = 0
         self._predict_at = 0.0
         # the stages (and Dormand–Prince's field at the new state), read
-        # through views made once
+        # and written through views made once
         self.K = K = np.empty((len(tab.B) + self.adaptive, y0.size))
-        self._rows = [(s, K[:s].T, tab.A[s, :s], tab.C[s]) for s in range(1, len(tab.C))]
+        self._first, self._last = K[0], K[-1]
+        self._rows = [(K[s], K[:s].T, tab.A[s, :s], tab.C[s]) for s in range(1, len(tab.C))]
         self._KB = K[:len(tab.B)].T
         self._work, self._y_new = np.empty(y0.size), np.empty(y0.size)
         if self.adaptive:
@@ -409,30 +442,38 @@ class _RungeKutta:
             self.n_steps = int(np.ceil(cfg.t_end / cfg.h))
             self.n_steps -= (self.n_steps - 1) * cfg.h >= cfg.t_end
 
-    def fun(self, t, y) -> np.ndarray:
+    def fun(self, t, y, out: np.ndarray) -> None:
+        """A counted call of the field at ``(t, y)``, written into ``out``."""
         self.nfev += 1
-        return np.asarray(self._fun(t, y), dtype=float)
+        self._fun(t, y, out)
 
     @property
     def f(self) -> np.ndarray:
         if self._f is None:
-            self._f = self.fun(self.t, self.y)
+            self.fun(self.t, self.y, self._first)
+            self._f = self._first
         return self._f
 
     def _stages(self, t: float, y: np.ndarray, h: float) -> np.ndarray:
-        """The stages of a step of ``h`` into ``K``, and ``y + h·Σ b_i k_i``
-        into the spare array, which is returned."""
-        K, dy, y_new = self.K, self._work, self._y_new
+        """The stages of a step of ``h`` into ``K``, the first being the
+        held field in ``K[0]``, and ``y + h·Σ b_i k_i`` into the spare array,
+        which is returned."""
+        dy, y_new = self._work, self._y_new
+        f = self.f
+        if f is self._last:
+            # the field an accepted step left in the last row, moved once:
+            # the attempts write only the later rows
+            self._first[...] = f
+            self._f = f = self._first
         if not self._rows:
             # forward Euler: the one-stage sum is f itself
-            np.multiply(self.f, h, out=y_new)
+            np.multiply(f, h, out=y_new)
         else:
-            K[0] = self.f
-            for s, Ks, a, c in self._rows:
+            for row, Ks, a, c in self._rows:
                 np.dot(Ks, a, out=dy)
                 dy *= h
                 dy += y
-                K[s] = self.fun(t + c * h, dy)
+                self.fun(t + c * h, dy, row)
             np.dot(self._KB, self.B, out=y_new)
             y_new *= h
         y_new += y
@@ -451,7 +492,8 @@ class _RungeKutta:
         d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, self.t_end)
-        f1 = self.fun(h0, y0 + h0 * f0)
+        f1 = self._last
+        self.fun(h0, y0 + h0 * f0, f1)
         d2 = _rms((f1 - f0) / scale) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
@@ -489,7 +531,7 @@ class _RungeKutta:
             h = t_new - t
             h_abs = abs(h)
             y_new = self._stages(t, y, h)
-            K[-1] = f_new = self.fun(t + h, y_new)
+            self.fun(t + h, y_new, self._last)
             # atol + max(|y|, |y_new|)·rtol, and the error (K·e)·h / scale
             np.abs(y, out=err)
             np.abs(y_new, out=scale)
@@ -518,7 +560,7 @@ class _RungeKutta:
         h_abs *= min(1, factor) if rejected else factor
         self.h_abs = h_abs if kink is None else max(h_abs, kink)
         self.t_old, self.y_old = t, y
-        self.t, self.y, self._f = t_new, self._accept(), f_new
+        self.t, self.y, self._f = t_new, self._accept(), self._last
         self.done = t_new >= self.t_end
 
     def dense_output(self) -> _DenseStep:
@@ -654,8 +696,13 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
     only), ``meta["dense"]`` interpolates every accepted step's dense output
     (a :class:`_DenseSolution`, absent for a run stopped at its start).
 
-    ``fun`` and ``event`` must not keep the arrays they are handed: the
-    stepper writes its stage inputs into arrays it reuses.
+    ``fun`` is called as ``fun(t, y)`` and returns the field, or, where it
+    takes an ``out`` argument (``fun(t, y, out=None)``, as
+    :class:`FlowField` does), writes it into ``out``, the stepper's stage
+    row, and no array is allocated or copied per evaluation; every call is
+    counted either way. ``fun`` and ``event`` must not keep the arrays they
+    are handed: the stepper writes its stage inputs, its stages and the
+    field it holds into arrays it reuses.
     """
     y0 = np.asarray(y0, dtype=float)
     if not np.all(np.isfinite(y0)):
@@ -725,19 +772,30 @@ def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig) -
     Terminates on ``t_end``; on ``stop_kkt``, once the KKT residual is at or
     below it (located by the adaptive integrator's event search; a start
     already there returns at once); or on ``max_steps``. The reason is
-    recorded. The stop event reads the residual off the field the stepper
-    holds where it has one (``kernel.kkt(y, f)``); the ``kkt_residual``
-    column is ``kernel.kkt`` at every kept sample. Where the z blocks hold
-    an l1 run or a nuclear-norm block, the adaptive method aims each step at
-    the next l1 kink and retries a rejected attempt at the first kink of
-    their proxes (``integrate_ode``'s ``switching``).
+    recorded. Where the stepper holds the field ``f`` at a state, the stop
+    event first tries the lower bound ``kernel.kkt_bound(f)``, one dot
+    product: where it exceeds ``stop_kkt`` the event returns that positive
+    gap, and otherwise the residual read off the field, ``kernel.kkt(y, f)``
+    less ``stop_kkt``. Only the event's sign decides a stop, and the root
+    search evaluates the residual in full, so the bound moves no stop. The
+    ``kkt_residual`` column is ``kernel.kkt`` at every kept sample. Where
+    the z blocks hold an l1 run or a nuclear-norm block, the adaptive
+    method aims each step at the next l1 kink and retries a rejected
+    attempt at the first kink of their proxes (``integrate_ode``'s
+    ``switching``).
     """
+    k = prob.kernel
     event = None
     if cfg.stop_kkt is not None:
-        def event(t, y, f):
-            return prob.kernel.kkt(y, f) - cfg.stop_kkt
+        stop = cfg.stop_kkt
 
-    k = prob.kernel
+        def event(t, y, f):
+            if f is not None:
+                gap = k.kkt_bound(f) - stop
+                if gap > 0:
+                    return gap
+            return k.kkt(y, f) - stop
+
     traj = integrate_ode(FlowField(prob), prob.pack(s0), cfg, event=event,
                          field=lambda t, y: k.field(y),
                          switching=ProxSwitching.of(k.z_plan, k.m, k.m + k.n,

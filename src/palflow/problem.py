@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -326,9 +327,10 @@ class BlockPlan:
 
     A run of adjacent functions of kind ``"l1"`` makes one call: the soft
     threshold at the per-entry level ``w * mu``, where ``w`` repeats each
-    block's ``meta["weight"]`` over its entries. That holds the same doubles
-    as each block's ``weight * mu``, and ``prox_l1`` acts entry by entry, so
-    the run equals its blocks' calls to the bit. A run of adjacent blocks of
+    block's ``meta["weight"]`` over its entries (``w`` itself, only read,
+    where ``mu`` is 1). That holds the same doubles as each block's
+    ``weight * mu``, and ``prox_l1`` acts entry by entry, so the run equals
+    its blocks' calls to the bit. A run of adjacent blocks of
     kind ``"least_squares"`` shares one block-diagonal product pair
     ``M^T (M x - h)``, built on its first call, which likewise equals its
     blocks' gradients to the bit. Any other 1-D block is called on its
@@ -383,12 +385,13 @@ class BlockPlan:
         return out
 
     def prox(self, mu: float, v: np.ndarray) -> np.ndarray:
+        # at a unit mu the levels are the stored weights, which prox_l1 reads
         if self._lone_l1 is not None:
-            return prox_l1(self._lone_l1 * mu, v)
+            return prox_l1(self._lone_l1 if mu == 1.0 else self._lone_l1 * mu, v)
         out = np.empty(self.dim)
         for sl, w, shape, g in self.runs:
             if w is not None:
-                out[sl] = prox_l1(w * mu, v[sl])
+                out[sl] = prox_l1(w if mu == 1.0 else w * mu, v[sl])
             elif shape is None:
                 out[sl] = g.prox(mu, v[sl])
             else:
@@ -432,7 +435,13 @@ class FieldKernel:
     input, -0.0 entries included. Each product is bound once by
     ``csr_product``. The smooth gradients and the proxes run through one
     :class:`BlockPlan` each, which fuses adjacent l1 blocks into one soft
-    threshold. ``mu`` and ``alpha`` are read from the problem at each call.
+    threshold. ``mu`` and ``alpha`` are read from the problem at each call;
+    where one of them is 1 (``SaddleProblem``'s default), the passes that
+    would multiply or divide by it are skipped, to the same bits: ``a * 1.0``
+    and ``a / 1.0`` are ``a`` for every double, signed zeros and infinities
+    included, and ``a + b`` is ``b + a``. Where μ is 1 the l1 levels are the
+    plan's stored weights, which are only read, and ``kkt(u, f)`` reads views
+    of ``f``. :meth:`field` writes into an ``out`` it is handed.
     """
 
     def __init__(self, prob: SaddleProblem):
@@ -459,6 +468,7 @@ class FieldKernel:
         x_slices, z_slices = _slices(prob.x_shapes), _slices(prob.z_shapes)
         self.x_blocks = list(zip(x_slices, prob.smooth_blocks))
         self.z_blocks = list(zip(z_slices, prob.nonsmooth_blocks))
+        self._bound_share = 1.0 - 4 * (prob.state_dim + 2) * np.finfo(float).eps
         self.x_plan = BlockPlan(zip(x_slices, prob.x_shapes, prob.smooth_blocks))
         self.z_plan = BlockPlan(zip(z_slices, prob.z_shapes,
                                     [b.g for b in prob.nonsmooth_blocks]))
@@ -485,35 +495,43 @@ class FieldKernel:
         return (f + envelope + np.sum((r + mu * lam) ** 2) / (2.0 * mu)
                 - 0.5 * mu * np.sum(y ** 2) - 0.5 * mu * np.sum(lam ** 2))
 
-    def _assemble(self, u: np.ndarray, field: bool) -> np.ndarray:
+    def _assemble(self, u: np.ndarray, field: bool,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
         """The flat gradient, or with ``field`` the flow field, written into
-        one output slice by slice. The field's sign flip and α scaling go
-        into the writes: ``-(a + b)`` is ``(-a) - b`` and ``-(a - b)`` is
-        ``b - a`` to the bit, so both equal the gradient's entries negated
-        or scaled."""
+        one output slice by slice (``out`` if given). The field's sign flip
+        and α scaling go into the writes: ``-(a + b)`` is ``(-a) - b`` and
+        ``-(a - b)`` is ``b - a`` to the bit, so both equal the gradient's
+        entries negated or scaled. A unit μ or α costs no pass."""
         m, n, mu = self.m, self.n, self.prob.mu
         k = m + n
         z, y, lam = u[m:k], u[k:k + n], u[k + n:]
-        out = np.empty_like(u)
+        if out is None:
+            out = np.empty_like(u)
         gx, gz, gy, r = out[:m], out[m:k], out[k:k + n], out[k + n:]
         self._residual(u[:k], out=r)
-        shift = r / mu
-        shift += lam
+        if mu == 1.0:
+            shift, v = r + lam, y + z
+        else:
+            shift = r / mu
+            shift += lam
+            v = mu * y
+            v += z
         at = self._adjoint(shift)
-        v = mu * y
-        v += z
         pv = self.z_plan.prox(mu, v)
         np.subtract(z, pv, out=gy)
         if field:
             np.negative(self.x_plan.grad(u[:m]), out=gx)
             np.subtract(pv, v, out=gz)
-            gz /= mu
+            if mu != 1.0:
+                gz /= mu
             out[:k] -= at
-            out[k:] *= self.prob.alpha
+            if self.prob.alpha != 1.0:
+                out[k:] *= self.prob.alpha
         else:
             gx[:] = self.x_plan.grad(u[:m])
             np.subtract(v, pv, out=gz)
-            gz /= mu
+            if mu != 1.0:
+                gz /= mu
             out[:k] += at
         return out
 
@@ -521,9 +539,10 @@ class FieldKernel:
         """Flat partial gradients ``(gx, gz, gy, glam)``."""
         return self._assemble(u, field=False)
 
-    def field(self, u: np.ndarray) -> np.ndarray:
-        """Primal-descent dual-ascent field ``(-gx, -gz, a*gy, a*glam)``."""
-        return self._assemble(u, field=True)
+    def field(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Primal-descent dual-ascent field ``(-gx, -gz, a*gy, a*glam)``,
+        written into ``out`` if given, which must not overlap ``u``."""
+        return self._assemble(u, field=True, out=out)
 
     def kkt(self, u: np.ndarray, f: Optional[np.ndarray] = None) -> float:
         """Norm of the stacked KKT violations; see :func:`kkt_residual`.
@@ -545,13 +564,24 @@ class FieldKernel:
                                  + np.sum((z - self.z_plan.prox(mu, z + mu * y)) ** 2)
                                  + np.sum(r ** 2)))
         alpha = self.prob.alpha
-        r = f[k + n:] / alpha
-        d = f[k:k + n] / alpha
-        # -(the two stationarity violations), summed into the adjoint
-        g = self._adjoint(r / mu)
-        g += f[:k]
-        g[m:] += d / mu
+        # views of f where alpha or mu is 1, which are only read
+        r, d = f[k + n:], f[k:k + n]
+        if alpha != 1.0:
+            r, d = r / alpha, d / alpha
+        # -(the two stationarity violations), summed into the adjoint; a new
+        # array, as an identity's adjoint returns its input
+        g = self._adjoint(r if mu == 1.0 else r / mu) + f[:k]
+        g[m:] += d if mu == 1.0 else d / mu
         return float(np.sqrt(g @ g + d @ d + r @ r))
+
+    def kkt_bound(self, f: np.ndarray) -> float:
+        """A lower bound on ``kkt(u, f)`` from the field ``f`` at ``u``:
+        ``||(f_y, f_lam)|| / a``, the norm of two of its three terms, in one
+        dot product over the contiguous tail of ``f``, less a share
+        ``4 (size + 2) eps`` of itself, which covers the rounding of the dot
+        products on either side."""
+        tail = f[self.m + self.n:]
+        return math.sqrt(tail.dot(tail)) / self.prob.alpha * self._bound_share
 
     @cached_property
     def range_basis(self) -> np.ndarray:

@@ -15,6 +15,7 @@ import numpy as np
 
 
 _SMALLEST = np.finfo(float).smallest_subnormal
+_LARGEST = np.finfo(float).max
 
 
 def _norm(a: np.ndarray) -> float:
@@ -122,13 +123,23 @@ def prox_group_lasso(mu: float, part: GroupPartition, v: np.ndarray) -> np.ndarr
     elsewhere. A level that underflows to 0.0 is raised to the smallest
     positive double, which keeps a zero-norm group at zero (``0 / 0`` would
     give NaN) and scales any other group by exactly 1.0, as the level 0.0
-    does: a nonzero norm is at least the square root of that double."""
+    does: a nonzero norm is at least the square root of that double. A
+    level that overflows to inf is lowered to the largest double, so a
+    group of finite norm maps to zeros (``inf / inf`` would give NaN). A
+    finite level keeps its bits; at ``mu = 1`` the weights are the levels."""
     v = np.asarray(v, dtype=float)
     if v.size != part.n:
         raise ValueError(f"expected {part.n} entries for the partition, got {v.size}")
     z = prox_l1(part.eta * mu, v) if part.eta > 0 else v
-    t = part.live_weights * mu
-    np.maximum(t, _SMALLEST, out=t)
+    if mu == 1.0:
+        t = part.live_weights           # finite and positive, and only read
+    else:
+        # w·mu may underflow to 0 only for mu < 1, overflow only for mu > 1
+        t = part.live_weights * mu
+        if mu < 1.0:
+            np.maximum(t, _SMALLEST, out=t)
+        else:
+            np.minimum(t, _LARGEST, out=t)
     scale = np.maximum(part.group_norms(z), t)
     np.divide(t, scale, out=scale)
     np.subtract(1.0, scale, out=scale)

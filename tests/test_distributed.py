@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import reference_decentralized_field
+from conftest import reference_decentralized_field, same_doubles
 from palflow import flow, problem, prox
 from palflow.distributed import (AgentData, AgentState, DivergenceError,
                                  Network, agent_states_from_central,
@@ -11,7 +11,7 @@ from palflow.distributed import (AgentData, AgentState, DivergenceError,
                                  simulate, split_multiplier, unpack_agents)
 from palflow.flow import IntegratorConfig, vector_field
 from palflow.examples import gen_lasso_network
-from palflow.linops import LinearOperator
+from palflow.linops import LinearOperator, unvec, vec
 from palflow.problem import SmoothBlock, kkt_residual
 
 
@@ -402,6 +402,61 @@ def test_network_field_is_the_per_agent_loop(rng, make_net, alpha, mu):
         u = rng.standard_normal(n)
         want = reference_decentralized_field(net, unpack_agents(net, u), alpha, mu)
         assert np.array_equal(net.field(u, alpha, mu), pack_agents(want))
+
+
+def _always_scaled_packed(net, u, alpha, mu):
+    """``Network.field`` with every pass that multiplies or divides by
+    ``alpha``, ``mu`` or ``alpha * mu`` taken, each agent's prox its own
+    call and each part a fresh array: the reference that skipping a unit
+    scale's passes must equal to the bit."""
+    (xs, zs, ys, l1s, l2s), deg, A, C, Ct, grads, _ = net._field_ops
+    x, z, y, lam1, lam2 = u[xs], u[zs], u[ys], u[l1s], u[l2s]
+    v = z + mu * y
+    prox_out = np.concatenate([vec(a.g.prox(mu, unvec(v[sl], a.C.out_shape)))
+                               for a, sl in zip(net.agents, net.z_slices)])
+    lam1_dot = alpha * (deg * x - A(x))
+    lam2_dot = alpha * (C(x) - z)
+    y_dot = alpha * (z - prox_out)
+    z_dot = -y - y_dot / (alpha * mu) + lam2 + lam2_dot / (alpha * mu)
+    x_dot = (-grads.grad(x) - lam1 - Ct(lam2)
+             - (lam1_dot + Ct(lam2_dot)) / (alpha * mu))
+    return np.concatenate([x_dot, z_dot, y_dot, lam1_dot, lam2_dot])
+
+
+@pytest.mark.parametrize("make_net", [small_net, mixed_net, mixed_prox_net,
+                                      lambda: gen_lasso_network(5, 20, 3, seed=0)[0]],
+                         ids=["triangle", "mixed", "mixed_prox", "lasso"])
+# both unit, neither, a unit mu only, and alpha * mu == 1
+@pytest.mark.parametrize("alpha,mu", [(1.0, 1.0), (2.5, 0.3), (2.5, 1.0), (0.4, 2.5)])
+def test_network_field_unit_scales_cost_no_bit(rng, make_net, alpha, mu):
+    """Where alpha, mu or alpha * mu is 1 the packed field skips the pass
+    that scales by it; returned or written into ``out``, it equals the
+    always-scaling form, value and sign bit, also on states holding zeros
+    of either sign."""
+    net = make_net()
+    n = 2 * net.k * net.x_dim + 3 * sum(net.z_dims)
+    for i in range(6):
+        u = rng.standard_normal(n)
+        if i % 2:
+            u[rng.random(n) < 0.2] = 0.0
+            u[rng.random(n) < 0.2] = -0.0
+        want = _always_scaled_packed(net, u, alpha, mu)
+        assert same_doubles(net.field(u, alpha, mu), want)
+        out = np.full(n, np.nan)
+        assert net.field(u, alpha, mu, out) is out and same_doubles(out, want)
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.7, 1.6])
+def test_simulate_leaves_the_plan_arrays_unchanged(rng, mu):
+    net = mixed_prox_net()
+    proxes = net._field_ops[-1]
+    part = net.agents[2].g.meta["partition"]
+    held = [w for _, w, _, _ in proxes.runs if w is not None]
+    held += [proxes.l1_weight, part.weights, part.live_weights]
+    before = [a.copy() for a in held]
+    init = unpack_agents(net, 0.3 * rng.standard_normal(2 * 4 * 3 + 3 * 12))
+    simulate(net, init, IntegratorConfig(t_end=2.0), 1.3, mu)
+    assert all(same_doubles(a, b) for a, b in zip(held, before))
 
 
 @pytest.mark.parametrize("method,h,stride", [("rk45", None, 1), ("rk45", None, 3),

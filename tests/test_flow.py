@@ -1,5 +1,7 @@
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -429,6 +431,143 @@ def test_kernel_reads_mu_and_alpha_per_call(rng):
     assert kkt_residual(prob, s) == pytest.approx(lifted, rel=1e-12)
 
 
+def _always_scaled(prob, u):
+    """The kernel's gradient and field at ``u``, and its KKT residual read
+    fresh and off that field, with every pass that multiplies or divides by
+    ``mu`` or ``alpha`` taken and each prox its block's own call: the
+    reference that skipping a unit scale's passes must equal to the bit."""
+    k, m, n, mu, a = prob.kernel, prob.m, prob.n, prob.mu, prob.alpha
+    kk = m + n
+    z, y, lam = u[m:kk], u[kk:kk + n], u[kk + n:]
+
+    def prox_g(v):
+        return np.concatenate([vec(b.g.prox(mu, unvec(v[sl], b.shape)))
+                               for sl, b in k.z_blocks] + [np.empty(0)])
+
+    r = k._residual(u[:kk])
+    shift = r / mu
+    shift += lam
+    at = k._adjoint(shift)
+    v = mu * y
+    v += z
+    pv = prox_g(v)
+    gx = k.x_plan.grad(u[:m])
+    grad = np.concatenate([gx, (v - pv) / mu, z - pv, r])
+    grad[:kk] += at
+    field = np.concatenate([-gx, (pv - v) / mu, z - pv, r])
+    field[:kk] -= at
+    field[kk:] *= a
+    at = k._adjoint(lam)
+    fresh = np.sqrt(np.sum((gx + at[:m]) ** 2) + np.sum((y + at[m:]) ** 2)
+                    + np.sum((z - prox_g(z + mu * y)) ** 2) + np.sum(r ** 2))
+    r, d = field[kk + n:] / a, field[kk:kk + n] / a
+    g = k._adjoint(r / mu)
+    g += field[:kk]
+    g[m:] += d / mu
+    return grad, field, float(fresh), float(np.sqrt(g @ g + d @ d + r @ r))
+
+
+# (mu, alpha): both unit, neither, a unit mu only, and alpha * mu == 1
+SCALES = [(1.0, 1.0), (0.3, 2.5), (1.0, 2.5), (2.5, 0.4)]
+CRITERION_6 = ["network_lasso", "sparse_group_lasso", "pcp", "covariance_completion"]
+
+
+def _instance(name, rng):
+    return composite_instance(rng) if name == "composite" else KERNEL_INSTANCES[name]()
+
+
+@pytest.mark.parametrize("mu,alpha", SCALES)
+@pytest.mark.parametrize("name", CRITERION_6 + ["composite"])
+def test_unit_scales_cost_no_bit(name, mu, alpha, rng):
+    """Where mu or alpha is 1 the kernel skips the passes that scale by it;
+    its gradient, its field (returned or written into ``out``) and both KKT
+    readings equal the always-scaling form, value and sign bit, also on
+    states holding zeros of either sign."""
+    prob = _instance(name, rng)
+    prob.mu, prob.alpha = mu, alpha
+    k = prob.kernel
+    for i in range(4):
+        u = prob.pack(prob.random_state(rng))
+        if i % 2:
+            u[rng.random(u.size) < 0.2] = 0.0
+            u[rng.random(u.size) < 0.2] = -0.0
+        grad, field, fresh, staged = _always_scaled(prob, u)
+        assert same_doubles(k.gradient(u), grad)
+        assert same_doubles(k.field(u), field)
+        out = np.full_like(u, np.nan)
+        assert k.field(u, out) is out and same_doubles(out, field)
+        assert k.kkt(u) == fresh and k.kkt(u, field) == staged
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.8, 1.6])
+@pytest.mark.parametrize("name", ["mixed_prox", "sparse_group_lasso", "network_lasso",
+                                  "composite"])
+def test_a_solve_leaves_the_plan_arrays_unchanged(name, mu, rng):
+    """The l1 levels and the group weights are read, never written: at a
+    unit mu the proxes read them as stored."""
+    prob = _instance(name, rng)
+    prob.mu = mu
+    plan = prob.kernel.z_plan
+    parts = [b.g.meta["partition"] for b in prob.nonsmooth_blocks
+             if b.g.kind == "group_lasso"]
+    held = [w for _, w, _, _ in plan.runs if w is not None] + [plan.l1_weight]
+    held += [a for part in parts for a in (part.weights, part.live_weights)]
+    before = [a.copy() for a in held]
+    integrate(prob, prob.random_state(rng), IntegratorConfig(t_end=2.0))
+    assert all(same_doubles(a, b) for a, b in zip(held, before))
+
+
+def test_flow_field_writes_into_out(rng):
+    prob = composite_instance(rng)
+    u = prob.pack(prob.random_state(rng))
+    out = np.full_like(u, np.nan)
+    assert FlowField(prob)(0.0, u, out) is out
+    assert same_doubles(out, prob.kernel.field(u))
+
+
+def test_the_in_place_run_is_the_copying_run(rng):
+    """A run whose field writes into the stepper's stage rows equals, to the
+    bit, the run of a two-argument field whose values the stepper copies
+    in: with rejected attempts, kink caps and cuts, a located stop and dense
+    output, and the same count of evaluations."""
+    prob = assemble_consensus(examples.gen_lasso_network(3, 4, 3, seed=0)[0])
+    k = prob.kernel
+    y0 = prob.pack(prob.random_state(rng))
+    cfg = IntegratorConfig(t_end=600.0, stop_kkt=1e-2, record_stride=3)
+    runs = [integrate_ode(fun, y0, cfg, event=lambda t, y, f: k.kkt(y, f) - 1e-2,
+                          dense=True,
+                          switching=flow.ProxSwitching.of(k.z_plan, k.m, k.m + k.n,
+                                                          lambda: prob.mu))
+            for fun in (FlowField(prob), lambda t, y: k.field(y))]
+    a, b = runs
+    assert a.termination == b.termination == "event"
+    assert min(a.meta[key] for key in ("rejected", "kink_cuts", "kink_caps")) > 0
+    for key in ("n_evals", "steps", "rejected", "kink_cuts", "kink_caps"):
+        assert a.meta[key] == b.meta[key]
+    assert same_doubles(a.times, b.times) and same_doubles(a.states, b.states)
+    assert same_doubles(a.diagnostics["field_norm"], b.diagnostics["field_norm"])
+    ts = np.linspace(0.0, a.times[-1], 101)
+    assert same_doubles(a.meta["dense"](ts), b.meta["dense"](ts))
+
+
+@pytest.mark.parametrize("name", CRITERION_6 + ["composite", "mixed_prox"])
+def test_the_stop_bound_is_below_the_kkt_residual(name, rng):
+    """``kkt_bound(f)`` never exceeds ``kkt(u, f)``, and lies at least ``size``
+    machine epsilons of itself below ``||(f_y, f_lam)|| / alpha`` taken
+    exactly: the margin that covers the rounding of the dot products."""
+    prob = _instance(name, rng)
+    k, eps = prob.kernel, Fraction(np.finfo(float).eps)
+    for mu, alpha in SCALES:
+        prob.mu, prob.alpha = mu, alpha
+        for scale in (1e-6, 1.0, 1e6):
+            u = scale * prob.pack(prob.random_state(rng))
+            f = k.field(u)
+            bound = k.kkt_bound(f)
+            assert 0 < bound <= k.kkt(u, f)
+            exact = sum(Fraction(x) ** 2 for x in f[prob.m + prob.n:]) / Fraction(alpha) ** 2
+            assert Fraction(bound) ** 2 <= (1 - u.size * eps) ** 2 * exact
+
+
 @pytest.fixture
 def steppers(monkeypatch):
     """Every stepper ``flow`` creates during the test; each records the
@@ -500,36 +639,47 @@ def test_rejected_counts_the_attempts_not_accepted(rng, steppers):
 
 
 def test_stop_kkt_event_is_the_kkt_residual(rng, monkeypatch):
+    """Handed no field, the stop event is the KKT residual less the target.
+    Handed the field, it has that sign, and equals the residual read off the
+    field less the target wherever the bound does not clear the target."""
     prob = composite_instance(rng)
     seen = {}
     integrate_ode = flow.integrate_ode
 
     def capture(fun, y0, cfg, event=None, field=None, switching=None):
-        seen["event"] = event
+        seen[cfg.stop_kkt] = event
         return integrate_ode(fun, y0, cfg, event=event, field=field, switching=switching)
 
     monkeypatch.setattr(flow, "integrate_ode", capture)
-    integrate(prob, prob.random_state(rng), IntegratorConfig(t_end=0.1, stop_kkt=1e-3))
+    for stop in (1e-3, 1e3):
+        integrate(prob, prob.random_state(rng), IntegratorConfig(t_end=0.1, stop_kkt=stop))
     lifted = build_lifted(prob)
     for _ in range(5):
         s = prob.random_state(rng)
         u = prob.pack(s)
-        value = seen["event"](0.0, u, None) + 1e-3
+        f = prob.kernel.field(u)
+        value = seen[1e-3](0.0, u, None) + 1e-3
         assert value == pytest.approx(kkt_residual(prob, s), rel=1e-12)
         assert value == pytest.approx(lifted.kkt_residual(s.x, s.z, s.z, s.y, s.lam),
                                       rel=1e-12)
-        staged = seen["event"](0.0, u, prob.kernel.field(u)) + 1e-3
-        assert staged == pytest.approx(value, rel=1e-12)
+        for stop, event in seen.items():
+            staged = event(0.0, u, f)
+            assert (staged > 0) == (prob.kernel.kkt(u, f) > stop) == (value > stop)
+            if not prob.kernel.kkt_bound(f) > stop:
+                assert staged == prob.kernel.kkt(u, f) - stop
+        # the bound clears 1e-3 on these states, not 1e3
+        assert prob.kernel.kkt_bound(f) > 1e-3 and seen[1e3](0.0, u, f) < 0
 
 
 @pytest.mark.parametrize("method,h,stride,stop", [
     ("rk45", None, 1, 0.3), ("rk45", None, 3, 0.3), ("rk45", None, 3, 1e-12),
     ("euler", 0.01, 1, 0.3), ("euler", 0.01, 7, 1e-12)])
 def test_stop_kkt_column_reuses_the_event(rng, monkeypatch, method, h, stride, stop):
-    """With ``stop_kkt``, ``kernel.kkt`` runs once per event call, reading
-    the field the event is handed (the last stage of each accepted adaptive
-    step), and once per kept sample, with no field; the column equals a
-    fresh evaluation at every sample, to the bit. The stop is a share
+    """With ``stop_kkt``, ``kernel.kkt`` runs once per event call handed no
+    field, once per event call handed a field (the last stage of each
+    accepted adaptive step) whose bound does not clear the target, reading
+    that field, and once per kept sample, with no field; the column equals
+    a fresh evaluation at every sample, to the bit. The stop is a share
     ``stop`` of the starting KKT residual."""
     prob = composite_instance(rng)
     s0 = prob.random_state(rng)
@@ -541,17 +691,26 @@ def test_stop_kkt_column_reuses_the_event(rng, monkeypatch, method, h, stride, s
     integrate_ode = flow.integrate_ode
 
     def counting(fun, y0, cfg, event=None, field=None, switching=None):
+        # None where no field is handed, else whether its bound clears
         return integrate_ode(fun, y0, cfg, field=field, switching=switching,
-                             event=lambda t, y, f: (
-                                 event_calls.append(f is None) or event(t, y, f)))
+                             event=lambda t, y, f: event_calls.append(
+                                 None if f is None
+                                 else prob.kernel.kkt_bound(f) > cfg.stop_kkt)
+                             or event(t, y, f))
 
     monkeypatch.setattr(flow, "integrate_ode", counting)
     traj = integrate(prob, s0, cfg)
     assert traj.termination == ("stop_kkt" if stop == 0.3 else "t_end")
-    assert calls.count(True) == len(traj.times) + event_calls.count(True)
+    assert calls.count(True) == len(traj.times) + event_calls.count(None)
     assert calls.count(False) == event_calls.count(False)
     # the adaptive method hands the event a field at every accepted step
-    assert event_calls.count(False) == (traj.meta["steps"] if method == "rk45" else 0)
+    handed = len(event_calls) - event_calls.count(None)
+    assert handed == (traj.meta["steps"] if method == "rk45" else 0)
+    if method == "rk45":
+        # the bound clears the target at the steps far from it, and not at
+        # every step up to the stop
+        assert event_calls.count(True) > 0
+        assert (event_calls.count(False) > 0) == (stop == 0.3)
     assert traj.diagnostics["kkt_residual"].tolist() == [kkt(u) for u in traj.states]
 
 
@@ -602,9 +761,12 @@ def test_reused_buffers_never_leak(rng, monkeypatch):
         def step(self):
             super().step()
             handed = [self.y] + ([self.y_old] if self.adaptive else [])
-            handed += [self._f] if self._f is not None else []
             assert not any(np.shares_memory(a, w)
                            for a in handed for w in self._work_arrays())
+            # the field held at an accepted state is the last stage row,
+            # which the next step copies into its first before any stage
+            assert self._f is None or (self.adaptive and np.shares_memory(self._f, self.K[-1])
+                                       and not np.shares_memory(self._f, self.K[:-1]))
             self.held.append((self.y, self.y.copy()))
 
         def dense_output(self):
@@ -952,7 +1114,7 @@ def _attempt(fun, y0, h=1.0):
     its stages (the field at the end last) and the dense-output weights."""
     st = flow._RungeKutta(fun, np.asarray(y0, dtype=float), IntegratorConfig(t_end=10.0))
     y1 = st._stages(0.0, st.y, h).copy()
-    st.K[-1] = st.fun(h, y1)
+    st.fun(h, y1, st.K[-1])
     return y1, st.K, st.P
 
 
@@ -1226,11 +1388,28 @@ def test_next_crossing_is_the_first_order_time_to_a_kink():
     f[0] = -0.2
     assert sw.next_crossing(u, f, 10.0) == np.inf
     f[:] = 0.0
-    assert sw.next_crossing(u, f, 10.0) == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # a zero rate is dropped unwarned
+        assert sw.next_crossing(u, f, 10.0) == np.inf
     # 1e-4 from the kink: ignored against a step of 1, not of 0.05
     u[[0, 4]], f[0] = (0.5 - 1e-4, 0.0), 1.0
     assert sw.next_crossing(u, f, 1.0) == np.inf
     assert sw.next_crossing(u, f, 0.05) == pytest.approx(1e-4, rel=1e-9)
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.5])
+def test_next_crossing_is_the_scaled_formula_to_the_bit(rng, mu):
+    """At a unit mu the prediction skips its scaling passes, to the bit."""
+    w = 0.5 + rng.random(6)
+    sw = _switching(w, mu=mu)
+    for _ in range(20):
+        u, f = rng.standard_normal(12), rng.standard_normal(12)
+        f[rng.random(12) < 0.3] = 0.0
+        v = u[:6] + mu * u[6:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = (np.copysign(mu * w, v) - v) / (f[:6] + mu * f[6:])
+        want = tau[tau > flow.ProxSwitching.LANDED].min(initial=np.inf)
+        assert sw.next_crossing(u, f, 1.0) == want
 
 
 def test_a_kink_at_or_beyond_the_step_or_just_landed_on_is_not_capped():

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import reference_prox_nuclear, same_doubles
 from palflow import prox
@@ -185,6 +185,8 @@ def _group_lasso_masked(mu, part, v):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10 ** 6), st.floats(0.1, 3.0))
+@example(0, 1.0)                                  # the levels are the weights
+@example(1, 1.0)
 def test_group_lasso_matches_loop_form(seed, mu):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 30))
@@ -250,6 +252,20 @@ def test_group_lasso_level_underflowing_to_zero():
         out = prox_group_lasso(mu, part, v)
     assert same_doubles(out, _group_lasso_masked(mu, part, v))
     assert same_doubles(out, np.array([0.0, -0.0, 0.0, -0.0, 1.0, -2.0]))
+
+
+def test_group_lasso_level_overflowing_to_inf():
+    """Where ``weight * mu`` overflows to inf, the level is the largest
+    double: a group of finite norm maps to zeros signed as its input, as in
+    the masked form, not to NaN from ``inf / inf``. numpy warns of the
+    overflow in the multiply; the output is what is asserted."""
+    part = GroupPartition([np.arange(2)], [1e300])
+    v = np.array([3.0, -4.0])
+    with np.errstate(over="ignore"):
+        out = prox_group_lasso(1e10, part, v)
+        want = _group_lasso_masked(1e10, part, v)
+    assert same_doubles(out, want)
+    assert same_doubles(out, np.array([0.0, -0.0]))
 
 
 def test_group_lasso_rejects_wrong_length():
