@@ -167,7 +167,8 @@ class Network:
 
     def switching(self, mu: float) -> Optional[flow.ProxSwitching]:
         """The switching functions of :meth:`field`'s prox plan at penalty
-        ``mu``, or ``None`` where no agent's ``g`` is l1 or nuclear."""
+        ``mu``, or ``None`` where no agent's ``g`` is l1, nuclear or a
+        group lasso."""
         (_, zs, ys, _, _), *_, proxes = self._field_ops
         return flow.ProxSwitching.of(proxes, zs.start, ys.start, lambda: mu)
 
@@ -285,8 +286,9 @@ def simulate(net: Network, init: Sequence[AgentState], cfg: flow.IntegratorConfi
     """Integrate the decentralized field; every field evaluation the stepper
     makes is one synchronous round carrying ``x`` across each edge in both
     directions, so ``rounds`` is the run's ``n_evals``. The adaptive method
-    aims each step at the next l1 kink of the agents' proxes and retries a
-    rejected attempt at the first kink (:meth:`Network.switching`), as
+    aims each step at the next l1 or group kink of the agents' proxes and
+    retries a rejected attempt at the first l1 or nuclear kink
+    (:meth:`Network.switching`), as
     :func:`flow.integrate` does on the assembled problem;
     ``meta["kink_caps"]`` and ``meta["kink_cuts"]`` count these."""
     _check_positive(alpha=alpha, mu=mu)

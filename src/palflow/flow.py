@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .problem import PrimalDualState, SaddleProblem, _check_positive
-from .prox import gram, keeps_none
+from .prox import gram, keeps_none, prox_l1
 
 
 def __getattr__(name):
@@ -199,10 +199,11 @@ def _prox_rank(G: np.ndarray, level: float) -> int:
 
 class ProxSwitching:
     """The switching functions of a prox plan's kinks: of its l1 entries
-    (``BlockPlan.l1_index`` and ``l1_weight``) and of its nuclear-norm
-    blocks (``BlockPlan.nuclear``), whose ``z`` and ``y`` lie at ``z_start``
-    and ``y_start`` of the flat state. ``mu()`` gives the penalty, read at
-    each call. :meth:`of` is ``None`` for a plan with neither.
+    (``BlockPlan.l1_index`` and ``l1_weight``), of its nuclear-norm blocks
+    (``BlockPlan.nuclear``) and of the groups of its group-lasso blocks
+    (``BlockPlan.groups``), whose ``z`` and ``y`` lie at ``z_start`` and
+    ``y_start`` of the flat state. ``mu()`` gives the penalty, read at each
+    call. :meth:`of` is ``None`` for a plan with none of the three.
 
     - l1 entry ``i`` of weight ``w_i``: ``s_i = |z_i + mu y_i| - mu w_i``;
       its soft threshold is zero where ``s_i <= 0``.
@@ -214,10 +215,15 @@ class ProxSwitching:
       ||V w_i||^2 - (mu c)^2`` (``V^T w_i`` where ``V`` is wide) is positive
       at the start on exactly the eigenvalues the prox keeps, and follows
       ``sigma_i^2 - (mu c)^2`` to first order in the step.
+    - Group ``g`` of weight ``w_g`` in a partition with entry weight
+      ``eta``, with ``v_g`` its part of ``z + mu y``: ``s_g =
+      ||S_{eta mu}(v_g)|| - mu w_g`` (``S`` the soft threshold; the plain
+      group norm where ``eta`` is 0); its prox maps the group to zero
+      where ``s_g <= 0``.
 
-    :meth:`next_crossing` predicts the next l1 kink from the field at a
-    step's start; :meth:`first_crossing` finds the first kink of either kind
-    on a rejected attempt's interpolant."""
+    :meth:`next_crossing` predicts the next l1 or group kink from the field
+    at a step's start; :meth:`first_crossing` finds the first l1 or nuclear
+    kink on a rejected attempt's interpolant."""
 
     GRID = 64       # intervals of the crossing search on ``[0, 1]``
     # a predicted crossing within this fraction of the step is the kink the
@@ -230,44 +236,95 @@ class ProxSwitching:
     _GRAM_POWERS = _X ** np.add.outer(np.arange(5), np.arange(5)).reshape(25, 1)
 
     def __init__(self, plan, z_start: int, y_start: int, mu: Callable[[], float]):
-        self.mu, self.z = mu, None
+        self.mu, self.z, self.gz = mu, None, None
         if plan.l1_index is not None:
             self.z, self.y = plan.l1_index + z_start, plan.l1_index + y_start
             self.w = plan.l1_weight
         self.nuclear = [(slice(sl.start + z_start, sl.stop + z_start),
                          slice(sl.start + y_start, sl.stop + y_start), shape, c)
                         for sl, shape, c in plan.nuclear]
+        if plan.groups:
+            # every group's entries end to end, in partition order
+            at = np.concatenate([sl.start + p.order for sl, p in plan.groups])
+            self.gz, self.gy = at + z_start, at + y_start
+            sizes = np.concatenate([p.sizes for _, p in plan.groups])
+            self.g_start = np.cumsum(sizes) - sizes
+            self.g_w = np.concatenate([p.live_weights for _, p in plan.groups])
+            # per-entry l1 levels, or None where every partition's eta is 0
+            eta = np.concatenate([np.full(p.n, p.eta) for _, p in plan.groups])
+            self.g_eta = eta if eta.any() else None
 
     @classmethod
     def of(cls, plan, z_start: int, y_start: int,
            mu: Callable[[], float]) -> Optional[ProxSwitching]:
-        return (None if plan.l1_index is None and not plan.nuclear
+        """The switching functions of ``plan``, or ``None`` where it has no
+        l1 run, nuclear block or group lasso."""
+        return (None if plan.l1_index is None and not plan.nuclear and not plan.groups
                 else cls(plan, z_start, y_start, mu))
 
     def next_crossing(self, y: np.ndarray, f: np.ndarray, h: float) -> float:
-        """The first-order time to the next l1 kink from ``y``, where the
-        field is ``f``: the least ``tau_i = -s_i / s'_i`` above ``LANDED·h``
-        over the entries moving toward their kink (``s_i s'_i < 0``), with
-        ``s'_i = sign(v_i)·(f_{z,i} + mu f_{y,i})`` and ``v_i = z_i + mu y_i``;
-        ``inf`` where there is none. An entry whose ``v_i'`` is zero is not
-        moving: its ``tau_i`` is NaN, which no comparison keeps. Nuclear
-        blocks are not predicted: their rate would take an ``eigh`` per
-        step."""
-        if self.z is None:
-            return math.inf
-        mu = self.mu()
+        """The first-order time to the next l1 or group kink from ``y``,
+        where the field is ``f``: the least ``tau = -s / s'`` above
+        ``LANDED·h`` over the switching functions moving toward their kink
+        (``s s' < 0``); ``inf`` where there is none. With ``v = z + mu y``
+        and ``v' = f_z + mu f_y``:
+
+        - an l1 entry's rate is ``s'_i = sign(v_i)·v_i'``, its side that of
+          ``v_i``, or of ``v_i'`` where ``v_i`` is zero;
+        - a group's is ``s'_g = u_g·u_g' / ||u_g||`` with ``u_g =
+          S_{eta mu}(v_g)`` and ``u_g'`` the entries of ``v_g'`` where
+          ``u_g`` is not held at zero by its threshold (all of them where
+          ``eta`` is 0); a group with ``u_g = 0`` moves at ``||u_g'||``.
+
+        A function whose rate is zero is not moving: its ``tau`` is NaN,
+        which no comparison keeps. Nuclear blocks are not predicted."""
+        mu, landed, tau = self.mu(), self.LANDED * h, math.inf
+        if self.z is not None:
+            gap = self._l1_gap(mu, y, f)
+            tau = gap[gap > landed].min(initial=tau)
+        if self.gz is not None:
+            gap = self._group_gap(mu, y, f)
+            tau = gap[gap > landed].min(initial=tau)
+        return float(tau)
+
+    def _parts(self, iz, iy, mu, y, f):
+        """``z + mu y`` and its rate, with ``z`` and ``y`` at ``iz`` and
+        ``iy`` of the flat state."""
         # a unit mu costs no pass: 1.0 * a is a
         if mu == 1.0:
-            v, level, rate = y[self.z] + y[self.y], self.w, f[self.z] + f[self.y]
-        else:
-            v, level = y[self.z] + mu * y[self.y], mu * self.w
-            rate = f[self.z] + mu * f[self.y]
+            return y[iz] + y[iy], f[iz] + f[iy]
+        return y[iz] + mu * y[iy], f[iz] + mu * f[iy]
+
+    def _l1_gap(self, mu, y, f) -> np.ndarray:
+        v, rate = self._parts(self.z, self.y, mu, y, f)
         # -s_i / s'_i = (the level on v_i's side - v_i) / v_i'
-        gap = np.copysign(level, v)
+        gap = np.copysign(self.w if mu == 1.0 else mu * self.w, v)
         gap -= v
         rate[rate == 0] = math.nan
         gap /= rate
-        return float(gap[gap > self.LANDED * h].min(initial=math.inf))
+        # at v_i = 0 the side is v_i''s: tau is level / |v_i'|; the count
+        # costs less than the masked pass it spares where no v_i is zero
+        if np.count_nonzero(v) < v.size:
+            np.abs(gap, out=gap, where=v == 0)
+        return gap
+
+    def _group_gap(self, mu, y, f) -> np.ndarray:
+        v, rate = self._parts(self.gz, self.gy, mu, y, f)
+        if self.g_eta is not None:
+            v = prox_l1(self.g_eta * mu, v)
+            rate[v == 0] = 0.0
+        norm = np.sqrt(np.add.reduceat(v * v, self.g_start))
+        v *= rate
+        s_rate = np.add.reduceat(v, self.g_start)
+        zero = norm == 0
+        np.divide(s_rate, norm, out=s_rate, where=~zero)
+        if zero.any():
+            rate *= rate
+            s_rate[zero] = np.sqrt(np.add.reduceat(rate, self.g_start)[zero])
+        s_rate[s_rate == 0] = math.nan
+        gap = (self.g_w if mu == 1.0 else mu * self.g_w) - norm
+        gap /= s_rate
+        return gap
 
     def first_crossing(self, y0: np.ndarray, y1: np.ndarray, K: np.ndarray,
                        P: np.ndarray, h: float) -> float:
@@ -381,13 +438,13 @@ class _RungeKutta:
     ``rejected`` counts the attempts thrown away, and a step below the float
     spacing is a :class:`FlowError`. Given ``switching`` (a
     :class:`ProxSwitching`), a step's first attempt is shortened to the l1
-    kink that ``next_crossing`` predicts from the field held at its start
-    (no evaluation) when that is shorter than the step and not below the
-    minimum step; ``kink_caps`` counts these. A prediction is taken again
-    once the run has covered half the time to it, or ``HOLD`` steps of the
-    step it was taken for, whichever comes first. A rejected attempt that
-    carries an l1 entry across its kink, or changes the rank of a nuclear
-    block's prox, is retried at the first crossing on its own interpolant
+    or group kink that ``next_crossing`` predicts from the field held at
+    its start (no evaluation) when that is shorter than the step and not
+    below the minimum step; ``kink_caps`` counts these. A prediction is
+    taken again once the run has covered half the time to it, or ``HOLD``
+    steps of the step it was taken for, whichever comes first. A rejected
+    attempt that carries an l1 entry across its kink, or changes the rank
+    of a nuclear block's prox, is retried at the first crossing on its own interpolant
     when that step is shorter than the controller's and not below the
     minimum step; ``kink_cuts`` counts these retries. An accepted step whose
     length a kink set (a cap or a cut) proposes at least the step the kink
@@ -675,9 +732,9 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
     ``"max_steps"``, which caps the accepted steps) and ``meta`` with
     ``n_evals`` (the stepper's calls of ``fun``), ``steps``, ``rejected``,
     ``kink_cuts`` and ``kink_caps``. The adaptive method shortens a step's
-    first attempt to the next l1 kink ``switching`` predicts from the field
-    at its start, and retries a rejected attempt at the first l1 or
-    nuclear-norm kink it locates on its interpolant, where that is the
+    first attempt to the next l1 or group kink ``switching`` predicts from
+    the field at its start, and retries a rejected attempt at the first l1
+    or nuclear-norm kink it locates on its interpolant, where that is the
     shorter step; the step after either is at least the one the kink
     displaced (see :class:`_RungeKutta`). With no ``switching`` it equals
     ``solve_ivp``'s ``RK45`` to the bit, and ``kink_cuts`` and
@@ -779,10 +836,10 @@ def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig) -
     less ``stop_kkt``. Only the event's sign decides a stop, and the root
     search evaluates the residual in full, so the bound moves no stop. The
     ``kkt_residual`` column is ``kernel.kkt`` at every kept sample. Where
-    the z blocks hold an l1 run or a nuclear-norm block, the adaptive
-    method aims each step at the next l1 kink and retries a rejected
-    attempt at the first kink of their proxes (``integrate_ode``'s
-    ``switching``).
+    the z blocks hold an l1 run, a nuclear-norm block or a group lasso, the
+    adaptive method aims each step at the next l1 or group kink and retries
+    a rejected attempt at the first l1 or nuclear kink of their proxes
+    (``integrate_ode``'s ``switching``).
     """
     k = prob.kernel
     event = None

@@ -338,7 +338,8 @@ class BlockPlan:
     and ``l1_weight`` hold the positions of every l1 run's entries and
     their weights, or ``None`` where there is no l1 run. ``nuclear`` lists
     each matrix-shaped block of kind ``"nuclear"`` as ``(slice, shape,
-    meta["weight"])``.
+    meta["weight"])``, and ``groups`` each 1-D block of kind
+    ``"group_lasso"`` as ``(slice, meta["partition"])``.
     """
 
     def __init__(self, blocks):
@@ -369,6 +370,8 @@ class BlockPlan:
         self.l1_weight = np.concatenate([w for _, w in l1]) if l1 else None
         self.nuclear = [(sl, shape, float(g.meta["weight"])) for sl, _, shape, g in self.runs
                         if shape is not None and getattr(g, "kind", None) == "nuclear"]
+        self.groups = [(sl, g.meta["partition"]) for sl, _, shape, g in self.runs
+                       if shape is None and getattr(g, "kind", None) == "group_lasso"]
         # a lone run fused here returns its own fresh array, uncopied; any
         # other lone block is copied, as its function may return a view
         lone = self.runs[0] if len(self.runs) == 1 else (None,) * 4

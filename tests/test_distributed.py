@@ -479,6 +479,35 @@ def test_simulate_is_the_reference_flow(rng, method, h, stride):
         assert traj.meta[key] == run.meta[key]
 
 
+def test_a_group_lasso_agent_is_switched(rng):
+    """The group-lasso agent of ``mixed_prox_net`` puts its groups into the
+    network's switching functions, at its packed ``z`` and ``y`` entries.
+    ``simulate`` is capped at them: it equals the reference field run with
+    those switching functions, and not the run without the groups."""
+    net = mixed_prox_net()
+    (_, zs, ys, _, _), *_ = net._field_ops
+    part = net.agents[2].g.meta["partition"]
+    at = net.z_slices[2].start + part.order
+    sw = net.switching(0.7)
+    assert np.array_equal(sw.gz, zs.start + at) and np.array_equal(sw.gy, ys.start + at)
+    init = unpack_agents(net, rng.standard_normal(2 * 4 * 3 + 3 * 12))
+    cfg = IntegratorConfig(t_end=2.0)
+    traj = simulate(net, init, cfg, alpha=1.3, mu=0.7)
+
+    def ref(t, y):
+        return pack_agents(reference_decentralized_field(
+            net, unpack_agents(net, y), 1.3, 0.7))
+
+    run = flow.integrate_ode(ref, pack_agents(init), cfg, switching=sw)
+    assert np.array_equal(traj.times, run.times)
+    assert np.array_equal(traj.states, run.states)
+    for key in ("n_evals", "rejected", "kink_cuts", "kink_caps"):
+        assert traj.meta[key] == run.meta[key]
+    sw.gz = None        # the l1 entries alone
+    l1_only = flow.integrate_ode(ref, pack_agents(init), cfg, switching=sw)
+    assert traj.meta["kink_caps"] > l1_only.meta["kink_caps"]
+
+
 def test_network_adjacency_is_the_edge_lists():
     net = gen_lasso_network(5, 20)[0]
     d = net.x_dim

@@ -1031,7 +1031,8 @@ def test_trajectory_csv_layout(tmp_path, rng):
 
 def test_nonfinite_state_raises():
     cfg = IntegratorConfig(method="euler", h=0.5, t_end=100.0)
-    with pytest.raises(Exception):
+    # the overflow is the point here, not a RuntimeWarning to fail on
+    with np.errstate(over="ignore"), pytest.raises(flow.FlowError, match="non-finite"):
         integrate_ode(lambda t, y: y ** 3, np.array([2.0]), cfg)
 
 
@@ -1412,6 +1413,164 @@ def test_next_crossing_is_the_scaled_formula_to_the_bit(rng, mu):
         assert sw.next_crossing(u, f, 1.0) == want
 
 
+def test_next_crossing_at_a_zero_entry_takes_the_side_of_its_rate():
+    """An entry at ``v_i = 0``, of either sign, reaches the level on the
+    side it moves to: ``mu w / |v_i'|`` ahead, whichever way it moves."""
+    sw = _switching([1.0])
+    for zero in (0.0, -0.0):
+        for rate in (-2.0, 2.0):
+            u, f = np.array([zero, zero]), np.array([rate, 0.0])
+            assert sw.next_crossing(u, f, 10.0) == 0.5
+    assert _switching([1.0], mu=0.5).next_crossing(np.zeros(2), np.array([0.0, -2.0]),
+                                                   10.0) == 0.5
+
+
+def _group_switching(groups, weights, eta=0.0, mu=1.0):
+    """Switching functions of one group-lasso block of ``groups`` on the
+    flat state ``(z, y)``, behind one l1 entry of weight 100 that moves
+    nowhere near its kink."""
+    part = prox.GroupPartition(groups, weights, eta)
+    plan = BlockPlan([(slice(0, 1), (1,), prox.l1(100.0)),
+                      (slice(1, 1 + part.n), (part.n,), prox.group_lasso(part))])
+    return flow.ProxSwitching.of(plan, 0, 1 + part.n, lambda: mu), part
+
+
+# three groups out of order in the partition: 0, 4, 8 | 1, 2 | 3, 5, 6, 7
+GROUPS = [np.array([0, 4, 8]), np.array([1, 2]), np.array([3, 5, 6, 7])]
+
+
+def _radial(rng, part, mu, c, v0):
+    """A state and field of the block (after the l1 entry) whose ``v = z +
+    mu y`` moves as ``v_g(t) = (1 + c_g t) v_g(0)``."""
+    n = part.n
+    y = rng.standard_normal(n)
+    dy = rng.standard_normal(n)
+    rate = np.empty(n)
+    for g, cg in zip(part.groups, c):
+        rate[g] = cg * v0[g]
+    u = np.concatenate([[1.0], v0 - mu * y, [0.0], y])
+    f = np.concatenate([[0.0], rate - mu * dy, [0.0], dy])
+    return u, f
+
+
+def test_group_next_crossing_is_exact_on_a_radial_flow(rng):
+    """Where each group's ``v_g`` moves radially the first-order time
+    ``(mu w_g - ||v_g||) / (c_g ||v_g||)`` is the crossing itself: a group
+    inside its level and growing, one outside and shrinking; one moving
+    away from its level, and one not moving, are ignored."""
+    mu, w = 0.7, np.array([2.0, 1.5, 3.0])
+    sw, part = _group_switching(GROUPS, w, mu=mu)
+    for _ in range(10):
+        v0 = np.empty(9)
+        # each group at least 20 % inside or 25 % outside its level
+        radii = rng.uniform(0.2, 0.8, 3) * rng.choice([1.0, 2.5], 3)
+        for g, r in zip(part.groups, radii * mu * w):
+            d = rng.standard_normal(len(g))
+            v0[g] = r * d / np.linalg.norm(d)
+        norms = part.group_norms(v0)
+        c = np.where(norms < mu * w, 1.0, -0.3) * rng.uniform(0.5, 2.0, 3)
+        tau = (mu * w - norms) / (c * norms)
+        assert np.allclose(np.abs(1 + c * tau) * norms, mu * w, rtol=1e-14)
+        u, f = _radial(rng, part, mu, c, v0)
+        assert sw.next_crossing(u, f, 1.0) == pytest.approx(tau.min(), rel=1e-12)
+        # the nearest group moving away, then still: the next one is taken
+        first = tau.argmin()
+        for cf in (-c[first], 0.0):
+            c2 = c.copy()
+            c2[first] = cf
+            u, f = _radial(rng, part, mu, c2, v0)
+            want = np.sort(tau)[1]
+            assert sw.next_crossing(u, f, 1.0) == pytest.approx(want, rel=1e-12)
+
+
+def test_group_next_crossing_with_eta_is_where_the_prox_switches():
+    """With an entry weight ``eta > 0`` the group prox thresholds first. A
+    flow that moves the thresholded ``u_g`` radially, while the entries
+    within the threshold drift but stay there, switches the prox between
+    zero and nonzero at the predicted time, found by bisection on
+    ``prox_group_lasso``. A group held at zero by its threshold stays there
+    to first order, and is not predicted."""
+    mu, eta, w = 0.8, 0.3, 1.5
+    sw, part = _group_switching([np.arange(5)], [w], eta=eta, mu=mu)
+    level = eta * mu
+
+    def next_crossing(v, rate):
+        return sw.next_crossing(np.concatenate([[1.0], v, [0.0], np.zeros(5)]),
+                                np.concatenate([[0.0], rate, [0.0], np.zeros(5)]), 1.0)
+
+    v0 = np.array([0.9, -0.1, -0.7, 0.2, 0.5])
+    u0 = prox.prox_l1(level, v0)
+    held = u0 == 0
+    assert 0 < np.linalg.norm(u0) < mu * w and held.sum() == 2
+    # the held entries, -0.1 and 0.2, stay within 0.24 to t = 1.5
+    drift = np.where(held, [0.0, -0.02, 0.0, -0.1, 0.0], 0.0)
+    for c in (1.0, -0.6):
+        start = v0 if c > 0 else np.where(held, v0, np.sign(v0) * (level + 3 * np.abs(u0)))
+        rate = c * prox.prox_l1(level, start) + drift
+        tau = next_crossing(start, rate)
+
+        def zero_at(t):
+            return not prox.prox_group_lasso(mu, part, start + t * rate).any()
+
+        lo, hi = 0.0, 1.5
+        assert zero_at(lo) != zero_at(hi)
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if zero_at(mid) == zero_at(0.0) else (lo, mid)
+        assert tau == pytest.approx(hi, rel=1e-12)
+    assert next_crossing(np.array([0.1, -0.2, 0.0, 0.05, -0.1]), np.ones(5)) == np.inf
+
+
+def test_a_zero_group_moves_at_the_norm_of_its_rate():
+    """A group at ``v_g = 0`` reaches its level ``mu w`` after ``mu w /
+    ||v_g'||``, with no warning; one not moving either is ignored."""
+    mu = 0.5
+    sw, part = _group_switching(GROUPS, [2.0, 1.5, 3.0], mu=mu)
+    u, f = np.zeros(20), np.zeros(20)
+    u[0], u[1:10], u[11:] = 1.0, -mu, 1.0       # v = z + mu y = 0 on every group
+    f[1 + GROUPS[1]] = [3.0, -4.0]              # ||v'|| = 5 on group 1 only
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sw.next_crossing(u, f, 1.0) == pytest.approx(mu * 1.5 / 5.0, rel=1e-14)
+        f[:] = 0.0
+        assert sw.next_crossing(u, f, 1.0) == np.inf
+
+
+def test_a_group_within_landed_of_its_kink_is_ignored():
+    """A group ``1e-4`` short of its level, moving at unit rate, is
+    ignored against a step of 1 and predicted against one of 0.05."""
+    sw, part = _group_switching([np.arange(2)], [1.0])
+    u = np.array([1.0, 0.6, 0.8 - 1e-4, 0.0, 0.0, 0.0])
+    f = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    # ||v|| = 1 - 1e-4 (to first order), and it grows at 0.8
+    gap = (1.0 - np.hypot(0.6, 0.8 - 1e-4)) / (0.8 - 1e-4) * np.hypot(0.6, 0.8 - 1e-4)
+    assert sw.next_crossing(u, f, 1.0) == np.inf
+    assert sw.next_crossing(u, f, 0.05) == pytest.approx(gap, rel=1e-12)
+
+
+def test_group_switching_functions_are_the_group_supports(rng):
+    """Each group's switching function is at or below zero exactly where
+    the kernel's prox maps the group to zero, thresholded by its ``eta``,
+    at a penalty set after construction."""
+    prob = mixed_prox_problem()
+    k = prob.kernel
+    sw = flow.ProxSwitching.of(k.z_plan, k.m, k.m + k.n, lambda: prob.mu)
+    (sl, part), = k.z_plan.groups
+    assert np.array_equal(sw.gz, k.m + sl.start + part.order)
+    for mu in (0.8, 0.3):
+        prob.mu = mu
+        seen = set()
+        for _ in range(20):
+            u = 0.5 * rng.standard_normal(prob.state_dim)
+            v = u[k.m:k.m + k.n] + mu * u[k.m + k.n:k.m + 2 * k.n]
+            out = k.z_plan.prox(mu, v)[sl]
+            zero = np.array([not out[g].any() for g in part.groups])
+            s = part.group_norms(prox.prox_l1(part.eta * mu, v[sl])) - mu * part.weights
+            assert np.array_equal(s <= 0, zero)
+            seen.update(zero)
+        assert seen == {True, False}
+
+
 def test_a_kink_at_or_beyond_the_step_or_just_landed_on_is_not_capped():
     """The predicted kink caps the step only where it lies in ``(LANDED·h,
     h)`` and not below the minimum step."""
@@ -1533,9 +1692,10 @@ def test_kink_cuts_leave_the_scipy_path_alone(rng):
     """On a network lasso, whose steps are rejected at l1 kinks, the loop
     with no switching functions is still ``solve_ivp``'s RK45 to the bit;
     ``integrate`` passes the kernel's, cuts at some rejections and so takes
-    other steps. A problem with neither an l1 run nor a nuclear block (a
-    group lasso beside an orthant) takes none; covariance completion's
-    nuclear block takes some, never more than its rejections."""
+    other steps. A problem with no l1 run, nuclear block or group lasso
+    (two orthants) takes neither caps nor cuts; a group lasso beside an
+    orthant is capped but never cut; covariance completion's nuclear block
+    takes some cuts, never more than its rejections."""
     prob = assemble_consensus(examples.gen_lasso_network(3, 8, 3, seed=0)[0])
     y0 = prob.pack(prob.random_state(rng, scale=0.1))
     cfg = IntegratorConfig(t_end=30.0)
@@ -1549,15 +1709,22 @@ def test_kink_cuts_leave_the_scipy_path_alone(rng):
     assert cut.meta["n_evals"] != plain.meta["n_evals"]
     assert _rel_gap(cut.states[-1], plain.states[-1]) < 1e-6
     base = composite_instance(rng)
-    plain = SaddleProblem(base.smooth_blocks,
-                          [NonsmoothBlock(prox.indicator_orthant("nonneg"), (3,)),
-                           base.nonsmooth_blocks[1]],
-                          base.E, base.F, base.q, mu=base.mu, alpha=base.alpha)
-    s0 = plain.pack(plain.random_state(rng))
-    a = integrate(plain, plain.unpack(s0), IntegratorConfig(t_end=5.0))
-    b = integrate_ode(FlowField(plain), s0, IntegratorConfig(t_end=5.0))
-    assert a.meta["kink_cuts"] == 0 and np.array_equal(a.states, b.states)
+    s0 = base.pack(base.random_state(rng))
+
+    def beside_an_orthant(second):
+        plain = SaddleProblem(base.smooth_blocks,
+                              [NonsmoothBlock(prox.indicator_orthant("nonneg"), (3,)), second],
+                              base.E, base.F, base.q, mu=base.mu, alpha=base.alpha)
+        return (integrate(plain, plain.unpack(s0), IntegratorConfig(t_end=5.0)),
+                integrate_ode(FlowField(plain), s0, IntegratorConfig(t_end=5.0)))
+
+    a, b = beside_an_orthant(NonsmoothBlock(prox.indicator_orthant("nonpos"), (2,)))
+    assert a.meta["kink_caps"] == a.meta["kink_cuts"] == 0
+    assert np.array_equal(a.states, b.states)
     assert a.meta["rejected"] == b.meta["rejected"] > 0
+    a, b = beside_an_orthant(base.nonsmooth_blocks[1])
+    assert a.meta["kink_caps"] > 0 and a.meta["kink_cuts"] == 0
+    assert not np.array_equal(a.states, b.states)
     cov = examples.gen_covariance_completion(2)[0]
     a = integrate(cov, cov.random_state(rng), IntegratorConfig(t_end=5.0))
     assert 0 <= a.meta["kink_cuts"] <= a.meta["rejected"]
