@@ -123,19 +123,30 @@ class LinearOperator:
 def csr_product(A: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
     """The product ``x -> A @ x`` of the CSR matrix ``A``, bound once.
 
-    It calls ``csr_matvec`` into a zeroed output, exactly as ``A @ x`` does,
-    without the operator's dispatch and checks, so ``x`` must be a vector of
-    ``A``'s column count. A square identity returns ``x`` itself, which
-    differs from ``A @ x`` only in keeping the sign of a zero entry.
+    It adds ``A @ x`` into a zeroed output (:func:`csr_add_product`), exactly
+    as ``A @ x`` does, without the operator's dispatch and checks, so ``x``
+    must be a vector of ``A``'s column count. A square identity returns ``x``
+    itself, which differs from ``A @ x`` only in keeping the sign of a zero
+    entry.
     """
+    if is_identity(A):
+        return lambda x: x
+    add, n_row = csr_add_product(A), A.shape[0]
+    return lambda x: add(x, np.zeros(n_row))
+
+
+def csr_add_product(A: sp.csr_matrix) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The product ``(x, out) -> out + A @ x`` of the CSR matrix ``A``, added
+    into ``out`` in place and returned: row ``i`` starts from ``out[i]`` and
+    adds the products of its stored entries with ``x``, in stored order
+    (``csr_matvec`` itself). ``x`` must be a vector of ``A``'s column count,
+    ``out`` a float vector of its row count that does not overlap ``x``. No
+    matrix, an identity included, takes a shortcut."""
     n_row, n_col = A.shape
     indptr, indices = A.indptr, A.indices
     data = np.asarray(A.data, dtype=float)
-    if is_identity(A):
-        return lambda x: x
 
-    def product(x: np.ndarray) -> np.ndarray:
-        out = np.zeros(n_row)
+    def product(x: np.ndarray, out: np.ndarray) -> np.ndarray:
         csr_matvec(n_row, n_col, indptr, indices, data, x, out)
         return out
 

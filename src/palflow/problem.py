@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linops import (BlockOperator, SingularExtremes, TOL_RANK, _checked,
-                     block_diagonal, csr_product, is_identity, range_basis,
+                     block_diagonal, csr_add_product, csr_product, range_basis,
                      singular_extremes, range_contained, vec, unvec)
 from .prox import ProximableFunction, moreau_value, prox_l1
 
@@ -69,7 +69,9 @@ class SmoothBlock:
         The gradient is ``M^T (M x - h)`` through the ``csr_product`` of ``M``
         and of ``M^T``, built on its first call. A :class:`BlockPlan` gives a
         run of adjacent least-squares blocks one such product pair, on their
-        block diagonal, which equals these separate calls to the bit."""
+        block diagonal, which equals these separate calls to the bit. The
+        field and gradient of :class:`FieldKernel` carry ``M`` in their own
+        two products instead."""
         M = np.asarray(M, dtype=float)
         h = np.asarray(h, dtype=float)
         _check_finite(M=M, h=h)
@@ -107,7 +109,8 @@ class _LeastSquares:
     ``csr_product`` of ``M`` and one of ``M^T``, built on the first call. A
     row of either holds only its own block's entries, summed in column order
     from 0.0, so the gradient of a run of blocks is their separate gradients
-    to the bit."""
+    to the bit. The kernel's field and gradient carry ``M`` in their own two
+    products instead."""
 
     def __init__(self, Ms, hs):
         self.Ms, self.hs = Ms, hs
@@ -408,35 +411,46 @@ class FieldKernel:
     (packing order: x blocks, z blocks, y blocks, lam).
 
     The column blocks of ``[E F]`` are stacked side by side into the sorted
-    CSR matrix ``EF`` over the contiguous ``(x, z)`` slice; ``EFt``, its
-    transpose, gives both adjoints in one product. The residual
-    ``E x + F z - q`` must equal ``BlockOperator``'s to the last bit, even
-    where ``Ex`` and ``q`` cancel. That sums each block's entries of a row
-    from 0.0 in column order, folds the E blocks' sums in block order, then
-    the F blocks', and adds the two folds; a CSR product folds each row's
-    stored entries from 0.0 in the order they are stored. As ``a + S == S +
-    a``, one product can add the same doubles when every row meets (a) among
-    the E blocks with an entry in the row, at most one stores more than one
-    there, and it is the first or second of them, (b) likewise among the F
-    blocks, and (c) if both sides have entries in the row, one side has
-    exactly one in total. The product then stores each row in fold order: on
-    each side the many-entry block first, then the side's other blocks in
-    block order; the side with one entry in total last; each block's entries
-    in column order. A fold step adding a one-entry
-    block's sum ``0.0 + a x`` adds the same double as the product's ``+ a
-    x``, a block with no entry adds 0.0, and a row sum is never -0.0. Stored
-    zeros count as entries. Such a kernel forms the residual as that one
-    product: the network lasso (a consensus row holds one ±1 per agent, a
-    measurement row ``C_i``'s row, then one -1), PCP (E empty, identity F
-    blocks), covariance completion and the sparse group lasso (a measurement
-    row holds one entry of E1, then E2's many entries of ``T``, which go
-    first). Any other keeps the block diagonal ``blocks`` of the column
-    blocks, whose one product gives every ``E_i x_i`` and ``F_j z_j``, summed
-    in block order: a row with more than one entry on both sides (as dense
-    E and F blocks give), two many-entry blocks on one side or one third
-    among them, and a square identity ``EF``, whose product returns its
-    input, -0.0 entries included. Each product is bound once by
-    ``csr_product``. The smooth gradients and the proxes run through one
+    CSR matrix ``EF`` over the contiguous ``(x, z)`` slice; ``EFt`` is its
+    transpose. The field and the gradient are two CSR products around the
+    prox. The forward product, into a zeroed output, stacks the ``n_ls``
+    rows of the least-squares blocks' ``M`` (on their x columns) over the
+    residual rows and gives ``M x`` and ``E x + F z``. Then come ``M x -
+    h``, ``shift = r / mu + lam``, ``v = z + mu y`` and the prox. The
+    backward product of ``-[M^T E^T; 0 F^T]`` over ``[M x - h; shift]``
+    (``+`` for the gradient) adds each row's entries, in column order, onto
+    the field's x and z rows, which hold ``-(the other smooth gradients)``
+    (0.0 on least-squares rows) and ``(prox(v) - v) / mu``; a row with more
+    than one entry rounds unlike a separate adjoint product subtracted (the
+    network lasso's x rows). ``kkt`` keeps that separate product and the
+    full smooth gradient ``x_plan``.
+
+    The residual ``E x + F z - q`` must equal ``BlockOperator``'s to the
+    last bit, even where ``Ex`` and ``q`` cancel. That sums each block's
+    entries of a row from 0.0 in column order, folds the E blocks' sums in
+    block order, then the F blocks', and adds the two folds; a CSR product
+    folds each row's stored entries from 0.0 in the order they are stored.
+    As ``a + S == S + a``, one product can add the same doubles when every
+    row meets (a) among the E blocks with an entry in the row, at most one
+    stores more than one there, and it is the first or second of them, (b)
+    likewise among the F blocks, and (c) if both sides have entries in the
+    row, one side has exactly one in total. The residual rows then store
+    each row in fold order: on each side the many-entry block first, then
+    the side's other blocks in block order; the side with one entry in total
+    last; each block's entries in column order. A fold step adding a
+    one-entry block's sum ``0.0 + a x`` adds the same double as the
+    product's ``+ a x``, a block with no entry adds 0.0, and a row sum is
+    never -0.0. Stored zeros count as entries. The network lasso (a
+    consensus row holds one ±1 per agent, a measurement row ``C_i``'s row,
+    then one -1), PCP (E empty, identity F blocks), covariance completion
+    and the sparse group lasso (a measurement row holds one entry of E1,
+    then E2's many entries of ``T``, which go first) take these rows. Any
+    other kernel's residual rows are the block diagonal ``blocks`` of the
+    column blocks, which give every ``E_i x_i`` and ``F_j z_j``, summed in
+    block order: a row with more than one entry on both sides (as dense E
+    and F blocks give), or two many-entry blocks on one side or one third
+    among them. Each product is bound once by ``csr_add_product``. The
+    other smooth gradients and the proxes run through one
     :class:`BlockPlan` each, which fuses adjacent l1 blocks into one soft
     threshold. ``mu`` and ``alpha`` are read from the problem at each call;
     where one of them is 1 (``SaddleProblem``'s default), the passes that
@@ -456,17 +470,15 @@ class FieldKernel:
         self.EF = sp.hstack(mats, format="csr")
         self.EF.sort_indices()
         self.EFt = self.EF.T.tocsr()
-        # ``[E F]^T v`` on the ``(x, z)`` slice
+        # ``[E F]^T v`` on the ``(x, z)`` slice, for ``kkt``
         self._adjoint = csr_product(self.EFt)
-        order = None if is_identity(self.EF) else _fold_order(self.EF, E_mats, F_mats)
+        order = _fold_order(self.EF, E_mats, F_mats)
         if order is not None:
             self.blocks = None
-            self._product = csr_product(sp.csr_matrix(
-                (self.EF.data[order], self.EF.indices[order], self.EF.indptr),
-                shape=self.EF.shape))
+            rows = sp.csr_matrix((self.EF.data[order], self.EF.indices[order],
+                                  self.EF.indptr), shape=self.EF.shape)
         else:
-            self.blocks = block_diagonal(mats)
-            self._parts = csr_product(self.blocks)
+            self.blocks = rows = block_diagonal(mats)
             self.n_E, self.n_blocks = len(E_mats), len(mats)
         x_slices, z_slices = _slices(prob.x_shapes), _slices(prob.z_shapes)
         self.x_blocks = list(zip(x_slices, prob.smooth_blocks))
@@ -475,16 +487,49 @@ class FieldKernel:
         self.x_plan = BlockPlan(zip(x_slices, prob.x_shapes, prob.smooth_blocks))
         self.z_plan = BlockPlan(zip(z_slices, prob.z_shapes,
                                     [b.g for b in prob.nonsmooth_blocks]))
+        # the least-squares blocks' M on their x columns, and no z column
+        ls = [b.kind == "least_squares" for b in prob.smooth_blocks]
+        M = block_diagonal([b.meta["M"] if is_ls else sp.csr_matrix((0, b.dim))
+                            for b, is_ls in zip(prob.smooth_blocks, ls)]
+                           + [sp.csr_matrix((0, self.n))])
+        self.n_ls = M.shape[0]
+        self._h = np.concatenate([b.meta["h"] for b, is_ls in zip(prob.smooth_blocks, ls)
+                                  if is_ls] + [np.empty(0)])
+        # [M; residual rows], each row in its stored order, and [M^T E^T; 0 F^T]
+        forward = sp.csr_matrix(
+            (np.concatenate([M.data, rows.data]), np.concatenate([M.indices, rows.indices]),
+             np.concatenate([M.indptr, rows.indptr[1:] + M.nnz])),
+            shape=(self.n_ls + rows.shape[0], rows.shape[1]))
+        self._forward, self._w_dim = csr_add_product(forward), forward.shape[0]
+        back = sp.hstack([M.T, self.EFt], format="csr")
+        back.sort_indices()
+        self._back_grad, self._back_field = csr_add_product(back), csr_add_product(-back)
+        # the other smooth blocks' gradients, zero on the least-squares rows
+        self._x_rest = None if all(ls) else BlockPlan(zip(x_slices, prob.x_shapes, [
+            SmoothBlock(b.shape, lambda x: 0.0, np.zeros_like) if is_ls else b
+            for b, is_ls in zip(prob.smooth_blocks, ls)]))
 
-    def _residual(self, xz: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """``E x + F z - q``, into ``out`` if given."""
+    def _push(self, xz: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The forward product of the ``(x, z)`` slice: writes ``E x + F z -
+        q`` into ``r`` and returns the product's output, whose first
+        ``n_ls`` entries it leaves holding ``M x - h``."""
+        w, n_ls = self._forward(xz, np.zeros(self._w_dim)), self.n_ls
         if self.blocks is None:
-            return np.subtract(self._product(xz), self.prob.q, out=out)
-        parts = self._parts(xz).reshape(self.n_blocks, self.p)
-        out = parts[:self.n_E].sum(axis=0, out=out)
-        out += parts[self.n_E:].sum(axis=0)
-        out -= self.prob.q
-        return out
+            np.subtract(w[n_ls:], self.prob.q, out=r)
+        else:
+            parts = w[n_ls:].reshape(self.n_blocks, self.p)
+            parts[:self.n_E].sum(axis=0, out=r)
+            r += parts[self.n_E:].sum(axis=0)
+            r -= self.prob.q
+        if n_ls:
+            w[:n_ls] -= self._h
+        return w
+
+    def _residual(self, xz: np.ndarray) -> np.ndarray:
+        """``E x + F z - q``."""
+        r = np.empty(self.p)
+        self._push(xz, r)
+        return r
 
     def value(self, u: np.ndarray) -> float:
         """Value of the proximal augmented Lagrangian."""
@@ -502,40 +547,45 @@ class FieldKernel:
                   out: Optional[np.ndarray] = None) -> np.ndarray:
         """The flat gradient, or with ``field`` the flow field, written into
         one output slice by slice (``out`` if given). The field's sign flip
-        and α scaling go into the writes: ``-(a + b)`` is ``(-a) - b`` and
-        ``-(a - b)`` is ``b - a`` to the bit, so both equal the gradient's
-        entries negated or scaled. A unit μ or α costs no pass."""
-        m, n, mu = self.m, self.n, self.prob.mu
+        and α scaling go into the writes and into the backward product's
+        stored entries: its x and z rows add the negated terms onto the
+        negated starts, and rounding to nearest is symmetric, so both equal
+        the gradient's entries negated (but for the sign of a zero) or
+        scaled. A unit μ or α costs no pass."""
+        m, n, n_ls, mu = self.m, self.n, self.n_ls, self.prob.mu
         k = m + n
         z, y, lam = u[m:k], u[k:k + n], u[k + n:]
         if out is None:
             out = np.empty_like(u)
         gx, gz, gy, r = out[:m], out[m:k], out[k:k + n], out[k + n:]
-        self._residual(u[:k], out=r)
+        w = self._push(u[:k], r)
+        shift = w[n_ls:n_ls + self.p]
         if mu == 1.0:
-            shift, v = r + lam, y + z
+            np.add(r, lam, out=shift)
+            v = y + z
         else:
-            shift = r / mu
+            np.divide(r, mu, out=shift)
             shift += lam
             v = mu * y
             v += z
-        at = self._adjoint(shift)
         pv = self.z_plan.prox(mu, v)
         np.subtract(z, pv, out=gy)
-        if field:
-            np.negative(self.x_plan.grad(u[:m]), out=gx)
-            np.subtract(pv, v, out=gz)
-            if mu != 1.0:
-                gz /= mu
-            out[:k] -= at
-            if self.prob.alpha != 1.0:
-                out[k:] *= self.prob.alpha
+        if self._x_rest is None:
+            gx.fill(0.0)
+        elif field:
+            np.negative(self._x_rest.grad(u[:m]), out=gx)
         else:
-            gx[:] = self.x_plan.grad(u[:m])
+            gx[:] = self._x_rest.grad(u[:m])
+        if field:
+            np.subtract(pv, v, out=gz)
+        else:
             np.subtract(v, pv, out=gz)
-            if mu != 1.0:
-                gz /= mu
-            out[:k] += at
+        if mu != 1.0:
+            gz /= mu
+        # [M x - h; shift] through the backward product, added into (gx, gz)
+        (self._back_field if field else self._back_grad)(w[:n_ls + self.p], out[:k])
+        if field and self.prob.alpha != 1.0:
+            out[k:] *= self.prob.alpha
         return out
 
     def gradient(self, u: np.ndarray) -> np.ndarray:

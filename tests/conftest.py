@@ -144,6 +144,35 @@ def reference_prox_nuclear(mu: float, X: np.ndarray) -> np.ndarray:
     return (U * np.maximum(s - mu, 0.0)) @ Vt
 
 
+def separate_adjoint_field(prob: SaddleProblem, u: np.ndarray):
+    """The flat gradient and field at ``u`` with the adjoint as a separate
+    product: ``at = [E F]^T (r / mu + lam)``, summed from 0.0 in its own CSR
+    product, added to ``(grad f, (v - prox(v)) / mu)`` for the gradient and
+    subtracted from ``(-grad f, (prox(v) - v) / mu)`` for the field, with
+    ``v = z + mu y``, the residual ``BlockOperator``'s and every smooth
+    gradient and prox its block's own call. It is the arithmetic that the
+    sparse group lasso's and PCP's fields must keep to the bit."""
+    s = prob.unpack(u)
+    mu, m, n = prob.mu, prob.m, prob.n
+    k = m + n
+    r = prob.constraint_residual(s.x, s.z)
+    shift = r / mu
+    shift += s.lam
+    at = prob.kernel.EFt @ shift
+    z = np.concatenate([vec(a) for a in s.z] + [np.empty(0)])
+    v = mu * np.concatenate([vec(a) for a in s.y] + [np.empty(0)])
+    v += z
+    pv = np.concatenate([vec(b.g.prox(mu, unvec(v[sl], b.shape)))
+                         for sl, b in prob.kernel.z_blocks] + [np.empty(0)])
+    gx = np.concatenate([vec(g) for g in prob.f_grad(s.x)] + [np.empty(0)])
+    grad = np.concatenate([gx, (v - pv) / mu, z - pv, r])
+    grad[:k] += at
+    field = np.concatenate([-gx, (pv - v) / mu, z - pv, r])
+    field[:k] -= at
+    field[k:] *= prob.alpha
+    return grad, field
+
+
 def reference_decentralized_field(net, states, alpha, mu):
     """The message-passing field agent by agent: each agent sums its
     neighbors' ``x`` and applies its own local map, as the reference for

@@ -21,7 +21,8 @@ from palflow.problem import (BlockPlan, NonsmoothBlock, PrimalDualState,
                              SaddleProblem, SmoothBlock, kkt_residual)
 
 from conftest import (build_lifted, composite_instance,
-                      quadratic_equality_instance, same_doubles, src_env)
+                      quadratic_equality_instance, same_doubles,
+                      separate_adjoint_field, src_env)
 
 
 def one_dim_equality():
@@ -193,6 +194,22 @@ def mixed_prox_problem():
                          rng.standard_normal(p), mu=0.8, alpha=1.2)
 
 
+def least_squares_problem():
+    """Least-squares x blocks on either side of a quadratic one, under dense
+    E and F blocks: the kernel's products give the least-squares gradients,
+    its smooth plan the quadratic block's."""
+    rng = np.random.default_rng(13)
+    p = 5
+    smooth = [SmoothBlock.least_squares(rng.standard_normal((3, 4)), rng.standard_normal(3)),
+              SmoothBlock.quadratic(np.diag([1.0, 2.0])),
+              SmoothBlock.least_squares(rng.standard_normal((2, 3)), rng.standard_normal(2))]
+    E = BlockOperator([LinearOperator.from_matrix(rng.standard_normal((p, b.dim)))
+                       for b in smooth])
+    F = BlockOperator([LinearOperator.from_matrix(rng.standard_normal((p, 3)))])
+    return SaddleProblem(smooth, [NonsmoothBlock(prox.l1(0.5), (3,))], E, F,
+                         rng.standard_normal(p), mu=0.6, alpha=1.4)
+
+
 KERNEL_INSTANCES = {
     "network_lasso": lambda: assemble_consensus(examples.gen_lasso_network(3, 4, 3, seed=0)[0]),
     "sparse_group_lasso": lambda: examples.gen_sparse_group_lasso(6, 12, 3, seed=2)[0],
@@ -203,12 +220,21 @@ KERNEL_INSTANCES = {
     "counterexample": lambda: examples.counterexample_problem(mu=0.7, alpha=1.3),
     "dense_congruence": dense_congruence_problem,
     "mixed_prox": mixed_prox_problem,
+    "least_squares": least_squares_problem,
 }
+# (mu, alpha): both unit, neither, a unit mu only, and alpha * mu == 1
+SCALES = [(1.0, 1.0), (0.3, 2.5), (1.0, 2.5), (2.5, 0.4)]
 
 
-@pytest.mark.parametrize("name", sorted(KERNEL_INSTANCES))
-def test_kernel_field_matches_blockwise(name, rng):
+# each instance at its own (mu, alpha), then at every pair of SCALES
+@pytest.mark.parametrize("name, scales", [
+    *(pytest.param(name, None, id=name) for name in sorted(KERNEL_INSTANCES)),
+    *(pytest.param(name, sc, id=f"{name}-{sc[0]}-{sc[1]}")
+      for name in sorted(KERNEL_INSTANCES) for sc in SCALES)])
+def test_kernel_field_matches_blockwise(name, scales, rng):
     prob = KERNEL_INSTANCES[name]()
+    if scales is not None:
+        prob.mu, prob.alpha = scales
     for _ in range(5):
         s = prob.random_state(rng)
         flat = prob.kernel.field(prob.pack(s))
@@ -222,11 +248,30 @@ def test_kernel_field_matches_blockwise(name, rng):
         assert np.array_equal(flat, np.concatenate([-g[:k], prob.alpha * g[k:]]))
 
 
+@pytest.mark.parametrize("name", ["sparse_group_lasso", "pcp", "sgl_20x200", "pcp_40"])
+def test_sgl_and_pcp_keep_the_separate_adjoint_bits(name, rng):
+    """Every row of the sparse group lasso's and PCP's ``[E F]^T`` stores
+    one entry, or starts from a zero smooth gradient, so adding the backward
+    product into the field rounds as subtracting a separate adjoint product
+    did: their gradients and fields are that arithmetic's, to the bit."""
+    make = {**KERNEL_INSTANCES,
+            "sgl_20x200": lambda: examples.gen_sparse_group_lasso(20, 200, 10, seed=2)[0],
+            "pcp_40": lambda: examples.gen_pcp(40, 3, seed=3)[0]}
+    prob = make[name]()
+    for mu, alpha in SCALES:
+        prob.mu, prob.alpha = mu, alpha
+        for _ in range(2):
+            u = prob.pack(prob.random_state(rng))
+            grad, field = separate_adjoint_field(prob, u)
+            assert same_doubles(prob.kernel.gradient(u), grad)
+            assert same_doubles(prob.kernel.field(u), field)
+
+
 def _one_product_expected(E_mats, F_mats, EF):
     """The residual layout rule, row by row: on each side, at most one block
     stores more than one entry in the row, and it is the first or second of
-    that side's blocks with an entry there; where both sides have entries,
-    one of them has exactly one; and [E F] is no square identity."""
+    that side's blocks with an entry there; and where both sides have
+    entries, one of them has exactly one."""
     def side_folds(counts):
         held = [c for c in counts if c > 0]
         many = [k for k, c in enumerate(held) if c > 1]
@@ -237,8 +282,7 @@ def _one_product_expected(E_mats, F_mats, EF):
         f = [M.indptr[i + 1] - M.indptr[i] for M in F_mats]
         if not (side_folds(e) and side_folds(f) and min(sum(e), sum(f)) <= 1):
             return False
-    return not (EF.shape[0] == EF.shape[1]
-                and np.array_equal(EF.toarray(), np.eye(EF.shape[0])))
+    return True
 
 
 def _pattern_problem(p, e_widths, f_widths, seed):
@@ -435,7 +479,11 @@ def _always_scaled(prob, u):
     """The kernel's gradient and field at ``u``, and its KKT residual read
     fresh and off that field, with every pass that multiplies or divides by
     ``mu`` or ``alpha`` taken and each prox its block's own call: the
-    reference that skipping a unit scale's passes must equal to the bit."""
+    reference that skipping a unit scale's passes must equal to the bit. Its
+    x and z rows start from the other smooth gradients (negated in the
+    field; 0.0 where the products give every one) and ``(v - pv) / mu``
+    (``(pv - v) / mu``), and the kernel's backward product of ``[M x - h;
+    r / mu + lam]`` is added into them."""
     k, m, n, mu, a = prob.kernel, prob.m, prob.n, prob.mu, prob.alpha
     kk = m + n
     z, y, lam = u[m:kk], u[kk:kk + n], u[kk + n:]
@@ -444,19 +492,21 @@ def _always_scaled(prob, u):
         return np.concatenate([vec(b.g.prox(mu, unvec(v[sl], b.shape)))
                                for sl, b in k.z_blocks] + [np.empty(0)])
 
-    r = k._residual(u[:kk])
-    shift = r / mu
-    shift += lam
-    at = k._adjoint(shift)
+    r = np.empty(prob.p)
+    w = k._push(u[:kk], r)[:k.n_ls + prob.p]
+    w[k.n_ls:] = r / mu
+    w[k.n_ls:] += lam
     v = mu * y
     v += z
     pv = prox_g(v)
-    gx = k.x_plan.grad(u[:m])
-    grad = np.concatenate([gx, (v - pv) / mu, z - pv, r])
-    grad[:kk] += at
-    field = np.concatenate([-gx, (pv - v) / mu, z - pv, r])
-    field[:kk] -= at
+    # the smooth gradients the backward product does not cover
+    rest = k._x_rest.grad(u[:m]) if k._x_rest else np.zeros(m)
+    grad = np.concatenate([rest, (v - pv) / mu, z - pv, r])
+    k._back_grad(w, grad[:kk])
+    field = np.concatenate([-rest if k._x_rest else rest, (pv - v) / mu, z - pv, r])
+    k._back_field(w, field[:kk])
     field[kk:] *= a
+    gx = k.x_plan.grad(u[:m])
     at = k._adjoint(lam)
     fresh = np.sqrt(np.sum((gx + at[:m]) ** 2) + np.sum((y + at[m:]) ** 2)
                     + np.sum((z - prox_g(z + mu * y)) ** 2) + np.sum(r ** 2))
@@ -467,8 +517,6 @@ def _always_scaled(prob, u):
     return grad, field, float(fresh), float(np.sqrt(g @ g + d @ d + r @ r))
 
 
-# (mu, alpha): both unit, neither, a unit mu only, and alpha * mu == 1
-SCALES = [(1.0, 1.0), (0.3, 2.5), (1.0, 2.5), (2.5, 0.4)]
 CRITERION_6 = ["network_lasso", "sparse_group_lasso", "pcp", "covariance_completion"]
 
 

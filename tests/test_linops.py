@@ -5,7 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from palflow import examples, linops
 from palflow.distributed import assemble_consensus
-from palflow.linops import (BlockOperator, LinearOperator, block_diagonal, csr_product,
+
+from conftest import same_doubles
+from palflow.linops import (BlockOperator, LinearOperator, block_diagonal,
+                            csr_add_product, csr_product,
                             lyapunov_operator, masked_congruence,
                             null_projection, range_contained,
                             singular_extremes, unvec, vec, vstack)
@@ -282,3 +285,49 @@ def test_csr_product_is_the_matrix_product(name):
                 and (A != sp.identity(A.shape[0], format="csr")).nnz == 0)
     assert (product(x) is x) == identity
     assert identity == (name in {"identity", "identity.T", "pcp.blocks"})
+
+
+def _added_row_by_row(A, x, out):
+    """``out + A @ x`` one row at a time: row ``i`` starts from ``out[i]``
+    and adds each stored entry's product with ``x`` in stored order."""
+    got = out.copy()
+    for i in range(A.shape[0]):
+        total = got[i]
+        for jj in range(A.indptr[i], A.indptr[i + 1]):
+            total += A.data[jj] * x[A.indices[jj]]
+        got[i] = total
+    return got
+
+
+def _add_products():
+    """A square identity, a matrix with no columns (PCP's empty E), and a
+    matrix whose rows store their entries out of column order, explicit
+    zeros and repeated magnitudes among them."""
+    rng = np.random.default_rng(4)
+    data = np.array([1e16, 1.0, -1e16, 0.0, -2.5, 3.0, 1.0, -1.0])
+    indices = np.array([2, 0, 1, 3, 1, 0, 3, 2])
+    unsorted = sp.csr_matrix((data, indices, [0, 4, 4, 6, 8]), shape=(4, 4))
+    assert not unsorted.has_sorted_indices
+    return {"identity": sp.identity(5, format="csr"),
+            "no_columns": sp.csr_matrix((4, 0)),
+            "unsorted": unsorted,
+            "random": sp.random(6, 7, density=0.5, format="csr", random_state=rng)}
+
+
+@pytest.mark.parametrize("name", sorted(_add_products()))
+def test_csr_add_product_adds_each_row_in_stored_order(name):
+    A = _add_products()[name]
+    rng = np.random.default_rng(12)
+    add = csr_add_product(A)
+    for _ in range(4):
+        x = rng.standard_normal(A.shape[1])
+        x[rng.random(x.size) < 0.3] = -0.0
+        out = rng.standard_normal(A.shape[0]) * 10.0 ** rng.integers(-2, 17, A.shape[0])
+        out[rng.random(out.size) < 0.3] = -0.0
+        x_before, want = x.copy(), _added_row_by_row(A, x, out)
+        assert add(x, out) is out
+        assert same_doubles(out, want) and same_doubles(x, x_before)
+    # from a zeroed output it is the product itself; an identity takes no
+    # shortcut, so a -0.0 entry comes out +0.0 as from ``A @ x``
+    x = np.where(rng.random(A.shape[1]) < 0.5, -0.0, rng.standard_normal(A.shape[1]))
+    assert same_doubles(add(x, np.zeros(A.shape[0])), A @ x)
