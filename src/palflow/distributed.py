@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import flow
-from .linops import BlockOperator, LinearOperator, block_diagonal, csr_product, vec
+from .linops import BlockOperator, LinearOperator, csr_add_product, vec
 from .problem import (BlockPlan, NonsmoothBlock, PrimalDualState, SaddleProblem,
                       SmoothBlock, _check_positive)
 from .prox import ProximableFunction
@@ -37,9 +37,9 @@ class Network:
     lists), ``x_dim`` (the common local dimension), ``z_dims``, ``z_slices``
     (each agent's slice of the stacked ``z``, and of the local part of the
     multiplier) and ``slices`` (each agent's ``x, z, y, lam1, lam2`` slices
-    of the packed state, see ``pack_agents``). The operators of
-    :meth:`field` are built on its first call, not here: most networks are
-    only ever assembled centrally."""
+    of the packed state, see ``pack_agents``). The two CSR matrices of
+    :meth:`field` and its plans (:attr:`_field_ops`) are built on its first
+    call, not here: most networks are only ever assembled centrally."""
 
     k: int
     edges: List[Tuple[int, int]]
@@ -71,10 +71,9 @@ class Network:
         self.edges = sorted(norm)
         # both directions of every edge, by row and then by column
         rc = np.array(self.edges + [(j, i) for i, j in self.edges], dtype=int).reshape(-1, 2)
-        r, c = rc[np.lexsort((rc[:, 1], rc[:, 0]))].T
-        ptr = np.searchsorted(r, np.arange(self.k + 1))
-        self.adjacency = adj = sp.csr_matrix((np.ones(len(c)), c, ptr), shape=(self.k, self.k))
-        self.neighbors = [adj.indices[a:b].tolist() for a, b in zip(ptr, ptr[1:])]
+        self.adjacency = adj = _sorted_csr(rc[:, 0], rc[:, 1], np.ones(len(rc)),
+                                           (self.k, self.k))
+        self.neighbors = [adj.indices[a:b].tolist() for a, b in zip(adj.indptr, adj.indptr[1:])]
         # breadth-first search from vertex 0; ``order`` grows while it is read
         order, seen = [0], {0}
         for v in order:
@@ -102,24 +101,64 @@ class Network:
 
     @cached_property
     def _field_ops(self):
-        """The packed state's five parts, each x entry's agent degree, the
-        products of ``kron(adjacency, I_d)`` and of the block diagonals of
-        the local maps and of their transposes, and the block plans of the
-        local gradients and proxes. The matrices are CSR with sorted indices,
-        so a row sums its neighbors, or its local map's terms, in increasing
-        order from 0; an identity's product is its input."""
+        """The packed state's five parts; the forward matrix ``F = [M 0; L
+        0; C -I]`` over the contiguous ``(x, z)`` slice and the backward
+        matrix ``B = -[M^T I C^T]``; the products of both
+        (``csr_add_product``); the stacked ``h``; the plan of the local
+        gradients that are not least squares (``None`` where all are); and
+        the plan of the local proxes.
+
+        ``M`` is the least-squares agents' block diagonal on their x
+        columns, ``L = kron(D - adjacency, I_d)`` the Laplacian and ``C``
+        the block diagonal of the local maps. Both matrices are CSR built
+        from index arrays, each row's entries in column order (all of a
+        dense ``M``'s, the stored ones of ``C``): entry for entry the sorted
+        stacks of scipy's ``kron``, ``block_diag``, ``hstack`` and
+        ``vstack``, at a fraction of their cost. A row of either product
+        thus adds its neighbors' terms, or its local maps', in increasing
+        column order onto the value it is handed."""
         d = self.x_dim
+        kd, nz = self.k * d, sum(self.z_dims)
         parts = [slice(self.slices[0][p].start, self.slices[-1][p].stop) for p in range(5)]
-        deg = np.repeat(np.diff(self.adjacency.indptr).astype(float), d)
-        C = block_diagonal([a.C.matrix for a in self.agents])
-        ops = [sp.kron(self.adjacency, sp.identity(d), format="csr"), C, C.T.tocsr()]
-        for M in ops:
-            M.sort_indices()
+        ls = [a.f.kind == "least_squares" for a in self.agents]
+        # the (row, column, value) entries of M and of C
+        M, C, n_ls = [], [], 0
+        for a, is_ls, zsl, cols in zip(self.agents, ls, self.z_slices,
+                                       np.arange(kd).reshape(self.k, d)):
+            if is_ls:
+                Mi = a.f.meta["M"]
+                M.append((n_ls + np.repeat(np.arange(len(Mi)), d), np.tile(cols, len(Mi)),
+                          Mi.ravel()))
+                n_ls += len(Mi)
+            Ci = a.C.matrix
+            C.append((zsl.start + np.repeat(np.arange(Ci.shape[0]), np.diff(Ci.indptr)),
+                      cols[Ci.indices], Ci.data))
+        none = (np.empty(0, int), np.empty(0, int), np.empty(0))
+        (Mr, Mc, Mv), (Cr, Cc, Cv) = [[np.concatenate(e) for e in zip(*p, none)] for p in (M, C)]
+        # the Laplacian's: -1 per neighbor and the degree on the diagonal, kron I_d
+        adj, e = self.adjacency, np.arange(d)
+        deg = np.diff(adj.indptr)
+        linked = np.flatnonzero(deg)
+        Lr = (np.concatenate([np.repeat(np.arange(self.k), deg), linked])[:, None] * d + e).ravel()
+        Lc = (np.concatenate([adj.indices, linked])[:, None] * d + e).ravel()
+        Lv = np.repeat(np.concatenate([-adj.data, deg[linked].astype(float)]), d)
+        zr, xr = np.arange(nz), np.arange(kd)
+        F = _sorted_csr(np.concatenate([Mr, n_ls + Lr, n_ls + kd + Cr, n_ls + kd + zr]),
+                        np.concatenate([Mc, Lc, Cc, kd + zr]),
+                        np.concatenate([Mv, Lv, Cv, np.full(nz, -1.0)]),
+                        (n_ls + kd + nz, kd + nz))
+        B = _sorted_csr(np.concatenate([Mc, xr, Cc]),
+                        np.concatenate([Mr, n_ls + xr, n_ls + kd + Cr]),
+                        -np.concatenate([Mv, np.ones(kd), Cv]), (kd, n_ls + kd + nz))
+        h = np.concatenate([a.f.meta["h"] for a, is_ls in zip(self.agents, ls) if is_ls]
+                           + [np.empty(0)])
         # x leads the packed state, so an agent's x slice also indexes ``x``
-        grads = BlockPlan((sl[0], a.f.shape, a.f) for a, sl in zip(self.agents, self.slices))
+        rest = None if all(ls) else BlockPlan(
+            (sl[0], a.f.shape, SmoothBlock(a.f.shape, lambda x: 0.0, np.zeros_like)
+             if is_ls else a.f) for a, is_ls, sl in zip(self.agents, ls, self.slices))
         proxes = BlockPlan((zsl, a.C.out_shape, a.g)
                            for a, zsl in zip(self.agents, self.z_slices))
-        return (parts, deg, *map(csr_product, ops), grads, proxes)
+        return parts, F, B, csr_add_product(F), csr_add_product(B), h, rest, proxes
 
     def field(self, u: np.ndarray, alpha: float, mu: float,
               out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -127,42 +166,53 @@ class Network:
         order), packed alike, written into ``out`` if given, which must not
         overlap ``u``.
 
-        Agent ``i`` reads only its own state and its neighbors' ``x``: the
-        exchange ``deg_i x_i - sum_j x_j`` is one adjacency product. The
-        local gradients and proxes run through one :class:`BlockPlan` each,
-        so agents whose ``g`` is l1 share one soft threshold, adjacent
-        least-squares ``f`` share one block-diagonal product pair (built on
-        first use, equal to their separate gradients to the bit), and
-        identity local maps cost nothing. The multiplier derivatives come
-        first so the primal derivatives can reuse them; the staggering is
-        exactly the per-block form of the centralized field. Each derivative
-        is written into its part of the output once; the contiguous ``(y,
-        lam1, lam2)`` tail is scaled by ``alpha`` in one pass, and where
-        ``mu``, ``alpha`` or ``alpha * mu`` is 1 the pass that would multiply
-        or divide by it is skipped, to the same bits."""
-        (xs, zs, ys, l1s, l2s), deg, A, C, Ct, grads, proxes = self._field_ops
-        x, z, y, lam1, lam2 = u[xs], u[zs], u[ys], u[l1s], u[l2s]
+        Agent ``i`` reads only its own state and its neighbors' ``x``. The
+        field is two CSR products around the prox (:attr:`_field_ops`). The
+        forward product of ``F`` over the ``(x, z)`` slice gives ``M x``,
+        ``L x`` and ``C x - z`` in one zeroed output. Then come ``M x - h``;
+        the multipliers' derivatives ``alpha [L x; C x - z]``, written into
+        the contiguous ``(lam1, lam2)`` tail of the output; ``[t; s] = [L x;
+        C x - z] / mu + [lam1; lam2]`` in place; ``v = z + mu y`` and the
+        proxes, through one :class:`BlockPlan` (agents whose ``g`` is l1
+        share one soft threshold). The derivatives of ``y`` and ``z`` are
+        ``alpha (z - prox(v))`` and ``(prox(v) - v) / mu + s``. The backward
+        product of ``B`` over ``[M x - h; t; s]`` adds each x row's terms, in
+        column order, onto ``-(the agent's smooth gradient)``, or onto 0.0
+        for a least-squares agent, whose gradient the two products carry.
+        Where ``mu`` or ``alpha`` is 1 the pass that would multiply or divide
+        by it is skipped, to the same bits."""
+        (xs, zs, ys, l1s, _), F, _, push, pull, h, rest, proxes = self._field_ops
+        n_ls = h.size
+        z, y = u[zs], u[ys]
         if out is None:
             out = np.empty(u.size)
-        x_dot, z_dot, y_dot, lam1_dot, lam2_dot = (out[xs], out[zs], out[ys],
-                                                   out[l1s], out[l2s])
-        np.subtract(deg * x, A(x), out=lam1_dot)
-        np.subtract(C(x), z, out=lam2_dot)
-        np.subtract(z, proxes.prox(mu, y + z if mu == 1.0 else z + mu * y), out=y_dot)
+        x_dot, z_dot, y_dot = out[xs], out[zs], out[ys]
+        w = push(u[:zs.stop], np.zeros(F.shape[0]))
+        if n_ls:
+            w[:n_ls] -= h
+        tail = w[n_ls:]
+        np.multiply(tail, alpha, out=out[l1s.start:])
+        if mu != 1.0:
+            tail /= mu
+        tail += u[l1s.start:]
+        if mu == 1.0:
+            v = y + z
+        else:
+            v = mu * y
+            v += z
+        pv = proxes.prox(mu, v)
+        np.subtract(z, pv, out=y_dot)
         if alpha != 1.0:
-            out[ys.start:] *= alpha
-        am = alpha * mu
-        np.negative(y, out=z_dot)
-        z_dot -= y_dot if am == 1.0 else y_dot / am
-        z_dot += lam2
-        z_dot += lam2_dot if am == 1.0 else lam2_dot / am
-        np.negative(grads.grad(x), out=x_dot)
-        x_dot -= lam1
-        x_dot -= Ct(lam2)
-        coupling = lam1_dot + Ct(lam2_dot)
-        if am != 1.0:
-            coupling /= am
-        x_dot -= coupling
+            y_dot *= alpha
+        np.subtract(pv, v, out=z_dot)
+        if mu != 1.0:
+            z_dot /= mu
+        z_dot += tail[xs.stop:]
+        if rest is None:
+            x_dot.fill(0.0)
+        else:
+            np.negative(rest.grad(u[xs]), out=x_dot)
+        pull(w, x_dot)
         return out
 
     def switching(self, mu: float) -> Optional[flow.ProxSwitching]:
@@ -171,6 +221,14 @@ class Network:
         group lasso."""
         (_, zs, ys, _, _), *_, proxes = self._field_ops
         return flow.ProxSwitching.of(proxes, zs.start, ys.start, lambda: mu)
+
+
+def _sorted_csr(rows, cols, vals, shape) -> sp.csr_matrix:
+    """The CSR matrix of the entries ``(rows, cols, vals)``, no two at one
+    place, each row's in column order."""
+    order = np.lexsort((cols, rows))
+    indptr = np.searchsorted(rows[order], np.arange(shape[0] + 1))
+    return sp.csr_matrix((vals[order], cols[order], indptr), shape=shape)
 
 
 @dataclass

@@ -70,8 +70,8 @@ class SmoothBlock:
         and of ``M^T``, built on its first call. A :class:`BlockPlan` gives a
         run of adjacent least-squares blocks one such product pair, on their
         block diagonal, which equals these separate calls to the bit. The
-        field and gradient of :class:`FieldKernel` carry ``M`` in their own
-        two products instead."""
+        field and gradient of :class:`FieldKernel`, and the message-passing
+        ``Network.field``, carry ``M`` in their own two products instead."""
         M = np.asarray(M, dtype=float)
         h = np.asarray(h, dtype=float)
         _check_finite(M=M, h=h)
@@ -109,8 +109,9 @@ class _LeastSquares:
     ``csr_product`` of ``M`` and one of ``M^T``, built on the first call. A
     row of either holds only its own block's entries, summed in column order
     from 0.0, so the gradient of a run of blocks is their separate gradients
-    to the bit. The kernel's field and gradient carry ``M`` in their own two
-    products instead."""
+    to the bit. The kernel's field and gradient, and ``Network.field``,
+    carry ``M`` in their own two products instead; ``kkt(u)``'s ``x_plan``
+    takes this pair."""
 
     def __init__(self, Ms, hs):
         self.Ms, self.hs = Ms, hs
@@ -336,8 +337,11 @@ class BlockPlan:
     its blocks' calls to the bit. A run of adjacent blocks of
     kind ``"least_squares"`` shares one block-diagonal product pair
     ``M^T (M x - h)``, built on its first call, which likewise equals its
-    blocks' gradients to the bit. Any other 1-D block is called on its
-    slice; a matrix-shaped one on its column-major reshape. ``l1_index``
+    blocks' gradients to the bit (``kkt(u)``'s ``x_plan``; the fields of
+    :class:`FieldKernel` and ``Network.field`` leave least-squares blocks
+    out of their plans, as their own two products carry them). Any other
+    1-D block is called on its slice; a matrix-shaped one on its
+    column-major reshape. ``l1_index``
     and ``l1_weight`` hold the positions of every l1 run's entries and
     their weights, or ``None`` where there is no l1 run. ``nuclear`` lists
     each matrix-shaped block of kind ``"nuclear"`` as ``(slice, shape,

@@ -174,13 +174,71 @@ def separate_adjoint_field(prob: SaddleProblem, u: np.ndarray):
 
 
 def reference_decentralized_field(net, states, alpha, mu):
-    """The message-passing field agent by agent: each agent sums its
-    neighbors' ``x`` and applies its own local map, as the reference for
-    ``Network.field``.
+    """The message-passing field agent by agent, each entry a loop over its
+    agent's own data, as the reference for ``Network.field``'s two products.
 
-    The multiplier derivatives come first so the primal derivatives can reuse
-    them; the staggering is exactly the per-block form of the centralized
-    field."""
+    An agent's Laplacian row is its -1 per neighbor and its degree, in
+    vertex order; ``L x``, ``C x - z`` and ``M x - h`` sum their row's terms
+    from 0.0 in column order (``z``'s -1 last). Its ``lam1`` and ``lam2``
+    derivatives are ``alpha`` times the first two, ``t = L x / mu + lam1``
+    and ``s = (C x - z) / mu + lam2``. Its ``x`` derivative starts from
+    ``-grad f`` (0.0 for least squares) and adds ``-M^T``'s terms, then
+    ``-t``, then ``-C^T``'s, entry by entry in column order."""
+    out = []
+    for i, (a, st) in enumerate(zip(net.agents, states)):
+        d, nbrs = net.x_dim, net.neighbors[i]
+        row = {j: -1.0 for j in nbrs}
+        if nbrs:
+            row[i] = float(len(nbrs))
+        Lx = np.zeros(d)
+        for e in range(d):
+            acc = 0.0
+            for j in sorted(row):
+                acc += row[j] * states[j].x[e]
+            Lx[e] = acc
+        C = a.C.matrix
+        Cx_z = np.zeros(C.shape[0])
+        for r in range(C.shape[0]):
+            acc = 0.0
+            for jj in range(C.indptr[r], C.indptr[r + 1]):
+                acc += C.data[jj] * st.x[C.indices[jj]]
+            Cx_z[r] = acc + -1.0 * st.z[r]
+        t, s = Lx / mu + st.lam1, Cx_z / mu + st.lam2
+        v = st.z + mu * st.y
+        prox_out = vec(a.g.prox(mu, unvec(v, a.C.out_shape)))
+        if a.f.kind == "least_squares":
+            M, h = a.f.meta["M"], a.f.meta["h"]
+            res = np.zeros(len(M))
+            for r in range(len(M)):
+                acc = 0.0
+                for e in range(d):
+                    acc += M[r, e] * st.x[e]
+                res[r] = acc - h[r]
+            x_dot = np.zeros(d)
+        else:
+            M, res = np.zeros((0, d)), np.zeros(0)
+            x_dot = -vec(a.f.grad(unvec(st.x, a.f.shape)))
+        for e in range(d):
+            acc = x_dot[e]
+            for r in range(len(M)):
+                acc += -M[r, e] * res[r]
+            acc += -1.0 * t[e]
+            for r in range(C.shape[0]):
+                for jj in range(C.indptr[r], C.indptr[r + 1]):
+                    if C.indices[jj] == e:
+                        acc += -C.data[jj] * s[r]
+            x_dot[e] = acc
+        out.append(AgentState(x_dot, (prox_out - v) / mu + s, alpha * (st.z - prox_out),
+                              alpha * Lx, alpha * Cx_z))
+    return out
+
+
+def staggered_decentralized_field(net, states, alpha, mu):
+    """The message-passing field agent by agent in its staggered form: the
+    multiplier derivatives first, then the primal derivatives reusing them,
+    each agent summing its neighbors' ``x`` and applying its own local map.
+    It is the per-block form of the centralized field, which
+    ``Network.field`` matches up to rounding."""
     adj = net.neighbors
     out = []
     for i, (a, st) in enumerate(zip(net.agents, states)):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import reference_decentralized_field, same_doubles
+from conftest import (reference_decentralized_field, same_doubles,
+                      staggered_decentralized_field)
 from palflow import flow, problem, prox
 from palflow.distributed import (AgentData, AgentState, DivergenceError,
                                  Network, agent_states_from_central,
@@ -11,7 +12,7 @@ from palflow.distributed import (AgentData, AgentState, DivergenceError,
                                  simulate, split_multiplier, unpack_agents)
 from palflow.flow import IntegratorConfig, vector_field
 from palflow.examples import gen_lasso_network
-from palflow.linops import LinearOperator, unvec, vec
+from palflow.linops import LinearOperator, block_diagonal, unvec, vec
 from palflow.problem import SmoothBlock, kkt_residual
 
 
@@ -340,6 +341,21 @@ def mixed_prox_net(seed=1):
     return Network(4, [(0, 1), (1, 2), (2, 3), (3, 0)], agents)
 
 
+def mixed_f_net(seed=2):
+    """Path 0-1-2 on R^3 whose agents' smooth terms are a quadratic, a least
+    squares and a quadratic, with an l1 and a zero prox."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((4, 3))
+    fs = [SmoothBlock.quadratic(A.T @ A + np.eye(3), rng.standard_normal(3)),
+          SmoothBlock.least_squares(rng.standard_normal((4, 3)), rng.standard_normal(4)),
+          SmoothBlock.quadratic(np.diag([1.0, 2.0, 3.0]))]
+    local = [(prox.l1(0.4), LinearOperator.from_matrix(rng.standard_normal((2, 3)))),
+             (prox.zero(), LinearOperator.identity((3,))),
+             (prox.l1(0.7), LinearOperator.identity((3,)))]
+    agents = [AgentData(f=f, g=g, C=C) for f, (g, C) in zip(fs, local)]
+    return Network(3, [(0, 1), (1, 2)], agents)
+
+
 def test_layout_from_network():
     net = mixed_net()
     assert net.neighbors == [[1], [0, 2], [1]]
@@ -390,10 +406,12 @@ def test_network_rejects_mixed_local_dims():
 
 # -- the packed message-passing field ----------------------------------------
 
-@pytest.mark.parametrize("make_net", [small_net, lambda: small_net(k=5, with_chord=False),
-                                      mixed_net, mixed_prox_net,
-                                      lambda: gen_lasso_network(6, 4, seed=2)[0]],
-                         ids=["triangle", "path", "mixed", "mixed_prox", "lasso"])
+NETS = [small_net, lambda: small_net(k=5, with_chord=False), mixed_net, mixed_prox_net,
+        lambda: gen_lasso_network(6, 4, seed=2)[0], mixed_f_net]
+NET_IDS = ["triangle", "path", "mixed", "mixed_prox", "lasso", "mixed_f"]
+
+
+@pytest.mark.parametrize("make_net", NETS, ids=NET_IDS)
 @pytest.mark.parametrize("alpha,mu", [(1.0, 1.0), (1.3, 0.7)])
 def test_network_field_is_the_per_agent_loop(rng, make_net, alpha, mu):
     net = make_net()
@@ -404,33 +422,82 @@ def test_network_field_is_the_per_agent_loop(rng, make_net, alpha, mu):
         assert np.array_equal(net.field(u, alpha, mu), pack_agents(want))
 
 
+@pytest.mark.parametrize("make_net", NETS, ids=NET_IDS)
+@pytest.mark.parametrize("alpha,mu", [(1.0, 1.0), (1.3, 0.7)])
+def test_network_field_is_the_staggered_field(rng, make_net, alpha, mu):
+    """The two-product field equals the staggered per-agent form, whose
+    passes round differently, to 1e-14 of the largest entry."""
+    net = make_net()
+    n = 2 * net.k * net.x_dim + 3 * sum(net.z_dims)
+    for _ in range(20):
+        u = rng.standard_normal(n)
+        want = pack_agents(staggered_decentralized_field(net, unpack_agents(net, u),
+                                                         alpha, mu))
+        gap = np.max(np.abs(net.field(u, alpha, mu) - want))
+        assert gap <= 1e-14 * np.max(np.abs(want))
+
+
+def _scipy_field_matrices(net):
+    """``Network._field_ops``' forward and backward matrices stacked by
+    scipy: ``[M 0; L 0; C -I]`` and ``-[M^T I C^T]``, sorted."""
+    d, nz = net.x_dim, sum(net.z_dims)
+    kd = net.k * d
+    deg = np.diff(net.adjacency.indptr).astype(float)
+    L = sp.kron(sp.diags(deg) - net.adjacency, sp.identity(d), format="csr")
+    M = block_diagonal([a.f.meta["M"] if a.f.kind == "least_squares" else sp.csr_matrix((0, d))
+                        for a in net.agents])
+    C = block_diagonal([a.C.matrix for a in net.agents])
+    F = sp.vstack([sp.hstack([M, sp.csr_matrix((M.shape[0], nz))]),
+                   sp.hstack([L, sp.csr_matrix((kd, nz))]),
+                   sp.hstack([C, -sp.identity(nz)])], format="csr")
+    B = -sp.hstack([M.T, sp.identity(kd), C.T], format="csr")
+    for A in (F, B):
+        A.sort_indices()
+    return F, B
+
+
+@pytest.mark.parametrize("make_net", NETS + [lambda: small_net(k=1)],
+                         ids=NET_IDS + ["single"])
+def test_field_matrices_are_scipys_stacks(make_net):
+    net = make_net()
+    _, F, B, *_ = net._field_ops
+    for got, want in zip((F, B), _scipy_field_matrices(net)):
+        assert got.shape == want.shape and got.has_sorted_indices
+        for a in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, a), getattr(want, a))
+
+
 def _always_scaled_packed(net, u, alpha, mu):
     """``Network.field`` with every pass that multiplies or divides by
-    ``alpha``, ``mu`` or ``alpha * mu`` taken, each agent's prox its own
-    call and each part a fresh array: the reference that skipping a unit
-    scale's passes must equal to the bit."""
-    (xs, zs, ys, l1s, l2s), deg, A, C, Ct, grads, _ = net._field_ops
-    x, z, y, lam1, lam2 = u[xs], u[zs], u[ys], u[l1s], u[l2s]
+    ``alpha`` or ``mu`` taken, each agent's prox its own call and each part
+    a fresh array: the reference that skipping a unit scale's passes must
+    equal to the bit."""
+    (xs, zs, ys, l1s, _), F, _, push, pull, h, rest, _ = net._field_ops
+    z, y = u[zs], u[ys]
+    w = push(u[:zs.stop], np.zeros(F.shape[0]))
+    w[:h.size] -= h
+    tail = w[h.size:]
+    lam_dot = alpha * tail
+    tail[:] = tail / mu + u[l1s.start:]
     v = z + mu * y
     prox_out = np.concatenate([vec(a.g.prox(mu, unvec(v[sl], a.C.out_shape)))
                                for a, sl in zip(net.agents, net.z_slices)])
-    lam1_dot = alpha * (deg * x - A(x))
-    lam2_dot = alpha * (C(x) - z)
     y_dot = alpha * (z - prox_out)
-    z_dot = -y - y_dot / (alpha * mu) + lam2 + lam2_dot / (alpha * mu)
-    x_dot = (-grads.grad(x) - lam1 - Ct(lam2)
-             - (lam1_dot + Ct(lam2_dot)) / (alpha * mu))
-    return np.concatenate([x_dot, z_dot, y_dot, lam1_dot, lam2_dot])
+    z_dot = (prox_out - v) / mu + tail[xs.stop:]
+    x_dot = np.zeros(xs.stop) if rest is None else -rest.grad(u[xs])
+    pull(w, x_dot)
+    return np.concatenate([x_dot, z_dot, y_dot, lam_dot])
 
 
 @pytest.mark.parametrize("make_net", [small_net, mixed_net, mixed_prox_net,
-                                      lambda: gen_lasso_network(5, 20, 3, seed=0)[0]],
-                         ids=["triangle", "mixed", "mixed_prox", "lasso"])
-# both unit, neither, a unit mu only, and alpha * mu == 1
+                                      lambda: gen_lasso_network(5, 20, 3, seed=0)[0],
+                                      mixed_f_net],
+                         ids=["triangle", "mixed", "mixed_prox", "lasso", "mixed_f"])
+# both unit, neither, a unit mu only, and neither with alpha * mu == 1
 @pytest.mark.parametrize("alpha,mu", [(1.0, 1.0), (2.5, 0.3), (2.5, 1.0), (0.4, 2.5)])
 def test_network_field_unit_scales_cost_no_bit(rng, make_net, alpha, mu):
-    """Where alpha, mu or alpha * mu is 1 the packed field skips the pass
-    that scales by it; returned or written into ``out``, it equals the
+    """Where alpha or mu is 1 the packed field skips the passes that scale
+    by it; returned or written into ``out``, it equals the
     always-scaling form, value and sign bit, also on states holding zeros
     of either sign."""
     net = make_net()
@@ -537,14 +604,22 @@ def test_network_builds_field_operators_on_first_use(rng):
 def test_lasso_plans_fuse_every_agents_least_squares(rng):
     net = gen_lasso_network(5, 20)[0]
     prob = assemble_consensus(net)
-    grads = net._field_ops[-2]
-    for plan in (prob.kernel.x_plan, grads):
-        assert [(sl.start, sl.stop) for sl, _, _, _ in plan.runs] == [(0, 100)]
+    plan = prob.kernel.x_plan
+    assert [(sl.start, sl.stop) for sl, _, _, _ in plan.runs] == [(0, 100)]
     for _ in range(5):
         x = rng.standard_normal(prob.m)
         want = np.concatenate(prob.f_grad(np.split(x, net.k)))
-        assert np.array_equal(prob.kernel.x_plan.grad(x), want)
-        assert np.array_equal(grads.grad(x), want)
+        assert np.array_equal(plan.grad(x), want)
+    # the network's forward matrix leads with the agents' M block diagonal,
+    # and no gradient plan runs
+    _, F, _, _, _, h, rest, _ = net._field_ops
+    M = block_diagonal([a.f.meta["M"] for a in net.agents])
+    top = F[:M.shape[0]]
+    assert top.shape == (M.shape[0], M.shape[1] + sum(net.z_dims))
+    for a in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(top, a), getattr(M, a))
+    assert np.array_equal(h, np.concatenate([a.f.meta["h"] for a in net.agents]))
+    assert rest is None
 
 
 def test_lasso_construction_builds_no_sparse_matrix(monkeypatch):
