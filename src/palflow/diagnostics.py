@@ -52,10 +52,9 @@ def decay_bound(prob: SaddleProblem, s: PrimalDualState, ref: ReferenceSolution)
     """Negative semidefinite upper bound on the derivative of the quadratic
     function: ``-(a / max(L_f, mu)) (||grad f(x) - grad f(x*)||^2 +
     ||g_y||^2 + ||g_lam||^2)``."""
-    kernel, m = prob.kernel, prob.m
-    u = prob.pack(s)
-    gf = kernel.x_plan.grad(u[:m]) - kernel.x_plan.grad(prob.pack(ref.state)[:m])
-    g = kernel.gradient(u)[m + prob.n:]
+    gf = np.concatenate([vec(a) - vec(b) for a, b in
+                         zip(prob.f_grad(s.x), prob.f_grad(ref.state.x))] + [np.empty(0)])
+    g = prob.kernel.gradient(prob.pack(s))[prob.m + prob.n:]
     return -prob.alpha / max(prob.L_f, prob.mu) * float(gf @ gf + g @ g)
 
 

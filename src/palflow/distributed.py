@@ -105,8 +105,8 @@ class Network:
         0; C -I]`` over the contiguous ``(x, z)`` slice and the backward
         matrix ``B = -[M^T I C^T]``; the products of both
         (``csr_add_product``); the stacked ``h``; the plan of the local
-        gradients that are not least squares (``None`` where all are); and
-        the plan of the local proxes.
+        gradients, 0.0 on least-squares agents (``None`` where all are);
+        and the plan of the local proxes.
 
         ``M`` is the least-squares agents' block diagonal on their x
         columns, ``L = kron(D - adjacency, I_d)`` the Laplacian and ``C``
@@ -154,8 +154,7 @@ class Network:
                            + [np.empty(0)])
         # x leads the packed state, so an agent's x slice also indexes ``x``
         rest = None if all(ls) else BlockPlan(
-            (sl[0], a.f.shape, SmoothBlock(a.f.shape, lambda x: 0.0, np.zeros_like)
-             if is_ls else a.f) for a, is_ls, sl in zip(self.agents, ls, self.slices))
+            (sl[0], a.f.shape, a.f) for a, sl in zip(self.agents, self.slices))
         proxes = BlockPlan((zsl, a.C.out_shape, a.g)
                            for a, zsl in zip(self.agents, self.z_slices))
         return parts, F, B, csr_add_product(F), csr_add_product(B), h, rest, proxes

@@ -834,8 +834,9 @@ def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig) -
     product: where it exceeds ``stop_kkt`` the event returns that positive
     gap, and otherwise the residual read off the field, ``kernel.kkt(y, f)``
     less ``stop_kkt``. Only the event's sign decides a stop, and the root
-    search evaluates the residual in full, so the bound moves no stop. The
-    ``kkt_residual`` column is ``kernel.kkt`` at every kept sample. Where
+    search reads the residual off a field it evaluates, ``kernel.kkt(y)``,
+    so the bound moves no stop. The ``kkt_residual`` column is
+    ``kernel.kkt(u)`` at every kept sample. Where
     the z blocks hold an l1 run, a nuclear-norm block or a group lasso, the
     adaptive method aims each step at the next l1 or group kink and retries
     a rejected attempt at the first l1 or nuclear kink of their proxes

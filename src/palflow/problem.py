@@ -66,12 +66,10 @@ class SmoothBlock:
         """``(1/2) ||M x - h||^2``, of kind ``"least_squares"`` with ``M`` and
         ``h`` in ``meta``.
 
-        The gradient is ``M^T (M x - h)`` through the ``csr_product`` of ``M``
-        and of ``M^T``, built on its first call. A :class:`BlockPlan` gives a
-        run of adjacent least-squares blocks one such product pair, on their
-        block diagonal, which equals these separate calls to the bit. The
-        field and gradient of :class:`FieldKernel`, and the message-passing
-        ``Network.field``, carry ``M`` in their own two products instead."""
+        Its gradient ``M^T (M x - h)`` is a product pair built on its first
+        call. The two products of :class:`FieldKernel` and of
+        ``Network.field`` carry ``M`` instead: a :class:`BlockPlan` writes
+        0.0 for this block."""
         M = np.asarray(M, dtype=float)
         h = np.asarray(h, dtype=float)
         _check_finite(M=M, h=h)
@@ -81,7 +79,7 @@ class SmoothBlock:
             raise ValueError(f"h must be a vector of {M.shape[0]} entries, got shape {h.shape}")
         s = np.linalg.svd(M, compute_uv=False)
         smin = float(s[-1]) if M.shape[0] >= M.shape[1] else 0.0
-        ls = _LeastSquares([M], [h])
+        ls = _LeastSquares(M, h)
         return cls(shape=(M.shape[1],),
                    value=lambda x: 0.5 * float(np.sum((M @ x - h) ** 2)),
                    # csr_product reads x unchecked
@@ -104,26 +102,22 @@ def _check_positive(**values):
 
 
 class _LeastSquares:
-    """The gradient ``M^T (M x - h)`` of ``(1/2) ||M x - h||^2`` for the block
-    diagonal ``M`` of ``Ms`` and the stack ``h`` of ``hs``: one
-    ``csr_product`` of ``M`` and one of ``M^T``, built on the first call. A
-    row of either holds only its own block's entries, summed in column order
-    from 0.0, so the gradient of a run of blocks is their separate gradients
-    to the bit. The kernel's field and gradient, and ``Network.field``,
-    carry ``M`` in their own two products instead; ``kkt(u)``'s ``x_plan``
-    takes this pair."""
+    """The gradient ``M^T (M x - h)`` of ``(1/2) ||M x - h||^2``: one
+    ``csr_product`` of ``M`` and one of ``M^T``, built on the first call
+    from ``block_diagonal([M])``, whose rows sum their entries in column
+    order from 0.0, as the kernel's forward product sums ``M``'s rows."""
 
-    def __init__(self, Ms, hs):
-        self.Ms, self.hs = Ms, hs
+    def __init__(self, M, h):
+        self.M, self.h = M, h
 
     @cached_property
     def _products(self):
-        M = block_diagonal(self.Ms)
-        return csr_product(M), csr_product(M.T.tocsr()), np.concatenate(self.hs)
+        M = block_diagonal([self.M])
+        return csr_product(M), csr_product(M.T.tocsr())
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        M, Mt, h = self._products
-        return Mt(M(x) - h)
+        M, Mt = self._products
+        return Mt(M(x) - self.h)
 
 
 @dataclass
@@ -334,14 +328,11 @@ class BlockPlan:
     block's ``meta["weight"]`` over its entries (``w`` itself, only read,
     where ``mu`` is 1). That holds the same doubles as each block's
     ``weight * mu``, and ``prox_l1`` acts entry by entry, so the run equals
-    its blocks' calls to the bit. A run of adjacent blocks of
-    kind ``"least_squares"`` shares one block-diagonal product pair
-    ``M^T (M x - h)``, built on its first call, which likewise equals its
-    blocks' gradients to the bit (``kkt(u)``'s ``x_plan``; the fields of
-    :class:`FieldKernel` and ``Network.field`` leave least-squares blocks
-    out of their plans, as their own two products carry them). Any other
-    1-D block is called on its slice; a matrix-shaped one on its
-    column-major reshape. ``l1_index``
+    its blocks' calls to the bit. A block of kind ``"least_squares"`` makes
+    no call: ``grad`` writes 0.0 on its slice, as the two products of
+    :class:`FieldKernel` and of ``Network.field`` carry its gradient ``M^T
+    (M x - h)``. Any other 1-D block is called on its slice; a
+    matrix-shaped one on its column-major reshape. ``l1_index``
     and ``l1_weight`` hold the positions of every l1 run's entries and
     their weights, or ``None`` where there is no l1 run. ``nuclear`` lists
     each matrix-shaped block of kind ``"nuclear"`` as ``(slice, shape,
@@ -351,7 +342,7 @@ class BlockPlan:
 
     def __init__(self, blocks):
         # (slice, per-entry l1 weights, None, None) for a run of l1 blocks,
-        # (slice, None, None, its gradient) for a run of least-squares blocks,
+        # (slice, None, None, None) for a least-squares block,
         # (slice, None, matrix shape or None, function) for any other block
         self.runs = []
         for sl, shape, fn in blocks:
@@ -364,11 +355,7 @@ class BlockPlan:
                     sl, w = slice(prev[0].start, sl.stop), np.concatenate([prev[1], w])
                 self.runs.append((sl, w, None, None))
             elif kind == "least_squares":
-                Ms, hs = [fn.meta["M"]], [fn.meta["h"]]
-                if isinstance(prev[3], _LeastSquares):
-                    self.runs.pop()
-                    sl, Ms, hs = slice(prev[0].start, sl.stop), prev[3].Ms + Ms, prev[3].hs + hs
-                self.runs.append((sl, None, None, _LeastSquares(Ms, hs)))
+                self.runs.append((sl, None, None, None))
             else:
                 self.runs.append((sl, None, tuple(shape) if len(shape) > 1 else None, fn))
         self.dim = self.runs[-1][0].stop if self.runs else 0
@@ -379,19 +366,19 @@ class BlockPlan:
                         if shape is not None and getattr(g, "kind", None) == "nuclear"]
         self.groups = [(sl, g.meta["partition"]) for sl, _, shape, g in self.runs
                        if shape is None and getattr(g, "kind", None) == "group_lasso"]
-        # a lone run fused here returns its own fresh array, uncopied; any
-        # other lone block is copied, as its function may return a view
-        lone = self.runs[0] if len(self.runs) == 1 else (None,) * 4
-        self._lone_l1 = lone[1]
-        self._lone_ls = lone[3] if isinstance(lone[3], _LeastSquares) else None
+        # a lone l1 run returns prox_l1's fresh array, uncopied; any other
+        # lone block is copied, as its function may return a view
+        self._lone_l1 = self.runs[0][1] if len(self.runs) == 1 else None
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        if self._lone_ls is not None:
-            return self._lone_ls.grad(x)
         out = np.empty(self.dim)
         for sl, _, shape, b in self.runs:
-            out[sl] = (b.grad(x[sl]) if shape is None else
-                       np.ravel(b.grad(x[sl].reshape(shape, order="F")), order="F"))
+            if b is None:
+                out[sl] = 0.0
+            elif shape is None:
+                out[sl] = b.grad(x[sl])
+            else:
+                out[sl] = np.ravel(b.grad(x[sl].reshape(shape, order="F")), order="F")
         return out
 
     def prox(self, mu: float, v: np.ndarray) -> np.ndarray:
@@ -426,8 +413,8 @@ class FieldKernel:
     the field's x and z rows, which hold ``-(the other smooth gradients)``
     (0.0 on least-squares rows) and ``(prox(v) - v) / mu``; a row with more
     than one entry rounds unlike a separate adjoint product subtracted (the
-    network lasso's x rows). ``kkt`` keeps that separate product and the
-    full smooth gradient ``x_plan``.
+    network lasso's x rows). ``kkt`` reads the KKT residual off the field
+    with a separate adjoint product.
 
     The residual ``E x + F z - q`` must equal ``BlockOperator``'s to the
     last bit, even where ``Ex`` and ``q`` cancel. That sums each block's
@@ -488,7 +475,6 @@ class FieldKernel:
         self.x_blocks = list(zip(x_slices, prob.smooth_blocks))
         self.z_blocks = list(zip(z_slices, prob.nonsmooth_blocks))
         self._bound_share = 1.0 - 4 * (prob.state_dim + 2) * np.finfo(float).eps
-        self.x_plan = BlockPlan(zip(x_slices, prob.x_shapes, prob.smooth_blocks))
         self.z_plan = BlockPlan(zip(z_slices, prob.z_shapes,
                                     [b.g for b in prob.nonsmooth_blocks]))
         # the least-squares blocks' M on their x columns, and no z column
@@ -508,10 +494,9 @@ class FieldKernel:
         back = sp.hstack([M.T, self.EFt], format="csr")
         back.sort_indices()
         self._back_grad, self._back_field = csr_add_product(back), csr_add_product(-back)
-        # the other smooth blocks' gradients, zero on the least-squares rows
-        self._x_rest = None if all(ls) else BlockPlan(zip(x_slices, prob.x_shapes, [
-            SmoothBlock(b.shape, lambda x: 0.0, np.zeros_like) if is_ls else b
-            for b, is_ls in zip(prob.smooth_blocks, ls)]))
+        # the other smooth blocks' gradients, 0.0 on the least-squares rows
+        self._x_rest = None if all(ls) else BlockPlan(
+            zip(x_slices, prob.x_shapes, prob.smooth_blocks))
 
     def _push(self, xz: np.ndarray, r: np.ndarray) -> np.ndarray:
         """The forward product of the ``(x, z)`` slice: writes ``E x + F z -
@@ -529,12 +514,6 @@ class FieldKernel:
             w[:n_ls] -= self._h
         return w
 
-    def _residual(self, xz: np.ndarray) -> np.ndarray:
-        """``E x + F z - q``."""
-        r = np.empty(self.p)
-        self._push(xz, r)
-        return r
-
     def value(self, u: np.ndarray) -> float:
         """Value of the proximal augmented Lagrangian."""
         m, n, mu = self.m, self.n, self.prob.mu
@@ -543,7 +522,8 @@ class FieldKernel:
         f = sum(b.value(x[sl].reshape(b.shape, order="F")) for sl, b in self.x_blocks)
         envelope = sum(moreau_value(b.g, mu, v[sl].reshape(b.shape, order="F"))
                        for sl, b in self.z_blocks)
-        r = self._residual(u[:m + n])
+        r = np.empty(self.p)
+        self._push(u[:m + n], r)
         return (f + envelope + np.sum((r + mu * lam) ** 2) / (2.0 * mu)
                 - 0.5 * mu * np.sum(y ** 2) - 0.5 * mu * np.sum(lam ** 2))
 
@@ -604,23 +584,16 @@ class FieldKernel:
     def kkt(self, u: np.ndarray, f: Optional[np.ndarray] = None) -> float:
         """Norm of the stacked KKT violations; see :func:`kkt_residual`.
 
-        Given ``f = (f_x, f_z, f_y, f_lam)``, the field at ``u``, they are
-        read off it with one adjoint product, equal up to rounding:
-        ``r = f_lam / a``, ``z - prox(z + mu y) = f_y / a``,
-        ``grad f + E^T lam = -f_x - E^T r / mu`` and
-        ``y + F^T lam = -f_z - (f_y / a) / mu - F^T r / mu``.
+        They are read off ``f = (f_x, f_z, f_y, f_lam)``, the field at ``u``
+        (evaluated here where ``f`` is not given), with one adjoint product,
+        equal up to rounding: ``r = f_lam / a``, ``z - prox(z + mu y) = f_y /
+        a``, ``grad f + E^T lam = -f_x - E^T r / mu`` and ``y + F^T lam =
+        -f_z - (f_y / a) / mu - F^T r / mu``.
         """
-        m, n, mu = self.m, self.n, self.prob.mu
-        k = m + n
         if f is None:
-            z, y, lam = u[m:k], u[k:k + n], u[k + n:]
-            at = self._adjoint(lam)
-            r = self._residual(u[:k])
-            return float(np.sqrt(np.sum((self.x_plan.grad(u[:m]) + at[:m]) ** 2)
-                                 + np.sum((y + at[m:]) ** 2)
-                                 + np.sum((z - self.z_plan.prox(mu, z + mu * y)) ** 2)
-                                 + np.sum(r ** 2)))
-        alpha = self.prob.alpha
+            f = self.field(u)
+        m, n, mu, alpha = self.m, self.n, self.prob.mu, self.prob.alpha
+        k = m + n
         # views of f where alpha or mu is 1, which are only read
         r, d = f[k + n:], f[k:k + n]
         if alpha != 1.0:

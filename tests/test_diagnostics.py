@@ -7,6 +7,8 @@ from palflow.diagnostics import (DualSolveError, ReferenceSolution,
                                  envelope_violation, fit_exponential_rate,
                                  lyapunov_v1, lyapunov_v1_derivative,
                                  decay_bound, lyapunov_v2)
+from palflow.distributed import assemble_consensus
+from palflow.examples import gen_lasso_network
 from palflow.flow import IntegratorConfig, integrate
 from palflow.linops import BlockOperator, LinearOperator
 from palflow.problem import (NonsmoothBlock, PrimalDualState, SaddleProblem,
@@ -69,6 +71,28 @@ def test_decay_bound_dominates_derivative(rng):
         v = lyapunov_v1(prob, s, ref)
         assert v <= prev + 1e-8 * (1.0 + v)
         prev = v
+
+
+@pytest.mark.parametrize("name", ["composite", "network_lasso"])
+def test_decay_bound_is_its_formula(name, rng):
+    """Every smooth block's gradient gap counts, a least-squares agent's
+    too: the bound equals ``-(a / max(L_f, mu)) (||grad f(x) - grad
+    f(x*)||^2 + ||z - prox(z + mu y)||^2 + ||r||^2)``, block by block."""
+    if name == "composite":
+        prob = composite_instance(rng, mu=0.6, alpha=1.7)
+    else:
+        prob = assemble_consensus(gen_lasso_network(3, 4, 3, seed=0)[0])
+    ref = ReferenceSolution(state=prob.random_state(rng))
+    for _ in range(3):
+        s = prob.random_state(rng)
+        gaps = [g - g_ref for g, g_ref in zip(prob.f_grad(s.x), prob.f_grad(ref.state.x))]
+        gy = [z - p for z, p in zip(s.z, prob.prox_g([z + prob.mu * y
+                                                      for z, y in zip(s.z, s.y)]))]
+        r = prob.constraint_residual(s.x, s.z)
+        total = sum(float(np.sum(a ** 2)) for a in gaps + gy + [r])
+        assert sum(float(np.sum(a ** 2)) for a in gaps) > 0.1 * total
+        want = -prob.alpha / max(prob.L_f, prob.mu) * total
+        assert decay_bound(prob, s, ref) == pytest.approx(want, rel=1e-12)
 
 
 # -- dual function -----------------------------------------------------------

@@ -352,7 +352,6 @@ def test_residual_layout_rule(p, e_widths, f_widths, seed):
             a[rng.random(a.shape) < 0.2] = -0.0
         u = prob.pack(s)
         want = prob.constraint_residual(s.x, s.z)
-        assert same_doubles(kernel._residual(u[:k]), want)
         assert same_doubles(kernel.gradient(u)[k + prob.n:], want)
 
 
@@ -374,29 +373,67 @@ def test_residual_layout_of_each_instance(name, one_product):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_INSTANCES))
 def test_kkt_read_off_the_field(name, rng):
-    """Given the field at the state, the KKT residual is read off it; with
-    ``mu`` and ``alpha`` away from 1, a dropped ``/alpha`` or ``/mu`` shows."""
+    """The KKT residual is read off the field at the state, evaluated or
+    given, and equals the lifted block-by-block reference; with ``mu`` and
+    ``alpha`` away from 1, a dropped ``/alpha`` or ``/mu`` shows."""
     prob = KERNEL_INSTANCES[name]()
     prob.mu, prob.alpha = 0.45, 2.7
+    lifted = build_lifted(prob)
     for _ in range(5):
-        u = prob.pack(prob.random_state(rng))
-        want = prob.kernel.kkt(u)
+        s = prob.random_state(rng)
+        u = prob.pack(s)
+        want = lifted.kkt_residual(s.x, s.z, s.z, s.y, s.lam)
         assert 0.1 < want < 1e3
-        assert prob.kernel.kkt(u, prob.kernel.field(u)) == pytest.approx(want, rel=1e-12)
+        got = prob.kernel.kkt(u)
+        assert got == prob.kernel.kkt(u, prob.kernel.field(u))
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["network_lasso", "covariance_completion"])
+def test_kkt_near_the_optimum_is_the_lifted_reference(name):
+    """Reading the residual off the field loses nothing that shows near the
+    optimum: at the kept states of a run with KKT at most 1e-9, it is within
+    1e-14 of the lifted block-by-block reference."""
+    if name == "network_lasso":
+        prob = KERNEL_INSTANCES[name]()
+        s0 = prob.zero_state()
+    else:
+        # a fast dual time constant reaches the tail in well under a second
+        prob, s0 = examples.gen_covariance_completion(3, alpha=10.0)
+    traj = integrate(prob, s0, IntegratorConfig(t_end=1000.0, stop_kkt=1e-10, rel_tol=1e-5))
+    assert traj.termination == "stop_kkt"
+    lifted = build_lifted(prob)
+    near = np.flatnonzero(traj.diagnostics["kkt_residual"] <= 1e-9)
+    assert near.size >= 2
+    for i in near:
+        s = prob.unpack(traj.states[i])
+        want = lifted.kkt_residual(s.x, s.z, s.z, s.y, s.lam)
+        assert abs(prob.kernel.kkt(traj.states[i]) - want) <= 1e-14
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_INSTANCES))
 def test_block_plans_are_the_per_block_calls(name, rng):
+    """A plan of the smooth blocks is their gradients, 0.0 on least-squares
+    blocks, whose own gradient is scipy's two CSR products; the kernel's
+    prox plan is the per-block proxes."""
     prob = KERNEL_INSTANCES[name]()
     kernel = prob.kernel
+    plan, _ = _plan_of(prob.smooth_blocks)
     for mu in (prob.mu, 0.37):
         x, v = rng.standard_normal(prob.m), 2.0 * rng.standard_normal(prob.n)
         xs = [unvec(x[sl], b.shape) for sl, b in kernel.x_blocks]
         vs = [unvec(v[sl], b.shape) for sl, b in kernel.z_blocks]
-        want_grad = np.concatenate([vec(g) for g in prob.f_grad(xs)] + [np.empty(0)])
+        grads = prob.f_grad(xs)
+        for b, xi, g in zip(prob.smooth_blocks, xs, grads):
+            if b.kind == "least_squares":
+                M = sp.csr_matrix(b.meta["M"])
+                assert np.array_equal(g, M.T.tocsr() @ (M @ xi - b.meta["h"]))
+        want_grad = np.concatenate([np.zeros(b.dim) if b.kind == "least_squares" else vec(g)
+                                    for b, g in zip(prob.smooth_blocks, grads)]
+                                   + [np.empty(0)])
         want_prox = np.concatenate([vec(b.g.prox(mu, vi))
                                     for (_, b), vi in zip(kernel.z_blocks, vs)] + [np.empty(0)])
-        assert np.array_equal(kernel.x_plan.grad(x), want_grad)
+        assert same_doubles(plan.grad(x), want_grad)
         assert np.array_equal(kernel.z_plan.prox(mu, v), want_prox)
 
 
@@ -412,7 +449,7 @@ def test_block_plan_fuses_adjacent_l1_blocks_only():
     assert plan.l1_index.tolist() == [*range(7), *range(11, 20), 22, 23, 33]
     assert np.array_equal(plan.l1_weight, np.concatenate(
         [w for _, w, _, _ in plan.runs if w is not None]))
-    assert composite_instance(np.random.default_rng(0)).kernel.x_plan.l1_index is None
+    assert _plan_of(composite_instance(np.random.default_rng(0)).smooth_blocks)[0].l1_index is None
     # every matrix-shaped nuclear block, for the rank-change search
     assert plan.nuclear == [(slice(24, 30), (3, 2), 0.5)]
 
@@ -423,41 +460,37 @@ def _plan_of(blocks):
     return BlockPlan(zip(slices, [b.shape for b in blocks], blocks)), slices
 
 
-def test_block_plan_fuses_adjacent_least_squares_blocks_only(rng):
+def test_block_plan_writes_zero_for_least_squares_blocks(rng):
     def ls(rows, cols):
         return SmoothBlock.least_squares(rng.standard_normal((rows, cols)),
                                          rng.standard_normal(rows))
 
     quad = SmoothBlock.quadratic(np.diag([1.0, 2.0]))
-    # least squares, least squares | quadratic | least squares, least squares
+    # adjacent least-squares blocks around a quadratic one: each is a run
     blocks = [ls(3, 4), ls(2, 4), quad, ls(5, 3), ls(1, 2)]
     plan, slices = _plan_of(blocks)
-    assert [(sl.start, sl.stop) for sl, _, _, _ in plan.runs] == [(0, 8), (8, 10), (10, 15)]
-    assert all(w is None and shape is None for _, w, shape, _ in plan.runs)
-    assert plan.runs[1][3] is quad
+    assert [(sl.start, sl.stop) for sl, _, _, _ in plan.runs] == [
+        (0, 4), (4, 8), (8, 10), (10, 13), (13, 15)]
+    assert [b for _, _, _, b in plan.runs] == [None, None, quad, None, None]
     for _ in range(5):
         x = rng.standard_normal(plan.dim)
-        want = np.concatenate([b.grad(x[sl]) for sl, b in zip(slices, blocks)])
-        assert np.array_equal(plan.grad(x), want)
-    # a lone least-squares block is a run of its own
-    lone, slices = _plan_of([quad, blocks[0], quad])
-    assert [(sl.start, sl.stop) for sl, _, _, _ in lone.runs] == [(0, 2), (2, 6), (6, 8)]
-    x = rng.standard_normal(lone.dim)
-    assert np.array_equal(lone.grad(x), np.concatenate(
-        [b.grad(x[sl]) for sl, b in zip(slices, [quad, blocks[0], quad])]))
+        want = np.concatenate([quad.grad(x[sl]) if b is quad else np.zeros(b.dim)
+                               for sl, b in zip(slices, blocks)])
+        assert same_doubles(plan.grad(x), want)
 
 
 def test_block_plan_output_never_aliases_its_input(rng):
-    """A lone run the plan fused returns its own fresh array; a lone block
-    whose function returns its input is copied."""
+    """A lone l1 run returns the soft threshold's fresh array; a lone block
+    whose function returns its input is copied, and a lone least-squares
+    block's 0.0 is written into a new array."""
     ident = SmoothBlock(shape=(4,), value=lambda x: 0.5 * x @ x, grad=lambda x: x)
     passthrough = prox.ProximableFunction(value=lambda w: 0.0, prox=lambda mu, v: v)
     lone_ls = SmoothBlock.least_squares(rng.standard_normal((3, 4)), rng.standard_normal(3))
     x = rng.standard_normal(4)
-    for block in (ident, lone_ls):
+    for block, want in ((ident, x), (lone_ls, np.zeros(4))):
         plan, _ = _plan_of([block])
         g = plan.grad(x)
-        assert np.array_equal(g, block.grad(x)) and not np.shares_memory(g, x)
+        assert same_doubles(g, want) and not np.shares_memory(g, x)
     for g in (passthrough, prox.l1(0.3)):
         plan = BlockPlan([(slice(0, 4), (4,), g)])
         p = plan.prox(0.7, x)
@@ -477,7 +510,7 @@ def test_kernel_reads_mu_and_alpha_per_call(rng):
 
 def _always_scaled(prob, u):
     """The kernel's gradient and field at ``u``, and its KKT residual read
-    fresh and off that field, with every pass that multiplies or divides by
+    off that field, with every pass that multiplies or divides by
     ``mu`` or ``alpha`` taken and each prox its block's own call: the
     reference that skipping a unit scale's passes must equal to the bit. Its
     x and z rows start from the other smooth gradients (negated in the
@@ -506,15 +539,11 @@ def _always_scaled(prob, u):
     field = np.concatenate([-rest if k._x_rest else rest, (pv - v) / mu, z - pv, r])
     k._back_field(w, field[:kk])
     field[kk:] *= a
-    gx = k.x_plan.grad(u[:m])
-    at = k._adjoint(lam)
-    fresh = np.sqrt(np.sum((gx + at[:m]) ** 2) + np.sum((y + at[m:]) ** 2)
-                    + np.sum((z - prox_g(z + mu * y)) ** 2) + np.sum(r ** 2))
     r, d = field[kk + n:] / a, field[kk:kk + n] / a
     g = k._adjoint(r / mu)
     g += field[:kk]
     g[m:] += d / mu
-    return grad, field, float(fresh), float(np.sqrt(g @ g + d @ d + r @ r))
+    return grad, field, float(np.sqrt(g @ g + d @ d + r @ r))
 
 
 CRITERION_6 = ["network_lasso", "sparse_group_lasso", "pcp", "covariance_completion"]
@@ -528,9 +557,9 @@ def _instance(name, rng):
 @pytest.mark.parametrize("name", CRITERION_6 + ["composite"])
 def test_unit_scales_cost_no_bit(name, mu, alpha, rng):
     """Where mu or alpha is 1 the kernel skips the passes that scale by it;
-    its gradient, its field (returned or written into ``out``) and both KKT
-    readings equal the always-scaling form, value and sign bit, also on
-    states holding zeros of either sign."""
+    its gradient, its field (returned or written into ``out``) and its KKT
+    residual, with the field given or not, equal the always-scaling form,
+    value and sign bit, also on states holding zeros of either sign."""
     prob = _instance(name, rng)
     prob.mu, prob.alpha = mu, alpha
     k = prob.kernel
@@ -539,12 +568,12 @@ def test_unit_scales_cost_no_bit(name, mu, alpha, rng):
         if i % 2:
             u[rng.random(u.size) < 0.2] = 0.0
             u[rng.random(u.size) < 0.2] = -0.0
-        grad, field, fresh, staged = _always_scaled(prob, u)
+        grad, field, kkt = _always_scaled(prob, u)
         assert same_doubles(k.gradient(u), grad)
         assert same_doubles(k.field(u), field)
         out = np.full_like(u, np.nan)
         assert k.field(u, out) is out and same_doubles(out, field)
-        assert k.kkt(u) == fresh and k.kkt(u, field) == staged
+        assert k.kkt(u) == kkt and k.kkt(u, field) == kkt
 
 
 @pytest.mark.parametrize("mu", [1.0, 0.8, 1.6])
@@ -1733,7 +1762,8 @@ def test_switching_functions_are_the_l1_supports(rng):
             nsw = net.switching(mu)
             s = np.abs(u[nsw.z] + mu * u[nsw.y]) - mu * nsw.w
             assert np.array_equal(s <= 0, zero)
-    assert flow.ProxSwitching.of(composite_instance(rng).kernel.x_plan, 0, 0, None) is None
+    assert flow.ProxSwitching.of(_plan_of(composite_instance(rng).smooth_blocks)[0],
+                                 0, 0, None) is None
 
 
 def test_kink_cuts_leave_the_scipy_path_alone(rng):
