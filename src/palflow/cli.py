@@ -272,26 +272,26 @@ def cmd_solve(args) -> int:
                               title="smallest region measurement", log_y=False)
         else:
             traj = flow.integrate(prob, s0, cfg)
-            extra = {}
+            rel = None
             if ref is not None and ref.optimal_value is not None:
                 objs = np.array([prob.objective(traj.state(i).x, traj.state(i).z)
                                  for i in range(len(traj.times))])
                 denom = max(abs(ref.optimal_value), 1e-30)
-                extra["rel_function_error"] = np.abs(objs - ref.optimal_value) / denom
-            traj.to_csv(os.path.join(out, "trajectory.csv"), extra_columns=extra)
+                rel = np.abs(objs - ref.optimal_value) / denom
+                traj.diagnostics["rel_function_error"] = rel
+            traj.to_csv(os.path.join(out, "trajectory.csv"))
             last_kkt = traj.diagnostics["kkt_residual"][-1]
             print(f"termination: {traj.termination}  t_final: {traj.times[-1]:.6g}  "
                   f"kkt: {last_kkt:.3e}")
-            if "rel_function_error" in extra:
-                print(f"final relative function error: {extra['rel_function_error'][-1]:.3e}")
+            if rel is not None:
+                print(f"final relative function error: {rel[-1]:.3e}")
             if args.svg:
                 svg_line_plot(os.path.join(out, "kkt.svg"), traj.times,
                               traj.diagnostics["kkt_residual"],
                               title="first-order residual")
-                if "rel_function_error" in extra:
+                if rel is not None:
                     svg_line_plot(os.path.join(out, "function_error.svg"),
-                                  traj.times, extra["rel_function_error"],
-                                  title="relative function error")
+                                  traj.times, rel, title="relative function error")
         write_manifest(os.path.join(out, "manifest.txt"), args.config, keys,
                        cfg, seed, out, traj)
         return 0

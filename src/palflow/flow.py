@@ -34,13 +34,6 @@ def pal_value(prob: SaddleProblem, s: PrimalDualState) -> float:
     return float(prob.kernel.value(prob.pack(s)))
 
 
-def pal_gradient(prob: SaddleProblem, s: PrimalDualState):
-    """Partial gradients ``(gx, gz, gy, glam)`` of the proximal augmented
-    Lagrangian; ``gx``, ``gz``, ``gy`` are block lists, ``glam`` is flat."""
-    g = prob.unpack(prob.kernel.gradient(prob.pack(s)))
-    return g.x, g.z, g.y, g.lam
-
-
 def vector_field(prob: SaddleProblem, s: PrimalDualState) -> PrimalDualState:
     """Primal-descent dual-ascent field ``(-gx, -gz, a*gy, a*glam)``."""
     return prob.unpack(prob.kernel.field(prob.pack(s)))
@@ -165,11 +158,9 @@ class Trajectory:
     def final_state(self) -> PrimalDualState:
         return self.state(len(self.times) - 1)
 
-    def to_csv(self, path, extra_columns: Optional[dict] = None) -> None:
-        cols = {"t": self.times}
-        cols.update(self.diagnostics)
-        if extra_columns:
-            cols.update(extra_columns)
+    def to_csv(self, path) -> None:
+        """One row per sample: ``t``, then the diagnostics columns in order."""
+        cols = {"t": self.times, **self.diagnostics}
         names = list(cols)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -722,44 +713,45 @@ def _brentq(f: Callable, xa: float, xb: float, xtol: float, rtol: float,
 
 
 def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
-                  event: Optional[Callable] = None, field: Optional[Callable] = None,
+                  event: Optional[Callable] = None, sample: Optional[Callable] = None,
                   dense: bool = False,
                   switching: Optional[ProxSwitching] = None) -> Trajectory:
     """Integrate a generic flat ODE with the method ``cfg.method`` names.
 
-    Returns a :class:`Trajectory` with no problem attached, with a
-    ``field_norm`` column, the termination (``"t_end"``, ``"event"`` or
-    ``"max_steps"``, which caps the accepted steps) and ``meta`` with
-    ``n_evals`` (the stepper's calls of ``fun``), ``steps``, ``rejected``,
-    ``kink_cuts`` and ``kink_caps``. The adaptive method shortens a step's
-    first attempt to the next l1 or group kink ``switching`` predicts from
-    the field at its start, and retries a rejected attempt at the first l1
-    or nuclear-norm kink it locates on its interpolant, where that is the
-    shorter step; the step after either is at least the one the kink
-    displaced (see :class:`_RungeKutta`). With no ``switching`` it equals
-    ``solve_ivp``'s ``RK45`` to the bit, and ``kink_cuts`` and
-    ``kink_caps`` are 0. A non-finite ``y0`` is a ``ValueError``, a
-    non-finite field there or state later a :class:`FlowError`. Only every
-    ``record_stride``-th accepted step and the last are held. A sample's
-    field norm is the field the stepper holds there; where it holds none (an
-    event's end point, the last fixed-step sample) it is ``field(t, y)``,
-    uncounted, which defaults to ``fun``. The ``event`` is called as ``event(t, y, f)`` and stops the
-    run where it reaches zero or below, before the first step if it is there
-    at ``t = 0``; ``f`` is the field the stepper holds at ``y`` (after an
-    accepted adaptive step, its last stage), or ``None`` where it holds none:
-    at ``t = 0``, at fixed-step states and at the points of the root search.
-    The adaptive method locates the crossing on the step's dense output by
-    Brent's method, as ``solve_ivp`` does. With ``dense`` (adaptive method
-    only), ``meta["dense"]`` interpolates every accepted step's dense output
-    (a :class:`_DenseSolution`, absent for a run stopped at its start).
+    Returns a :class:`Trajectory` with no problem attached, the termination
+    (``"t_end"``, ``"event"`` or ``"max_steps"``, which caps the accepted
+    steps) and ``meta`` with ``n_evals`` (the stepper's calls of ``fun``),
+    ``steps``, ``rejected``, ``kink_cuts`` and ``kink_caps``. The adaptive
+    method shortens a step's first attempt to the next l1 or group kink
+    ``switching`` predicts from the field at its start, and retries a
+    rejected attempt at the first l1 or nuclear-norm kink it locates on its
+    interpolant, where that is the shorter step; the step after either is at
+    least the one the kink displaced (see :class:`_RungeKutta`). With no
+    ``switching`` it equals ``solve_ivp``'s ``RK45`` to the bit, and
+    ``kink_cuts`` and ``kink_caps`` are 0. A non-finite ``y0`` is a
+    ``ValueError``, a non-finite field there or state later a
+    :class:`FlowError`. Only every ``record_stride``-th accepted step and the
+    last are kept, each with the dict ``sample(t, y, f)`` returns as its row
+    of the ``diagnostics`` columns (by default ``field_norm``, the norm of
+    ``f`` or, where it is ``None``, of an uncounted ``fun(t, y)``).
+    ``event(t, y, f)`` stops the run where it reaches zero or below, before
+    the first step if it is there at ``t = 0``. To both, ``f`` is the field
+    the stepper holds at ``y`` (after an accepted adaptive step, its last
+    stage) or ``None`` where it holds none: for ``event`` at ``t = 0``, at
+    fixed-step states and at root-search points; for ``sample`` at an
+    event's located end point and the last fixed-step sample. The adaptive
+    method locates the crossing on the step's dense output by Brent's
+    method, as ``solve_ivp`` does. With ``dense`` (adaptive method only),
+    ``meta["dense"]`` interpolates every accepted step's dense output (a
+    :class:`_DenseSolution`, absent for a run stopped at its start).
 
     ``fun`` is called as ``fun(t, y)`` and returns the field, or, where it
     takes an ``out`` argument (``fun(t, y, out=None)``, as
     :class:`FlowField` does), writes it into ``out``, the stepper's stage
     row, and no array is allocated or copied per evaluation; every call is
-    counted either way. ``fun`` and ``event`` must not keep the arrays they
-    are handed: the stepper writes its stage inputs, its stages and the
-    field it holds into arrays it reuses.
+    counted either way. ``fun``, ``event`` and ``sample`` must not keep the
+    arrays they are handed: the stepper writes its stage inputs, its stages
+    and the field it holds into arrays it reuses.
     """
     y0 = np.asarray(y0, dtype=float)
     if not np.all(np.isfinite(y0)):
@@ -767,18 +759,27 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
     stepper = _RungeKutta(fun, y0, cfg, switching)
     if dense and not stepper.adaptive:
         raise ValueError("dense output needs the adaptive method rk45")
-    field = field or fun
+    sample = sample or (lambda t, y, f: {
+        "field_norm": np.linalg.norm(fun(t, y) if f is None else f)})
     term = "event" if event is not None and event(0.0, y0, None) <= 0 else None
-    f0 = field(0.0, y0) if term else stepper.f
-    if not np.all(np.isfinite(f0)):
+    if not np.all(np.isfinite(stepper.f)):
         # an adaptive step size would be NaN, and never fall below the minimum
         raise FlowError("the field at the start is not finite")
     # The kept states share one buffer that grows in place (for large
     # buffers, realloc moves pages rather than copying them), so a run holds
     # its samples once: no list of them next to their stacked copy.
     states = np.empty((64, y0.size))
-    states[0] = y0
-    times, norms = [0.0], [np.linalg.norm(f0)]
+    times, rows = [], []
+
+    def keep(t, y, f):
+        if len(times) == len(states):
+            # no view of the buffer exists, so it may move
+            states.resize((len(states) * 5 // 4, y0.size), refcheck=False)
+        states[len(times)] = y
+        times.append(t)
+        rows.append(sample(t, y, f))
+
+    keep(0.0, y0, stepper.f)
     ends, pieces, steps = [0.0], [], 0
     while term is None:
         stepper.step()
@@ -805,22 +806,17 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
             ends.append(t)
         if term is None and steps % cfg.record_stride:
             continue
-        if len(times) == len(states):
-            # no view of the buffer exists, so it may move
-            states.resize((len(states) * 5 // 4, y0.size), refcheck=False)
-        states[len(times)] = y
-        times.append(t)
         # the field at an accepted state is at hand: the adaptive step's last
         # stage, or the first stage of the fixed-step method's next step
         at_hand = term is None or (stepper.adaptive and term != "event")
-        norms.append(np.linalg.norm(stepper.f if at_hand else field(t, y)))
+        keep(t, y, stepper.f if at_hand else None)
     states.resize((len(times), y0.size), refcheck=False)
     meta = {"n_evals": stepper.nfev, "steps": steps, "rejected": stepper.rejected,
             "kink_cuts": stepper.kink_cuts, "kink_caps": stepper.kink_caps}
     if pieces:
         meta["dense"] = _DenseSolution(ends, pieces)
-    return Trajectory(np.array(times), states, {"field_norm": np.array(norms)}, term,
-                      meta=meta)
+    columns = {name: np.array([row[name] for row in rows]) for name in rows[0]}
+    return Trajectory(np.array(times), states, columns, term, meta=meta)
 
 
 def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig) -> Trajectory:
@@ -835,12 +831,13 @@ def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig) -
     gap, and otherwise the residual read off the field, ``kernel.kkt(y, f)``
     less ``stop_kkt``. Only the event's sign decides a stop, and the root
     search reads the residual off a field it evaluates, ``kernel.kkt(y)``,
-    so the bound moves no stop. The ``kkt_residual`` column is
-    ``kernel.kkt(u)`` at every kept sample. Where
-    the z blocks hold an l1 run, a nuclear-norm block or a group lasso, the
-    adaptive method aims each step at the next l1 or group kink and retries
-    a rejected attempt at the first l1 or nuclear kink of their proxes
-    (``integrate_ode``'s ``switching``).
+    so the bound moves no stop. Each kept sample's ``kkt_residual`` and
+    ``field_norm`` are read off the field the stepper holds there, or off
+    one uncounted ``kernel.field(y)`` where it holds none, during the run.
+    Where the z blocks hold an l1 run, a nuclear-norm block or a group
+    lasso, the adaptive method aims each step at the next l1 or group kink
+    and retries a rejected attempt at the first l1 or nuclear kink of their
+    proxes (``integrate_ode``'s ``switching``).
     """
     k = prob.kernel
     event = None
@@ -854,14 +851,16 @@ def integrate(prob: SaddleProblem, s0: PrimalDualState, cfg: IntegratorConfig) -
                     return gap
             return k.kkt(y, f) - stop
 
-    traj = integrate_ode(FlowField(prob), prob.pack(s0), cfg, event=event,
-                         field=lambda t, y: k.field(y),
+    def sample(t, y, f):
+        if f is None:
+            f = k.field(y)
+        return {"kkt_residual": k.kkt(y, f), "field_norm": np.linalg.norm(f)}
+
+    traj = integrate_ode(FlowField(prob), prob.pack(s0), cfg, event=event, sample=sample,
                          switching=ProxSwitching.of(k.z_plan, k.m, k.m + k.n,
                                                     lambda: prob.mu))
     if traj.termination == "event":
         traj.termination = "stop_kkt"
-    kkt = [prob.kernel.kkt(u) for u in traj.states]
-    traj.diagnostics = {"kkt_residual": np.array(kkt), **traj.diagnostics}
     traj.problem = prob
     traj.meta.update(method=cfg.method, alpha=prob.alpha,
                      packing="x-blocks, z-blocks, y-blocks, lam (column-major)")

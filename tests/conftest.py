@@ -136,6 +136,13 @@ def build_lifted(prob: SaddleProblem) -> LiftedProblem:
     return LiftedProblem(prob)
 
 
+def pal_gradient(prob: SaddleProblem, s: PrimalDualState):
+    """Partial gradients ``(gx, gz, gy, glam)`` of the proximal augmented
+    Lagrangian; ``gx``, ``gz``, ``gy`` are block lists, ``glam`` is flat."""
+    g = prob.unpack(prob.kernel.gradient(prob.pack(s)))
+    return g.x, g.z, g.y, g.lam
+
+
 def reference_prox_nuclear(mu: float, X: np.ndarray) -> np.ndarray:
     """Singular value shrinkage via thin SVD, as the reference for
     ``prox.prox_nuclear``."""

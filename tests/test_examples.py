@@ -13,11 +13,11 @@ from palflow.examples import (analytic_counterexample, analytic_exit_time,
                               gen_lasso_network, gen_pcp,
                               gen_sparse_group_lasso, phi_from_state,
                               region_measurements, state_from_phi)
-from palflow.flow import pal_gradient, vector_field
+from palflow.flow import vector_field
 from palflow.linops import vec
 from palflow.problem import PrimalDualState, kkt_residual
 
-from conftest import consensus_admm, src_env
+from conftest import consensus_admm, pal_gradient, src_env
 
 
 # -- generators --------------------------------------------------------------

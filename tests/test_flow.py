@@ -13,14 +13,13 @@ from scipy.optimize import brentq
 from palflow import examples, flow, prox
 from palflow.distributed import assemble_consensus, simulate, unpack_agents
 from palflow.flow import (FlowField, IntegratorConfig, blockwise_field,
-                          integrate, integrate_ode, pal_gradient, pal_value,
-                          vector_field)
+                          integrate, integrate_ode, pal_value, vector_field)
 from palflow.linops import (BlockOperator, LinearOperator, masked_congruence,
                             unvec, vec)
 from palflow.problem import (BlockPlan, NonsmoothBlock, PrimalDualState,
                              SaddleProblem, SmoothBlock, kkt_residual)
 
-from conftest import (build_lifted, composite_instance,
+from conftest import (build_lifted, composite_instance, pal_gradient,
                       quadratic_equality_instance, same_doubles,
                       separate_adjoint_field, src_env)
 
@@ -723,9 +722,10 @@ def test_stop_kkt_event_is_the_kkt_residual(rng, monkeypatch):
     seen = {}
     integrate_ode = flow.integrate_ode
 
-    def capture(fun, y0, cfg, event=None, field=None, switching=None):
+    def capture(fun, y0, cfg, event=None, sample=None, switching=None):
         seen[cfg.stop_kkt] = event
-        return integrate_ode(fun, y0, cfg, event=event, field=field, switching=switching)
+        return integrate_ode(fun, y0, cfg, event=event, sample=sample,
+                             switching=switching)
 
     monkeypatch.setattr(flow, "integrate_ode", capture)
     for stop in (1e-3, 1e3):
@@ -755,9 +755,10 @@ def test_stop_kkt_column_reuses_the_event(rng, monkeypatch, method, h, stride, s
     """With ``stop_kkt``, ``kernel.kkt`` runs once per event call handed no
     field, once per event call handed a field (the last stage of each
     accepted adaptive step) whose bound does not clear the target, reading
-    that field, and once per kept sample, with no field; the column equals
-    a fresh evaluation at every sample, to the bit. The stop is a share
-    ``stop`` of the starting KKT residual."""
+    that field, and once per kept sample, reading the field held there or
+    one evaluated for it; the column equals a fresh evaluation at every
+    sample, to the bit. The stop is a share ``stop`` of the starting KKT
+    residual."""
     prob = composite_instance(rng)
     s0 = prob.random_state(rng)
     cfg = IntegratorConfig(method=method, h=h, t_end=3.0, record_stride=stride,
@@ -767,9 +768,9 @@ def test_stop_kkt_column_reuses_the_event(rng, monkeypatch, method, h, stride, s
                         lambda u, f=None: calls.append(f is None) or kkt(u, f))
     integrate_ode = flow.integrate_ode
 
-    def counting(fun, y0, cfg, event=None, field=None, switching=None):
+    def counting(fun, y0, cfg, event=None, sample=None, switching=None):
         # None where no field is handed, else whether its bound clears
-        return integrate_ode(fun, y0, cfg, field=field, switching=switching,
+        return integrate_ode(fun, y0, cfg, sample=sample, switching=switching,
                              event=lambda t, y, f: event_calls.append(
                                  None if f is None
                                  else prob.kernel.kkt_bound(f) > cfg.stop_kkt)
@@ -778,8 +779,8 @@ def test_stop_kkt_column_reuses_the_event(rng, monkeypatch, method, h, stride, s
     monkeypatch.setattr(flow, "integrate_ode", counting)
     traj = integrate(prob, s0, cfg)
     assert traj.termination == ("stop_kkt" if stop == 0.3 else "t_end")
-    assert calls.count(True) == len(traj.times) + event_calls.count(None)
-    assert calls.count(False) == event_calls.count(False)
+    assert calls.count(True) == event_calls.count(None)
+    assert calls.count(False) == event_calls.count(False) + len(traj.times)
     # the adaptive method hands the event a field at every accepted step
     handed = len(event_calls) - event_calls.count(None)
     assert handed == (traj.meta["steps"] if method == "rk45" else 0)
@@ -806,8 +807,8 @@ def test_stop_kkt_from_the_stage_keeps_the_stop_point(rng, monkeypatch, instance
     staged = integrate(prob, s0, cfg)
     integrate_ode = flow.integrate_ode
 
-    def fresh(fun, y0, cfg, event=None, field=None, switching=None):
-        return integrate_ode(fun, y0, cfg, field=field, switching=switching,
+    def fresh(fun, y0, cfg, event=None, sample=None, switching=None):
+        return integrate_ode(fun, y0, cfg, sample=sample, switching=switching,
                              event=lambda t, y, f: event(t, y, None))
 
     monkeypatch.setattr(flow, "integrate_ode", fresh)
@@ -928,6 +929,47 @@ def test_field_norms_are_the_field_at_each_sample(rng, method, h, stride, stop):
     assert traj.diagnostics["field_norm"].tolist() == want
 
 
+@pytest.mark.parametrize("instance", ["composite", "network"])
+@pytest.mark.parametrize("method,h,stride", [("rk45", None, 3), ("euler", 0.01, 7),
+                                             ("rk4", 0.05, 3)])
+def test_integrate_reads_each_sample_off_the_run(rng, monkeypatch, instance,
+                                                 method, h, stride):
+    """``integrate`` evaluates no field once ``integrate_ode`` returns: each
+    kept sample's ``kkt_residual`` and ``field_norm`` equal a fresh
+    ``kernel.kkt(u)`` and ``||kernel.field(u)||`` to the bit, at a located
+    stop too, and the stepper's calls of the field are its ``n_evals``."""
+    if instance == "composite":
+        prob = composite_instance(rng)
+    else:
+        prob = assemble_consensus(examples.gen_lasso_network(3, 8, 3, seed=0)[0])
+    k = prob.kernel
+    s0 = prob.random_state(rng)
+    stop = 0.3 * kkt_residual(prob, s0) if method == "rk45" else None
+    cfg = IntegratorConfig(method=method, h=h, t_end=3.0, record_stride=stride,
+                           stop_kkt=stop)
+    field, call, phase, fields, calls = k.field, FlowField.__call__, ["run"], [], []
+    monkeypatch.setattr(k, "field", lambda u, out=None:
+                        fields.append(phase[0]) or field(u, out))
+    monkeypatch.setattr(FlowField, "__call__", lambda self, t, y, out=None:
+                        calls.append(t) or call(self, t, y, out))
+    integrate_ode = flow.integrate_ode
+
+    def marked(*args, **kwargs):
+        traj = integrate_ode(*args, **kwargs)
+        phase[0] = "after"
+        return traj
+
+    monkeypatch.setattr(flow, "integrate_ode", marked)
+    traj = integrate(prob, s0, cfg)
+    monkeypatch.undo()
+    assert traj.termination == ("stop_kkt" if stop else "t_end")
+    assert "after" not in fields
+    assert len(calls) == traj.meta["n_evals"]
+    assert traj.diagnostics["kkt_residual"].tolist() == [k.kkt(u) for u in traj.states]
+    want = [np.linalg.norm(k.field(u)) for u in traj.states]
+    assert traj.diagnostics["field_norm"].tolist() == want
+
+
 # -- integration -------------------------------------------------------------
 
 def test_rk45_scalar_exponential():
@@ -1011,11 +1053,13 @@ import numpy as np
 from palflow.flow import FlowError, IntegratorConfig, integrate_ode
 for method, h in (("rk45", None), ("euler", 0.1), ("rk4", 0.1)):
     for bad in (np.nan, np.inf):
-        try:
-            integrate_ode(lambda t, y: np.full_like(y, bad), np.ones(3),
-                          IntegratorConfig(method=method, h=h, t_end=1.0, max_steps=5))
-        except FlowError as e:
-            print(e)
+        for event in (None, lambda t, y, f: -1.0):
+            cfg = IntegratorConfig(method=method, h=h, t_end=1.0, max_steps=5)
+            try:
+                integrate_ode(lambda t, y: np.full_like(y, bad), np.ones(3), cfg,
+                              event=event)
+            except FlowError as e:
+                print(e)
 """
 
 
@@ -1023,11 +1067,12 @@ def test_a_nonfinite_starting_field_is_refused():
     """A NaN field at the start once made the adaptive step size NaN, whose
     rejection loop never ended, whatever ``max_steps``; the run is in a
     subprocess with a timeout so that a regression fails, not hangs. The
-    fixed-step methods refuse the same start before their first step."""
+    fixed-step methods refuse the same start before their first step, and
+    every method refuses it on a run whose event stops it at the start."""
     out = subprocess.run([sys.executable, "-c", NONFINITE_FIELD], capture_output=True,
                          text=True, timeout=60, env=src_env())
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["the field at the start is not finite"] * 6
+    assert out.stdout.splitlines() == ["the field at the start is not finite"] * 12
 
 
 def test_a_step_below_the_float_spacing_is_refused():
@@ -1052,15 +1097,21 @@ def test_integrate_stop_kkt(rng):
 
 
 @pytest.mark.parametrize("method,h", [("rk45", None), ("euler", 0.01)])
-def test_integrate_stop_kkt_at_start(rng, method, h):
+def test_integrate_stop_kkt_at_start(rng, monkeypatch, method, h):
+    """A start already at the target returns at once, and the stepper's
+    calls of the field are its ``n_evals``."""
     prob, _ = quadratic_equality_instance(rng)
     s0 = prob.random_state(rng)
     kkt0 = kkt_residual(prob, s0)
     cfg = IntegratorConfig(method=method, h=h, t_end=50.0, stop_kkt=10 * kkt0)
+    call, calls = FlowField.__call__, []
+    monkeypatch.setattr(FlowField, "__call__", lambda self, t, y, out=None:
+                        calls.append(t) or call(self, t, y, out))
     traj = integrate(prob, s0, cfg)
     assert traj.termination == "stop_kkt"
     assert traj.times.tolist() == [0.0]
     assert np.array_equal(traj.states[0], prob.pack(s0))
+    assert len(calls) == traj.meta["n_evals"]
 
 
 @pytest.mark.parametrize("method", ["euler", "rk4", "rk45"])
