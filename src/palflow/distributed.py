@@ -11,9 +11,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import flow
-from .linops import BlockOperator, LinearOperator, csr_add_product, vec
-from .problem import (BlockPlan, NonsmoothBlock, PrimalDualState, SaddleProblem,
-                      SmoothBlock, _check_positive)
+from .linops import BlockOperator, LinearOperator, vec
+from .problem import (BlockPlan, FieldAssembly, NonsmoothBlock, PrimalDualState,
+                      SaddleProblem, SmoothBlock, _check_positive)
 from .prox import ProximableFunction
 
 
@@ -37,9 +37,9 @@ class Network:
     lists), ``x_dim`` (the common local dimension), ``z_dims``, ``z_slices``
     (each agent's slice of the stacked ``z``, and of the local part of the
     multiplier) and ``slices`` (each agent's ``x, z, y, lam1, lam2`` slices
-    of the packed state, see ``pack_agents``). The two CSR matrices of
-    :meth:`field` and its plans (:attr:`_field_ops`) are built on its first
-    call, not here: most networks are only ever assembled centrally."""
+    of the packed state, see ``pack_agents``). :meth:`field`'s
+    :class:`FieldAssembly` (:attr:`_field_ops`) is built on its first call,
+    not here: most networks are only ever assembled centrally."""
 
     k: int
     edges: List[Tuple[int, int]]
@@ -100,26 +100,24 @@ class Network:
                        for x, z in zip(xs, self.z_slices)]
 
     @cached_property
-    def _field_ops(self):
-        """The packed state's five parts; the forward matrix ``F = [M 0; L
-        0; C -I]`` over the contiguous ``(x, z)`` slice and the backward
-        matrix ``B = -[M^T I C^T]``; the products of both
-        (``csr_add_product``); the stacked ``h``; the plan of the local
-        gradients, 0.0 on least-squares agents (``None`` where all are);
-        and the plan of the local proxes.
+    def _field_ops(self) -> FieldAssembly:
+        """:meth:`field`'s :class:`FieldAssembly`, with ``q = 0``: the forward
+        matrix ``[M 0; L 0; C -I]`` over the ``(x, z)`` slice, the backward
+        matrix ``-[M^T I C^T; 0 0 -I]`` over ``[M x - h; t; s]``, the stacked
+        ``h``, and the plans of the local gradients (0.0 on least-squares
+        agents; ``None`` where all are) and of the local proxes.
 
         ``M`` is the least-squares agents' block diagonal on their x
         columns, ``L = kron(D - adjacency, I_d)`` the Laplacian and ``C``
-        the block diagonal of the local maps. Both matrices are CSR built
+        the block diagonal of the local maps; ``t = L x / mu + lam1`` and
+        ``s = (C x - z) / mu + lam2``, and a z row's one ``+1`` adds ``s``
+        onto ``(prox(v) - v) / mu`` to the bit. Both matrices are CSR built
         from index arrays, each row's entries in column order (all of a
         dense ``M``'s, the stored ones of ``C``): entry for entry the sorted
         stacks of scipy's ``kron``, ``block_diag``, ``hstack`` and
-        ``vstack``, at a fraction of their cost. A row of either product
-        thus adds its neighbors' terms, or its local maps', in increasing
-        column order onto the value it is handed."""
+        ``vstack``, at a fraction of their cost."""
         d = self.x_dim
         kd, nz = self.k * d, sum(self.z_dims)
-        parts = [slice(self.slices[0][p].start, self.slices[-1][p].stop) for p in range(5)]
         ls = [a.f.kind == "least_squares" for a in self.agents]
         # the (row, column, value) entries of M and of C
         M, C, n_ls = [], [], 0
@@ -147,9 +145,10 @@ class Network:
                         np.concatenate([Mc, Lc, Cc, kd + zr]),
                         np.concatenate([Mv, Lv, Cv, np.full(nz, -1.0)]),
                         (n_ls + kd + nz, kd + nz))
-        B = _sorted_csr(np.concatenate([Mc, xr, Cc]),
-                        np.concatenate([Mr, n_ls + xr, n_ls + kd + Cr]),
-                        -np.concatenate([Mv, np.ones(kd), Cv]), (kd, n_ls + kd + nz))
+        B = _sorted_csr(np.concatenate([Mc, xr, Cc, kd + zr]),
+                        np.concatenate([Mr, n_ls + xr, n_ls + kd + Cr, n_ls + kd + zr]),
+                        -np.concatenate([Mv, np.ones(kd), Cv, np.full(nz, -1.0)]),
+                        (kd + nz, n_ls + kd + nz))
         h = np.concatenate([a.f.meta["h"] for a, is_ls in zip(self.agents, ls) if is_ls]
                            + [np.empty(0)])
         # x leads the packed state, so an agent's x slice also indexes ``x``
@@ -157,69 +156,22 @@ class Network:
             (sl[0], a.f.shape, a.f) for a, sl in zip(self.agents, self.slices))
         proxes = BlockPlan((zsl, a.C.out_shape, a.g)
                            for a, zsl in zip(self.agents, self.z_slices))
-        return parts, F, B, csr_add_product(F), csr_add_product(B), h, rest, proxes
+        return FieldAssembly(kd, nz, kd + nz, F, B, h, np.zeros(kd + nz), proxes, rest)
 
     def field(self, u: np.ndarray, alpha: float, mu: float,
               out: Optional[np.ndarray] = None) -> np.ndarray:
         """Every agent's derivative of the packed state ``u`` (``pack_agents``
         order), packed alike, written into ``out`` if given, which must not
-        overlap ``u``.
-
-        Agent ``i`` reads only its own state and its neighbors' ``x``. The
-        field is two CSR products around the prox (:attr:`_field_ops`). The
-        forward product of ``F`` over the ``(x, z)`` slice gives ``M x``,
-        ``L x`` and ``C x - z`` in one zeroed output. Then come ``M x - h``;
-        the multipliers' derivatives ``alpha [L x; C x - z]``, written into
-        the contiguous ``(lam1, lam2)`` tail of the output; ``[t; s] = [L x;
-        C x - z] / mu + [lam1; lam2]`` in place; ``v = z + mu y`` and the
-        proxes, through one :class:`BlockPlan` (agents whose ``g`` is l1
-        share one soft threshold). The derivatives of ``y`` and ``z`` are
-        ``alpha (z - prox(v))`` and ``(prox(v) - v) / mu + s``. The backward
-        product of ``B`` over ``[M x - h; t; s]`` adds each x row's terms, in
-        column order, onto ``-(the agent's smooth gradient)``, or onto 0.0
-        for a least-squares agent, whose gradient the two products carry.
-        Where ``mu`` or ``alpha`` is 1 the pass that would multiply or divide
-        by it is skipped, to the same bits."""
-        (xs, zs, ys, l1s, _), F, _, push, pull, h, rest, proxes = self._field_ops
-        n_ls = h.size
-        z, y = u[zs], u[ys]
-        if out is None:
-            out = np.empty(u.size)
-        x_dot, z_dot, y_dot = out[xs], out[zs], out[ys]
-        w = push(u[:zs.stop], np.zeros(F.shape[0]))
-        if n_ls:
-            w[:n_ls] -= h
-        tail = w[n_ls:]
-        np.multiply(tail, alpha, out=out[l1s.start:])
-        if mu != 1.0:
-            tail /= mu
-        tail += u[l1s.start:]
-        if mu == 1.0:
-            v = y + z
-        else:
-            v = mu * y
-            v += z
-        pv = proxes.prox(mu, v)
-        np.subtract(z, pv, out=y_dot)
-        if alpha != 1.0:
-            y_dot *= alpha
-        np.subtract(pv, v, out=z_dot)
-        if mu != 1.0:
-            z_dot /= mu
-        z_dot += tail[xs.stop:]
-        if rest is None:
-            x_dot.fill(0.0)
-        else:
-            np.negative(rest.grad(u[xs]), out=x_dot)
-        pull(w, x_dot)
-        return out
+        overlap ``u``: :attr:`_field_ops`' assembly. Agent ``i`` reads only
+        its own state and its neighbors' ``x``."""
+        return self._field_ops._assemble(u, mu, alpha, True, out)
 
     def switching(self, mu: float) -> Optional[flow.ProxSwitching]:
         """The switching functions of :meth:`field`'s prox plan at penalty
         ``mu``, or ``None`` where no agent's ``g`` is l1, nuclear or a
         group lasso."""
-        (_, zs, ys, _, _), *_, proxes = self._field_ops
-        return flow.ProxSwitching.of(proxes, zs.start, ys.start, lambda: mu)
+        ops = self._field_ops
+        return flow.ProxSwitching.of(ops.z_plan, ops.m, ops.m + ops.n, lambda: mu)
 
 
 def _sorted_csr(rows, cols, vals, shape) -> sp.csr_matrix:

@@ -168,11 +168,6 @@ class Trajectory:
             for i in range(len(self.times)):
                 w.writerow([f"{cols[c][i]:.17g}" for c in names])
 
-    def states_to_binary(self, path) -> None:
-        """Full state snapshots as little-endian float64 in packing order."""
-        with open(path, "wb") as fh:
-            fh.write(np.ascontiguousarray(self.states, dtype="<f8").tobytes())
-
 
 def _rms(v: np.ndarray) -> float:
     # np.linalg.norm's arithmetic on a vector, without its dispatch
@@ -736,10 +731,11 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
     ``f`` or, where it is ``None``, of an uncounted ``fun(t, y)``).
     ``event(t, y, f)`` stops the run where it reaches zero or below, before
     the first step if it is there at ``t = 0``. To both, ``f`` is the field
-    the stepper holds at ``y`` (after an accepted adaptive step, its last
-    stage) or ``None`` where it holds none: for ``event`` at ``t = 0``, at
-    fixed-step states and at root-search points; for ``sample`` at an
-    event's located end point and the last fixed-step sample. The adaptive
+    the stepper holds at ``y`` (at ``t = 0``, its first evaluation; after
+    an accepted adaptive step, its last stage) or ``None`` where it holds
+    none: for ``event`` at fixed-step states after the start and at
+    root-search points; for ``sample`` at an event's located end point and
+    the last fixed-step sample. The adaptive
     method locates the crossing on the step's dense output by Brent's
     method, as ``solve_ivp`` does. With ``dense`` (adaptive method only),
     ``meta["dense"]`` interpolates every accepted step's dense output (a
@@ -761,10 +757,11 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
         raise ValueError("dense output needs the adaptive method rk45")
     sample = sample or (lambda t, y, f: {
         "field_norm": np.linalg.norm(fun(t, y) if f is None else f)})
-    term = "event" if event is not None and event(0.0, y0, None) <= 0 else None
-    if not np.all(np.isfinite(stepper.f)):
+    f0 = stepper.f
+    if not np.all(np.isfinite(f0)):
         # an adaptive step size would be NaN, and never fall below the minimum
         raise FlowError("the field at the start is not finite")
+    term = "event" if event is not None and event(0.0, y0, f0) <= 0 else None
     # The kept states share one buffer that grows in place (for large
     # buffers, realloc moves pages rather than copying them), so a run holds
     # its samples once: no list of them next to their stacked copy.
@@ -779,7 +776,7 @@ def integrate_ode(fun: Callable, y0: np.ndarray, cfg: IntegratorConfig,
         times.append(t)
         rows.append(sample(t, y, f))
 
-    keep(0.0, y0, stepper.f)
+    keep(0.0, y0, f0)
     ends, pieces, steps = [0.0], [], 0
     while term is None:
         stepper.step()

@@ -67,9 +67,8 @@ class SmoothBlock:
         ``h`` in ``meta``.
 
         Its gradient ``M^T (M x - h)`` is a product pair built on its first
-        call. The two products of :class:`FieldKernel` and of
-        ``Network.field`` carry ``M`` instead: a :class:`BlockPlan` writes
-        0.0 for this block."""
+        call. :class:`FieldAssembly`'s two products carry ``M`` instead: a
+        :class:`BlockPlan` writes 0.0 for this block."""
         M = np.asarray(M, dtype=float)
         h = np.asarray(h, dtype=float)
         _check_finite(M=M, h=h)
@@ -329,10 +328,10 @@ class BlockPlan:
     where ``mu`` is 1). That holds the same doubles as each block's
     ``weight * mu``, and ``prox_l1`` acts entry by entry, so the run equals
     its blocks' calls to the bit. A block of kind ``"least_squares"`` makes
-    no call: ``grad`` writes 0.0 on its slice, as the two products of
-    :class:`FieldKernel` and of ``Network.field`` carry its gradient ``M^T
-    (M x - h)``. Any other 1-D block is called on its slice; a
-    matrix-shaped one on its column-major reshape. ``l1_index``
+    no call: ``grad`` writes 0.0 on its slice, as :class:`FieldAssembly`'s
+    two products carry its gradient ``M^T (M x - h)``. Any other 1-D block
+    is called on its slice; a matrix-shaped one on its column-major
+    reshape. ``l1_index``
     and ``l1_weight`` hold the positions of every l1 run's entries and
     their weights, or ``None`` where there is no l1 run. ``nuclear`` lists
     each matrix-shaped block of kind ``"nuclear"`` as ``(slice, shape,
@@ -396,22 +395,99 @@ class BlockPlan:
         return out
 
 
-class FieldKernel:
+class FieldAssembly:
+    """The gradient and the flow field of the proximal augmented Lagrangian
+    on a flat state ``(x, z, y, lam)`` of ``(m, n, n, p)`` entries, in two
+    CSR products around the prox, with ``mu`` and ``alpha`` given at each
+    call; :class:`FieldKernel` and ``distributed.Network`` hand it their
+    matrices and plans.
+
+    The forward product of ``forward`` over the ``(x, z)`` slice, into a
+    zeroed output, gives the ``h.size`` least-squares rows ``M x`` over the
+    ``p`` residual rows, less ``h`` and ``q``. Then come ``shift = r / mu +
+    lam``, ``v = z + mu y`` and ``z_plan``'s prox. The field's y and lam
+    rows are ``alpha (z - prox(v))`` and ``alpha r``; its x and z rows start
+    from ``-(x_rest's gradients)`` (0.0 where it is ``None``) and
+    ``(prox(v) - v) / mu``, and the backward product of ``back`` over ``[M x
+    - h; shift]`` adds each row's stored entries onto them, in order. The
+    gradient takes ``-back``, the negated starts and no ``alpha``. A unit
+    ``mu`` or ``alpha`` skips the passes that would scale by it, to the same
+    bits: ``a * 1.0`` and ``a / 1.0`` are ``a`` for every double, signed
+    zeros and infinities included, and ``a + b`` is ``b + a``."""
+
+    def __init__(self, m, n, p, forward, back, h, q, z_plan, x_rest):
+        self.m, self.n, self.p = m, n, p
+        self.forward, self.back = forward, back
+        self._forward, self._w_dim = csr_add_product(forward), forward.shape[0]
+        self._back_field = csr_add_product(back)
+        self.n_ls, self._h, self.q = h.size, h, q
+        self.z_plan, self._x_rest = z_plan, x_rest
+
+    @cached_property
+    def _back_grad(self):
+        return csr_add_product(-self.back)
+
+    def _assemble(self, u: np.ndarray, mu: float, alpha: float, field: bool,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The flat gradient, or with ``field`` the flow field, written into
+        one output slice by slice (``out`` if given, which must not overlap
+        ``u``). The field's sign flip and α scaling go into the writes and
+        into the backward product's stored entries: its x and z rows add the
+        negated terms onto the negated starts, and rounding to nearest is
+        symmetric, so both equal the gradient's entries negated (but for the
+        sign of a zero) or scaled."""
+        m, n, n_ls = self.m, self.n, self.n_ls
+        k = m + n
+        z, y, lam = u[m:k], u[k:k + n], u[k + n:]
+        if out is None:
+            out = np.empty_like(u)
+        gx, gz, gy, r = out[:m], out[m:k], out[k:k + n], out[k + n:]
+        w = self._forward(u[:k], np.zeros(self._w_dim))
+        shift = w[n_ls:n_ls + self.p]
+        np.subtract(shift, self.q, out=r)
+        if n_ls:
+            w[:n_ls] -= self._h
+        if mu == 1.0:
+            np.add(r, lam, out=shift)
+            v = y + z
+        else:
+            np.divide(r, mu, out=shift)
+            shift += lam
+            v = mu * y
+            v += z
+        pv = self.z_plan.prox(mu, v)
+        np.subtract(z, pv, out=gy)
+        if self._x_rest is None:
+            gx.fill(0.0)
+        elif field:
+            np.negative(self._x_rest.grad(u[:m]), out=gx)
+        else:
+            gx[:] = self._x_rest.grad(u[:m])
+        if field:
+            np.subtract(pv, v, out=gz)
+        else:
+            np.subtract(v, pv, out=gz)
+        if mu != 1.0:
+            gz /= mu
+        # [M x - h; shift] through the backward product, added into (gx, gz)
+        (self._back_field if field else self._back_grad)(w[:n_ls + self.p], out[:k])
+        if field and alpha != 1.0:
+            out[k:] *= alpha
+        return out
+
+
+class FieldKernel(FieldAssembly):
     """The proximal augmented Lagrangian, its gradient, the flow field and
     the KKT residual, evaluated on the flat state of a :class:`SaddleProblem`
-    (packing order: x blocks, z blocks, y blocks, lam).
+    (packing order: x blocks, z blocks, y blocks, lam). The gradient and the
+    field are :class:`FieldAssembly`'s, with ``mu`` and ``alpha`` read from
+    the problem at each call.
 
     The column blocks of ``[E F]`` are stacked side by side into the sorted
     CSR matrix ``EF`` over the contiguous ``(x, z)`` slice; ``EFt`` is its
-    transpose. The field and the gradient are two CSR products around the
-    prox. The forward product, into a zeroed output, stacks the ``n_ls``
-    rows of the least-squares blocks' ``M`` (on their x columns) over the
-    residual rows and gives ``M x`` and ``E x + F z``. Then come ``M x -
-    h``, ``shift = r / mu + lam``, ``v = z + mu y`` and the prox. The
-    backward product of ``-[M^T E^T; 0 F^T]`` over ``[M x - h; shift]``
-    (``+`` for the gradient) adds each row's entries, in column order, onto
-    the field's x and z rows, which hold ``-(the other smooth gradients)``
-    (0.0 on least-squares rows) and ``(prox(v) - v) / mu``; a row with more
+    transpose. The forward matrix stacks the ``n_ls`` rows of the
+    least-squares blocks' ``M`` (on their x columns) over the residual rows,
+    and the backward matrix is ``-[M^T E^T; 0 F^T]``; a row of it with more
     than one entry rounds unlike a separate adjoint product subtracted (the
     network lasso's x rows). ``kkt`` reads the KKT residual off the field
     with a separate adjoint product.
@@ -438,26 +514,20 @@ class FieldKernel:
     then E2's many entries of ``T``, which go first) take these rows. Any
     other kernel's residual rows are the block diagonal ``blocks`` of the
     column blocks, which give every ``E_i x_i`` and ``F_j z_j``, summed in
-    block order: a row with more than one entry on both sides (as dense E
+    block order into the first ``p`` of them after the forward product
+    (``folded``): a row with more than one entry on both sides (as dense E
     and F blocks give), or two many-entry blocks on one side or one third
-    among them. Each product is bound once by ``csr_add_product``. The
-    other smooth gradients and the proxes run through one
+    among them. The other smooth gradients and the proxes run through one
     :class:`BlockPlan` each, which fuses adjacent l1 blocks into one soft
-    threshold. ``mu`` and ``alpha`` are read from the problem at each call;
-    where one of them is 1 (``SaddleProblem``'s default), the passes that
-    would multiply or divide by it are skipped, to the same bits: ``a * 1.0``
-    and ``a / 1.0`` are ``a`` for every double, signed zeros and infinities
-    included, and ``a + b`` is ``b + a``. Where μ is 1 the l1 levels are the
-    plan's stored weights, which are only read, and ``kkt(u, f)`` reads views
-    of ``f``. :meth:`field` writes into an ``out`` it is handed.
+    threshold. Where μ is 1 the l1 levels are the plan's stored weights,
+    which are only read, and ``kkt(u, f)`` reads views of ``f``.
     """
 
     def __init__(self, prob: SaddleProblem):
         self.prob = prob
-        self.m, self.n, self.p = prob.m, prob.n, prob.p
         E_mats = [op.matrix for op in prob.E.blocks]
         F_mats = [op.matrix for op in prob.F.blocks]
-        mats = E_mats + F_mats or [sp.csr_matrix((self.p, 0))]
+        mats = E_mats + F_mats or [sp.csr_matrix((prob.p, 0))]
         self.EF = sp.hstack(mats, format="csr")
         self.EF.sort_indices()
         self.EFt = self.EF.T.tocsr()
@@ -470,49 +540,40 @@ class FieldKernel:
                                   self.EF.indptr), shape=self.EF.shape)
         else:
             self.blocks = rows = block_diagonal(mats)
-            self.n_E, self.n_blocks = len(E_mats), len(mats)
         x_slices, z_slices = _slices(prob.x_shapes), _slices(prob.z_shapes)
         self.x_blocks = list(zip(x_slices, prob.smooth_blocks))
         self.z_blocks = list(zip(z_slices, prob.nonsmooth_blocks))
         self._bound_share = 1.0 - 4 * (prob.state_dim + 2) * np.finfo(float).eps
-        self.z_plan = BlockPlan(zip(z_slices, prob.z_shapes,
-                                    [b.g for b in prob.nonsmooth_blocks]))
         # the least-squares blocks' M on their x columns, and no z column
         ls = [b.kind == "least_squares" for b in prob.smooth_blocks]
         M = block_diagonal([b.meta["M"] if is_ls else sp.csr_matrix((0, b.dim))
                             for b, is_ls in zip(prob.smooth_blocks, ls)]
-                           + [sp.csr_matrix((0, self.n))])
-        self.n_ls = M.shape[0]
-        self._h = np.concatenate([b.meta["h"] for b, is_ls in zip(prob.smooth_blocks, ls)
-                                  if is_ls] + [np.empty(0)])
+                           + [sp.csr_matrix((0, prob.n))])
+        h = np.concatenate([b.meta["h"] for b, is_ls in zip(prob.smooth_blocks, ls)
+                            if is_ls] + [np.empty(0)])
         # [M; residual rows], each row in its stored order, and [M^T E^T; 0 F^T]
         forward = sp.csr_matrix(
             (np.concatenate([M.data, rows.data]), np.concatenate([M.indices, rows.indices]),
              np.concatenate([M.indptr, rows.indptr[1:] + M.nnz])),
-            shape=(self.n_ls + rows.shape[0], rows.shape[1]))
-        self._forward, self._w_dim = csr_add_product(forward), forward.shape[0]
+            shape=(M.shape[0] + rows.shape[0], rows.shape[1]))
         back = sp.hstack([M.T, self.EFt], format="csr")
         back.sort_indices()
-        self._back_grad, self._back_field = csr_add_product(back), csr_add_product(-back)
+        z_plan = BlockPlan(zip(z_slices, prob.z_shapes, [b.g for b in prob.nonsmooth_blocks]))
         # the other smooth blocks' gradients, 0.0 on the least-squares rows
-        self._x_rest = None if all(ls) else BlockPlan(
-            zip(x_slices, prob.x_shapes, prob.smooth_blocks))
+        x_rest = None if all(ls) else BlockPlan(zip(x_slices, prob.x_shapes, prob.smooth_blocks))
+        super().__init__(prob.m, prob.n, prob.p, forward, -back, h, prob.q, z_plan, x_rest)
+        if self.blocks is not None:
+            product, n_ls, n_E, shape = self._forward, h.size, len(E_mats), (len(mats), prob.p)
 
-    def _push(self, xz: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """The forward product of the ``(x, z)`` slice: writes ``E x + F z -
-        q`` into ``r`` and returns the product's output, whose first
-        ``n_ls`` entries it leaves holding ``M x - h``."""
-        w, n_ls = self._forward(xz, np.zeros(self._w_dim)), self.n_ls
-        if self.blocks is None:
-            np.subtract(w[n_ls:], self.prob.q, out=r)
-        else:
-            parts = w[n_ls:].reshape(self.n_blocks, self.p)
-            parts[:self.n_E].sum(axis=0, out=r)
-            r += parts[self.n_E:].sum(axis=0)
-            r -= self.prob.q
-        if n_ls:
-            w[:n_ls] -= self._h
-        return w
+            def folded(xz, w):
+                # every E_i x_i, then every F_j z_j, summed into the first rows
+                parts = product(xz, w)[n_ls:].reshape(shape)
+                r = parts[:n_E].sum(axis=0)
+                r += parts[n_E:].sum(axis=0)
+                parts[0] = r
+                return w
+
+            self._forward = folded
 
     def value(self, u: np.ndarray) -> float:
         """Value of the proximal augmented Lagrangian."""
@@ -522,64 +583,19 @@ class FieldKernel:
         f = sum(b.value(x[sl].reshape(b.shape, order="F")) for sl, b in self.x_blocks)
         envelope = sum(moreau_value(b.g, mu, v[sl].reshape(b.shape, order="F"))
                        for sl, b in self.z_blocks)
-        r = np.empty(self.p)
-        self._push(u[:m + n], r)
+        w = self._forward(u[:m + n], np.zeros(self._w_dim))
+        r = w[self.n_ls:self.n_ls + self.p] - self.q
         return (f + envelope + np.sum((r + mu * lam) ** 2) / (2.0 * mu)
                 - 0.5 * mu * np.sum(y ** 2) - 0.5 * mu * np.sum(lam ** 2))
 
-    def _assemble(self, u: np.ndarray, field: bool,
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
-        """The flat gradient, or with ``field`` the flow field, written into
-        one output slice by slice (``out`` if given). The field's sign flip
-        and α scaling go into the writes and into the backward product's
-        stored entries: its x and z rows add the negated terms onto the
-        negated starts, and rounding to nearest is symmetric, so both equal
-        the gradient's entries negated (but for the sign of a zero) or
-        scaled. A unit μ or α costs no pass."""
-        m, n, n_ls, mu = self.m, self.n, self.n_ls, self.prob.mu
-        k = m + n
-        z, y, lam = u[m:k], u[k:k + n], u[k + n:]
-        if out is None:
-            out = np.empty_like(u)
-        gx, gz, gy, r = out[:m], out[m:k], out[k:k + n], out[k + n:]
-        w = self._push(u[:k], r)
-        shift = w[n_ls:n_ls + self.p]
-        if mu == 1.0:
-            np.add(r, lam, out=shift)
-            v = y + z
-        else:
-            np.divide(r, mu, out=shift)
-            shift += lam
-            v = mu * y
-            v += z
-        pv = self.z_plan.prox(mu, v)
-        np.subtract(z, pv, out=gy)
-        if self._x_rest is None:
-            gx.fill(0.0)
-        elif field:
-            np.negative(self._x_rest.grad(u[:m]), out=gx)
-        else:
-            gx[:] = self._x_rest.grad(u[:m])
-        if field:
-            np.subtract(pv, v, out=gz)
-        else:
-            np.subtract(v, pv, out=gz)
-        if mu != 1.0:
-            gz /= mu
-        # [M x - h; shift] through the backward product, added into (gx, gz)
-        (self._back_field if field else self._back_grad)(w[:n_ls + self.p], out[:k])
-        if field and self.prob.alpha != 1.0:
-            out[k:] *= self.prob.alpha
-        return out
-
     def gradient(self, u: np.ndarray) -> np.ndarray:
         """Flat partial gradients ``(gx, gz, gy, glam)``."""
-        return self._assemble(u, field=False)
+        return self._assemble(u, self.prob.mu, 1.0, False)
 
     def field(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Primal-descent dual-ascent field ``(-gx, -gz, a*gy, a*glam)``,
         written into ``out`` if given, which must not overlap ``u``."""
-        return self._assemble(u, field=True, out=out)
+        return self._assemble(u, self.prob.mu, self.prob.alpha, True, out)
 
     def kkt(self, u: np.ndarray, f: Optional[np.ndarray] = None) -> float:
         """Norm of the stacked KKT violations; see :func:`kkt_residual`.

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from conftest import (reference_decentralized_field, same_doubles,
                       staggered_decentralized_field)
@@ -10,9 +11,9 @@ from palflow.distributed import (AgentData, AgentState, DivergenceError,
                                  assemble_consensus, decentralized_field,
                                  incidence, pack_agents, run_discrete,
                                  simulate, split_multiplier, unpack_agents)
-from palflow.flow import IntegratorConfig, vector_field
+from palflow.flow import IntegratorConfig, blockwise_field, vector_field
 from palflow.examples import gen_lasso_network
-from palflow.linops import LinearOperator, block_diagonal, unvec, vec
+from palflow.linops import LinearOperator, block_diagonal, csr_add_product, unvec, vec
 from palflow.problem import SmoothBlock, kkt_residual
 
 
@@ -439,7 +440,7 @@ def test_network_field_is_the_staggered_field(rng, make_net, alpha, mu):
 
 def _scipy_field_matrices(net):
     """``Network._field_ops``' forward and backward matrices stacked by
-    scipy: ``[M 0; L 0; C -I]`` and ``-[M^T I C^T]``, sorted."""
+    scipy: ``[M 0; L 0; C -I]`` and ``-[M^T I C^T; 0 0 -I]``, sorted."""
     d, nz = net.x_dim, sum(net.z_dims)
     kd = net.k * d
     deg = np.diff(net.adjacency.indptr).astype(float)
@@ -450,7 +451,9 @@ def _scipy_field_matrices(net):
     F = sp.vstack([sp.hstack([M, sp.csr_matrix((M.shape[0], nz))]),
                    sp.hstack([L, sp.csr_matrix((kd, nz))]),
                    sp.hstack([C, -sp.identity(nz)])], format="csr")
-    B = -sp.hstack([M.T, sp.identity(kd), C.T], format="csr")
+    B = -sp.vstack([sp.hstack([M.T, sp.identity(kd), C.T]),
+                    sp.hstack([sp.csr_matrix((nz, M.shape[0] + kd)), -sp.identity(nz)])],
+                   format="csr")
     for A in (F, B):
         A.sort_indices()
     return F, B
@@ -460,8 +463,8 @@ def _scipy_field_matrices(net):
                          ids=NET_IDS + ["single"])
 def test_field_matrices_are_scipys_stacks(make_net):
     net = make_net()
-    _, F, B, *_ = net._field_ops
-    for got, want in zip((F, B), _scipy_field_matrices(net)):
+    ops = net._field_ops
+    for got, want in zip((ops.forward, ops.back), _scipy_field_matrices(net)):
         assert got.shape == want.shape and got.has_sorted_indices
         for a in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, a), getattr(want, a))
@@ -472,20 +475,22 @@ def _always_scaled_packed(net, u, alpha, mu):
     ``alpha`` or ``mu`` taken, each agent's prox its own call and each part
     a fresh array: the reference that skipping a unit scale's passes must
     equal to the bit."""
-    (xs, zs, ys, l1s, _), F, _, push, pull, h, rest, _ = net._field_ops
-    z, y = u[zs], u[ys]
-    w = push(u[:zs.stop], np.zeros(F.shape[0]))
+    ops = net._field_ops
+    m, n, h, rest = ops.m, ops.n, ops._h, ops._x_rest
+    z, y = u[m:m + n], u[m + n:m + 2 * n]
+    w = ops._forward(u[:m + n], np.zeros(ops.forward.shape[0]))
     w[:h.size] -= h
     tail = w[h.size:]
     lam_dot = alpha * tail
-    tail[:] = tail / mu + u[l1s.start:]
+    tail[:] = tail / mu + u[m + 2 * n:]
     v = z + mu * y
     prox_out = np.concatenate([vec(a.g.prox(mu, unvec(v[sl], a.C.out_shape)))
                                for a, sl in zip(net.agents, net.z_slices)])
     y_dot = alpha * (z - prox_out)
-    z_dot = (prox_out - v) / mu + tail[xs.stop:]
-    x_dot = np.zeros(xs.stop) if rest is None else -rest.grad(u[xs])
-    pull(w, x_dot)
+    z_dot = (prox_out - v) / mu + tail[m:]
+    x_dot = np.zeros(m) if rest is None else -rest.grad(u[:m])
+    # the backward matrix's x rows
+    csr_add_product(ops.back[:m])(w, x_dot)
     return np.concatenate([x_dot, z_dot, y_dot, lam_dot])
 
 
@@ -513,10 +518,73 @@ def test_network_field_unit_scales_cost_no_bit(rng, make_net, alpha, mu):
         assert net.field(u, alpha, mu, out) is out and same_doubles(out, want)
 
 
+@st.composite
+def random_networks(draw):
+    """A connected network of 1 to 6 agents on R^1 to R^3: a random
+    spanning tree and chords, each agent's smooth term least squares or a
+    quadratic, its prox l1, zero or a group lasso, and its local map the
+    identity or a random matrix onto R^1, R^2 or R^4 (unequal z
+    dimensions)."""
+    k, d = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    edges = {(int(rng.integers(i)), i) for i in range(1, k)}
+    chords = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                           max_size=6))
+    edges |= {(min(i, j), max(i, j)) for i, j in chords if i != j}
+    kinds = draw(st.lists(st.tuples(st.sampled_from(["least_squares", "quadratic"]),
+                                    st.sampled_from(["l1", "zero", "group_lasso"]),
+                                    st.sampled_from([None, 1, 2, 4])),
+                          min_size=k, max_size=k))
+    agents = []
+    for f_kind, g_kind, rows in kinds:
+        A = rng.standard_normal((d + 1, d))
+        f = (SmoothBlock.least_squares(A, rng.standard_normal(d + 1))
+             if f_kind == "least_squares"
+             else SmoothBlock.quadratic(A.T @ A + np.eye(d), rng.standard_normal(d)))
+        C = (LinearOperator.identity((d,)) if rows is None
+             else LinearOperator.from_matrix(rng.standard_normal((rows, d))))
+        nz = d if rows is None else rows
+        if g_kind == "l1":
+            g = prox.l1(float(rng.uniform(0.1, 1.5)))
+        elif g_kind == "zero":
+            g = prox.zero()
+        else:
+            order, cut = rng.permutation(nz), int(rng.integers(0, nz + 1))
+            g = prox.group_lasso(prox.GroupPartition([order[:cut], order[cut:]],
+                                                     rng.uniform(0.2, 1.5, 2),
+                                                     eta=float(rng.choice([0.0, 0.1]))))
+        agents.append(AgentData(f=f, g=g, C=C))
+    return Network(k, sorted(edges), agents)
+
+
+SCALE = st.one_of(st.just(1.0), st.floats(0.25, 4.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(net=random_networks(), alpha=SCALE, mu=SCALE, seed=st.integers(0, 2 ** 32 - 1))
+def test_field_assembly_on_random_networks(net, alpha, mu, seed):
+    """On random layouts the shared assembly equals the per-agent loop to
+    the bit, also on states holding zeros of either sign, and the assembled
+    problem's kernel field stays within 1e-14 of the per-block field."""
+    rng = np.random.default_rng(seed)
+    n = 2 * net.k * net.x_dim + 3 * sum(net.z_dims)
+    for i in range(2):
+        u = rng.standard_normal(n)
+        if i:
+            u[rng.random(n) < 0.2] = 0.0
+            u[rng.random(n) < 0.2] = -0.0
+        want = pack_agents(reference_decentralized_field(net, unpack_agents(net, u), alpha, mu))
+        assert same_doubles(net.field(u, alpha, mu), want)
+    prob = assemble_consensus(net, mu=mu, alpha=alpha)
+    s = prob.random_state(rng)
+    flat, want = prob.kernel.field(prob.pack(s)), prob.pack(blockwise_field(prob, s))
+    assert np.max(np.abs(flat - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
 @pytest.mark.parametrize("mu", [1.0, 0.7, 1.6])
 def test_simulate_leaves_the_plan_arrays_unchanged(rng, mu):
     net = mixed_prox_net()
-    proxes = net._field_ops[-1]
+    proxes = net._field_ops.z_plan
     part = net.agents[2].g.meta["partition"]
     held = [w for _, w, _, _ in proxes.runs if w is not None]
     held += [proxes.l1_weight, part.weights, part.live_weights]
@@ -552,11 +620,11 @@ def test_a_group_lasso_agent_is_switched(rng):
     ``simulate`` is capped at them: it equals the reference field run with
     those switching functions, and not the run without the groups."""
     net = mixed_prox_net()
-    (_, zs, ys, _, _), *_ = net._field_ops
+    ops = net._field_ops
     part = net.agents[2].g.meta["partition"]
     at = net.z_slices[2].start + part.order
     sw = net.switching(0.7)
-    assert np.array_equal(sw.gz, zs.start + at) and np.array_equal(sw.gy, ys.start + at)
+    assert np.array_equal(sw.gz, ops.m + at) and np.array_equal(sw.gy, ops.m + ops.n + at)
     init = unpack_agents(net, rng.standard_normal(2 * 4 * 3 + 3 * 12))
     cfg = IntegratorConfig(t_end=2.0)
     traj = simulate(net, init, cfg, alpha=1.3, mu=0.7)
@@ -607,7 +675,8 @@ def test_lasso_plans_fuse_every_agents_least_squares(rng):
     assert prob.kernel._x_rest is None
     # the network's forward matrix leads with the agents' M block diagonal,
     # and no gradient plan runs
-    _, F, _, _, _, h, rest, _ = net._field_ops
+    ops = net._field_ops
+    F, h, rest = ops.forward, ops._h, ops._x_rest
     M = block_diagonal([a.f.meta["M"] for a in net.agents])
     top = F[:M.shape[0]]
     assert top.shape == (M.shape[0], M.shape[1] + sum(net.z_dims))

@@ -524,8 +524,9 @@ def _always_scaled(prob, u):
         return np.concatenate([vec(b.g.prox(mu, unvec(v[sl], b.shape)))
                                for sl, b in k.z_blocks] + [np.empty(0)])
 
-    r = np.empty(prob.p)
-    w = k._push(u[:kk], r)[:k.n_ls + prob.p]
+    w = k._forward(u[:kk], np.zeros(k._w_dim))[:k.n_ls + prob.p]
+    r = w[k.n_ls:] - prob.q
+    w[:k.n_ls] -= k._h
     w[k.n_ls:] = r / mu
     w[k.n_ls:] += lam
     v = mu * y
@@ -753,12 +754,12 @@ def test_stop_kkt_event_is_the_kkt_residual(rng, monkeypatch):
     ("euler", 0.01, 1, 0.3), ("euler", 0.01, 7, 1e-12)])
 def test_stop_kkt_column_reuses_the_event(rng, monkeypatch, method, h, stride, stop):
     """With ``stop_kkt``, ``kernel.kkt`` runs once per event call handed no
-    field, once per event call handed a field (the last stage of each
-    accepted adaptive step) whose bound does not clear the target, reading
-    that field, and once per kept sample, reading the field held there or
-    one evaluated for it; the column equals a fresh evaluation at every
-    sample, to the bit. The stop is a share ``stop`` of the starting KKT
-    residual."""
+    field, once per event call handed a field (the start's, and the last
+    stage of each accepted adaptive step) whose bound does not clear the
+    target, reading that field, and once per kept sample, reading the field
+    held there or one evaluated for it; the column equals a fresh
+    evaluation at every sample, to the bit. The stop is a share ``stop`` of
+    the starting KKT residual."""
     prob = composite_instance(rng)
     s0 = prob.random_state(rng)
     cfg = IntegratorConfig(method=method, h=h, t_end=3.0, record_stride=stride,
@@ -783,7 +784,7 @@ def test_stop_kkt_column_reuses_the_event(rng, monkeypatch, method, h, stride, s
     assert calls.count(False) == event_calls.count(False) + len(traj.times)
     # the adaptive method hands the event a field at every accepted step
     handed = len(event_calls) - event_calls.count(None)
-    assert handed == (traj.meta["steps"] if method == "rk45" else 0)
+    assert handed == (traj.meta["steps"] + 1 if method == "rk45" else 1)
     if method == "rk45":
         # the bound clears the target at the steps far from it, and not at
         # every step up to the stop
@@ -818,6 +819,34 @@ def test_stop_kkt_from_the_stage_keeps_the_stop_point(rng, monkeypatch, instance
         assert staged.meta[key] == direct.meta[key]
     assert staged.times[-1] == pytest.approx(direct.times[-1], rel=1e-9, abs=0)
     assert np.array_equal(staged.times[:-1], direct.times[:-1])
+
+
+def test_stop_kkt_evaluates_the_start_field_once(monkeypatch):
+    """A network-lasso run to ``stop_kkt`` evaluates the field at its start
+    once, as the stepper's first stage, which the stop event is handed. It
+    stops where a run whose event evaluates the start's field afresh stops,
+    after as many evaluations."""
+    prob = assemble_consensus(examples.gen_lasso_network(5, 20, 3, seed=0)[0])
+    k, start = prob.kernel, prob.pack(prob.zero_state()).tobytes()
+    field, calls = k.field, []
+    monkeypatch.setattr(k, "field", lambda u, out=None: calls.append(u.tobytes())
+                        or field(u, out))
+    cfg = IntegratorConfig(t_end=600.0, stop_kkt=1e-2)
+    handed = integrate(prob, prob.zero_state(), cfg)
+    assert handed.termination == "stop_kkt"
+    assert calls.count(start) == 1
+    integrate_ode = flow.integrate_ode
+
+    def fresh_start(fun, y0, cfg, event=None, sample=None, switching=None):
+        return integrate_ode(fun, y0, cfg, sample=sample, switching=switching,
+                             event=lambda t, y, f: event(t, y, None if t == 0.0 else f))
+
+    monkeypatch.setattr(flow, "integrate_ode", fresh_start)
+    calls.clear()
+    fresh = integrate(prob, prob.zero_state(), cfg)
+    assert calls.count(start) == 2
+    assert fresh.times[-1] == handed.times[-1]
+    assert fresh.meta["n_evals"] == handed.meta["n_evals"]
 
 
 def test_reused_buffers_never_leak(rng, monkeypatch):
@@ -1151,10 +1180,6 @@ def test_trajectory_csv_layout(tmp_path, rng):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,kkt_residual,field_norm"
     assert len(lines) == len(traj.times) + 1
-    bpath = tmp_path / "states.bin"
-    traj.states_to_binary(bpath)
-    raw = np.fromfile(bpath, dtype="<f8").reshape(len(traj.times), -1)
-    assert np.array_equal(raw, traj.states)
 
 
 def test_nonfinite_state_raises():
