@@ -11,9 +11,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import flow
-from .linops import BlockOperator, LinearOperator, vec
-from .problem import (BlockPlan, FieldAssembly, NonsmoothBlock, PrimalDualState,
-                      SaddleProblem, SmoothBlock, _check_positive)
+from .linops import BlockOperator, LinearOperator, _entries, _sorted_csr, vec
+from .problem import (FieldAssembly, NonsmoothBlock, PrimalDualState, SaddleProblem,
+                      SmoothBlock, _check_positive)
 from .prox import ProximableFunction
 
 
@@ -101,38 +101,28 @@ class Network:
 
     @cached_property
     def _field_ops(self) -> FieldAssembly:
-        """:meth:`field`'s :class:`FieldAssembly`, with ``q = 0``: the forward
-        matrix ``[M 0; L 0; C -I]`` over the ``(x, z)`` slice, the backward
-        matrix ``-[M^T I C^T; 0 0 -I]`` over ``[M x - h; t; s]``, the stacked
-        ``h``, and the plans of the local gradients (0.0 on least-squares
-        agents; ``None`` where all are) and of the local proxes.
+        """:meth:`field`'s :class:`FieldAssembly`, with ``q = 0``: the network
+        hands it the agents' blocks (an agent's x slice of the packed state,
+        which x leads, also indexes ``x``) and the residual rows ``[L 0; C
+        -I]`` over the ``(x, z)`` slice and ``[I C^T; 0 -I]`` over ``[t;
+        s]``, so its forward matrix is ``[M 0; L 0; C -I]`` and its backward
+        matrix ``-[M^T I C^T; 0 0 -I]``.
 
-        ``M`` is the least-squares agents' block diagonal on their x
-        columns, ``L = kron(D - adjacency, I_d)`` the Laplacian and ``C``
-        the block diagonal of the local maps; ``t = L x / mu + lam1`` and
-        ``s = (C x - z) / mu + lam2``, and a z row's one ``+1`` adds ``s``
-        onto ``(prox(v) - v) / mu`` to the bit. Both matrices are CSR built
-        from index arrays, each row's entries in column order (all of a
-        dense ``M``'s, the stored ones of ``C``): entry for entry the sorted
-        stacks of scipy's ``kron``, ``block_diag``, ``hstack`` and
-        ``vstack``, at a fraction of their cost."""
+        ``L = kron(D - adjacency, I_d)`` is the Laplacian and ``C`` the block
+        diagonal of the local maps; ``t = L x / mu + lam1`` and ``s = (C x -
+        z) / mu + lam2``, and a z row's one ``+1`` adds ``s`` onto ``(prox(v)
+        - v) / mu`` to the bit. Both are CSR built from index arrays, each
+        row's entries in column order (the stored ones of ``C``): entry for
+        entry the sorted stacks of scipy's ``kron``, ``block_diag``,
+        ``hstack`` and ``vstack``, at a fraction of their cost."""
         d = self.x_dim
         kd, nz = self.k * d, sum(self.z_dims)
-        ls = [a.f.kind == "least_squares" for a in self.agents]
-        # the (row, column, value) entries of M and of C
-        M, C, n_ls = [], [], 0
-        for a, is_ls, zsl, cols in zip(self.agents, ls, self.z_slices,
-                                       np.arange(kd).reshape(self.k, d)):
-            if is_ls:
-                Mi = a.f.meta["M"]
-                M.append((n_ls + np.repeat(np.arange(len(Mi)), d), np.tile(cols, len(Mi)),
-                          Mi.ravel()))
-                n_ls += len(Mi)
-            Ci = a.C.matrix
-            C.append((zsl.start + np.repeat(np.arange(Ci.shape[0]), np.diff(Ci.indptr)),
-                      cols[Ci.indices], Ci.data))
-        none = (np.empty(0, int), np.empty(0, int), np.empty(0))
-        (Mr, Mc, Mv), (Cr, Cc, Cv) = [[np.concatenate(e) for e in zip(*p, none)] for p in (M, C)]
+        # the (row, column, value) entries of C
+        C = []
+        for a, zsl, cols in zip(self.agents, self.z_slices, np.arange(kd).reshape(self.k, d)):
+            r, c, v = _entries(a.C.matrix)
+            C.append((zsl.start + r, cols[c], v))
+        Cr, Cc, Cv = [np.concatenate(e) for e in zip(*C)]
         # the Laplacian's: -1 per neighbor and the degree on the diagonal, kron I_d
         adj, e = self.adjacency, np.arange(d)
         deg = np.diff(adj.indptr)
@@ -140,23 +130,17 @@ class Network:
         Lr = (np.concatenate([np.repeat(np.arange(self.k), deg), linked])[:, None] * d + e).ravel()
         Lc = (np.concatenate([adj.indices, linked])[:, None] * d + e).ravel()
         Lv = np.repeat(np.concatenate([-adj.data, deg[linked].astype(float)]), d)
-        zr, xr = np.arange(nz), np.arange(kd)
-        F = _sorted_csr(np.concatenate([Mr, n_ls + Lr, n_ls + kd + Cr, n_ls + kd + zr]),
-                        np.concatenate([Mc, Lc, Cc, kd + zr]),
-                        np.concatenate([Mv, Lv, Cv, np.full(nz, -1.0)]),
-                        (n_ls + kd + nz, kd + nz))
-        B = _sorted_csr(np.concatenate([Mc, xr, Cc, kd + zr]),
-                        np.concatenate([Mr, n_ls + xr, n_ls + kd + Cr, n_ls + kd + zr]),
-                        -np.concatenate([Mv, np.ones(kd), Cv, np.full(nz, -1.0)]),
-                        (kd + nz, n_ls + kd + nz))
-        h = np.concatenate([a.f.meta["h"] for a, is_ls in zip(self.agents, ls) if is_ls]
-                           + [np.empty(0)])
-        # x leads the packed state, so an agent's x slice also indexes ``x``
-        rest = None if all(ls) else BlockPlan(
-            (sl[0], a.f.shape, a.f) for a, sl in zip(self.agents, self.slices))
-        proxes = BlockPlan((zsl, a.C.out_shape, a.g)
-                           for a, zsl in zip(self.agents, self.z_slices))
-        return FieldAssembly(kd, nz, kd + nz, F, B, h, np.zeros(kd + nz), proxes, rest)
+        zr, xr, shape = np.arange(nz), np.arange(kd), (kd + nz, kd + nz)
+        rows = _sorted_csr(np.concatenate([Lr, kd + Cr, kd + zr]),
+                           np.concatenate([Lc, Cc, kd + zr]),
+                           np.concatenate([Lv, Cv, np.full(nz, -1.0)]), shape)
+        back_rows = _sorted_csr(np.concatenate([xr, Cc, kd + zr]),
+                                np.concatenate([xr, kd + Cr, kd + zr]),
+                                np.concatenate([np.ones(kd), Cv, np.full(nz, -1.0)]), shape)
+        return FieldAssembly([(sl[0], a.f) for a, sl in zip(self.agents, self.slices)],
+                             [(zsl, a.C.out_shape, a.g)
+                              for a, zsl in zip(self.agents, self.z_slices)],
+                             rows, back_rows, np.zeros(kd + nz))
 
     def field(self, u: np.ndarray, alpha: float, mu: float,
               out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -172,14 +156,6 @@ class Network:
         group lasso."""
         ops = self._field_ops
         return flow.ProxSwitching.of(ops.z_plan, ops.m, ops.m + ops.n, lambda: mu)
-
-
-def _sorted_csr(rows, cols, vals, shape) -> sp.csr_matrix:
-    """The CSR matrix of the entries ``(rows, cols, vals)``, no two at one
-    place, each row's in column order."""
-    order = np.lexsort((cols, rows))
-    indptr = np.searchsorted(rows[order], np.arange(shape[0] + 1))
-    return sp.csr_matrix((vals[order], cols[order], indptr), shape=shape)
 
 
 @dataclass

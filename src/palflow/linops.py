@@ -125,12 +125,8 @@ def csr_product(A: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
 
     It adds ``A @ x`` into a zeroed output (:func:`csr_add_product`), exactly
     as ``A @ x`` does, without the operator's dispatch and checks, so ``x``
-    must be a vector of ``A``'s column count. A square identity returns ``x``
-    itself, which differs from ``A @ x`` only in keeping the sign of a zero
-    entry.
+    must be a vector of ``A``'s column count.
     """
-    if is_identity(A):
-        return lambda x: x
     add, n_row = csr_add_product(A), A.shape[0]
     return lambda x: add(x, np.zeros(n_row))
 
@@ -140,8 +136,7 @@ def csr_add_product(A: sp.csr_matrix) -> Callable[[np.ndarray, np.ndarray], np.n
     into ``out`` in place and returned: row ``i`` starts from ``out[i]`` and
     adds the products of its stored entries with ``x``, in stored order
     (``csr_matvec`` itself). ``x`` must be a vector of ``A``'s column count,
-    ``out`` a float vector of its row count that does not overlap ``x``. No
-    matrix, an identity included, takes a shortcut."""
+    ``out`` a float vector of its row count that does not overlap ``x``."""
     n_row, n_col = A.shape
     indptr, indices = A.indptr, A.indices
     data = np.asarray(A.data, dtype=float)
@@ -153,12 +148,21 @@ def csr_add_product(A: sp.csr_matrix) -> Callable[[np.ndarray, np.ndarray], np.n
     return product
 
 
-def is_identity(A: sp.csr_matrix) -> bool:
-    """Whether the CSR matrix ``A`` stores exactly a square identity: one
-    entry per row, on the diagonal, equal to 1."""
-    n_row, n_col = A.shape
-    return bool(n_row == n_col and np.array_equal(A.indptr, np.arange(n_row + 1))
-                and np.array_equal(A.indices, np.arange(n_row)) and np.all(A.data == 1.0))
+def _sorted_csr(rows, cols, vals, shape, by_row=False) -> sp.csr_matrix:
+    """The CSR matrix of the entries ``(rows, cols, vals)``, no two at one
+    place, each row's in column order; with ``by_row``, a stable sort by
+    row keeps each row's entries in the order handed."""
+    order = np.argsort(rows, kind="stable") if by_row else np.lexsort((cols, rows))
+    # scipy's index type, handed to it, spares its scan of the index arrays
+    idx = np.int32 if max(*shape, len(vals)) < 2 ** 31 else np.int64
+    indptr = np.searchsorted(rows[order], np.arange(shape[0] + 1)).astype(idx)
+    return sp.csr_matrix((vals[order], cols[order].astype(idx), indptr), shape=shape)
+
+
+def _entries(A: sp.csr_matrix):
+    """The rows, columns and values of ``A``'s stored entries, in stored order."""
+    ptr = A.indptr
+    return np.repeat(np.arange(A.shape[0]), ptr[1:] - ptr[:-1]), A.indices, A.data
 
 
 def block_diagonal(mats) -> sp.csr_matrix:

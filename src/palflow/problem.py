@@ -11,9 +11,9 @@ from typing import Callable, List, NamedTuple, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .linops import (BlockOperator, SingularExtremes, TOL_RANK, _checked,
-                     block_diagonal, csr_add_product, csr_product, range_basis,
-                     singular_extremes, range_contained, vec, unvec)
+from .linops import (BlockOperator, SingularExtremes, TOL_RANK, _checked, _entries,
+                     _sorted_csr, block_diagonal, csr_add_product, csr_product,
+                     range_basis, singular_extremes, range_contained, vec, unvec)
 from .prox import ProximableFunction, moreau_value, prox_l1
 
 
@@ -307,7 +307,7 @@ def _fold_order(EF: sp.csr_matrix, E_mats, F_mats) -> Optional[np.ndarray]:
     tot_E, tot_F = counts[:n_E].sum(axis=0), counts[n_E:].sum(axis=0)
     if not np.all((tot_E <= 1) | (tot_F <= 1)):
         return None
-    row = np.repeat(np.arange(p), np.diff(EF.indptr))
+    row = _entries(EF)[0]
     block = np.searchsorted(np.cumsum([M.shape[1] for M in mats]), EF.indices, side="right")
     # E's side goes last where it holds one entry and F more
     last = (block >= n_E) ^ ((tot_E == 1) & (tot_F > 1))[row]
@@ -399,29 +399,61 @@ class FieldAssembly:
     """The gradient and the flow field of the proximal augmented Lagrangian
     on a flat state ``(x, z, y, lam)`` of ``(m, n, n, p)`` entries, in two
     CSR products around the prox, with ``mu`` and ``alpha`` given at each
-    call; :class:`FieldKernel` and ``distributed.Network`` hand it their
-    matrices and plans.
+    call. :class:`FieldKernel` and ``distributed.Network`` hand it their
+    blocks and residual rows, and it builds the rest once.
 
-    The forward product of ``forward`` over the ``(x, z)`` slice, into a
-    zeroed output, gives the ``h.size`` least-squares rows ``M x`` over the
-    ``p`` residual rows, less ``h`` and ``q``. Then come ``shift = r / mu +
-    lam``, ``v = z + mu y`` and ``z_plan``'s prox. The field's y and lam
-    rows are ``alpha (z - prox(v))`` and ``alpha r``; its x and z rows start
-    from ``-(x_rest's gradients)`` (0.0 where it is ``None``) and
-    ``(prox(v) - v) / mu``, and the backward product of ``back`` over ``[M x
-    - h; shift]`` adds each row's stored entries onto them, in order. The
+    ``x_blocks`` are ``(slice, SmoothBlock)`` over x and ``z_blocks``
+    ``(slice, shape, function)`` over z. The two products carry each
+    least-squares block's gradient ``M^T (M x - h)``: ``forward`` is ``[M;
+    rows]`` over the ``(x, z)`` slice, ``M`` every entry of each such
+    block's ``M`` on its x columns (``n_ls`` rows in block order, ``h``
+    stacked alike) and each of ``rows`` in its stored order; ``back`` is
+    ``-[M^T back_rows]``, each row's entries in column order, as
+    ``back_rows``' must be. ``z_plan`` is the proxes' :class:`BlockPlan`,
+    ``x_rest`` the other smooth gradients' (``None`` where every x block is
+    least squares), and ``q`` has the residual's ``p`` entries.
+
+    The forward product, into a zeroed output, gives ``M x`` over the
+    residual rows, less ``h`` and ``q``. Then come ``shift = r / mu + lam``,
+    ``v = z + mu y`` and ``z_plan``'s prox. The field's y and lam rows are
+    ``alpha (z - prox(v))`` and ``alpha r``; its x and z rows start from
+    ``-(x_rest's gradients)`` (0.0 where it is ``None``) and ``(prox(v) -
+    v) / mu``, and the backward product of ``back`` over ``[M x - h;
+    shift]`` adds each row's stored entries onto them, in order. The
     gradient takes ``-back``, the negated starts and no ``alpha``. A unit
     ``mu`` or ``alpha`` skips the passes that would scale by it, to the same
     bits: ``a * 1.0`` and ``a / 1.0`` are ``a`` for every double, signed
     zeros and infinities included, and ``a + b`` is ``b + a``."""
 
-    def __init__(self, m, n, p, forward, back, h, q, z_plan, x_rest):
-        self.m, self.n, self.p = m, n, p
-        self.forward, self.back = forward, back
-        self._forward, self._w_dim = csr_add_product(forward), forward.shape[0]
-        self._back_field = csr_add_product(back)
-        self.n_ls, self._h, self.q = h.size, h, q
-        self.z_plan, self._x_rest = z_plan, x_rest
+    def __init__(self, x_blocks, z_blocks, rows, back_rows, q):
+        self.z_plan, k = BlockPlan(z_blocks), rows.shape[1]
+        # Python ints (a slice may hold numpy ones): _assemble slices with them
+        self.n, self.p, self.q = int(self.z_plan.dim), q.size, q
+        self.m = k - self.n
+        ls = [(sl, b.meta["M"], b.meta["h"]) for sl, b in x_blocks
+              if b.kind == "least_squares"]
+        self._x_rest = (None if len(ls) == len(x_blocks)
+                        else BlockPlan((sl, b.shape, b) for sl, b in x_blocks))
+        self._h = np.concatenate([h for *_, h in ls] + [np.empty(0)])
+        # row by row, every entry of each M on its block's x columns
+        spans = np.array([(sl.start, sl.stop - sl.start, len(M)) for sl, M, _ in ls],
+                         dtype=int).reshape(-1, 3)
+        first, width = np.repeat(spans[:, :2], spans[:, 2], axis=0).T
+        self.n_ls = n_ls = width.size
+        Mr = np.repeat(np.arange(n_ls), width)
+        Mc = np.arange(Mr.size) - np.repeat(np.cumsum(width) - width - first, width)
+        Mv = np.concatenate([M.ravel() for _, M, _ in ls] + [np.empty(0)])
+        (Rr, Rc, Rv), (Br, Bc, Bv) = _entries(rows), _entries(back_rows)
+        self.forward = _sorted_csr(np.concatenate([Mr, n_ls + Rr]), np.concatenate([Mc, Rc]),
+                                   np.concatenate([Mv, Rv]), (n_ls + rows.shape[0], k),
+                                   by_row=True)
+        # by row, M's entries are M^T's, each row's in column order ahead of
+        # its back_rows entries (columns from n_ls on)
+        self.back = _sorted_csr(np.concatenate([Mc, Br]), np.concatenate([Mr, n_ls + Bc]),
+                                -np.concatenate([Mv, Bv]), (k, n_ls + back_rows.shape[1]),
+                                by_row=True)
+        self._forward, self._w_dim = csr_add_product(self.forward), self.forward.shape[0]
+        self._back_field = csr_add_product(self.back)
 
     @cached_property
     def _back_grad(self):
@@ -485,12 +517,11 @@ class FieldKernel(FieldAssembly):
 
     The column blocks of ``[E F]`` are stacked side by side into the sorted
     CSR matrix ``EF`` over the contiguous ``(x, z)`` slice; ``EFt`` is its
-    transpose. The forward matrix stacks the ``n_ls`` rows of the
-    least-squares blocks' ``M`` (on their x columns) over the residual rows,
-    and the backward matrix is ``-[M^T E^T; 0 F^T]``; a row of it with more
-    than one entry rounds unlike a separate adjoint product subtracted (the
-    network lasso's x rows). ``kkt`` reads the KKT residual off the field
-    with a separate adjoint product.
+    transpose. The kernel hands :class:`FieldAssembly` its residual rows
+    and ``EFt``, so the backward matrix is ``-[M^T E^T; 0 F^T]``; a row of it
+    with more than one entry rounds unlike a separate adjoint product
+    subtracted (the network lasso's x rows). ``kkt`` reads the KKT residual
+    off the field with a separate adjoint product of ``EFt``.
 
     The residual ``E x + F z - q`` must equal ``BlockOperator``'s to the
     last bit, even where ``Ex`` and ``q`` cancel. That sums each block's
@@ -517,10 +548,8 @@ class FieldKernel(FieldAssembly):
     block order into the first ``p`` of them after the forward product
     (``folded``): a row with more than one entry on both sides (as dense E
     and F blocks give), or two many-entry blocks on one side or one third
-    among them. The other smooth gradients and the proxes run through one
-    :class:`BlockPlan` each, which fuses adjacent l1 blocks into one soft
-    threshold. Where μ is 1 the l1 levels are the plan's stored weights,
-    which are only read, and ``kkt(u, f)`` reads views of ``f``.
+    among them. Where μ is 1 the l1 levels are the prox plan's stored
+    weights, which are only read, and ``kkt(u, f)`` reads views of ``f``.
     """
 
     def __init__(self, prob: SaddleProblem):
@@ -540,30 +569,13 @@ class FieldKernel(FieldAssembly):
                                   self.EF.indptr), shape=self.EF.shape)
         else:
             self.blocks = rows = block_diagonal(mats)
-        x_slices, z_slices = _slices(prob.x_shapes), _slices(prob.z_shapes)
-        self.x_blocks = list(zip(x_slices, prob.smooth_blocks))
-        self.z_blocks = list(zip(z_slices, prob.nonsmooth_blocks))
+        self.x_blocks = list(zip(_slices(prob.x_shapes), prob.smooth_blocks))
+        self.z_blocks = list(zip(_slices(prob.z_shapes), prob.nonsmooth_blocks))
         self._bound_share = 1.0 - 4 * (prob.state_dim + 2) * np.finfo(float).eps
-        # the least-squares blocks' M on their x columns, and no z column
-        ls = [b.kind == "least_squares" for b in prob.smooth_blocks]
-        M = block_diagonal([b.meta["M"] if is_ls else sp.csr_matrix((0, b.dim))
-                            for b, is_ls in zip(prob.smooth_blocks, ls)]
-                           + [sp.csr_matrix((0, prob.n))])
-        h = np.concatenate([b.meta["h"] for b, is_ls in zip(prob.smooth_blocks, ls)
-                            if is_ls] + [np.empty(0)])
-        # [M; residual rows], each row in its stored order, and [M^T E^T; 0 F^T]
-        forward = sp.csr_matrix(
-            (np.concatenate([M.data, rows.data]), np.concatenate([M.indices, rows.indices]),
-             np.concatenate([M.indptr, rows.indptr[1:] + M.nnz])),
-            shape=(M.shape[0] + rows.shape[0], rows.shape[1]))
-        back = sp.hstack([M.T, self.EFt], format="csr")
-        back.sort_indices()
-        z_plan = BlockPlan(zip(z_slices, prob.z_shapes, [b.g for b in prob.nonsmooth_blocks]))
-        # the other smooth blocks' gradients, 0.0 on the least-squares rows
-        x_rest = None if all(ls) else BlockPlan(zip(x_slices, prob.x_shapes, prob.smooth_blocks))
-        super().__init__(prob.m, prob.n, prob.p, forward, -back, h, prob.q, z_plan, x_rest)
+        super().__init__(self.x_blocks, [(sl, b.shape, b.g) for sl, b in self.z_blocks],
+                         rows, self.EFt, prob.q)
         if self.blocks is not None:
-            product, n_ls, n_E, shape = self._forward, h.size, len(E_mats), (len(mats), prob.p)
+            product, n_ls, n_E, shape = self._forward, self.n_ls, len(E_mats), (len(mats), prob.p)
 
             def folded(xz, w):
                 # every E_i x_i, then every F_j z_j, summed into the first rows
@@ -614,9 +626,9 @@ class FieldKernel(FieldAssembly):
         r, d = f[k + n:], f[k:k + n]
         if alpha != 1.0:
             r, d = r / alpha, d / alpha
-        # -(the two stationarity violations), summed into the adjoint; a new
-        # array, as an identity's adjoint returns its input
-        g = self._adjoint(r if mu == 1.0 else r / mu) + f[:k]
+        # -(the two stationarity violations), summed into the adjoint's new array
+        g = self._adjoint(r if mu == 1.0 else r / mu)
+        g += f[:k]
         g[m:] += d if mu == 1.0 else d / mu
         return float(np.sqrt(g @ g + d @ d + r @ r))
 

@@ -14,10 +14,10 @@ from palflow import examples, flow, prox
 from palflow.distributed import assemble_consensus, simulate, unpack_agents
 from palflow.flow import (FlowField, IntegratorConfig, blockwise_field,
                           integrate, integrate_ode, pal_value, vector_field)
-from palflow.linops import (BlockOperator, LinearOperator, masked_congruence,
-                            unvec, vec)
+from palflow.linops import (BlockOperator, LinearOperator, block_diagonal,
+                            masked_congruence, unvec, vec)
 from palflow.problem import (BlockPlan, NonsmoothBlock, PrimalDualState,
-                             SaddleProblem, SmoothBlock, kkt_residual)
+                             SaddleProblem, SmoothBlock, _fold_order, kkt_residual)
 
 from conftest import (build_lifted, composite_instance, pal_gradient,
                       quadratic_equality_instance, same_doubles,
@@ -368,6 +368,35 @@ def test_residual_layout_of_each_instance(name, one_product):
             "sgl_20x200": lambda: examples.gen_sparse_group_lasso(20, 200, 10, seed=2)[0]}
     # the block diagonal is built only where it is the layout picked
     assert (make[name]().kernel.blocks is None) == one_product
+
+
+def _scipy_kernel_matrices(prob):
+    """``FieldKernel``'s forward and backward matrices stacked by scipy:
+    ``[M; residual rows]``, ``M`` the block diagonal of the least-squares
+    blocks' ``M`` on their x columns and none on z, and ``-[M^T EFt]``,
+    sorted. The residual rows are ``EF``'s in fold order, or the kernel's
+    block diagonal ``blocks``."""
+    k = prob.kernel
+    M = block_diagonal([b.meta["M"] if b.kind == "least_squares" else sp.csr_matrix((0, b.dim))
+                        for b in prob.smooth_blocks] + [sp.csr_matrix((0, prob.n))])
+    rows = k.blocks
+    if rows is None:
+        order = _fold_order(k.EF, *[[op.matrix for op in B.blocks] for B in (prob.E, prob.F)])
+        rows = sp.csr_matrix((k.EF.data[order], k.EF.indices[order], k.EF.indptr),
+                             shape=k.EF.shape)
+    B = sp.hstack([M.T, k.EFt], format="csr")
+    B.sort_indices()
+    return sp.vstack([M, rows], format="csr"), -B
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_INSTANCES))
+def test_kernel_field_matrices_are_scipys_stacks(name):
+    prob = KERNEL_INSTANCES[name]()
+    k = prob.kernel
+    for got, want in zip((k.forward, k.back), _scipy_kernel_matrices(prob)):
+        assert got.shape == want.shape
+        for a in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, a), getattr(want, a))
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_INSTANCES))

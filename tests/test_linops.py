@@ -239,11 +239,11 @@ def test_operator_is_its_matrix(name):
 
 
 def _products():
-    """Every kind of CSR matrix the field kernels bind with ``csr_product``:
-    each operator's matrix and its transpose, a p x 0 matrix, the kernels'
-    ``EF`` and ``EFt``, the block diagonal of a problem's column blocks (the
-    layout a kernel keeps where one product of ``EF`` would round
-    differently), and a network's kron adjacency."""
+    """Every kind of CSR matrix a product runs on: each operator's matrix
+    and its transpose, a p x 0 matrix, the kernels' ``EF`` and ``EFt``, the
+    block diagonal of a problem's column blocks (the layout a kernel keeps
+    where one product of ``EF`` would round differently; PCP's is an
+    identity), and a network's kron adjacency."""
     mats = {}
     for name, op in _operators().items():
         mats[name] = op.matrix
@@ -277,14 +277,12 @@ def test_csr_product_is_the_matrix_product(name):
     rng = np.random.default_rng(10)
     product = csr_product(A)
     for _ in range(3):
+        # signed zeros too: an identity's product turns -0.0 into 0.0, as A @ x does
         x = rng.standard_normal(A.shape[1])
+        x[::3], x[1::3] = -0.0, 0.0
         got, want = product(x), A @ x
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert np.array_equal(got, want)
-    identity = (A.shape[0] == A.shape[1]
-                and (A != sp.identity(A.shape[0], format="csr")).nnz == 0)
-    assert (product(x) is x) == identity
-    assert identity == (name in {"identity", "identity.T", "pcp.blocks"})
+        assert got.dtype == want.dtype and same_doubles(got, want)
+        assert got is not x
 
 
 def _added_row_by_row(A, x, out):
